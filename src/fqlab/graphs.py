@@ -10,7 +10,11 @@ orders driven by the bounded quotient search.
 Transitivity of the built-in generator sets is certified by orbit
 counting on vertices and arcs, never by closing the generated group:
 the group order grows factorially in the parameters while the orbit
-computations stay linear in the number of arcs.
+computations stay linear in the number of arcs.  Local actions come
+from Schreier generators of the vertex stabilizer restricted to the
+neighborhood, so a transitivity report never lists the group either;
+only the odd edge core, which needs the odd-order stabilizer elements,
+closes the group and so needs it under the element cap.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .permgroup import (
     orbits_of,
     shape,
     stabilizer,
+    stabilizer_generators,
     torsion_subgroup,
 )
 
@@ -263,22 +268,27 @@ def local_action(ga: GraphAction, v: int) -> PermGroup:
     """Permutation group induced on the neighborhood of v by its stabilizer.
 
     Points of the result are positions in the sorted neighbor list of
-    v.  The stabilizer comes from filtering the full element list, so
-    the group must fit under the element cap.
+    v.  The stabilizer enters through its Schreier generators, and
+    restriction to the neighborhood is a homomorphism, so closing the
+    restricted generators gives the induced group exactly.  Only that
+    group, on at most valency-many points, is ever listed, so the
+    acting group need not fit under the element cap.
     """
     if not 0 <= v < ga.graph.vertex_count:
         raise ValueError(f"no vertex {v}")
     neighbors = ga.graph.adjacency[v]
     if not neighbors:
         raise ValueError(f"vertex {v} has no neighbors")
-    return _induced_on(neighbors, stabilizer(ga.group, v).elements)
+    return _induced_on(
+        neighbors, stabilizer_generators(ga.group.generators, ga.graph.vertex_count, v)
+    )
 
 
-def _induced_on(neighbors: tuple[int, ...], elements) -> PermGroup:
-    # the restrictions of a full subgroup already form a group, so the
-    # extra closure pass is a no-op check, not a blowup risk
+def _induced_on(neighbors: tuple[int, ...], perms) -> PermGroup:
+    """Group generated by the restrictions of perms, each of which must
+    map the neighbor list onto itself."""
     position = {w: i for i, w in enumerate(neighbors)}
-    restricted = sorted({tuple(position[g[w]] for w in neighbors) for g in elements})
+    restricted = sorted({tuple(position[g[w]] for w in neighbors) for g in perms})
     return close(restricted, len(neighbors))
 
 
@@ -326,21 +336,38 @@ def transitivity_report(ga: GraphAction) -> TransitivityReport:
         local_shapes=tuple(shapes),
     )
 
-    connected = graph.is_connected
-    if connected and edges:
+    if graph.is_connected and edges:
         for u, v in edge_reps:
             pair = local_transitive_at(u) and local_transitive_at(v)
             if pair != report.locally_transitive:
                 raise InternalInvariantError(
                     "edge-endpoint probe disagrees with the orbit sweep"
                 )
+    violations = implication_violations(report, graph)
+    if violations:
+        raise InternalInvariantError(violations[0])
+    return report
+
+
+def implication_violations(report: TransitivityReport, graph: Graph) -> list[str]:
+    """The classical implications between the flags that a report breaks.
+
+    Arc-transitive implies edge-transitive; on a connected graph,
+    locally transitive implies edge-transitive; edge-transitive without
+    isolated vertices allows at most two vertex orbits; and on a
+    connected graph that is not regular of even valency,
+    edge-transitive implies locally transitive.  Empty on a sound
+    report.
+    """
+    connected = graph.is_connected
+    out = []
     if report.arc_transitive and not report.edge_transitive:
-        raise InternalInvariantError("arc-transitive action missed edge-transitivity")
+        out.append("arc-transitive action missed edge-transitivity")
     if connected and report.locally_transitive and not report.edge_transitive:
-        raise InternalInvariantError("locally transitive action missed edge-transitivity")
+        out.append("locally transitive action missed edge-transitivity")
     no_isolated = all(graph.adjacency) if graph.vertex_count else True
     if report.edge_transitive and no_isolated and report.vertex_orbit_count > 2:
-        raise InternalInvariantError("edge-transitive action with three vertex orbits")
+        out.append("edge-transitive action with three vertex orbits")
     regular_even = graph.is_regular and graph.valencies and graph.valencies[0] % 2 == 0
     if (
         connected
@@ -348,10 +375,10 @@ def transitivity_report(ga: GraphAction) -> TransitivityReport:
         and not regular_even
         and not report.locally_transitive
     ):
-        raise InternalInvariantError(
+        out.append(
             "edge-transitive, not regular of even valency, yet not locally transitive"
         )
-    return report
+    return out
 
 
 @dataclass(frozen=True)

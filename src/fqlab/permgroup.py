@@ -1,8 +1,12 @@
-"""Finite permutation groups by exhaustive closure.
+"""Finite permutation groups from small generating sets.
 
-Desk scale only: groups are stored as full element sets (cap 10^5), so
-every structural question (normality, quotients, subgroups generated by
-order-restricted elements) is a direct scan.  Permutations are tuples of
+A group is held as its generators; its element set is closed from them
+only when a question needs it (cap 10^5).  Orbits, point stabilizers
+(Schreier generators) and normal closures work from generators alone;
+normality, quotients and subgroups generated by order-restricted
+elements are direct scans of the element set, so they are desk scale.
+The closure sifts its generators, so a long redundant generating list
+costs little more than a short one.  Permutations are tuples of
 0-based images; composition is "left then right", so cosets and coset
 actions are right-handed throughout.
 
@@ -150,24 +154,41 @@ class PermGroup:
 
     @property
     def elements(self) -> tuple[Perm, ...]:
-        """All elements, lexicographically sorted.  Computed once, then cached."""
+        """All elements, lexicographically sorted.  Computed once, then cached.
+
+        The closure sifts the generators: one already in the subgroup
+        built so far is skipped, and a new one g extends that subgroup H
+        by a breadth-first search that starts from H g and multiplies by
+        the kept generators only.  A word that leaves H first leaves it
+        through g, so the search misses nothing; each kept generator at
+        least doubles H, so at most log2 of the order are kept, and a
+        long redundant generating list costs one membership test per
+        entry.
+        """
         if self._elements is None:
-            e = identity(self.degree)
-            known = {e}
-            frontier = [e]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = compose(x, g)
-                        if y not in known:
-                            known.add(y)
-                            nxt.append(y)
-                if len(known) > self._cap:
-                    raise GroupTooLargeError(
-                        f"closure exceeded the {self._cap} element cap"
-                    )
-                frontier = nxt
+            known = {identity(self.degree)}
+            kept: list[Perm] = []
+            for g in self.generators:
+                if g in known:
+                    continue
+                kept.append(g)
+                # known is the subgroup H and g lies outside it, so the
+                # coset H g is disjoint from H
+                frontier = [compose(x, g) for x in known]
+                while frontier:
+                    known.update(frontier)
+                    if len(known) > self._cap:
+                        raise GroupTooLargeError(
+                            f"closure exceeded the {self._cap} element cap"
+                        )
+                    nxt = []
+                    for x in frontier:
+                        for h in kept:
+                            y = compose(x, h)
+                            if y not in known:
+                                known.add(y)
+                                nxt.append(y)
+                    frontier = nxt
             self._elements = tuple(sorted(known))
             self._element_set = frozenset(known)
         return self._elements
@@ -199,9 +220,6 @@ class PermGroup:
 
     def subgroup(self, generators) -> "PermGroup":
         return PermGroup(self.degree, tuple(generators), self._cap)
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.element_set <= other.element_set
 
 
 def close(generators, degree: int | None = None, element_cap: int = ELEMENT_CAP) -> PermGroup:
@@ -325,13 +343,29 @@ def torsion_subgroup(group: PermGroup, selector) -> PermGroup:
 
 
 def normal_closure(group: PermGroup, seed_elements) -> PermGroup:
-    """Smallest normal subgroup of the group containing the seeds."""
-    seeds = tuple(seed_elements)
-    for s in seeds:
+    """Smallest normal subgroup of the group containing the seeds.
+
+    Each generator of the closure is conjugated by each generator of
+    the group; a conjugate outside the closure joins its generators.
+    Once every generator's conjugates lie inside, the closure is
+    normal.  Each growth at least doubles it, so it is re-closed at
+    most log2 of the group order times.
+    """
+    gens = list(seed_elements)
+    for s in gens:
         if s not in group.element_set:
             raise ValueError("seed element outside the group")
-    conj = {conjugate(s, g) for s in seeds for g in group.elements}
-    return close(tuple(sorted(conj)), group.degree, group._cap)
+    N = close(gens, group.degree, group._cap)
+    queue = list(gens)
+    while queue:
+        x = queue.pop()
+        for b in group.generators:
+            y = conjugate(x, b)
+            if y not in N.element_set:
+                gens.append(y)
+                queue.append(y)
+                N = close(gens, group.degree, group._cap)
+    return N
 
 
 def is_normal(group: PermGroup, sub: PermGroup) -> bool:

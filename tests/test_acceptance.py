@@ -236,7 +236,7 @@ def test_graph_families_and_implications():
             assert graph.is_connected
             full_reports += check_implications(action, violations)
     assert violations == []
-    assert full_reports >= 30
+    assert full_reports == 44
     passed("both graph families check out and the implication suite is clean")
 
 

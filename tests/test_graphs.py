@@ -1,9 +1,12 @@
 """Graph families, transitivity reports, local actions, odd cores, census."""
 
 import itertools
+import math
 
 import pytest
 
+from fqlab.budgets import ELEMENT_CAP
+from fqlab.cli import _graph_fixtures
 from fqlab.errors import InputSyntaxError, SearchBudgetError
 from fqlab.fpgroup import parse_presentation
 from fqlab.fpgroup.coset import col_to_letter
@@ -24,11 +27,13 @@ from fqlab.graphs import (
     graph_from_edges,
     graph_from_text,
     graph_to_text,
+    implication_violations,
     local_action,
     odd_edge_core,
     transitivity_report,
 )
-from fqlab.permgroup import GroupShape, PermGroup, close, is_transitive
+from fqlab.graphs import _induced_on
+from fqlab.permgroup import GroupShape, PermGroup, close, is_transitive, stabilizer
 
 
 def cycle(n):
@@ -243,6 +248,7 @@ def test_implication_sweep():
     for ga in fixture_corpus():
         graph = ga.graph
         rep = transitivity_report(ga)
+        assert implication_violations(rep, graph) == []
         if rep.arc_transitive:
             assert rep.edge_transitive
         if graph.is_connected and rep.locally_transitive:
@@ -258,6 +264,55 @@ def test_implication_sweep():
             assert pair == rep.locally_transitive
         checked += 1
     assert checked == 19
+
+
+def test_implication_violations_name_each_broken_implication():
+    def report(edge, arc, locally, vertex_orbits):
+        return TransitivityReport(
+            vertex_orbits == 1, edge, arc, locally, vertex_orbits, 1 if edge else 2, ()
+        )
+
+    c5 = cycle(5)
+    assert implication_violations(report(True, True, True, 1), c5) == []
+    assert implication_violations(report(False, True, False, 1), c5) == [
+        "arc-transitive action missed edge-transitivity"
+    ]
+    assert implication_violations(report(False, False, True, 1), c5) == [
+        "locally transitive action missed edge-transitivity"
+    ]
+    assert implication_violations(report(True, False, True, 3), c5) == [
+        "edge-transitive action with three vertex orbits"
+    ]
+    assert implication_violations(report(True, False, False, 2), star4().graph) == [
+        "edge-transitive, not regular of even valency, yet not locally transitive"
+    ]
+    # a regular graph of even valency may be edge- but not locally transitive
+    assert implication_violations(report(True, False, False, 1), c5) == []
+
+
+def family_actions_under_the_cap():
+    # the W(k, r) group is S_k wr D_r, of order (k!)^r * 2r
+    for k in range(1, 5):
+        for r in range(3, 9):
+            order = math.factorial(k) ** r * 2 * r
+            if order <= ELEMENT_CAP:
+                ga = build_w(k, r)
+                assert ga.group.order == order, (k, r)
+                yield ga
+    for k in range(1, 5):
+        for r in range(2, 7):
+            yield build_sw(k, r)
+
+
+def test_local_action_matches_element_filter():
+    # Schreier generators against the full element list of the stabilizer
+    actions = [ga for _, ga in _graph_fixtures()] + list(family_actions_under_the_cap())
+    assert len(actions) == 11 + 16 + 20
+    for ga in actions:
+        for v, neighbors in enumerate(ga.graph.adjacency):
+            if neighbors:
+                want = _induced_on(neighbors, stabilizer(ga.group, v).elements)
+                assert local_action(ga, v) == want, (ga.graph.vertex_count, v)
 
 
 def test_local_action_cycle():

@@ -70,6 +70,22 @@ def oracle_is_normal(G, elem_set):
     return all(conjugate(n, g) in elem_set for n in elem_set for g in G.elements)
 
 
+def naive_closure(generators, degree):
+    # breadth-first search multiplying every element by every generator
+    known = {identity(degree)}
+    frontier = list(known)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = compose(x, g)
+                if y not in known:
+                    known.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(known))
+
+
 def test_perm_primitives():
     g = parse_perm("(1 2 3)")
     h = parse_perm("(1 2)", degree=3)
@@ -118,6 +134,21 @@ def test_close_is_sorted_and_deterministic():
     assert list(G.elements) == sorted(G.elements)
     H = close((parse_perm("(1 2)(3 4)"), parse_perm("(1 2 3)", 4)))
     assert G.elements == H.elements
+
+
+def test_sifted_closure_matches_naive_closure():
+    for name, G in CAT.items():
+        want = naive_closure(G.generators, G.degree)
+        assert G.elements == want, name
+        assert close(G.elements, G.degree).elements == want, name
+        assert close(G.elements[::-1], G.degree).elements == want, name
+        e = identity(G.degree)
+        gens = G.generators
+        products = tuple(compose(a, b) for a in gens for b in gens)
+        padded = (e,) + gens + products + gens[::-1] + (e, e)
+        assert close(padded, G.degree).elements == want, name
+        part = G.elements[::7]
+        assert close(part, G.degree).elements == naive_closure(part, G.degree), name
 
 
 def test_close_cap():
@@ -201,6 +232,21 @@ def test_normal_closure():
     assert normal_closure(CAT["A4"], (parse_perm("(1 2)(3 4)"),)).order == 4
     with pytest.raises(ValueError):
         normal_closure(G, (parse_perm("(1 2 3 4)"),))
+
+
+def test_normal_closure_matches_closure_of_all_conjugates():
+    # one seed per cyclic subgroup of every catalog group, against the
+    # closure of the seed's conjugates by every element
+    for name, G in CAT.items():
+        seen = set()
+        for g in G.elements:
+            cyclic = frozenset(naive_closure((g,), G.degree))
+            if cyclic in seen:
+                continue
+            seen.add(cyclic)
+            conjugates = sorted({conjugate(g, b) for b in G.elements})
+            want = naive_closure(conjugates, G.degree)
+            assert normal_closure(G, (g,)).elements == want, (name, format_perm(g))
 
 
 def test_is_normal():
