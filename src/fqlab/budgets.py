@@ -2,13 +2,13 @@
 
 FQLAB_BUDGET, when set to a positive integer, replaces both the coset
 definition budget and the search node budget.  Caps that guard memory
-(element cap, full sieve arrays) are fixed per call site instead.
+(element cap, prime sieve mask) are fixed per call site instead.
 """
 
 import os
 
 SEGMENT_SIZE = 1 << 22          # integers per sieve segment
-MAX_SIEVE_ARRAY = 1 << 27       # largest full membership array handed out
+MAX_PRIME_SIEVE = 1 << 30       # largest bool mask primes_up_to allocates
 ELEMENT_CAP = 100_000           # exhaustive closure cap
 NORMAL_SUBGROUP_CAP = 2_000     # group order cap for normal-subgroup listing
 COSET_DEFINITIONS = 2_000_000   # coset enumeration budget

@@ -169,14 +169,14 @@ def _resolve_set(args: argparse.Namespace) -> SieveSet:
 
 
 def _run_sieve(args: argparse.Namespace) -> CommandOutput:
-    series = density_series(_resolve_set(args), [args.limit], threads=args.threads)
+    series = density_series(_resolve_set(args), [args.limit])
     cp = series.checkpoints[0]
     return CommandOutput(("limit", "count", "density"), [(cp.limit, cp.count, cp.ratio)])
 
 
 def _run_density(args: argparse.Namespace) -> CommandOutput:
     checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
-    series = density_series(_resolve_set(args), checkpoints, threads=args.threads)
+    series = density_series(_resolve_set(args), checkpoints)
     rows = [(cp.limit, cp.count, cp.ratio) for cp in series.checkpoints]
     return CommandOutput(("limit", "count", "density"), rows)
 
@@ -191,9 +191,8 @@ def _quotient_output(args: argparse.Namespace, result) -> CommandOutput:
     return CommandOutput(("order",), rows, complete=result.complete, files=files)
 
 
-def _run_fq(args: argparse.Namespace) -> CommandOutput:
+def _run_fq(args: argparse.Namespace, search=fq_up_to) -> CommandOutput:
     pres = parse_presentation(_read_text(args.presentation))
-    search = oq_up_to if getattr(args, "odd_only", False) else fq_up_to
     result = search(pres, args.max_index, allow_partial=args.allow_partial)
     out = _quotient_output(args, result)
     out.inputs = [args.presentation]
@@ -201,8 +200,7 @@ def _run_fq(args: argparse.Namespace) -> CommandOutput:
 
 
 def _run_oq(args: argparse.Namespace) -> CommandOutput:
-    args.odd_only = True
-    return _run_fq(args)
+    return _run_fq(args, oq_up_to)
 
 
 def _run_classify(args: argparse.Namespace) -> CommandOutput:
@@ -387,7 +385,6 @@ def _run_verify(args: argparse.Namespace) -> CommandOutput:
 def _add_output_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--csv", metavar="PATH", help="write the primary table here instead of stdout")
     sp.add_argument("--manifest", metavar="PATH", help="write a key,value record of the run")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads for sieving")
 
 
 def _add_search_options(sp: argparse.ArgumentParser) -> None:
@@ -430,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fq", help="finite quotient orders of a presented group")
     sp.add_argument("--presentation", required=True, metavar="PATH")
     sp.add_argument("--max-index", type=int, required=True)
-    sp.add_argument("--odd-only", action="store_true", help="keep only odd orders")
     _add_search_options(sp)
     _add_output_options(sp)
     sp.set_defaults(handler=_run_fq)
@@ -469,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", action="store_true", help="emit the transitivity report instead")
     sp.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     sp.add_argument("--manifest", metavar="PATH", help="write a key,value record of the run")
-    sp.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     sp.set_defaults(handler=_run_graphs)
 
     sp = sub.add_parser("verify", help="run the verification sweeps")

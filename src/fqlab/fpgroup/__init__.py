@@ -13,7 +13,6 @@ from .coset import (
     CosetTable,
     SchreierData,
     index_two_subgroups,
-    is_normal_table,
     reidemeister_schreier,
     schreier_data,
     standardize_rows,
@@ -55,7 +54,6 @@ __all__ = [
     "has_infinite_dihedral_quotient",
     "index_two_subgroups",
     "invert_word",
-    "is_normal_table",
     "low_index_normal_subgroups",
     "low_index_subgroups",
     "null_column_witness",

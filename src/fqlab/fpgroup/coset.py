@@ -115,11 +115,6 @@ def verify_table(t: CosetTable) -> bool:
     return True
 
 
-def is_normal_table(t: CosetTable) -> bool:
-    """Regular-action criterion: the image has order equal to the index."""
-    return t.image_group().order == t.n_cosets
-
-
 def standardize_rows(rows: list[Row], base: int) -> list[Row]:
     """Relabel cosets in breadth-first discovery order from a base.
 

@@ -12,9 +12,10 @@ counting on vertices and arcs, never by closing the generated group:
 the group order grows factorially in the parameters while the orbit
 computations stay linear in the number of arcs.  Local actions come
 from Schreier generators of the vertex stabilizer restricted to the
-neighborhood, so a transitivity report never lists the group either;
-only the odd edge core, which needs the odd-order stabilizer elements,
-closes the group and so needs it under the element cap.
+neighborhood, so a transitivity report never lists the group either.
+The odd edge core needs the odd-order stabilizer elements, so it lists
+only the vertex stabilizer, closed from those same Schreier generators;
+the stabilizer, not the acting group, must fit under the element cap.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .permgroup import (
     is_transitive,
     orbits_of,
     shape,
-    stabilizer,
     stabilizer_generators,
     torsion_subgroup,
 )
@@ -214,26 +214,6 @@ def _orbit_reps(items, generators, act):
         reps.append(item)
         sizes.append(len(members))
     return reps, sizes
-
-
-def acts_vertex_transitively(ga: GraphAction) -> bool:
-    """Single vertex orbit, straight from the generators."""
-    return len(orbits_of(ga.group.generators, ga.graph.vertex_count)) <= 1
-
-
-def acts_edge_transitively(ga: GraphAction) -> bool:
-    reps, _ = _orbit_reps(ga.graph.edges, ga.group.generators, _act_edge)
-    return len(reps) <= 1
-
-
-def acts_arc_transitively(ga: GraphAction) -> bool:
-    """Single arc orbit, straight from the generators.
-
-    Never closes the group, so it stays cheap even when the generated
-    group is astronomically large.
-    """
-    reps, _ = _orbit_reps(ga.graph.arcs, ga.group.generators, _act_arc)
-    return len(reps) <= 1
 
 
 @dataclass(frozen=True)
@@ -424,6 +404,7 @@ def odd_edge_core(ga: GraphAction, edge) -> OddCoreReport:
     """
     u, v = edge
     graph = ga.graph
+    n = graph.vertex_count
     if not graph.has_edge(u, v):
         raise ValueError(f"{u}-{v} is not an edge")
 
@@ -431,25 +412,23 @@ def odd_edge_core(ga: GraphAction, edge) -> OddCoreReport:
     transitive = []
     odd_parts = []
     for x in (u, v):
-        odd_part = torsion_subgroup(stabilizer(ga.group, x), "odd")
+        stab = close(stabilizer_generators(ga.group.generators, n, x), n)
+        odd_part = torsion_subgroup(stab, "odd")
         odd_parts.append(odd_part)
         restricted = _induced_on(graph.adjacency[x], odd_part.elements)
         odd_of_restriction = torsion_subgroup(local_action(ga, x), "odd")
         commutes.append(restricted == odd_of_restriction)
         transitive.append(is_transitive(restricted))
 
-    core = close(
-        odd_parts[0].generators + odd_parts[1].generators, graph.vertex_count
-    )
+    core = close(odd_parts[0].generators + odd_parts[1].generators, n)
     edge_reps, _ = _orbit_reps(graph.edges, core.generators, _act_edge)
     core_edge_transitive = len(edge_reps) <= 1
     orbit_sizes = tuple(
-        next(len(orb) for orb in orbits_of(core.generators, graph.vertex_count) if x in orb)
+        next(len(orb) for orb in orbits_of(core.generators, n) if x in orb)
         for x in (u, v)
     )
 
     premise = all(transitive) and graph.is_connected
-    n = graph.vertex_count
     return OddCoreReport(
         edge=(u, v),
         core=core,
@@ -546,13 +525,6 @@ def build_sw(k: int, r: int) -> GraphAction:
     return GraphAction(graph, PermGroup(n, tuple(generators)))
 
 
-def w_order_density(k: int, limit: int) -> float:
-    """Fraction of 1..limit arising as k*r with r >= 3."""
-    if k < 1 or limit < 1:
-        raise ValueError("need k >= 1 and limit >= 1")
-    return max(limit // k - 2, 0) / limit
-
-
 @dataclass(frozen=True)
 class CensusEntry:
     """One certified graph order.
@@ -635,9 +607,3 @@ def amalgam_census(
     ]
     return CensusResult(max_index, stabilizer_order, tuple(entries), found.complete)
 
-
-def cubic_arc_regular_orders(
-    max_index: int, node_budget: int | None = None
-) -> tuple[int, ...]:
-    """Sorted graph orders from the cubic arc-regular census."""
-    return cubic_census(max_index, node_budget).orders

@@ -17,12 +17,11 @@ change any count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budgets import MAX_SIEVE_ARRAY, SEGMENT_SIZE
+from .budgets import MAX_PRIME_SIEVE, SEGMENT_SIZE
 from .errors import ResourceBudgetError
 
 DEFAULT_FACTOR_BOUND = 2**63 - 1
@@ -60,20 +59,6 @@ class FactoredInteger:
             prod *= p**e
         if prod != self.value:
             raise ValueError(f"factors multiply to {prod}, not {self.value}")
-
-
-@dataclass(frozen=True)
-class PrimeList:
-    """Ascending primes together with the bound they were sieved to."""
-
-    bound: int
-    primes: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
-    def __iter__(self):
-        return iter(int(p) for p in self.primes)
 
 
 @dataclass(frozen=True)
@@ -131,7 +116,7 @@ def _extend_prime_cache(bound: int) -> None:
         raise ResourceBudgetError(
             f"prime cache bound {bound} exceeds the {_PRIME_CACHE_MAX} budget"
         )
-    _PRIME_CACHE = primes_up_to(bound).primes
+    _PRIME_CACHE = primes_up_to(bound)
     _PRIME_CACHE_BOUND = bound
 
 
@@ -151,20 +136,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(limit: int) -> PrimeList:
-    """All primes <= limit, ascending."""
+def primes_up_to(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as an int64 array."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit + 1 > MAX_SIEVE_ARRAY * 8:
+    if limit + 1 > MAX_PRIME_SIEVE:
         raise ResourceBudgetError(f"prime sieve to {limit} exceeds the memory budget")
     if limit < 2:
-        return PrimeList(limit, np.empty(0, dtype=np.int64))
+        return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return PrimeList(limit, np.flatnonzero(mask).astype(np.int64))
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInteger:
@@ -347,7 +332,7 @@ class SieveSet:
 
     def admissible_primes(self, limit: int) -> np.ndarray:
         """Ascending admissible primes up to limit (sp sets only)."""
-        ps = primes_up_to(limit).primes
+        ps = primes_up_to(limit)
         if ps.size == 0:
             return ps
         a = self.param
@@ -385,44 +370,15 @@ def parse_set_name(name: str) -> SieveSet:
     return SieveSet(kind, int(param))
 
 
-def sieve_np(p: int, limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    """Membership bit array (index n, 1 <= n <= limit) of p's anchored set."""
-    return _sieve_set_bits(SieveSet("np", p), limit, segment_size)
-
-
-def sieve_sp(a: int, limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    """Membership bit array (index n, 1 <= n <= limit) of the union set for a."""
-    return _sieve_set_bits(SieveSet("sp", a), limit, segment_size)
-
-
-def _sieve_set_bits(ss: SieveSet, limit: int, segment_size: int) -> np.ndarray:
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit + 1 > MAX_SIEVE_ARRAY:
-        raise ResourceBudgetError(
-            f"membership array to {limit} exceeds the memory budget; "
-            "use density_series for counts at this scale"
-        )
-    if segment_size < 2:
-        raise ValueError("segment_size must be >= 2")
-    primes = ss.admissible_primes(limit) if ss.kind == "sp" else None
-    bits = np.zeros(limit + 1, dtype=bool)
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        bits[lo:hi] = ss.segment_bits(lo, hi, primes)
-    return bits
-
-
 def density_series(
     sieve_set: SieveSet | str,
     checkpoints: list[int],
     segment_size: int = SEGMENT_SIZE,
-    threads: int = 1,
 ) -> DensitySeries:
     """Count set members at each checkpoint limit.
 
     Segments are censused independently and merged in ascending order, so
-    the result is identical for any segment size or thread count.
+    the result is identical for any segment size.
     """
     ss = parse_set_name(sieve_set) if isinstance(sieve_set, str) else sieve_set
     if not checkpoints:
@@ -432,60 +388,19 @@ def density_series(
         raise ValueError("checkpoints must be ascending positive integers")
     if segment_size < 2:
         raise ValueError("segment_size must be >= 2")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     limit = cps[-1]
     primes = ss.admissible_primes(limit) if ss.kind == "sp" else None
 
-    segments = [(lo, min(lo + segment_size, limit + 1)) for lo in range(1, limit + 1, segment_size)]
-
-    def census(seg: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
-        lo, hi = seg
-        bits = ss.segment_bits(lo, hi, primes)
-        inner = [(c, int(np.count_nonzero(bits[: c - lo + 1]))) for c in cps if lo <= c < hi]
-        return int(np.count_nonzero(bits)), inner
-
-    if threads == 1:
-        results = map(census, segments)
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        results = pool.map(census, segments)
-
     running = 0
     at: dict[int, int] = {}
-    for total, inner in results:
-        for c, prefix in inner:
-            at[c] = running + prefix
-        running += total
-    if threads > 1:
-        pool.shutdown()
+    for lo in range(1, limit + 1, segment_size):
+        hi = min(lo + segment_size, limit + 1)
+        bits = ss.segment_bits(lo, hi, primes)
+        for c in cps:
+            if lo <= c < hi:
+                at[c] = running + int(np.count_nonzero(bits[: c - lo + 1]))
+        running += int(np.count_nonzero(bits))
 
     out = tuple(Checkpoint(c, at[c], ratio_string(at[c], c)) for c in cps)
     return DensitySeries(ss.name, out)
 
-
-def witness_primes(
-    predicate,
-    a: int,
-    prime_limit: int,
-    search_limit: int,
-) -> list[tuple[int, int]]:
-    """Admissible primes whose anchored set meets the predicate below a bound.
-
-    Returns (p, n) pairs where n <= search_limit is the smallest witness
-    in p's anchored set satisfying the predicate; primes without a
-    witness are omitted.
-    """
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    if prime_limit < 2 or search_limit < 1:
-        return []
-    out: list[tuple[int, int]] = []
-    for p in primes_up_to(prime_limit):
-        if not pp_contains(p, a):
-            continue
-        for n in range(p, search_limit + 1, p):
-            if predicate(n) and np_contains(n, p):
-                out.append((p, n))
-                break
-    return out

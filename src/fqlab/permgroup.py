@@ -2,7 +2,8 @@
 
 A group is held as its generators; its element set is closed from them
 only when a question needs it (cap 10^5).  Orbits, point stabilizers
-(Schreier generators) and normal closures work from generators alone;
+and normal closures work from generators alone; a point stabilizer is
+always given by its Schreier generators, never by filtering elements;
 normality, quotients and subgroups generated by order-restricted
 elements are direct scans of the element set, so they are desk scale.
 The closure sifts its generators, so a long redundant generating list
@@ -218,9 +219,6 @@ class PermGroup:
         n = len(self._elements) if self._elements is not None else "?"
         return f"PermGroup(degree={self.degree}, order={n})"
 
-    def subgroup(self, generators) -> "PermGroup":
-        return PermGroup(self.degree, tuple(generators), self._cap)
-
 
 def close(generators, degree: int | None = None, element_cap: int = ELEMENT_CAP) -> PermGroup:
     """Group generated by the given permutations, elements populated."""
@@ -304,15 +302,6 @@ def stabilizer_generators(generators, degree: int, base: int) -> list[Perm]:
                 seen.add(word)
                 out.append(word)
     return out
-
-
-def stabilizer(group: PermGroup, point: int) -> PermGroup:
-    """Point stabilizer by element filtering."""
-    sub = tuple(g for g in group.elements if g[point] == point)
-    S = PermGroup(group.degree, sub, group._cap)
-    S._elements = tuple(sorted(sub))
-    S._element_set = frozenset(sub)
-    return S
 
 
 def _selector_predicate(selector):

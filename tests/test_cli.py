@@ -1,6 +1,10 @@
 """End-to-end checks of the command line dispatcher."""
 
+import argparse
+import functools
 import hashlib
+import pathlib
+import re
 
 import pytest
 
@@ -8,7 +12,7 @@ import fqlab.cli as cli
 from fqlab.catalog import serialize_catalog
 from fqlab.cli import dispatch
 from fqlab.errors import InternalInvariantError
-from fqlab.numtheory import ratio_string, sieve_np
+from fqlab.numtheory import SieveSet, density_series, ratio_string
 from fqlab.permgroup import close
 
 Z_PRES = "gens: x\n"
@@ -37,7 +41,7 @@ def test_sieve_matches_direct_count(capsys):
     assert rc == 0
     header, rows = rows_of(out)
     assert header == ["limit", "count", "density"]
-    count = int(sieve_np(3, 500).sum())
+    count = int(SieveSet("np", 3).segment_bits(1, 501).sum())
     assert rows == [["500", str(count), ratio_string(count, 500)]]
 
 
@@ -47,14 +51,16 @@ def test_sieve_p_flag_spelling(capsys):
     assert a == b == (0, a[1])
 
 
-def test_density_threads_are_byte_identical(capsys):
+def test_density_segments_are_byte_identical(capsys, monkeypatch):
     argv = ["density", "--set", "sp:6", "--checkpoints", "100,1000,5000"]
-    rc1, out1 = run(capsys, argv + ["--threads", "1"])
-    rc4, out4 = run(capsys, argv + ["--threads", "4"])
-    assert rc1 == rc4 == 0
-    assert out1 == out4
-    header, rows = rows_of(out1)
+    rc, whole = run(capsys, argv)
+    assert rc == 0
+    header, rows = rows_of(whole)
     assert [r[0] for r in rows] == ["100", "1000", "5000"]
+    for segment_size in (7, 100, 1024):
+        small = functools.partial(density_series, segment_size=segment_size)
+        monkeypatch.setattr(cli, "density_series", small)
+        assert run(capsys, argv) == (0, whole), segment_size
 
 
 def test_fq_lists_orders(capsys, tmp_path):
@@ -75,11 +81,15 @@ def test_oq_keeps_odd_orders(capsys, tmp_path):
 
 
 def test_fq_odd_only_matches_oq(capsys, tmp_path):
-    path = pres_file(tmp_path, DINF_PRES)
-    a = run(capsys, ["fq", "--presentation", path, "--max-index", "12", "--odd-only"])
-    b = run(capsys, ["oq", "--presentation", path, "--max-index", "12"])
-    assert a == b
-    assert [int(r[0]) for r in rows_of(a[1])[1]] == [1]
+    # oq lists exactly the odd rows of fq
+    for text, odd in ((DINF_PRES, [1]), (Z_PRES, [1, 3, 5, 7, 9, 11])):
+        path = pres_file(tmp_path, text)
+        rc_fq, out_fq = run(capsys, ["fq", "--presentation", path, "--max-index", "12"])
+        rc_oq, out_oq = run(capsys, ["oq", "--presentation", path, "--max-index", "12"])
+        assert rc_fq == rc_oq == 0
+        fq_orders = [int(r[0]) for r in rows_of(out_fq)[1]]
+        assert rows_of(out_oq) == (["order"], [[str(n)] for n in fq_orders if n % 2])
+        assert [n for n in fq_orders if n % 2] == odd
 
 
 def test_classify_dihedral(capsys, tmp_path):
@@ -223,7 +233,6 @@ def test_manifest_records_run(capsys, tmp_path):
     record = dict(rows_of(manifest.read_text())[1])
     assert record["subcommand"] == "fq"
     assert record["parameter:max_index"] == "8"
-    assert record["parameter:odd_only"] == "false"
     assert record["complete"] == "true"
     digest = hashlib.sha256(DINF_PRES.encode()).hexdigest()
     assert record[f"input:{path}"] == digest
@@ -256,6 +265,7 @@ def test_census_emit_tables_names_certificates(capsys, tmp_path):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
+    good = pres_file(tmp_path, DINF_PRES)
     bad = [
         ["frobnicate"],
         ["sieve", "--set", "np:3"],
@@ -267,6 +277,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "--max-index", "12", "--stabilizer-order", "2"],
         ["graphs", "--family", "w", "--k", "1", "--r", "2"],
         ["graphs", "--family", "q", "--k", "1", "--r", "5"],
+        ["density", "--set", "np:3", "--checkpoints", "10", "--threads", "2"],
+        ["graphs", "--family", "w", "--k", "1", "--r", "5", "--threads", "2"],
+        ["fq", "--presentation", good, "--max-index", "5", "--odd-only"],
     ]
     for argv in bad:
         rc = dispatch(argv)
@@ -276,6 +289,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     broken.write_text("rels: a^2\n")
     assert dispatch(["fq", "--presentation", str(broken), "--max-index", "5"]) == 2
     capsys.readouterr()
+
+
+def test_readme_lists_every_subcommand():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == list(sub.choices)
+    assert len(documented) == 9
 
 
 def test_budget_exhaustion_exits_3(capsys, monkeypatch):

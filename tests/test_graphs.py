@@ -16,13 +16,9 @@ from fqlab.graphs import (
     GraphAction,
     OddCoreReport,
     TransitivityReport,
-    acts_arc_transitively,
-    acts_edge_transitively,
-    acts_vertex_transitively,
     amalgam_census,
     build_sw,
     build_w,
-    cubic_arc_regular_orders,
     cubic_census,
     graph_from_edges,
     graph_from_text,
@@ -33,7 +29,7 @@ from fqlab.graphs import (
     transitivity_report,
 )
 from fqlab.graphs import _induced_on
-from fqlab.permgroup import GroupShape, PermGroup, close, is_transitive, stabilizer
+from fqlab.permgroup import GroupShape, PermGroup, close, is_transitive
 
 
 def cycle(n):
@@ -311,7 +307,8 @@ def test_local_action_matches_element_filter():
     for ga in actions:
         for v, neighbors in enumerate(ga.graph.adjacency):
             if neighbors:
-                want = _induced_on(neighbors, stabilizer(ga.group, v).elements)
+                stab = [g for g in ga.group.elements if g[v] == v]
+                want = _induced_on(neighbors, stab)
                 assert local_action(ga, v) == want, (ga.graph.vertex_count, v)
 
 
@@ -353,8 +350,8 @@ def test_w_family_sweep():
             assert ga.graph.vertex_count == k * r
             assert ga.graph.valencies == (2 * k,)
             assert ga.graph.is_connected
-            assert acts_vertex_transitively(ga)
-            assert acts_arc_transitively(ga)
+            rep = transitivity_report(ga)
+            assert rep.vertex_transitive and rep.arc_transitive
 
 
 def test_w_small_cases():
@@ -376,7 +373,7 @@ def test_sw_family_sweep():
             assert ga.graph.vertex_count == 2 * k * r
             assert ga.graph.valencies == (k + 1,)
             assert ga.graph.is_connected
-            assert acts_vertex_transitively(ga)
+            assert transitivity_report(ga).vertex_transitive
 
 
 def test_sw_small_cases():
@@ -389,24 +386,6 @@ def test_sw_small_cases():
         build_sw(0, 3)
     with pytest.raises(ValueError):
         build_sw(2, 1)
-
-
-def test_w_order_density():
-    from fqlab.graphs import w_order_density
-
-    # brute-force count agrees on small limits
-    for k in (1, 2, 3):
-        for limit in (5, 10, 37):
-            brute = sum(
-                1 for n in range(1, limit + 1) if n % k == 0 and n // k >= 3
-            )
-            assert w_order_density(k, limit) == brute / limit
-    for k in (1, 2, 3, 4):
-        assert abs(w_order_density(k, 10**4) - 1 / k) <= 0.001
-    with pytest.raises(ValueError):
-        w_order_density(0, 10)
-    with pytest.raises(ValueError):
-        w_order_density(2, 0)
 
 
 def test_odd_core_k4():
@@ -448,7 +427,16 @@ def test_odd_core_edge_orbit_matches_group():
     for ga, edge in ((k4_alternating(), (0, 1)), (petersen(), (0, 7))):
         report = odd_edge_core(ga, edge)
         if all(report.odd_local_transitive):
-            assert report.core_edge_transitive == acts_edge_transitively(ga)
+            assert report.core_edge_transitive == transitivity_report(ga).edge_transitive
+
+
+def test_odd_core_of_action_over_the_element_cap():
+    # the acting group of W(3,6) is over the cap; its vertex stabilizers are not
+    ga = build_w(3, 6)
+    assert math.factorial(3) ** 6 * 2 * 6 > ELEMENT_CAP
+    report = odd_edge_core(ga, ga.graph.edges[0])
+    assert report.passed
+    assert report.core.order == 729
 
 
 def test_odd_core_errors():
@@ -528,15 +516,15 @@ def test_cubic_census_certificates_give_arc_transitive_graphs():
         assert ga.graph.vertex_count == entry.order
         assert ga.graph.valencies == (3,)
         assert ga.graph.is_connected
-        assert acts_vertex_transitively(ga)
-        assert acts_arc_transitively(ga)
+        rep = transitivity_report(ga)
+        assert rep.vertex_transitive and rep.arc_transitive
     # the order-4 certificate is the complete graph
     four = next(e for e in result.entries if e.order == 4)
     assert coset_graph_action(four.table).graph.adjacency == complete(4).adjacency
 
 
 def test_cubic_orders_frozen():
-    orders = cubic_arc_regular_orders(120)
+    orders = cubic_census(120).orders
     assert orders == (2, 4, 6, 8, 14, 16, 18, 20, 24, 26, 32, 38, 40)
     assert 4 in orders
     assert all(n % 2 == 0 for n in orders)

@@ -24,10 +24,7 @@ from fqlab.numtheory import (
     pp_contains,
     primes_up_to,
     ratio_string,
-    sieve_np,
-    sieve_sp,
     sp_contains,
-    witness_primes,
 )
 
 
@@ -205,49 +202,73 @@ NP2_TO_10 = {2}
 NP5_TO_100 = {5, 10, 15, 20, 35, 40, 45, 65, 70, 85, 95}
 
 
+def sieved_members(name, limit):
+    """Members of 1..limit, sieved as one segment."""
+    bits = parse_set_name(name).segment_bits(1, limit + 1)
+    return {int(i) + 1 for i in np.flatnonzero(bits)}
+
+
+def segmented_bits(name, limit, segment_size):
+    """Membership bits of 1..limit, sieved segment by segment and joined."""
+    ss = parse_set_name(name)
+    primes = ss.admissible_primes(limit) if ss.kind == "sp" else None
+    return np.concatenate(
+        [
+            ss.segment_bits(lo, min(lo + segment_size, limit + 1), primes)
+            for lo in range(1, limit + 1, segment_size)
+        ]
+    )
+
+
 def test_sieve_np_frozen_sets():
-    assert set(np.flatnonzero(sieve_np(3, 30))) == NP3_TO_30
-    assert set(np.flatnonzero(sieve_np(2, 10))) == NP2_TO_10
-    assert set(np.flatnonzero(sieve_np(5, 100))) == NP5_TO_100
-    assert set(np.flatnonzero(sieve_np(5, 5))) == {5}
+    assert sieved_members("np:3", 30) == NP3_TO_30
+    assert sieved_members("np:2", 10) == NP2_TO_10
+    assert sieved_members("np:5", 100) == NP5_TO_100
+    assert sieved_members("np:5", 5) == {5}
 
 
 def test_sieve_np_matches_oracle():
     for p in (2, 3, 5, 7, 13):
-        bits = sieve_np(p, 900)
+        bits = SieveSet("np", p).segment_bits(1, 901)
         for n in range(1, 901):
-            assert bool(bits[n]) == oracle_np(n, p), (n, p)
+            assert bool(bits[n - 1]) == oracle_np(n, p), (n, p)
 
 
 def test_sieve_np_segment_size_invariance():
     for p in (3, 7):
-        ref = sieve_np(p, 2000, segment_size=4096)
+        name = f"np:{p}"
+        ref = segmented_bits(name, 2000, 4096)
+        cps = [1, 999, 1000, 2000]
+        want = density_series(name, cps, segment_size=4096)
         for seg in (2, 3, 17, 100, 999, 5000):
-            assert np.array_equal(sieve_np(p, 2000, segment_size=seg), ref), (p, seg)
+            assert np.array_equal(segmented_bits(name, 2000, seg), ref), (p, seg)
+            assert density_series(name, cps, segment_size=seg) == want, (p, seg)
 
 
 def test_sieve_np_large_prime_fast_path():
     # p*p > limit: every multiple of p up to the limit qualifies
-    bits = sieve_np(97, 5000)
-    assert set(np.flatnonzero(bits)) == set(range(97, 5001, 97))
+    assert sieved_members("np:97", 5000) == set(range(97, 5001, 97))
 
 
 def test_sieve_sp_matches_oracle():
     for a in (1, 2, 6):
-        bits = sieve_sp(a, 400)
+        bits = SieveSet("sp", a).segment_bits(1, 401)
         for n in range(1, 401):
-            assert bool(bits[n]) == oracle_sp(n, a), (n, a)
+            assert bool(bits[n - 1]) == oracle_sp(n, a), (n, a)
 
 
 def test_sieve_sp_segment_size_invariance():
-    ref = sieve_sp(6, 1500, segment_size=4096)
+    ref = segmented_bits("sp:6", 1500, 4096)
     for seg in (2, 13, 250, 1499):
-        assert np.array_equal(sieve_sp(6, 1500, segment_size=seg), ref), seg
+        assert np.array_equal(segmented_bits("sp:6", 1500, seg), ref), seg
 
 
 def test_sieve_memory_budget():
+    # the admissible primes of an sp: set are listed up to the segment end
     with pytest.raises(ResourceBudgetError):
-        sieve_np(3, 2**40)
+        SieveSet("sp", 6).segment_bits(2**40, 2**40 + 10)
+    with pytest.raises(ResourceBudgetError):
+        density_series("sp:6", [2**40])
 
 
 def test_ratio_string():
@@ -273,9 +294,9 @@ def test_parse_set_name():
 def test_density_series_counts_match_sieve():
     cps = [10, 100, 1000]
     series = density_series("np:3", cps)
-    bits = sieve_np(3, 1000)
+    bits = SieveSet("np", 3).segment_bits(1, 1001)
     for cp in series.checkpoints:
-        assert cp.count == int(np.count_nonzero(bits[: cp.limit + 1]))
+        assert cp.count == int(np.count_nonzero(bits[: cp.limit]))
         assert cp.ratio == ratio_string(cp.count, cp.limit)
 
 
@@ -285,13 +306,11 @@ def test_density_series_all_set():
     assert series.ratios() == ["1.000000", "1.000000"]
 
 
-def test_density_series_segment_and_thread_invariance():
+def test_density_series_segment_invariance():
     ref = density_series("sp:6", [97, 1000, 2500], segment_size=4096)
-    for seg in (5, 64, 333):
+    for seg in (2, 5, 64, 97, 98, 333):
         got = density_series("sp:6", [97, 1000, 2500], segment_size=seg)
         assert got == ref, seg
-    got = density_series("sp:6", [97, 1000, 2500], segment_size=64, threads=4)
-    assert got == ref
 
 
 def test_density_series_validates():
@@ -303,8 +322,6 @@ def test_density_series_validates():
         density_series("np:3", [100, 10])
     with pytest.raises(ValueError):
         density_series("np:3", [0, 10])
-    with pytest.raises(ValueError):
-        density_series("np:3", [10], threads=0)
     with pytest.raises(ValueError):
         density_series("np:3", [10], segment_size=1)
 
@@ -333,22 +350,6 @@ def test_union_set_thickens():
     fracs = [cp.count / cp.limit for cp in series.checkpoints]
     assert fracs[-1] > fracs[0]
     assert fracs[-1] > 0.5
-
-
-def test_witness_primes_finds_small_witnesses():
-    odd = lambda n: n % 2 == 1
-    got = witness_primes(odd, 6, prime_limit=30, search_limit=200)
-    ps = [p for p, _ in got]
-    assert ps == [5, 11, 17, 23, 29]
-    for p, n in got:
-        assert n % 2 == 1 and np_contains(n, p)
-        # minimality of the witness
-        for m in range(p, n, p):
-            assert not (odd(m) and np_contains(m, p))
-
-
-def test_witness_primes_empty_when_bounds_tiny():
-    assert witness_primes(lambda n: True, 6, prime_limit=1, search_limit=0) == []
 
 
 def test_sieve_set_contains_matches_segment_bits():

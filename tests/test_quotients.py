@@ -6,7 +6,6 @@ from fqlab.errors import SearchBudgetError
 from fqlab.fpgroup import (
     fq_up_to,
     free_product_of_cyclics,
-    is_normal_table,
     oq_up_to,
     parse_presentation,
     smooth_quotients,
@@ -40,7 +39,7 @@ def test_certificates_retrace():
     for order, t in r.certificates.items():
         assert t.n_cosets == order
         assert verify_table(t)
-        assert is_normal_table(t)
+        assert t.image_group().order == t.n_cosets
 
 
 def test_oq_filters_to_odd():
@@ -78,7 +77,7 @@ def test_smooth_certificates_keep_exact_orders():
     for t in r.tables:
         assert perm_order(t.column_perm(0)) == 3
         assert perm_order(t.column_perm(1)) == 2
-        assert is_normal_table(t)
+        assert t.image_group().order == t.n_cosets
 
 
 def test_smooth_is_subset_of_fq():
