@@ -9,6 +9,8 @@ Two families of integer sets drive everything here:
 
 Membership tests work by divisor enumeration; the sieves mark whole
 ranges at once and must agree with the pointwise tests bit for bit.
+Primes whose square reaches past a segment are batched by cofactor: one
+numpy store marks m*p for every such prime p at a fixed cofactor m.
 Counts are censused in fixed-size segments so large limits never need a
 full membership array in memory, and the segment boundaries cannot
 change any count.
@@ -149,7 +151,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInteger:
@@ -249,9 +251,11 @@ def _mark_np_window(good: np.ndarray, p: int, mlo: int, mhi: int) -> None:
     A surviving m means p*m belongs to the anchored set of p.  Cleared are
     multiples of p, every m > 1 with m = 1 mod p, and every multiple k*d
     (k >= 2) of a divisor d > 1 with d = 1 mod p.  Divisors are split at
-    the window width: small d are walked directly, large d are reached by
-    walking their cofactors k, so the work stays proportional to the
-    number of cleared cells.
+    S = max(isqrt(p*mhi), p), not at the window width: each d <= S is
+    walked directly, and the d > S are reached through their cofactor
+    k < mhi/S, for which the multiples k*d form one progression of step
+    k*p.  Any split clears the same cells; this one costs about
+    2*sqrt(mhi/p) strided stores, whatever the window width.
     """
     first = ((mlo + p - 1) // p) * p
     if first < mhi:
@@ -261,19 +265,17 @@ def _mark_np_window(good: np.ndarray, p: int, mlo: int, mhi: int) -> None:
         first += p
     if first < mhi:
         good[first - mlo :: p] = False
-    width = mhi - mlo
-    d_small_max = min((mhi - 1) // 2, width)
-    for d in range(p + 1, d_small_max + 1, p):
+    split = max(math.isqrt(p * mhi), p)
+    for d in range(p + 1, min(split, (mhi - 1) // 2) + 1, p):
         start = max(2 * d, ((mlo + d - 1) // d) * d)
         if start < mhi:
             good[start - mlo :: d] = False
-    if width + 1 <= (mhi - 1) // 2:
-        for k in range(2, (mhi - 1) // (width + 1) + 1):
-            dmin = max(width + 1, p + 1, (mlo + k - 1) // k)
-            dmin += (1 - dmin) % p
-            start = k * dmin
-            if start < mhi:
-                good[start - mlo :: k * p] = False
+    for k in range(2, (mhi - 1) // (split + 1) + 1):
+        dmin = max(split + 1, (mlo + k - 1) // k)
+        dmin += (1 - dmin) % p
+        start = k * dmin
+        if start < mhi:
+            good[start - mlo :: k * p] = False
 
 
 def _or_np_segment(out: np.ndarray, p: int, lo: int, hi: int) -> None:
@@ -292,6 +294,25 @@ def _or_np_segment(out: np.ndarray, p: int, lo: int, hi: int) -> None:
     good = np.ones(mhi - mlo, dtype=bool)
     _mark_np_window(good, p, mlo, mhi)
     out[mlo * p - lo :: p] |= good
+
+
+def _or_large_primes(out: np.ndarray, big: np.ndarray, lo: int, hi: int) -> None:
+    """OR in every multiple m*p in [lo, hi) of the ascending primes in big.
+
+    Every p in big lies above isqrt(hi - 1) and below hi, so each of its
+    multiples below hi has cofactor m < p and is a member of p's anchored
+    set.  Batching by m
+    turns one store per prime into one store per cofactor: the primes
+    with m*p in [lo, hi) are those in [ceil(lo/m), ceil(hi/m)).
+    """
+    if big.size == 0:
+        return
+    ms = np.arange(1, (hi - 1) // int(big[0]) + 1)
+    starts = np.searchsorted(big, -(-lo // ms))
+    ends = np.searchsorted(big, -(-hi // ms))
+    for m, a, b in zip(ms.tolist(), starts.tolist(), ends.tolist()):
+        if a < b:
+            out[big[a:b] * m - lo] = True
 
 
 @dataclass(frozen=True)
@@ -340,7 +361,15 @@ class SieveSet:
         return ps[keep]
 
     def segment_bits(self, lo: int, hi: int, primes: np.ndarray | None = None) -> np.ndarray:
-        """Membership bits for n in [lo, hi); lo >= 1."""
+        """Membership bits for n in [lo, hi); lo >= 1.
+
+        For an sp set the admissible primes below hi take one of two
+        paths, split at isqrt(hi - 1).  Each prime at or below the cut
+        sieves its own anchored set over the cofactor window.  The primes
+        above it have p*p >= hi, so all their multiples below hi are
+        members; those are marked by cofactor m, one store per m for all
+        such primes at once.
+        """
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
         out = np.zeros(hi - lo, dtype=bool)
@@ -352,11 +381,10 @@ class SieveSet:
             return out
         if primes is None:
             primes = self.admissible_primes(hi - 1)
-        for p in primes:
-            p = int(p)
-            if p >= hi:
-                break
+        cut = int(np.searchsorted(primes, math.isqrt(hi - 1), side="right"))
+        for p in primes[:cut].tolist():
             _or_np_segment(out, p, lo, hi)
+        _or_large_primes(out, primes[cut : np.searchsorted(primes, hi)], lo, hi)
         return out
 
 

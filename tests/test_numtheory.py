@@ -69,6 +69,10 @@ def test_primes_up_to_million_count():
     assert len(primes_up_to(10**6)) == 78498
 
 
+def test_primes_up_to_dtype():
+    assert primes_up_to(10**5).dtype == np.int64
+
+
 def test_is_prime_matches_oracle():
     for n in range(0, 2000):
         assert is_prime(n) == oracle_is_prime(n), n
@@ -261,6 +265,36 @@ def test_sieve_sp_segment_size_invariance():
     ref = segmented_bits("sp:6", 1500, 4096)
     for seg in (2, 13, 250, 1499):
         assert np.array_equal(segmented_bits("sp:6", 1500, seg), ref), seg
+    # the cut between per-prime and cofactor marking moves with each
+    # segment's end, so segment boundaries pick the path a prime takes
+    for name in ("sp:6", "np:3"):
+        ref = segmented_bits(name, 200_000, 4096)
+        for seg in (65_537, 200_000):
+            assert np.array_equal(segmented_bits(name, 200_000, seg), ref), (name, seg)
+
+
+def oracle_windows():
+    """3,000-wide windows [lo, hi) checked against the pointwise tests."""
+    width = 3000
+    for p in (3, 7, 13):
+        for hi in (10**6, 10**8, 3 * 10**9):
+            yield f"np:{p}", hi - width, hi
+    for hi in (10**6, 10**7):
+        yield "sp:6", hi - width, hi
+    # windows ending just below and just above p*p for admissible p: the
+    # first marks p by cofactor, the second sieves its anchored set
+    for p in (11, 2003):
+        for hi in (p * p, p * p + 1):
+            yield "sp:6", max(1, hi - width), hi
+
+
+@pytest.mark.parametrize("name,lo,hi", list(oracle_windows()))
+def test_segment_bits_matches_pointwise_oracle_windows(name, lo, hi):
+    ss = parse_set_name(name)
+    bits = ss.segment_bits(lo, hi)
+    got = {lo + int(i) for i in np.flatnonzero(bits)}
+    want = {n for n in range(lo, hi) if ss.contains(n)}
+    assert got == want
 
 
 def test_sieve_memory_budget():
@@ -350,6 +384,14 @@ def test_union_set_thickens():
     fracs = [cp.count / cp.limit for cp in series.checkpoints]
     assert fracs[-1] > fracs[0]
     assert fracs[-1] > 0.5
+
+
+def test_density_counts_frozen_at_ten_million():
+    # exact counts: one member gained or lost anywhere below 10**7 fails
+    sp6 = density_series("sp:6", [10**7]).checkpoints[0]
+    assert (sp6.count, sp6.ratio) == (6_644_079, "0.664408")
+    np3 = density_series("np:3", [10**7]).checkpoints[0]
+    assert (np3.count, np3.ratio) == (119_623, "0.011962")
 
 
 def test_sieve_set_contains_matches_segment_bits():
