@@ -19,7 +19,7 @@ from .coset import (
     todd_coxeter,
     verify_table,
 )
-from .lowindex import low_index_normal_subgroups, low_index_subgroups
+from .lowindex import low_index_normal_subgroups
 from .presentation import (
     Presentation,
     Word,
@@ -55,7 +55,6 @@ __all__ = [
     "index_two_subgroups",
     "invert_word",
     "low_index_normal_subgroups",
-    "low_index_subgroups",
     "null_column_witness",
     "oq_up_to",
     "parse_presentation",

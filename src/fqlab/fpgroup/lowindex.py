@@ -1,211 +1,29 @@
-"""Exhaustive search for subgroups of bounded index.
+"""Exhaustive search for the normal subgroups of bounded index.
 
-Both searches build partial coset tables column-pair by column-pair,
+The search builds a partial coset table column-pair by column-pair,
 propagating forced entries from relator traces and backtracking on
 contradiction.  New cosets are numbered in order of first use at the
 row-major first hole, so every completed table comes out standardized:
-each subgroup is reached along exactly one search path.
+each subgroup is reached along exactly one search path.  Pruning uses a
+left-multiplication table that must extend to a consistent quotient
+multiplication; completed tables still get an independent certificate
+check and regularity check, so the pruning only ever cuts the tree,
+never decides membership.  The descent keeps its pending branches on an
+explicit stack, so search depth is bounded by memory, not by the
+interpreter's recursion limit.
 
-``low_index_subgroups`` returns one table per conjugacy class of
-subgroup (the representative whose standardized table is smallest over
-all base cosets).  ``low_index_normal_subgroups`` returns every normal
-subgroup exactly once, pruning with a left-multiplication table that
-must extend to a consistent quotient multiplication; completed tables
-still get an independent regularity check, so the pruning only ever
-cuts the tree, never decides membership.
-
-Node budgets cap the work; exceeding one raises, never truncates.
+Node budgets cap the work; exceeding one raises with the tables found
+so far, never truncates.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 
 from ..budgets import search_budget
 from ..errors import InternalInvariantError, SearchBudgetError
-from .coset import CosetTable, letter_to_col, standardize_rows, verify_table
+from .coset import CosetTable, letter_to_col, verify_table
 from .presentation import Presentation
-
-
-class _Search:
-    """Partial-table state with trail-based undo."""
-
-    def __init__(self, pres: Presentation, max_index: int, node_budget: int | None):
-        if max_index < 1:
-            raise ValueError("max_index must be >= 1")
-        self.pres = pres
-        self.max_index = max_index
-        self.n_cols = 2 * pres.n_gens
-        self.rel_cols = [tuple(letter_to_col(x) for x in r) for r in pres.relators]
-        self.budget = search_budget() if node_budget is None else node_budget
-        self.nodes = 0
-        self.table: list[list[int | None]] = [[None] * self.n_cols]
-        self.trail: list[tuple[int, int]] = []
-        self.t_queue: deque[tuple[int, int]] = deque()
-        self.track_entries = False
-        self.results: list[list[list[int]]] = []
-
-    def charge_node(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise SearchBudgetError(f"search exceeded the {self.budget} node budget")
-
-    def n_live(self) -> int:
-        return len(self.table)
-
-    def set_entry(self, a: int, c: int, b: int) -> bool:
-        """Record coset a going to b under column c; False on clash."""
-        cur = self.table[a][c]
-        if cur is not None:
-            return cur == b
-        if self.table[b][c ^ 1] is not None and self.table[b][c ^ 1] != a:
-            return False
-        self.table[a][c] = b
-        self.trail.append((a, c))
-        if self.track_entries:
-            self.t_queue.append((a, c))
-        if self.table[b][c ^ 1] is None:
-            self.table[b][c ^ 1] = a
-            self.trail.append((b, c ^ 1))
-            if self.track_entries:
-                self.t_queue.append((b, c ^ 1))
-        return True
-
-    def scan_relator(self, alpha: int, cols) -> bool:
-        """Trace one relator from one coset, deducing across a 1-gap.
-
-        False on a forced contradiction (closed trace landing wrong, or
-        forward and backward scans overlapping on distinct cosets).
-        """
-        f, i = alpha, 0
-        j = len(cols) - 1
-        while i <= j:
-            nxt = self.table[f][cols[i]]
-            if nxt is None:
-                break
-            f = nxt
-            i += 1
-        if i > j:
-            return f == alpha
-        b = alpha
-        while j >= i:
-            prv = self.table[b][cols[j] ^ 1]
-            if prv is None:
-                break
-            b = prv
-            j -= 1
-        if j < i:
-            # both scans consumed position i on different edges, so the
-            # trace is complete but lands on two distinct cosets
-            return False
-        if j == i:
-            return self.set_entry(f, cols[i], b)
-        return True
-
-    def relator_fixpoint(self) -> bool:
-        while True:
-            before = len(self.trail)
-            for a in range(len(self.table)):
-                for cols in self.rel_cols:
-                    if not self.scan_relator(a, cols):
-                        return False
-            if len(self.trail) == before:
-                return True
-
-    def first_hole(self) -> tuple[int, int] | None:
-        for a in range(len(self.table)):
-            row = self.table[a]
-            for c in range(self.n_cols):
-                if row[c] is None:
-                    return a, c
-        return None
-
-    def snapshot(self) -> list[list[int]]:
-        return [list(row) for row in self.table]
-
-
-def _run(search_body) -> None:
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100_000))
-    try:
-        search_body()
-    finally:
-        sys.setrecursionlimit(old)
-
-
-def _run_attaching_partial(body, s: "_Search", pres: Presentation) -> None:
-    """Run a search; on budget exhaustion attach the tables found so far."""
-    try:
-        _run(body)
-    except SearchBudgetError as err:
-        err.partial = _package(s, pres)
-        raise
-
-
-def _package(s: _Search, pres: Presentation) -> list[CosetTable]:
-    out = []
-    seen = set()
-    for rows in sorted(s.results, key=lambda r: (len(r), [e for row in r for e in row])):
-        t = CosetTable(pres, (), rows)
-        if not verify_table(t):
-            raise InternalInvariantError("search emitted an inconsistent table")
-        if t.flat() in seen:
-            raise InternalInvariantError("search emitted a duplicate table")
-        seen.add(t.flat())
-        out.append(t)
-    return out
-
-
-def low_index_subgroups(
-    pres: Presentation, max_index: int, node_budget: int | None = None
-) -> list[CosetTable]:
-    """One coset table per conjugacy class of subgroup of bounded index.
-
-    Conjugate subgroups give the same transitive action up to moving
-    the base point, so a completed table is kept only when its flat
-    form is minimal among restandardizations from every coset.
-    """
-    s = _Search(pres, max_index, node_budget)
-
-    def emit() -> None:
-        rows = s.snapshot()
-        flat = tuple(e for row in rows for e in row)
-        for base in range(1, len(rows)):
-            other = standardize_rows(rows, base)
-            if tuple(e for row in other for e in row) < flat:
-                return
-        s.results.append(rows)
-
-    def descend() -> None:
-        s.charge_node()
-        hole = s.first_hole()
-        if hole is None:
-            emit()
-            return
-        a, c = hole
-        candidates = [b for b in range(s.n_live()) if s.table[b][c ^ 1] is None]
-        if s.n_live() < s.max_index:
-            candidates.append(s.n_live())
-        for b in candidates:
-            mark = len(s.trail)
-            grew = b == s.n_live()
-            if grew:
-                s.table.append([None] * s.n_cols)
-            if s.set_entry(a, c, b) and s.relator_fixpoint():
-                descend()
-            while len(s.trail) > mark:
-                aa, cc = s.trail.pop()
-                s.table[aa][cc] = None
-            if grew:
-                s.table.pop()
-
-    def body() -> None:
-        if s.relator_fixpoint():
-            descend()
-
-    _run_attaching_partial(body, s, pres)
-    return _package(s, pres)
 
 
 def low_index_normal_subgroups(
@@ -229,13 +47,82 @@ def low_index_normal_subgroups(
     ized table of a regular action looks the same from every base
     coset, so each kernel is reached exactly once and no deduplication
     is needed.
+
+    Tables come back sorted by (index, flat table).  When the node
+    budget runs out, the SearchBudgetError carries the tables completed
+    so far, in the same order, as ``partial``.
     """
-    s = _Search(pres, max_index, node_budget)
-    s.track_entries = True
+    if max_index < 1:
+        raise ValueError("max_index must be >= 1")
+    budget = search_budget() if node_budget is None else node_budget
+    n_cols = 2 * pres.n_gens
+    rel_cols = [tuple(letter_to_col(x) for x in r) for r in pres.relators]
+    table: list[list[int | None]] = [[None] * n_cols]
+    trail: list[tuple[int, int]] = []
+    t_queue: deque[tuple[int, int]] = deque()
     lam: list[list[int | None]] = [[0]]
     lam_inv: list[list[int | None]] = [[0]]
     ltrail: list[tuple[int, int]] = []
     l_queue: deque[tuple[int, int]] = deque()
+    found: list[CosetTable] = []
+
+    def set_entry(a: int, c: int, b: int) -> bool:
+        """Record coset a going to b under column c; False on clash."""
+        cur = table[a][c]
+        if cur is not None:
+            return cur == b
+        back = table[b][c ^ 1]
+        if back is not None and back != a:
+            return False
+        table[a][c] = b
+        trail.append((a, c))
+        t_queue.append((a, c))
+        if back is None:
+            table[b][c ^ 1] = a
+            trail.append((b, c ^ 1))
+            t_queue.append((b, c ^ 1))
+        return True
+
+    def scan_relator(alpha: int, cols) -> bool:
+        """Trace one relator from one coset, deducing across a 1-gap.
+
+        False on a forced contradiction (closed trace landing wrong, or
+        forward and backward scans overlapping on distinct cosets).
+        """
+        f, i = alpha, 0
+        j = len(cols) - 1
+        while i <= j:
+            nxt = table[f][cols[i]]
+            if nxt is None:
+                break
+            f = nxt
+            i += 1
+        if i > j:
+            return f == alpha
+        b = alpha
+        while j >= i:
+            prv = table[b][cols[j] ^ 1]
+            if prv is None:
+                break
+            b = prv
+            j -= 1
+        if j < i:
+            # both scans consumed position i on different edges, so the
+            # trace is complete but lands on two distinct cosets
+            return False
+        if j == i:
+            return set_entry(f, cols[i], b)
+        return True
+
+    def relator_fixpoint() -> bool:
+        while True:
+            before = len(trail)
+            for a in range(len(table)):
+                for cols in rel_cols:
+                    if not scan_relator(a, cols):
+                        return False
+            if len(trail) == before:
+                return True
 
     def set_lam(a: int, b: int, g: int) -> bool:
         cur = lam[a][b]
@@ -250,8 +137,8 @@ def low_index_normal_subgroups(
         return True
 
     def add_coset() -> bool:
-        g = len(s.table)
-        s.table.append([None] * s.n_cols)
+        g = len(table)
+        table.append([None] * n_cols)
         for row, inv_row in zip(lam, lam_inv):
             row.append(None)
             inv_row.append(None)
@@ -262,131 +149,141 @@ def low_index_normal_subgroups(
 
     def fire_t(b: int, c: int, d: int) -> bool:
         # new action entry T[b][c] = d, in both premise roles
-        for a in range(s.n_live()):
+        for a in range(len(table)):
             g = lam[a][b]
             if g is not None:
-                e = s.table[g][c]
+                e = table[g][c]
                 if e is not None:
                     if not set_lam(a, d, e):
                         return False
                 else:
                     e = lam[a][d]
-                    if e is not None and not s.set_entry(g, c, e):
+                    if e is not None and not set_entry(g, c, e):
                         return False
             # same entry in the T[g][c] = e role: here g := b, e := d
             bb = lam_inv[a][b]
             if bb is not None:
-                dd = s.table[bb][c]
+                dd = table[bb][c]
                 if dd is not None:
                     if not set_lam(a, dd, d):
                         return False
                 else:
                     dd = lam_inv[a][d]
-                    if dd is not None and not s.set_entry(bb, c, dd):
+                    if dd is not None and not set_entry(bb, c, dd):
                         return False
         return True
 
     def fire_l(a: int, b: int) -> bool:
         # new product entry L[a][b] = g, as the rule's anchor
         g = lam[a][b]
-        for c in range(s.n_cols):
-            d = s.table[b][c]
-            e = s.table[g][c]
+        for c in range(n_cols):
+            d = table[b][c]
+            e = table[g][c]
             if d is not None:
                 if e is not None:
                     if not set_lam(a, d, e):
                         return False
                 else:
                     e = lam[a][d]
-                    if e is not None and not s.set_entry(g, c, e):
+                    if e is not None and not set_entry(g, c, e):
                         return False
             elif e is not None:
                 d = lam_inv[a][e]
-                if d is not None and not s.set_entry(b, c, d):
+                if d is not None and not set_entry(b, c, d):
                     return False
         return True
 
     def propagate() -> bool:
+        """Close T and L under the rules; False on a contradiction."""
         while True:
-            while s.t_queue or l_queue:
-                if s.t_queue:
-                    a, c = s.t_queue.popleft()
-                    if not fire_t(a, c, s.table[a][c]):
-                        s.t_queue.clear()
-                        l_queue.clear()
+            while t_queue or l_queue:
+                if t_queue:
+                    a, c = t_queue.popleft()
+                    if not fire_t(a, c, table[a][c]):
                         return False
                 else:
                     a, b = l_queue.popleft()
                     if not fire_l(a, b):
-                        s.t_queue.clear()
-                        l_queue.clear()
                         return False
-            before = len(s.trail)
-            ok = s.relator_fixpoint()
-            if not ok:
-                s.t_queue.clear()
-                l_queue.clear()
+            before = len(trail)
+            if not relator_fixpoint():
                 return False
-            if len(s.trail) == before and not s.t_queue and not l_queue:
+            if len(trail) == before and not t_queue and not l_queue:
                 return True
 
     def undo_to(mark: int, lmark: int, n_keep: int) -> None:
-        while len(s.trail) > mark:
-            a, c = s.trail.pop()
-            s.table[a][c] = None
+        # a branch that failed may have left entries queued
+        t_queue.clear()
+        l_queue.clear()
+        while len(trail) > mark:
+            a, c = trail.pop()
+            table[a][c] = None
         while len(ltrail) > lmark:
             a, b = ltrail.pop()
             g = lam[a][b]
             lam[a][b] = None
             lam_inv[a][g] = None
-        if len(s.table) > n_keep:
-            del s.table[n_keep:]
+        if len(table) > n_keep:
+            del table[n_keep:]
             del lam[n_keep:]
             del lam_inv[n_keep:]
             for row, inv_row in zip(lam, lam_inv):
                 del row[n_keep:]
                 del inv_row[n_keep:]
 
-    def emit() -> None:
-        rows = s.snapshot()
-        t = CosetTable(s.pres, (), rows)
+    def first_hole() -> tuple[int, int] | None:
+        for a, row in enumerate(table):
+            for c in range(n_cols):
+                if row[c] is None:
+                    return a, c
+        return None
+
+    def complete() -> None:
+        t = CosetTable(pres, (), [list(row) for row in table])
         if not verify_table(t):
-            return
-        if t.image_group().order != t.n_cosets:
-            return
-        s.results.append(rows)
+            raise InternalInvariantError("search completed an inconsistent table")
+        if t.image_group().order == t.n_cosets:
+            found.append(t)
 
-    def try_branch(a: int, c: int, b: int, grow: bool) -> None:
-        mark = len(s.trail)
-        lmark = len(ltrail)
-        n_keep = s.n_live()
-        ok = add_coset() if grow else True
-        if ok and s.set_entry(a, c, b) and propagate():
-            descend()
-        else:
-            s.t_queue.clear()
-            l_queue.clear()
-        undo_to(mark, lmark, n_keep)
+    def search() -> None:
+        nodes = 0
+        # branches (a, c, b, marks of the node they leave from); trying
+        # them in pop order visits the tree depth-first, candidates in
+        # increasing b with the grow branch b = len(table) last
+        pending: list[tuple[int, int, int, tuple[int, int, int]]] = []
+        ok = propagate()
+        while True:
+            if ok:
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetError(f"search exceeded the {budget} node budget")
+                hole = first_hole()
+                if hole is None:
+                    complete()
+                else:
+                    a, c = hole
+                    n = len(table)
+                    marks = (len(trail), len(ltrail), n)
+                    if n < max_index:
+                        pending.append((a, c, n, marks))
+                    for b in reversed(range(n)):
+                        if table[b][c ^ 1] is None:
+                            pending.append((a, c, b, marks))
+            if not pending:
+                return
+            a, c, b, marks = pending.pop()
+            undo_to(*marks)
+            ok = (b < len(table) or add_coset()) and set_entry(a, c, b) and propagate()
 
-    def descend() -> None:
-        s.charge_node()
-        hole = s.first_hole()
-        if hole is None:
-            emit()
-            return
-        a, c = hole
-        for b in range(s.n_live()):
-            if s.table[b][c ^ 1] is None:
-                try_branch(a, c, b, grow=False)
-        if s.n_live() < s.max_index:
-            try_branch(a, c, s.n_live(), grow=True)
+    def in_order() -> list[CosetTable]:
+        out = sorted(found, key=lambda t: (t.n_cosets, t.flat()))
+        if len({t.flat() for t in out}) != len(out):
+            raise InternalInvariantError("search emitted a duplicate table")
+        return out
 
-    def body() -> None:
-        if propagate():
-            descend()
-        else:
-            s.t_queue.clear()
-            l_queue.clear()
-
-    _run_attaching_partial(body, s, pres)
-    return _package(s, pres)
+    try:
+        search()
+    except SearchBudgetError as err:
+        err.partial = in_order()
+        raise
+    return in_order()

@@ -432,14 +432,18 @@ def quotient_with_map(group: PermGroup, sub: PermGroup) -> tuple[PermGroup, dict
     if not is_normal(group, sub):
         raise ValueError("subgroup is not normal")
     nset = sub.elements
-    keys: dict[Perm, Perm] = {}
+    # elements are sorted, so the first unlabelled one is the least
+    # element of its coset and becomes that coset's representative
+    label: dict[Perm, int] = {}
+    reps: list[Perm] = []
     for g in group.elements:
-        keys[g] = min(compose(n, g) for n in nset)
-    reps = sorted(set(keys.values()))
-    index_of = {rep: i for i, rep in enumerate(reps)}
+        if g not in label:
+            for n in nset:
+                label[compose(n, g)] = len(reps)
+            reps.append(g)
     phi: dict[Perm, Perm] = {}
     for g in group.elements:
-        phi[g] = tuple(index_of[keys[compose(rep, g)]] for rep in reps)
+        phi[g] = tuple(label[compose(rep, g)] for rep in reps)
     images = sorted(set(phi.values()))
     Q = PermGroup(len(reps), tuple(phi[g] for g in group.generators), group._cap)
     Q._elements = tuple(images)

@@ -319,6 +319,20 @@ def test_quotient_map_is_homomorphism():
             assert phi[compose(g, h)] == compose(phi[g], phi[h])
 
 
+def test_quotient_map_numbers_cosets_by_least_element():
+    # reference: key each element by the least element of its coset,
+    # and number the cosets in increasing order of that key
+    for name, G in CAT.items():
+        for N in normal_subgroups(G):
+            key = {g: min(compose(n, g) for n in N.elements) for g in G.elements}
+            reps = sorted(set(key.values()))
+            index_of = {rep: i for i, rep in enumerate(reps)}
+            want = {g: tuple(index_of[key[compose(rep, g)]] for rep in reps) for g in G.elements}
+            Q, phi = quotient_with_map(G, N)
+            assert phi == want, (name, N.order)
+            assert Q.generators == tuple(want[g] for g in G.generators), (name, N.order)
+
+
 def test_shape_examples():
     assert shape(CAT["C7"]) == ("cyclic", 7) or shape(CAT["C7"]).tag == "cyclic"
     assert shape(CAT["C7"]).parameter == 7
