@@ -4,8 +4,8 @@ The package is organised around five parts:
 
 * :mod:`fqlab.numtheory` -- divisor-class sieves and natural-density series.
 * :mod:`fqlab.permgroup` -- small permutation groups by exhaustive closure.
-* :mod:`fqlab.fpgroup`   -- finitely presented groups: coset enumeration,
-  low-index subgroup search, abelian invariants and the density classifier.
+* :mod:`fqlab.fpgroup`   -- finitely presented groups: the normal low-index
+  subgroup search, abelian invariants and the density classifier.
 * :mod:`fqlab.graphs`    -- two parametric graph families plus transitivity
   reports and local-action analysis.
 * :mod:`fqlab.cli`       -- the ``fqlab`` command line front end.
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .errors import (
     FqlabError,
     ResourceBudgetError,
-    EnumerationUndecided,
     SearchBudgetError,
     GroupTooLargeError,
     InternalInvariantError,
@@ -30,7 +29,6 @@ __all__ = [
     "__version__",
     "FqlabError",
     "ResourceBudgetError",
-    "EnumerationUndecided",
     "SearchBudgetError",
     "GroupTooLargeError",
     "InternalInvariantError",

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from . import __version__
 from .catalog import load_catalog
 from .errors import (
-    EnumerationUndecided,
     GroupTooLargeError,
     InputSyntaxError,
     InternalInvariantError,
@@ -70,7 +69,7 @@ from .permgroup import (
     verify_restricted_quotient,
 )
 
-BUDGET_ERRORS = (SearchBudgetError, EnumerationUndecided, ResourceBudgetError, GroupTooLargeError)
+BUDGET_ERRORS = (SearchBudgetError, ResourceBudgetError, GroupTooLargeError)
 
 RESTRICTED_MODULI = (1, 2, 3, 4, 5, 6)
 

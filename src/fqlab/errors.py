@@ -25,10 +25,6 @@ class ResourceBudgetError(FqlabError):
     """A request would exceed the configured memory budget."""
 
 
-class EnumerationUndecided(FqlabError):
-    """Coset enumeration ran out of budget before the table closed."""
-
-
 class SearchBudgetError(FqlabError):
     """Backtracking subgroup search exceeded its node budget."""
 

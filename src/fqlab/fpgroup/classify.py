@@ -12,7 +12,8 @@ else neither.  Both positive cases come with finite certificates:
   negates and that kills its square.
 
 The negative case is certified by exhaustion: the abelianization has no
-free part, and every index-2 subgroup fails the dihedral test.
+free part, and every index-2 subgroup fails the dihedral test.  Each
+positive witness passes its verifier before it is returned.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import InternalInvariantError
 from .coset import CosetTable, index_two_subgroups, schreier_data, verify_table
 from .presentation import Presentation, Word, concat_words, free_reduce, invert_word, word_exponents
 from .snf import SmithForm, null_column_witness, smith_normal_form
@@ -31,17 +33,11 @@ def abelianization(pres: Presentation) -> SmithForm:
     return smith_normal_form(rows, n_cols=pres.n_gens)
 
 
-def has_infinite_cyclic_quotient(pres: Presentation) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether the group surjects onto the integers, with a witness.
-
-    The witness sends generator i to its i-th entry; it is primitive
-    and kills every relator, so the image is all of the integers.
-    """
-    witness = null_column_witness(abelianization(pres))
-    return (witness is not None), witness
-
-
 def verify_cyclic_witness(pres: Presentation, witness) -> bool:
+    """Whether sending generator i to witness[i] maps onto the integers.
+
+    That holds when the vector is primitive and kills every relator.
+    """
     w = tuple(witness)
     if len(w) != pres.n_gens or any(not isinstance(e, int) for e in w):
         return False
@@ -83,27 +79,14 @@ def _dihedral_matrix(pres: Presentation, table: CosetTable, gen: int):
     return rows, k
 
 
-def has_infinite_dihedral_quotient(
-    pres: Presentation,
-) -> tuple[bool, tuple[CosetTable, int, tuple[int, ...]] | None]:
-    """Whether the group surjects onto the infinite dihedral group.
-
-    Checks every index-2 subgroup as a translation-subgroup candidate.
-    The witness is (index-2 table, generator outside the subgroup,
-    functional on that subgroup's Schreier generators).
-    """
-    for table in index_two_subgroups(pres):
-        gen = _reflection_generator(table)
-        rows, k = _dihedral_matrix(pres, table, gen)
-        w = null_column_witness(smith_normal_form(rows, n_cols=k))
-        if w is not None:
-            return True, (table, gen, w)
-    return False, None
-
-
 def verify_dihedral_witness(
     pres: Presentation, table: CosetTable, gen: int, witness
 ) -> bool:
+    """Whether the witness is a primitive dihedral functional on the table's subgroup.
+
+    The table must be a verified index-2 table of the presentation with
+    the generator outside its subgroup.
+    """
     if table.pres is not pres and table.pres != pres:
         return False
     if table.n_cosets != 2 or not verify_table(table):
@@ -142,24 +125,28 @@ def classify_density(pres: Presentation) -> DensityClass:
     A surjection onto the integers gives every order (density 1); else
     a surjection onto the infinite dihedral group gives exactly 1 and
     the even orders (density 1/2); else the order set has density 0.
+    A witness that fails its verifier raises InternalInvariantError.
     """
     form = abelianization(pres)
     invariants = form.invariants
     witness = null_column_witness(form)
     if witness is not None:
+        if not verify_cyclic_witness(pres, witness):
+            raise InternalInvariantError("cyclic witness failed verification")
         return DensityClass("infinite_cyclic", invariants, cyclic_witness=witness)
-    found, data = has_infinite_dihedral_quotient(pres)
-    if found:
-        table, gen, w = data
-        return DensityClass(
-            "infinite_dihedral",
-            invariants,
-            dihedral_table=table,
-            dihedral_generator=gen,
-            dihedral_functional=w,
-        )
-    return DensityClass(
-        "density_zero",
-        invariants,
-        index_two_checked=len(index_two_subgroups(pres)),
-    )
+    tables = index_two_subgroups(pres)
+    for table in tables:
+        gen = _reflection_generator(table)
+        rows, k = _dihedral_matrix(pres, table, gen)
+        w = null_column_witness(smith_normal_form(rows, n_cols=k))
+        if w is not None:
+            if not verify_dihedral_witness(pres, table, gen, w):
+                raise InternalInvariantError("dihedral witness failed verification")
+            return DensityClass(
+                "infinite_dihedral",
+                invariants,
+                dihedral_table=table,
+                dihedral_generator=gen,
+                dihedral_functional=w,
+            )
+    return DensityClass("density_zero", invariants, index_two_checked=len(tables))

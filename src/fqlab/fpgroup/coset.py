@@ -1,25 +1,18 @@
-"""Coset tables: enumeration, verification, and subgroup rewriting.
+"""Coset tables: verification, index-2 subgroups and Schreier rewriting.
 
 A table row holds one coset's images under every generator and inverse:
 generator i acts through column 2i, its inverse through column 2i+1.
-Tables returned by enumeration are compressed (no dead cosets) and
-standardized (cosets numbered in breadth-first discovery order scanning
-columns in order), so equal subgroups give byte-equal tables.
-
-Enumeration is relator-tracing with immediate coincidence merging and a
-fixed definition order: scan the subgroup words at coset 0, then for
-each live coset scan every relator, then fill the remaining holes in
-column order.  A live-coset ceiling and a total-definition budget bound
-the work; hitting either raises, never returns a wrong table.
+Tables are built elsewhere (the normal low-index search) or directly
+(the index-2 subgroups here); ``verify_table`` certifies any of them
+without trusting how it was built.  ``schreier_data`` rewrites the
+subgroup of a verified table onto Schreier generators.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from ..budgets import coset_budget
-from ..errors import EnumerationUndecided, InternalInvariantError
+from ..errors import InternalInvariantError
 from ..permgroup import Perm, PermGroup, close
 from .presentation import Presentation, Word, free_reduce, invert_word, word_exponents
 
@@ -39,8 +32,7 @@ class CosetTable:
     """A complete or partial coset action of a presentation."""
 
     pres: Presentation
-    subgroup_words: tuple[Word, ...]
-    rows: list[Row] = field(default_factory=list)
+    rows: list[Row]
 
     @property
     def n_cosets(self) -> int:
@@ -81,8 +73,8 @@ class CosetTable:
 def verify_table(t: CosetTable) -> bool:
     """Full certificate check, independent of how the table was built.
 
-    Complete, inverse-paired, transitive, every relator closes from
-    every coset, every subgroup word closes from coset 0.
+    Complete, inverse-paired, transitive, and every relator closes from
+    every coset.
     """
     n = t.n_cosets
     if n == 0 or not t.complete:
@@ -109,195 +101,7 @@ def verify_table(t: CosetTable) -> bool:
         for a in range(n):
             if t.trace(a, r) != a:
                 return False
-    for w in t.subgroup_words:
-        if t.trace(0, w) != 0:
-            return False
     return True
-
-
-def standardize_rows(rows: list[Row], base: int) -> list[Row]:
-    """Relabel cosets in breadth-first discovery order from a base.
-
-    Requires a complete, transitive table; used both to canonicalize
-    search output and to compare conjugate subgroups.
-    """
-    n = len(rows)
-    n_cols = len(rows[0])
-    number = {base: 0}
-    order = [base]
-    for a in order:
-        for c in range(n_cols):
-            b = rows[a][c]
-            if b not in number:
-                number[b] = len(number)
-                order.append(b)
-    if len(order) != n:
-        raise ValueError("table not transitive")
-    out = [[None] * n_cols for _ in range(n)]
-    for a in order:
-        for c in range(n_cols):
-            out[number[a]][c] = number[rows[a][c]]
-    return out
-
-
-class _Enumerator:
-    """HLT coset enumeration state."""
-
-    def __init__(self, pres: Presentation, subgroup_words, max_cosets: int, define_budget: int):
-        self.pres = pres
-        self.n_cols = 2 * pres.n_gens
-        self.subgroup_words = tuple(free_reduce(w) for w in subgroup_words)
-        self.max_cosets = max_cosets
-        self.define_budget = define_budget
-        self.table: list[Row] = [[None] * self.n_cols]
-        self.parent = [0]
-        self.alive = 1
-        self.defined = 1
-        self.queue: deque[int] = deque()
-        self.rel_cols = [tuple(letter_to_col(x) for x in r) for r in pres.relators]
-
-    def rep(self, k: int) -> int:
-        r = k
-        while self.parent[r] != r:
-            r = self.parent[r]
-        while self.parent[k] != r:
-            self.parent[k], k = r, self.parent[k]
-        return r
-
-    def define(self, alpha: int, c: int) -> int:
-        if self.alive >= self.max_cosets:
-            raise EnumerationUndecided(
-                f"enumeration exceeded {self.max_cosets} live cosets"
-            )
-        if self.defined >= self.define_budget:
-            raise EnumerationUndecided(
-                f"enumeration exceeded the {self.define_budget} definition budget"
-            )
-        beta = len(self.table)
-        self.table.append([None] * self.n_cols)
-        self.parent.append(beta)
-        self.alive += 1
-        self.defined += 1
-        self.table[alpha][c] = beta
-        self.table[beta][c ^ 1] = alpha
-        return beta
-
-    def merge(self, a: int, b: int) -> None:
-        a, b = self.rep(a), self.rep(b)
-        if a == b:
-            return
-        if a > b:
-            a, b = b, a
-        self.parent[b] = a
-        self.alive -= 1
-        self.queue.append(b)
-
-    def coincidence(self, a: int, b: int) -> None:
-        self.merge(a, b)
-        while self.queue:
-            gamma = self.queue.popleft()
-            row = self.table[gamma]
-            for c in range(self.n_cols):
-                delta = row[c]
-                if delta is None:
-                    continue
-                if self.table[delta][c ^ 1] == gamma:
-                    self.table[delta][c ^ 1] = None
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if self.table[mu][c] is not None:
-                    self.merge(nu, self.table[mu][c])
-                elif self.table[nu][c ^ 1] is not None:
-                    self.merge(mu, self.table[nu][c ^ 1])
-                else:
-                    self.table[mu][c] = nu
-                    self.table[nu][c ^ 1] = mu
-
-    def scan_and_fill(self, alpha: int, cols: tuple[int, ...]) -> None:
-        if not cols:
-            return
-        f, i = alpha, 0
-        b, j = alpha, len(cols) - 1
-        while True:
-            while i <= j and self.table[f][cols[i]] is not None:
-                f = self.rep(self.table[f][cols[i]])
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and self.table[b][cols[j] ^ 1] is not None:
-                b = self.rep(self.table[b][cols[j] ^ 1])
-                j -= 1
-            if j < i:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            if j == i:
-                self.table[f][cols[i]] = b
-                self.table[b][cols[i] ^ 1] = f
-                return
-            self.define(f, cols[i])
-
-    def run(self) -> list[Row]:
-        for w in self.subgroup_words:
-            self.scan_and_fill(0, tuple(letter_to_col(x) for x in w))
-        alpha = 0
-        while True:
-            while alpha < len(self.table):
-                if self.rep(alpha) != alpha:
-                    alpha += 1
-                    continue
-                for cols in self.rel_cols:
-                    self.scan_and_fill(alpha, cols)
-                    if self.rep(alpha) != alpha:
-                        break
-                if self.rep(alpha) == alpha:
-                    for c in range(self.n_cols):
-                        if self.table[alpha][c] is None:
-                            self.define(alpha, c)
-                alpha += 1
-            # coincidence cascades can punch holes in rows already scanned;
-            # reprocess from the first such row until none remain
-            holed = None
-            for a in range(len(self.table)):
-                if self.rep(a) == a and any(e is None for e in self.table[a]):
-                    holed = a
-                    break
-            if holed is None:
-                break
-            alpha = holed
-        live = [a for a in range(len(self.table)) if self.rep(a) == a]
-        rows = []
-        index_of = {}
-        for new, old in enumerate(live):
-            index_of[old] = new
-        for old in live:
-            rows.append([index_of[self.rep(x)] for x in self.table[old]])
-        return standardize_rows(rows, 0)
-
-
-def todd_coxeter(
-    pres: Presentation,
-    subgroup_words=(),
-    max_cosets: int = 10**4,
-    define_budget: int | None = None,
-) -> CosetTable:
-    """Enumerate cosets of the subgroup generated by the given words.
-
-    Deterministic HLT: same input, same table.  Raises when the live
-    coset ceiling or the definition budget is hit; a returned table is
-    always complete and verified.
-    """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
-    budget = coset_budget() if define_budget is None else define_budget
-    enum = _Enumerator(pres, subgroup_words, max_cosets, budget)
-    rows = enum.run()
-    t = CosetTable(pres, tuple(free_reduce(w) for w in subgroup_words), rows)
-    if not verify_table(t):
-        raise InternalInvariantError("enumeration produced an inconsistent table")
-    return t
 
 
 def index_two_subgroups(pres: Presentation) -> list[CosetTable]:
@@ -360,7 +164,7 @@ def index_two_subgroups(pres: Presentation) -> list[CosetTable]:
             else:
                 rows[0][2 * j] = rows[0][2 * j + 1] = 0
                 rows[1][2 * j] = rows[1][2 * j + 1] = 1
-        t = CosetTable(pres, (), rows)
+        t = CosetTable(pres, rows)
         if not verify_table(t):
             raise InternalInvariantError("index-2 table failed verification")
         out.append((vec, t))
@@ -467,7 +271,3 @@ def schreier_data(pres: Presentation, t: CosetTable) -> SchreierData:
     object.__setattr__(data, "presentation", Presentation(names, tuple(relators)))
     return data
 
-
-def reidemeister_schreier(pres: Presentation, t: CosetTable) -> Presentation:
-    """Presentation of the subgroup a complete table describes."""
-    return schreier_data(pres, t).presentation

@@ -160,17 +160,13 @@ def low_index_normal_subgroups(
                     e = lam[a][d]
                     if e is not None and not set_entry(g, c, e):
                         return False
-            # same entry in the T[g][c] = e role: here g := b, e := d
+            # same entry in the T[g][c] = e role: here g := b, e := d;
+            # only its L half, as its T half pruned no measured search
             bb = lam_inv[a][b]
             if bb is not None:
                 dd = table[bb][c]
-                if dd is not None:
-                    if not set_lam(a, dd, d):
-                        return False
-                else:
-                    dd = lam_inv[a][d]
-                    if dd is not None and not set_entry(bb, c, dd):
-                        return False
+                if dd is not None and not set_lam(a, dd, d):
+                    return False
         return True
 
     def fire_l(a: int, b: int) -> bool:
@@ -239,7 +235,7 @@ def low_index_normal_subgroups(
         return None
 
     def complete() -> None:
-        t = CosetTable(pres, (), [list(row) for row in table])
+        t = CosetTable(pres, [list(row) for row in table])
         if not verify_table(t):
             raise InternalInvariantError("search completed an inconsistent table")
         if t.image_group().order == t.n_cosets:

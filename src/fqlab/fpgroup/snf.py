@@ -50,31 +50,6 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def determinant(rows) -> int:
-    """Exact integer determinant (fraction-free elimination)."""
-    a = _as_matrix(rows)
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """Diagonalization result: invariant factors and the transforms.

@@ -13,7 +13,6 @@ import fqlab.cli as cli
 from fqlab.catalog import load_catalog
 from fqlab.cli import dispatch
 from fqlab.fpgroup import (
-    determinant,
     fq_up_to,
     classify_density,
     parse_presentation,
@@ -151,6 +150,15 @@ def matmul(a, b):
     )
 
 
+def det(a):
+    # Laplace expansion along the first row; the matrices here are at most 4x4
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * x * det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0])
+    )
+
+
 def test_diagonalization_on_pseudo_exhaustive_matrices():
     stream = lcg()
     shapes = [(r, c) for r in range(1, 5) for c in range(1, 5)]
@@ -168,13 +176,13 @@ def test_diagonalization_on_pseudo_exhaustive_matrices():
                     assert product[i][j] == expected, mat
             nonzero = [d for d in form.invariants if d]
             assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:])), mat
-            assert determinant(form.row_transform) in (1, -1), mat
-            assert determinant(form.col_transform) in (1, -1), mat
+            assert det(form.row_transform) in (1, -1), mat
+            assert det(form.col_transform) in (1, -1), mat
             if n_rows == n_cols:
                 diag = 1
                 for i in range(n_rows):
                     diag *= product[i][i]
-                assert determinant(mat) in (diag, -diag), mat
+                assert det(mat) in (diag, -diag), mat
             checked += 1
             if checked == 1000:
                 break

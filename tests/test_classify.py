@@ -3,8 +3,7 @@
 from fqlab.fpgroup import (
     abelianization,
     classify_density,
-    has_infinite_cyclic_quotient,
-    has_infinite_dihedral_quotient,
+    index_two_subgroups,
     parse_presentation,
     verify_cyclic_witness,
     verify_dihedral_witness,
@@ -28,16 +27,13 @@ def test_abelianization_examples():
 
 
 def test_infinite_cyclic_detection():
-    found, w = has_infinite_cyclic_quotient(parse_presentation(Z))
-    assert found and w == (1,)
+    assert classify_density(parse_presentation(Z)).cyclic_witness == (1,)
     trefoil = parse_presentation("gens: u v\nrels: u^2 = v^3\n")
-    found, w = has_infinite_cyclic_quotient(trefoil)
-    assert found
+    w = classify_density(trefoil).cyclic_witness
     assert verify_cyclic_witness(trefoil, w)
     assert sorted(abs(e) for e in w) == [2, 3]
     for text in (DINF, MODULAR, CRYSTAL):
-        found, w = has_infinite_cyclic_quotient(parse_presentation(text))
-        assert not found and w is None
+        assert classify_density(parse_presentation(text)).cyclic_witness is None
 
 
 def test_cyclic_witness_verification_rejects_junk():
@@ -52,17 +48,19 @@ def test_cyclic_witness_verification_rejects_junk():
 
 def test_infinite_dihedral_detection():
     p = parse_presentation(DINF)
-    found, data = has_infinite_dihedral_quotient(p)
-    assert found
-    table, gen, w = data
-    assert verify_dihedral_witness(p, table, gen, w)
+    cls = classify_density(p)
+    assert verify_dihedral_witness(
+        p, cls.dihedral_table, cls.dihedral_generator, cls.dihedral_functional
+    )
     for text in (MODULAR, CRYSTAL):
-        found, data = has_infinite_dihedral_quotient(parse_presentation(text))
-        assert not found and data is None
-    # Z itself also surjects onto nothing dihedral (its only index-2
-    # subgroup is 2Z, and the outer generator cannot negate it)
-    found, _ = has_infinite_dihedral_quotient(parse_presentation(Z))
-    assert not found
+        cls = classify_density(parse_presentation(text))
+        assert cls.dihedral_table is None and cls.dihedral_functional is None
+    # Z itself also surjects onto nothing dihedral: its only index-2
+    # subgroup is 2Z, with one Schreier generator that the outer
+    # generator cannot negate, so neither primitive functional passes
+    z = parse_presentation(Z)
+    (table,) = index_two_subgroups(z)
+    assert not any(verify_dihedral_witness(z, table, 0, (e,)) for e in (1, -1))
 
 
 def test_d_infinity_times_finite_still_dihedral():
@@ -115,7 +113,8 @@ def test_finite_groups_are_density_zero():
 
 def test_dihedral_witness_verification_rejects_junk():
     p = parse_presentation(DINF)
-    found, (table, gen, w) = has_infinite_dihedral_quotient(p)
+    cls = classify_density(p)
+    table, gen, w = cls.dihedral_table, cls.dihedral_generator, cls.dihedral_functional
     assert not verify_dihedral_witness(p, table, gen, tuple(2 * e for e in w))
     assert not verify_dihedral_witness(p, table, gen, w + (0,))
     other = parse_presentation(MODULAR)

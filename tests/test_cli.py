@@ -5,10 +5,12 @@ import functools
 import hashlib
 import pathlib
 import re
+import sys
 
 import pytest
 
 import fqlab.cli as cli
+import fqlab.fpgroup.classify as classify
 from fqlab.catalog import serialize_catalog
 from fqlab.cli import dispatch
 from fqlab.errors import InternalInvariantError
@@ -326,6 +328,23 @@ def test_internal_invariant_exits_4(capsys, monkeypatch):
     rc, out = run(capsys, ["census", "--max-index", "12"])
     assert rc == 4
     assert out == ""
+
+
+def test_corrupted_classify_witness_exits_4(capsys, monkeypatch, tmp_path):
+    real = classify.null_column_witness
+
+    def doubled(form):
+        w = real(form)
+        return None if w is None else tuple(2 * e for e in w)
+
+    monkeypatch.setattr(classify, "null_column_witness", doubled)
+    for text in (Z_PRES, DINF_PRES):
+        path = pres_file(tmp_path, text)
+        monkeypatch.setattr(sys, "argv", ["fqlab", "classify", "--presentation", path])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 4, text
+        assert capsys.readouterr().out == "", text
 
 
 def test_version_flag(capsys):

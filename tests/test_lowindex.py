@@ -1,4 +1,4 @@
-"""The normal low-index search against two oracles.
+"""The normal low-index search against three oracles.
 
 ``low_index_subgroups``, kept here as the reference, is a plain
 recursive search for one coset table per conjugacy class of subgroup:
@@ -7,13 +7,15 @@ turn checked against exhaustive action enumeration, which lists every
 tuple of permutations satisfying the relators, keeps the transitive
 ones, and canonicalizes each action by restandardizing from every base
 point: exactly one table per conjugacy class, computed without any
-backtracking logic.
+backtracking logic.  Todd-Coxeter enumeration of the subgroup spanned
+by each table's Schreier generators must rebuild that table exactly.
 """
 
 import itertools
 import sys
 
 import pytest
+from coset_oracle import standardize_rows, todd_coxeter
 
 from fqlab.errors import SearchBudgetError
 from fqlab.fpgroup import (
@@ -22,8 +24,9 @@ from fqlab.fpgroup import (
     free_reduce,
     low_index_normal_subgroups,
     parse_presentation,
+    schreier_data,
 )
-from fqlab.fpgroup.coset import letter_to_col, standardize_rows
+from fqlab.fpgroup.coset import letter_to_col
 from fqlab.permgroup import compose, identity, inverse
 
 
@@ -100,7 +103,7 @@ def low_index_subgroups(pres, max_index):
     if fixpoint():
         descend()
     found.sort(key=lambda rows: (len(rows), [e for row in rows for e in row]))
-    return [CosetTable(pres, (), rows) for rows in found]
+    return [CosetTable(pres, rows) for rows in found]
 
 
 def canonical_flat(rows, base):
@@ -216,6 +219,22 @@ def test_normal_search_matches_filtered_full_search():
         assert normal == filtered, text
 
 
+def test_normal_search_tables_rebuilt_by_todd_coxeter():
+    cases = [
+        ("gens: a b\nrels: a^2, b^3\n", 72, 17),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 2),
+        ("gens: x y\nrels:\n", 8, 63),
+        ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 81, 20),
+    ]
+    for text, max_index, count in cases:
+        p = parse_presentation(text)
+        tables = low_index_normal_subgroups(p, max_index)
+        assert len(tables) == count, text
+        for t in tables:
+            rebuilt = todd_coxeter(p, schreier_data(p, t).schreier_words)
+            assert rebuilt.rows == t.rows, (text, t.n_cosets)
+
+
 def test_normal_tables_are_regular_and_verified():
     p = parse_presentation("gens: a b\nrels: a^2, b^4, (a b)^3\n")
     for t in low_index_normal_subgroups(p, 12):
@@ -249,10 +268,16 @@ def test_node_budget_raises_with_partial():
         keys = [(t.n_cosets, t.flat()) for t in e.value.partial]
         assert keys == sorted(keys), budget
         assert {flat for _, flat in keys} <= full, budget
-    # the search tree itself: exactly 237 nodes
-    with pytest.raises(SearchBudgetError):
-        low_index_normal_subgroups(p, 72, node_budget=236)
-    assert len(low_index_normal_subgroups(p, 72, node_budget=237)) == len(full)
+    # the search trees themselves: exactly 237, 337 and 285 nodes
+    for text, max_index, nodes in [
+        ("gens: a b\nrels: a^2, b^3\n", 72, 237),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 337),
+        ("gens: x y\nrels:\n", 10, 285),
+    ]:
+        q = parse_presentation(text)
+        with pytest.raises(SearchBudgetError):
+            low_index_normal_subgroups(q, max_index, node_budget=nodes - 1)
+        low_index_normal_subgroups(q, max_index, node_budget=nodes)
 
 
 def test_search_depth_needs_no_raised_recursion_limit(monkeypatch):
