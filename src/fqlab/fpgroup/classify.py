@@ -13,7 +13,10 @@ else neither.  Both positive cases come with finite certificates:
 
 The negative case is certified by exhaustion: the abelianization has no
 free part, and every index-2 subgroup fails the dihedral test.  Each
-positive witness passes its verifier before it is returned.
+positive witness passes its verifier before it is returned.  For the
+infinite dihedral case the verifier rebuilds the same relation matrix
+through the same Schreier rewriting, so it certifies the nullspace step
+against that matrix, not the matrix or the rewriting themselves.
 """
 
 from __future__ import annotations

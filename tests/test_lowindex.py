@@ -275,9 +275,11 @@ def test_node_budget_raises_with_partial():
         ("gens: x y\nrels:\n", 10, 285),
     ]:
         q = parse_presentation(text)
+        full_q = [t.flat() for t in low_index_normal_subgroups(q, max_index)]
         with pytest.raises(SearchBudgetError):
             low_index_normal_subgroups(q, max_index, node_budget=nodes - 1)
-        low_index_normal_subgroups(q, max_index, node_budget=nodes)
+        at_budget = low_index_normal_subgroups(q, max_index, node_budget=nodes)
+        assert [t.flat() for t in at_budget] == full_q, text
 
 
 def test_search_depth_needs_no_raised_recursion_limit(monkeypatch):
