@@ -4,13 +4,13 @@ from .classify import (
     DensityClass,
     abelianization,
     classify_density,
+    index_two_subgroups,
     verify_cyclic_witness,
     verify_dihedral_witness,
 )
 from .coset import (
     CosetTable,
     SchreierData,
-    index_two_subgroups,
     schreier_data,
     verify_table,
 )

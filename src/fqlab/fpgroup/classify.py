@@ -11,12 +11,15 @@ else neither.  Both positive cases come with finite certificates:
   a primitive functional on H's abelianization that the outside element
   negates and that kills its square.
 
+One Smith form of the relator exponent matrix serves both searches: a
+zero invariant gives the surjection onto the integers, and the column
+transform spans the mod-2 nullspace that lists the index-2 subgroups.
 The negative case is certified by exhaustion: the abelianization has no
 free part, and every index-2 subgroup fails the dihedral test.  Each
-positive witness passes its verifier before it is returned.  For the
-infinite dihedral case the verifier rebuilds the same relation matrix
-through the same Schreier rewriting, so it certifies the nullspace step
-against that matrix, not the matrix or the rewriting themselves.
+positive witness passes its verifier before it is returned.  The
+dihedral verifier maps the generators into the infinite dihedral group
+and evaluates the original relators there, so it trusts neither the
+relation matrix nor the Schreier rewriting that proposed the witness.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 from ..errors import InternalInvariantError
-from .coset import CosetTable, index_two_subgroups, schreier_data, verify_table
-from .presentation import Presentation, Word, concat_words, free_reduce, invert_word, word_exponents
+from .coset import CosetTable, schreier_data, verify_table
+from .presentation import Presentation, Word, concat_words, invert_word, word_exponents
 from .snf import SmithForm, null_column_witness, smith_normal_form
 
 
@@ -34,6 +37,36 @@ def abelianization(pres: Presentation) -> SmithForm:
     """Smith form of the relator exponent matrix."""
     rows = [word_exponents(r, pres.n_gens) for r in pres.relators]
     return smith_normal_form(rows, n_cols=pres.n_gens)
+
+
+def index_two_subgroups(pres: Presentation, form: SmithForm | None = None) -> list[CosetTable]:
+    """All index-2 subgroups: one per nonzero mod-2 null vector of the relator matrix A.
+
+    With U A V = D the Smith form of A, V is invertible mod 2, so that
+    nullspace is spanned by the columns of V, reduced mod 2, whose
+    invariant is even (zero included).  Tables are built directly,
+    verified, and sorted by the bitmask of generators outside H.
+    """
+    form = abelianization(pres) if form is None else form
+    n = pres.n_gens
+    basis = [
+        sum((form.col_transform[i][j] % 2) << i for i in range(n))
+        for j in range(n)
+        if form.invariants[j] % 2 == 0
+    ]
+    span = [0]
+    for column in basis:
+        span += [vec ^ column for vec in span]
+    if len(set(span)) != len(span):
+        raise InternalInvariantError("dependent nullspace basis")
+    out = []
+    for vec in sorted(span[1:]):
+        # coset a goes to a XOR bit_j under generator j and its inverse
+        t = CosetTable(pres, [[a ^ (vec >> (c // 2) & 1) for c in range(2 * n)] for a in range(2)])
+        if not verify_table(t):
+            raise InternalInvariantError("index-2 table failed verification")
+        out.append(t)
+    return out
 
 
 def verify_cyclic_witness(pres: Presentation, witness) -> bool:
@@ -74,21 +107,25 @@ def _dihedral_matrix(pres: Presentation, table: CosetTable, gen: int):
     b_word: Word = (gen + 1,)
     rows = [word_exponents(r, k) for r in sd.presentation.relators]
     for j, m in enumerate(sd.schreier_words):
-        conj = sd.rewrite(free_reduce(concat_words(invert_word(b_word), m, b_word)))
-        row = word_exponents(conj, k)
+        row = word_exponents(sd.rewrite(concat_words(invert_word(b_word), m, b_word)), k)
         row[j] += 1
         rows.append(row)
-    rows.append(word_exponents(sd.rewrite(free_reduce(b_word + b_word)), k))
+    rows.append(word_exponents(sd.rewrite(b_word + b_word), k))
     return rows, k
 
 
 def verify_dihedral_witness(
     pres: Presentation, table: CosetTable, gen: int, witness
 ) -> bool:
-    """Whether the witness is a primitive dihedral functional on the table's subgroup.
+    """Whether the witness defines a surjection onto the infinite dihedral group.
 
     The table must be a verified index-2 table of the presentation with
-    the generator outside its subgroup.
+    the generator b outside its subgroup H, and the witness f one integer
+    per Schreier generator of H.  On rewritten words, f maps a generator
+    x to (f(x), +1) in D-infinity if x is in H, else to (f(x b^-1), -1),
+    where (t, s) is x -> s x + t.  Accepted when every original relator
+    maps to (0, +1) and the Schreier generators to translations with gcd
+    1, so the rewriting only proposes the images.
     """
     if table.pres is not pres and table.pres != pres:
         return False
@@ -96,13 +133,32 @@ def verify_dihedral_witness(
         return False
     if not 0 <= gen < pres.n_gens or table.rows[0][2 * gen] != 1:
         return False
-    rows, k = _dihedral_matrix(pres, table, gen)
+    sd = schreier_data(pres, table)
     w = tuple(witness)
-    if len(w) != k or any(not isinstance(e, int) for e in w):
+    if len(w) != len(sd.schreier_words) or any(not isinstance(e, int) for e in w):
         return False
-    if math.gcd(*w) != 1:
+
+    def f(word: Word) -> int:
+        return sum(w[x - 1] if x > 0 else -w[-x - 1] for x in sd.rewrite(word))
+
+    images = [
+        (f((i + 1,)), 1) if table.rows[0][2 * i] == 0 else (f((i + 1, -(gen + 1))), -1)
+        for i in range(pres.n_gens)
+    ]
+
+    def evaluate(word: Word) -> tuple[int, int]:
+        t, s = 0, 1
+        for x in word:
+            u, v = images[abs(x) - 1]
+            if x < 0:
+                u = -v * u
+            t, s = t + s * u, s * v
+        return t, s
+
+    if any(evaluate(r) != (0, 1) for r in pres.relators):
         return False
-    return all(sum(e * x for e, x in zip(row, w)) == 0 for row in rows)
+    # Schreier words lie in H, so they map to translations
+    return math.gcd(*(evaluate(m)[0] for m in sd.schreier_words)) == 1
 
 
 @dataclass(frozen=True)
@@ -137,7 +193,7 @@ def classify_density(pres: Presentation) -> DensityClass:
         if not verify_cyclic_witness(pres, witness):
             raise InternalInvariantError("cyclic witness failed verification")
         return DensityClass("infinite_cyclic", invariants, cyclic_witness=witness)
-    tables = index_two_subgroups(pres)
+    tables = index_two_subgroups(pres, form)
     for table in tables:
         gen = _reflection_generator(table)
         rows, k = _dihedral_matrix(pres, table, gen)

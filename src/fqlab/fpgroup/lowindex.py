@@ -6,11 +6,11 @@ contradiction.  New cosets are numbered in order of first use at the
 row-major first hole, so every completed table comes out standardized:
 each subgroup is reached along exactly one search path.  Pruning uses a
 left-multiplication table that must extend to a consistent quotient
-multiplication; completed tables still get an independent certificate
-check and regularity check, so the pruning only ever cuts the tree,
-never decides membership.  The descent keeps its pending branches on an
-explicit stack, so search depth is bounded by memory, not by the
-interpreter's recursion limit.
+multiplication, which makes every completed table regular; completed
+tables still get an independent certificate check and an asserted
+regularity check, so pruning only ever cuts the tree.  The descent keeps
+its pending branches on an explicit stack, so search depth is bounded by
+memory, not by the interpreter's recursion limit.
 
 Node budgets cap the work; exceeding one raises with the tables found
 so far, never truncates.
@@ -42,11 +42,17 @@ def low_index_normal_subgroups(
 
     and since each L[a] is a bijection, knowing L[a][b] = g and the
     product L[a][d] = e of the yet-unknown d = T[b][c] pins d down.
-    Contradictions prune the branch.  A completed table is accepted on
-    an independent check that its image acts regularly; the standard-
-    ized table of a regular action looks the same from every base
-    coset, so each kernel is reached exactly once and no deduplication
-    is needed.
+    Contradictions prune the branch.
+
+    Every completed table is regular.  At completion propagation is at
+    a fixpoint, T is complete and connected, and L[a][0] = a; the first
+    rule, fired from either premise, extends L[a] along every edge of T,
+    so each L[a] is a bijection that commutes with every column and
+    sends 0 to a.  The image's centralizer is thus transitive, and a
+    transitive group with a transitive centralizer is regular.
+    ``complete`` asserts this, raising InternalInvariantError.  The
+    standardized table of a regular action looks the same from every
+    base coset, so each kernel is reached exactly once.
 
     Tables come back sorted by (index, flat table).  When the node
     budget runs out, the SearchBudgetError carries the tables completed
@@ -238,8 +244,9 @@ def low_index_normal_subgroups(
         t = CosetTable(pres, [list(row) for row in table])
         if not verify_table(t):
             raise InternalInvariantError("search completed an inconsistent table")
-        if t.image_group().order == t.n_cosets:
-            found.append(t)
+        if t.image_group().order != t.n_cosets:
+            raise InternalInvariantError("search completed a table that is not regular")
+        found.append(t)
 
     def search() -> None:
         nodes = 0

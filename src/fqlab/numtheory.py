@@ -19,7 +19,7 @@ change any count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -326,7 +326,6 @@ class SieveSet:
 
     kind: str
     param: int = 0
-    _primes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "all":

@@ -1,12 +1,18 @@
 """Density classification and its certificates."""
 
+import pytest
+
+import fqlab.fpgroup.classify as classify
+from fqlab.errors import InternalInvariantError
 from fqlab.fpgroup import (
     abelianization,
     classify_density,
     index_two_subgroups,
     parse_presentation,
+    schreier_data,
     verify_cyclic_witness,
     verify_dihedral_witness,
+    word_exponents,
 )
 
 Z = "gens: x\nrels:\n"
@@ -119,3 +125,56 @@ def test_dihedral_witness_verification_rejects_junk():
     assert not verify_dihedral_witness(p, table, gen, w + (0,))
     other = parse_presentation(MODULAR)
     assert not verify_dihedral_witness(other, table, gen, w)
+
+
+INDEX_TWO_CASES = (
+    Z,
+    "gens: x y\nrels:\n",
+    DINF,
+    MODULAR,
+    CRYSTAL,
+    "gens: a b c\nrels: a^2, b^2, c^3, [a,c], [b,c]\n",
+    "gens: a b\nrels: a^2, b^2, (a b)^5\n",
+    "gens: a b\nrels: a^4, b^4, (a b)^2\n",
+    "gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n",
+    "gens: a b c\nrels: a^2, b^2, c^2\n",
+    "gens: a b\nrels: a^2 b^2\n",
+    "gens: a b c d\nrels: a^2, b^2, c^2 d^2, [a,c], [b,d]\n",
+)
+
+
+def test_index_two_subgroups_match_character_oracle():
+    # every nonzero character onto C2 killing all relators, by brute force
+    for text in INDEX_TWO_CASES:
+        p = parse_presentation(text)
+        sums = [word_exponents(r, p.n_gens) for r in p.relators]
+        want = [
+            mask
+            for mask in range(1, 1 << p.n_gens)
+            if all(sum(e for j, e in enumerate(row) if mask >> j & 1) % 2 == 0 for row in sums)
+        ]
+        tables = index_two_subgroups(p)
+        got = [sum(t.rows[0][2 * j] << j for j in range(p.n_gens)) for t in tables]
+        assert got == want, text
+        for t in tables:
+            assert t.n_cosets == 2 and t.image_group().order == 2
+
+
+def test_dihedral_check_catches_a_corrupted_relation_matrix(monkeypatch):
+    # without the relator rows the matrix proposes a functional on groups
+    # with no dihedral quotient; evaluating the relators in D-infinity
+    # must reject it
+    real = classify._dihedral_matrix
+
+    def no_relator_rows(pres, table, gen):
+        rows, k = real(pres, table, gen)
+        return rows[len(schreier_data(pres, table).presentation.relators) :], k
+
+    monkeypatch.setattr(classify, "_dihedral_matrix", no_relator_rows)
+    for text in (
+        MODULAR,
+        "gens: a b\nrels: a^2, b^2, (a b)^5\n",
+        "gens: a b\nrels: a^4, b^4, (a b)^2\n",
+    ):
+        with pytest.raises(InternalInvariantError):
+            classify_density(parse_presentation(text))

@@ -6,6 +6,7 @@ import hashlib
 import pathlib
 import re
 import sys
+import types
 
 import pytest
 
@@ -14,6 +15,7 @@ import fqlab.fpgroup.classify as classify
 from fqlab.catalog import serialize_catalog
 from fqlab.cli import dispatch
 from fqlab.errors import InternalInvariantError
+from fqlab.fpgroup import CosetTable, schreier_data
 from fqlab.numtheory import SieveSet, density_series, ratio_string
 from fqlab.permgroup import close
 
@@ -345,6 +347,32 @@ def test_corrupted_classify_witness_exits_4(capsys, monkeypatch, tmp_path):
             cli.main()
         assert exc.value.code == 4, text
         assert capsys.readouterr().out == "", text
+
+
+def test_corrupted_dihedral_matrix_exits_4(capsys, monkeypatch, tmp_path):
+    real = classify._dihedral_matrix
+
+    def no_relator_rows(pres, table, gen):
+        rows, k = real(pres, table, gen)
+        return rows[len(schreier_data(pres, table).presentation.relators) :], k
+
+    monkeypatch.setattr(classify, "_dihedral_matrix", no_relator_rows)
+    path = pres_file(tmp_path, MOD_PRES)
+    monkeypatch.setattr(sys, "argv", ["fqlab", "classify", "--presentation", path])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_non_regular_search_table_exits_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(CosetTable, "image_group", lambda t: types.SimpleNamespace(order=1))
+    path = pres_file(tmp_path, Z_PRES)
+    monkeypatch.setattr(sys, "argv", ["fqlab", "fq", "--presentation", path, "--max-index", "3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_version_flag(capsys):

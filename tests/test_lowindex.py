@@ -13,11 +13,12 @@ by each table's Schreier generators must rebuild that table exactly.
 
 import itertools
 import sys
+import types
 
 import pytest
 from coset_oracle import standardize_rows, todd_coxeter
 
-from fqlab.errors import SearchBudgetError
+from fqlab.errors import InternalInvariantError, SearchBudgetError
 from fqlab.fpgroup import (
     CosetTable,
     Presentation,
@@ -323,3 +324,12 @@ def test_rejects_bad_max_index():
     p = parse_presentation("gens: x\nrels:\n")
     with pytest.raises(ValueError):
         low_index_normal_subgroups(p, 0)
+
+
+def test_non_regular_completed_table_raises(monkeypatch):
+    # regularity is proven for every completed table, so a failing check
+    # is a fault to report, not a table to skip; here every image
+    # reports order 1, so no nontrivial table looks regular
+    monkeypatch.setattr(CosetTable, "image_group", lambda t: types.SimpleNamespace(order=1))
+    with pytest.raises(InternalInvariantError):
+        low_index_normal_subgroups(parse_presentation("gens: x\nrels:\n"), 3)
