@@ -1,24 +1,32 @@
 """Exhaustive search for the normal subgroups of bounded index.
 
 The search builds a partial coset table column-pair by column-pair,
-propagating forced entries from relator traces and backtracking on
-contradiction.  New cosets are numbered in order of first use at the
-row-major first hole, so every completed table comes out standardized:
-each subgroup is reached along exactly one search path.  Pruning uses a
-left-multiplication table that must extend to a consistent quotient
-multiplication, which makes every completed table regular; completed
-tables still get an independent certificate check and an asserted
-regularity check, so pruning only ever cuts the tree.  The descent keeps
-its pending branches on an explicit stack, so search depth is bounded by
-memory, not by the interpreter's recursion limit.
+propagating forced entries and backtracking on contradiction.  New
+cosets are numbered in order of first use at the row-major first hole,
+so every completed table comes out standardized: each subgroup is
+reached along exactly one search path.  Pruning uses a left-
+multiplication table that must extend to a consistent quotient
+multiplication; completed tables still get an independent certificate
+check and an asserted regularity check, so pruning only ever cuts the
+tree.  Pending branches sit on an explicit stack, so search depth is
+bounded by memory, not by the interpreter's recursion limit.
 
-Node budgets cap the work; exceeding one raises with the tables found
-so far, never truncates.
+Relator deduction is incremental, as in HLT deduction processing (Sims,
+*Computation with Finitely Presented Groups*, ch. 5): every rotation of
+every relator is filed under its first column, and each new entry scans
+the rotations starting with its column, from its coset.  A trace changes
+only when one of its entries is set, and a rotation scanned from a coset
+the trace reaches reads that same trace, so this reaches the fixpoint of
+scanning every relator from every coset.  A new coset scans each relator
+once, which is all a length-1 relator needs.  The entry trails double as
+work queues from the node's marks on, and backtracking cuts them back to
+the marks.  Rows grow by doubling up to ``max_index`` and never shrink:
+undoing the trail empties every entry past the live count.  Node budgets
+cap the work; exceeding one raises with the tables found so far and how
+far the search got, never truncates.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ..budgets import search_budget
 from ..errors import InternalInvariantError, SearchBudgetError
@@ -44,6 +52,15 @@ def low_index_normal_subgroups(
     product L[a][d] = e of the yet-unknown d = T[b][c] pins d down.
     Contradictions prune the branch.
 
+    Propagation fires the cheap rules first: relator scans, then rules
+    from new T entries, then from new L entries.  Every rule is monotone
+    and the scans and both rules above fire from each of their premises,
+    so their closure is one fixpoint, or a contradiction, in any order.
+    The bijection rule fires from its L premises only: an instance whose
+    T premise comes last stays open until T[b][c] is set otherwise, when
+    any value but d contradicts at once.  Scans first set such premises
+    before the L rules read them.
+
     Every completed table is regular.  At completion propagation is at
     a fixpoint, T is complete and connected, and L[a][0] = a; the first
     rule, fired from either premise, extends L[a] along every edge of T,
@@ -63,13 +80,16 @@ def low_index_normal_subgroups(
     budget = search_budget() if node_budget is None else node_budget
     n_cols = 2 * pres.n_gens
     rel_cols = [tuple(letter_to_col(x) for x in r) for r in pres.relators]
-    table: list[list[int | None]] = [[None] * n_cols]
+    rotations: list[list[tuple[int, ...]]] = [[] for _ in range(n_cols)]
+    for rot in dict.fromkeys(cols[k:] + cols[:k] for cols in rel_cols for k in range(len(cols))):
+        rotations[rot[0]].append(rot)
+    # rows up to the capacity len(table), of which the first n are live
+    table: list[list[int | None]] = []
+    lam: list[list[int | None]] = []
+    lam_inv: list[list[int | None]] = []
     trail: list[tuple[int, int]] = []
-    t_queue: deque[tuple[int, int]] = deque()
-    lam: list[list[int | None]] = [[0]]
-    lam_inv: list[list[int | None]] = [[0]]
     ltrail: list[tuple[int, int]] = []
-    l_queue: deque[tuple[int, int]] = deque()
+    n = peak = 0
     found: list[CosetTable] = []
 
     def set_entry(a: int, c: int, b: int) -> bool:
@@ -82,19 +102,14 @@ def low_index_normal_subgroups(
             return False
         table[a][c] = b
         trail.append((a, c))
-        t_queue.append((a, c))
         if back is None:
             table[b][c ^ 1] = a
             trail.append((b, c ^ 1))
-            t_queue.append((b, c ^ 1))
         return True
 
     def scan_relator(alpha: int, cols) -> bool:
-        """Trace one relator from one coset, deducing across a 1-gap.
-
-        False on a forced contradiction (closed trace landing wrong, or
-        forward and backward scans overlapping on distinct cosets).
-        """
+        """Trace one relator from one coset, deducing across a 1-gap;
+        False on a closed trace landing wrong or overlapping scans."""
         f, i = alpha, 0
         j = len(cols) - 1
         while i <= j:
@@ -120,128 +135,119 @@ def low_index_normal_subgroups(
             return set_entry(f, cols[i], b)
         return True
 
-    def relator_fixpoint() -> bool:
-        while True:
-            before = len(trail)
-            for a in range(len(table)):
-                for cols in rel_cols:
-                    if not scan_relator(a, cols):
-                        return False
-            if len(trail) == before:
-                return True
-
     def set_lam(a: int, b: int, g: int) -> bool:
         cur = lam[a][b]
         if cur is not None:
             return cur == g
-        if lam_inv[a][g] is not None and lam_inv[a][g] != b:
+        if lam_inv[a][g] is not None:
             return False
         lam[a][b] = g
         lam_inv[a][g] = b
         ltrail.append((a, b))
-        l_queue.append((a, b))
         return True
 
     def add_coset() -> bool:
-        g = len(table)
-        table.append([None] * n_cols)
-        for row, inv_row in zip(lam, lam_inv):
-            row.append(None)
-            inv_row.append(None)
-        lam.append([None] * (g + 1))
-        lam_inv.append([None] * (g + 1))
-        # left and right multiplication by the identity coset
-        return set_lam(g, 0, g) and set_lam(0, g, g)
+        nonlocal n, peak
+        g = n
+        if g == len(table):
+            cap = min(2 * g or 1, max_index)
+            for row in lam + lam_inv:
+                row.extend([None] * (cap - g))
+            for rows, width in ((table, n_cols), (lam, cap), (lam_inv, cap)):
+                rows.extend([None] * width for _ in range(cap - g))
+        n = g + 1
+        peak = max(peak, n)
+        # products with the identity coset, then each relator once
+        return set_lam(g, 0, g) and set_lam(0, g, g) and all(scan_relator(g, r) for r in rel_cols)
 
     def fire_t(b: int, c: int, d: int) -> bool:
         # new action entry T[b][c] = d, in both premise roles
-        for a in range(len(table)):
-            g = lam[a][b]
+        for a, row, inv in zip(range(n), lam, lam_inv):
+            g = row[b]
             if g is not None:
                 e = table[g][c]
                 if e is not None:
-                    if not set_lam(a, d, e):
+                    if row[d] != e and not set_lam(a, d, e):
                         return False
                 else:
-                    e = lam[a][d]
+                    e = row[d]
                     if e is not None and not set_entry(g, c, e):
                         return False
             # same entry in the T[g][c] = e role: here g := b, e := d;
             # only its L half, as its T half pruned no measured search
-            bb = lam_inv[a][b]
+            bb = inv[b]
             if bb is not None:
                 dd = table[bb][c]
-                if dd is not None and not set_lam(a, dd, d):
+                if dd is not None and row[dd] != d and not set_lam(a, dd, d):
                     return False
         return True
 
     def fire_l(a: int, b: int) -> bool:
         # new product entry L[a][b] = g, as the rule's anchor
-        g = lam[a][b]
+        row, inv = lam[a], lam_inv[a]
+        g = row[b]
+        tb, tg = table[b], table[g]
         for c in range(n_cols):
-            d = table[b][c]
-            e = table[g][c]
+            d = tb[c]
+            e = tg[c]
             if d is not None:
                 if e is not None:
-                    if not set_lam(a, d, e):
+                    if row[d] != e and not set_lam(a, d, e):
                         return False
                 else:
-                    e = lam[a][d]
+                    e = row[d]
                     if e is not None and not set_entry(g, c, e):
                         return False
             elif e is not None:
-                d = lam_inv[a][e]
+                d = inv[e]
                 if d is not None and not set_entry(b, c, d):
                     return False
         return True
 
-    def propagate() -> bool:
-        """Close T and L under the rules; False on a contradiction."""
+    def propagate(scan_at: int, l_at: int) -> bool:
+        """Close T and L from the trail marks on; False on a contradiction."""
+        t_at = scan_at
         while True:
-            while t_queue or l_queue:
-                if t_queue:
-                    a, c = t_queue.popleft()
-                    if not fire_t(a, c, table[a][c]):
+            top = len(trail)
+            if scan_at < top:
+                a, c = trail[scan_at]
+                scan_at += 1
+                for cols in rotations[c]:
+                    if not scan_relator(a, cols):
                         return False
-                else:
-                    a, b = l_queue.popleft()
+            elif t_at < top:
+                a, c = trail[t_at]
+                t_at += 1
+                if not fire_t(a, c, table[a][c]):
+                    return False
+            else:
+                # L entries, back to the scans once one sets a T entry
+                while l_at < len(ltrail):
+                    a, b = ltrail[l_at]
+                    l_at += 1
                     if not fire_l(a, b):
                         return False
-            before = len(trail)
-            if not relator_fixpoint():
-                return False
-            if len(trail) == before and not t_queue and not l_queue:
-                return True
+                    if len(trail) > top:
+                        break
+                else:
+                    return True
 
     def undo_to(mark: int, lmark: int, n_keep: int) -> None:
-        # a branch that failed may have left entries queued
-        t_queue.clear()
-        l_queue.clear()
-        while len(trail) > mark:
-            a, c = trail.pop()
+        nonlocal n
+        for a, c in trail[mark:]:
             table[a][c] = None
-        while len(ltrail) > lmark:
-            a, b = ltrail.pop()
-            g = lam[a][b]
+        del trail[mark:]
+        for a, b in ltrail[lmark:]:
+            lam_inv[a][lam[a][b]] = None
             lam[a][b] = None
-            lam_inv[a][g] = None
-        if len(table) > n_keep:
-            del table[n_keep:]
-            del lam[n_keep:]
-            del lam_inv[n_keep:]
-            for row, inv_row in zip(lam, lam_inv):
-                del row[n_keep:]
-                del inv_row[n_keep:]
+        del ltrail[lmark:]
+        n = n_keep
 
     def first_hole() -> tuple[int, int] | None:
-        for a, row in enumerate(table):
-            for c in range(n_cols):
-                if row[c] is None:
-                    return a, c
-        return None
+        return next(((a, row.index(None)) for a, row in zip(range(n), table) if None in row), None)
 
     def complete() -> None:
-        t = CosetTable(pres, [list(row) for row in table])
+        t = CosetTable(pres, [list(row) for row in table[:n]])
         if not verify_table(t):
             raise InternalInvariantError("search completed an inconsistent table")
         if t.image_group().order != t.n_cosets:
@@ -252,20 +258,22 @@ def low_index_normal_subgroups(
         nodes = 0
         # branches (a, c, b, marks of the node they leave from); trying
         # them in pop order visits the tree depth-first, candidates in
-        # increasing b with the grow branch b = len(table) last
+        # increasing b with the grow branch b = n last
         pending: list[tuple[int, int, int, tuple[int, int, int]]] = []
-        ok = propagate()
+        ok = add_coset() and propagate(0, 0)
         while True:
             if ok:
                 nodes += 1
                 if nodes > budget:
-                    raise SearchBudgetError(f"search exceeded the {budget} node budget")
+                    raise SearchBudgetError(
+                        f"search exceeded the {budget} node budget after "
+                        f"{len(found)} tables, at most {peak} live cosets"
+                    )
                 hole = first_hole()
                 if hole is None:
                     complete()
                 else:
                     a, c = hole
-                    n = len(table)
                     marks = (len(trail), len(ltrail), n)
                     if n < max_index:
                         pending.append((a, c, n, marks))
@@ -274,9 +282,9 @@ def low_index_normal_subgroups(
                             pending.append((a, c, b, marks))
             if not pending:
                 return
-            a, c, b, marks = pending.pop()
-            undo_to(*marks)
-            ok = (b < len(table) or add_coset()) and set_entry(a, c, b) and propagate()
+            a, c, b, (mark, lmark, n_keep) = pending.pop()
+            undo_to(mark, lmark, n_keep)
+            ok = (b < n or add_coset()) and set_entry(a, c, b) and propagate(mark, lmark)
 
     def in_order() -> list[CosetTable]:
         out = sorted(found, key=lambda t: (t.n_cosets, t.flat()))

@@ -311,6 +311,20 @@ def test_budget_exhaustion_exits_3(capsys, monkeypatch):
     assert out == ""
 
 
+def test_budget_message_says_how_far_the_search_got(capsys, monkeypatch, tmp_path):
+    # 40 nodes into the modular group's search to index 72: the tables
+    # of orders 1, 2, 3, 6, 6, 12, 18 and 24 are done, 24 cosets deep
+    monkeypatch.setenv("FQLAB_BUDGET", "40")
+    path = pres_file(tmp_path, MOD_PRES)
+    assert dispatch(["fq", "--presentation", path, "--max-index", "72"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "fqlab: budget exhausted: search exceeded the 40 node budget "
+        "after 8 tables, at most 24 live cosets\n"
+    )
+
+
 def test_allow_partial_writes_then_exits_3(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("FQLAB_BUDGET", "10")
     manifest = tmp_path / "run.manifest"

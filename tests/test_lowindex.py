@@ -13,6 +13,7 @@ by each table's Schreier generators must rebuild that table exactly.
 
 import itertools
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -205,18 +206,21 @@ def test_infinite_dihedral_against_oracle():
 
 
 def test_normal_search_matches_filtered_full_search():
-    texts = [
-        "gens: a b\nrels: a^2, b^3\n",
-        "gens: a b\nrels: a^2, b^2\n",
-        "gens: a b\nrels: a^2, b^4, (a b)^3\n",
-        "gens: x y\nrels:\n",
-        "gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n",
+    cases = [
+        ("gens: a b\nrels: a^2, b^3\n", 6),
+        ("gens: a b\nrels: a^2, b^2\n", 6),
+        ("gens: a b\nrels: a^2, b^4, (a b)^3\n", 6),
+        ("gens: x y\nrels:\n", 6),
+        ("gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n", 6),
+        # a length-1 relator, deduced only by the scan of each new coset
+        ("gens: a b\nrels: a, b^6\n", 12),
+        ("gens: a b\nrels: a b a^-1 b^-2\n", 16),
     ]
-    for text in texts:
+    for text, max_index in cases:
         p = parse_presentation(text)
-        allsubs = low_index_subgroups(p, 6)
+        allsubs = low_index_subgroups(p, max_index)
         filtered = {t.flat() for t in allsubs if t.image_group().order == t.n_cosets}
-        normal = {t.flat() for t in low_index_normal_subgroups(p, 6)}
+        normal = {t.flat() for t in low_index_normal_subgroups(p, max_index)}
         assert normal == filtered, text
 
 
@@ -269,11 +273,18 @@ def test_node_budget_raises_with_partial():
         keys = [(t.n_cosets, t.flat()) for t in e.value.partial]
         assert keys == sorted(keys), budget
         assert {flat for _, flat in keys} <= full, budget
-    # the search trees themselves: exactly 237, 337 and 285 nodes
+    # the search trees themselves, fixed by the propagation closure: it
+    # must raise one node short of each size and complete at exactly it
     for text, max_index, nodes in [
         ("gens: a b\nrels: a^2, b^3\n", 72, 237),
         ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 337),
         ("gens: x y\nrels:\n", 10, 285),
+        ("gens: a b\nrels: a^3, b^2\n", 120, 737),
+        ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 81, 153),
+        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 87),
+        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 190),
+        ("gens: x y\nrels:\n", 8, 163),
+        ("gens: a b\nrels: a b a^-1 b^-1\n", 20, 971),
     ]:
         q = parse_presentation(text)
         full_q = [t.flat() for t in low_index_normal_subgroups(q, max_index)]
@@ -281,6 +292,20 @@ def test_node_budget_raises_with_partial():
             low_index_normal_subgroups(q, max_index, node_budget=nodes - 1)
         at_budget = low_index_normal_subgroups(q, max_index, node_budget=nodes)
         assert [t.flat() for t in at_budget] == full_q, text
+
+
+def test_search_memory_follows_live_cosets_not_max_index():
+    # Z/5 never has more than 5 live cosets; preallocating one table
+    # row per possible coset would take tens of megabytes here
+    p = parse_presentation("gens: a\nrels: a^5\n")
+    tracemalloc.start()
+    try:
+        tables = low_index_normal_subgroups(p, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.n_cosets for t in tables] == [1, 5]
+    assert peak < 1_000_000
 
 
 def test_search_depth_needs_no_raised_recursion_limit(monkeypatch):
