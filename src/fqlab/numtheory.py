@@ -7,31 +7,34 @@ Two families of integer sets drive everything here:
 * the union of those sets over all *admissible* primes for a modulus a,
   where p is admissible when gcd(a, p) = 1 and gcd(a, p - 1) <= 2.
 
-Membership tests work by divisor enumeration; the sieves mark whole
-ranges at once and must agree with the pointwise tests bit for bit.
-Primes whose square reaches past a segment are batched by cofactor: one
-numpy store marks m*p for every such prime p at a fixed cofactor m.
-Counts are censused in fixed-size segments so large limits never need a
-full membership array in memory, and the segment boundaries cannot
-change any count.
+The pointwise half (``is_prime``, ``factor``, ``np_contains``,
+``sp_contains``) is stdlib-only: trial division and divisor enumeration.
+The sieves mark whole ranges at once with numpy, imported only inside
+the sieve functions, and must agree with the pointwise tests bit for
+bit.  Primes whose square reaches past a segment are batched by
+cofactor: one numpy store marks m*p for every such prime p at a fixed
+cofactor m.  Counts are censused in fixed-size segments so large limits
+never need a full membership array in memory, and the segment
+boundaries cannot change any count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .budgets import MAX_PRIME_SIEVE, SEGMENT_SIZE
 from .errors import ResourceBudgetError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_FACTOR_BOUND = 2**63 - 1
 
-# Prime cache for trial division; grown on demand, never shrunk.
-_PRIME_CACHE: np.ndarray = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
-_PRIME_CACHE_BOUND = 13
-_PRIME_CACHE_MAX = 10**8
+# Trial-division budget: is_prime(n) raises when isqrt(n) exceeds it, factor(n)
+# when the cofactor left after 2 to 13 does.  No earlier call changes the rule.
+_TRIAL_DIVISOR_MAX = 10**8
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,6 @@ class DensitySeries:
                 raise ValueError("checkpoint counts must be nondecreasing and <= limit")
             prev_limit, prev_count = cp.limit, cp.count
 
-    def counts(self) -> list[int]:
-        return [cp.count for cp in self.checkpoints]
-
-    def ratios(self) -> list[str]:
-        return [cp.ratio for cp in self.checkpoints]
-
 
 def ratio_string(count: int, limit: int) -> str:
     """Exact decimal string for count/limit with six fractional digits.
@@ -110,36 +107,37 @@ def ratio_string(count: int, limit: int) -> str:
     return f"{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
-def _extend_prime_cache(bound: int) -> None:
-    global _PRIME_CACHE, _PRIME_CACHE_BOUND
-    if bound <= _PRIME_CACHE_BOUND:
-        return
-    if bound > _PRIME_CACHE_MAX:
-        raise ResourceBudgetError(
-            f"prime cache bound {bound} exceeds the {_PRIME_CACHE_MAX} budget"
-        )
-    _PRIME_CACHE = primes_up_to(bound)
-    _PRIME_CACHE_BOUND = bound
+def _trial_divisors():
+    """2, 3, 5, 7, 11 and 13, then every 6k - 1 and 6k + 1 from 17 on."""
+    yield from (2, 3, 5, 7, 11, 13)
+    d = 17
+    while True:
+        yield d
+        yield d + 2
+        d += 6
+
+
+def _check_trial_root(root: int) -> None:
+    if root > _TRIAL_DIVISOR_MAX:
+        raise ResourceBudgetError(f"trial division to {root} exceeds the {_TRIAL_DIVISOR_MAX} budget")
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division over sieved primes."""
+    """Deterministic primality by trial division up to isqrt(n)."""
     if n < 2:
         return False
     root = math.isqrt(n)
-    if root > _PRIME_CACHE_BOUND:
-        _extend_prime_cache(max(root, 2 * _PRIME_CACHE_BOUND))
-    for p in _PRIME_CACHE:
-        p = int(p)
-        if p > root:
-            break
-        if n % p == 0:
-            return n == p
-    return True
+    _check_trial_root(root)
+    for d in _trial_divisors():
+        if d > root:
+            return True
+        if n % d == 0:
+            return n == d
 
 
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as an int64 array."""
+    import numpy as np
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit + 1 > MAX_PRIME_SIEVE:
@@ -161,24 +159,20 @@ def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInteger:
     if n > bound:
         raise ValueError(f"{n} exceeds the configured bound {bound}")
     m = n
+    root = math.isqrt(m)
     out: list[tuple[int, int]] = []
-    idx = 0
-    while True:
-        if idx >= _PRIME_CACHE.size:
-            root = math.isqrt(m)
-            if root <= _PRIME_CACHE_BOUND:
-                break
-            _extend_prime_cache(max(root, 2 * _PRIME_CACHE_BOUND))
-        p = int(_PRIME_CACHE[idx])
-        if p * p > m:
+    for d in _trial_divisors():
+        if d > root:
             break
-        if m % p == 0:
+        if d == 17:
+            _check_trial_root(root)
+        if m % d == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while m % d == 0:
+                m //= d
                 e += 1
-            out.append((p, e))
-        idx += 1
+            out.append((d, e))
+            root = math.isqrt(m)
     if m > 1:
         out.append((m, 1))
     return FactoredInteger(n, tuple(out))
@@ -280,6 +274,7 @@ def _mark_np_window(good: np.ndarray, p: int, mlo: int, mhi: int) -> None:
 
 def _or_np_segment(out: np.ndarray, p: int, lo: int, hi: int) -> None:
     """OR membership bits of p's anchored set for n in [lo, hi) into out."""
+    import numpy as np
     if p * p >= hi:
         # Every multiple p*m below hi has cofactor m < p: no multiple of
         # p*p, and no divisor in the class of 1 mod p other than 1.
@@ -305,6 +300,7 @@ def _or_large_primes(out: np.ndarray, big: np.ndarray, lo: int, hi: int) -> None
     turns one store per prime into one store per cofactor: the primes
     with m*p in [lo, hi) are those in [ceil(lo/m), ceil(hi/m)).
     """
+    import numpy as np
     if big.size == 0:
         return
     ms = np.arange(1, (hi - 1) // int(big[0]) + 1)
@@ -352,6 +348,7 @@ class SieveSet:
 
     def admissible_primes(self, limit: int) -> np.ndarray:
         """Ascending admissible primes up to limit (sp sets only)."""
+        import numpy as np
         ps = primes_up_to(limit)
         if ps.size == 0:
             return ps
@@ -369,6 +366,7 @@ class SieveSet:
         members; those are marked by cofactor m, one store per m for all
         such primes at once.
         """
+        import numpy as np
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
         out = np.zeros(hi - lo, dtype=bool)
@@ -407,6 +405,7 @@ def density_series(
     Segments are censused independently and merged in ascending order, so
     the result is identical for any segment size.
     """
+    import numpy as np
     ss = parse_set_name(sieve_set) if isinstance(sieve_set, str) else sieve_set
     if not checkpoints:
         raise ValueError("need at least one checkpoint")

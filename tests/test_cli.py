@@ -3,8 +3,11 @@
 import argparse
 import functools
 import hashlib
+import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import types
 
@@ -400,3 +403,45 @@ def test_repeated_runs_byte_identical(capsys):
     first = run(capsys, argv)
     second = run(capsys, argv)
     assert first == second
+
+
+# Runs each argv list through fqlab.cli.main in one fresh interpreter and
+# prints, per command, its exit code and whether numpy is loaded after it.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from fqlab.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["fqlab", *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main()
+        except SystemExit as exc:
+            code = exc.code
+    report.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_sieve_commands_import_numpy(tmp_path):
+    # pytest itself has loaded numpy, so the check needs a fresh process
+    path = pres_file(tmp_path, MOD_PRES)
+    commands = [
+        ["--version"],
+        ["verify"],
+        ["census", "--max-index", "12"],
+        ["fq", "--presentation", path, "--max-index", "24"],
+        ["classify", "--presentation", path],
+        ["graphs", "--family", "w", "--k", "3", "--r", "5", "--report"],
+        ["density", "--set", "sp:6", "--checkpoints", "1000"],
+    ]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    want = [[argv[0], 0, argv[0] == "density"] for argv in commands]
+    assert json.loads(done.stdout) == want

@@ -5,6 +5,7 @@ the definitions.  Every sieve must agree with it bit for bit on ranges
 small enough to brute-force.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -104,6 +105,74 @@ def test_factor_rejects_bad_input():
         factor(-5)
     with pytest.raises(ValueError):
         factor(100, bound=10)
+
+
+BIG_PRIME = 1_000_000_000_000_037  # isqrt about 3.2e7: within the budget
+
+
+@functools.cache
+def odd_trial_is_prime(n):
+    # the naive test, over 2 and the odd numbers only, so that BIG_PRIME
+    # takes seconds rather than minutes
+    if n < 2:
+        return False
+    return n == 2 or (n % 2 != 0 and all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
+
+
+def assert_factor_matches_oracles(n):
+    fi = factor(n)
+    primes = [p for p, _ in fi.factors]
+    assert math.prod(p**e for p, e in fi.factors) == n
+    assert primes == sorted(set(primes))
+    assert all(odd_trial_is_prime(p) for p in primes)
+    if math.isqrt(n) > 10**8:
+        # is_prime judges n itself, even when a small prime divides it
+        with pytest.raises(ResourceBudgetError):
+            is_prime(n)
+    else:
+        assert is_prime(n) == odd_trial_is_prime(n)
+    return fi.factors
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+              3215031751, 2152302898747, 3474749660383)
+
+
+def test_factor_and_is_prime_match_oracles_on_large_inputs():
+    assert assert_factor_matches_oracles(2**60) == ((2, 60),)
+    assert assert_factor_matches_oracles(99991**2) == ((99991, 2),)
+    assert assert_factor_matches_oracles(BIG_PRIME) == ((BIG_PRIME, 1),)
+    for n in CARMICHAEL:
+        factors = assert_factor_matches_oracles(n)
+        # Korselt: squarefree, and p - 1 divides n - 1 for every prime p | n
+        assert len(factors) >= 3 and all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in factors)
+    for p, q in ((999983, 1000003), (999979, 999983), (1000003, 1000033)):
+        assert assert_factor_matches_oracles(p * q) == ((p, 1), (q, 1))
+    assert assert_factor_matches_oracles(999999999989) == ((999999999989, 1),)
+    # 17 * BIG_PRIME is past the budget for both: see the test below
+
+
+def test_trial_division_budget_depends_on_the_input_alone():
+    # the same calls in both orders, in one process: no call may change
+    # whether a later one fits the budget
+    calls = [
+        (factor, 17 * BIG_PRIME, False),  # isqrt about 1.3e8
+        (is_prime, 17 * BIG_PRIME, False),
+        (factor, 289, True),
+        (factor, 2**60, True),
+        (is_prime, (10**8 + 1) ** 2, False),
+        (is_prime, 10**16 + 1, True),  # isqrt is exactly 10**8; 353 divides it
+        (factor, (10**8 + 7) ** 2, False),
+        (factor, 2**30 * 999999937, True),  # the cofactor past 2..13 decides
+        (factor, 10**16 + 1, True),
+    ]
+    for order in (calls, calls[::-1], calls):
+        for fn, n, fits in order:
+            if fits:
+                fn(n)
+            else:
+                with pytest.raises(ResourceBudgetError):
+                    fn(n)
 
 
 def test_factored_integer_validates():
@@ -336,8 +405,7 @@ def test_density_series_counts_match_sieve():
 
 def test_density_series_all_set():
     series = density_series("all", [7, 50])
-    assert series.counts() == [7, 50]
-    assert series.ratios() == ["1.000000", "1.000000"]
+    assert [(cp.count, cp.ratio) for cp in series.checkpoints] == [(7, "1.000000"), (50, "1.000000")]
 
 
 def test_density_series_segment_invariance():
