@@ -59,7 +59,7 @@ from .graphs import (
     odd_edge_core,
     transitivity_report,
 )
-from .numtheory import SieveSet, density_series, factor, np_contains, parse_set_name
+from .numtheory import density_series, factor, np_contains, parse_set_name
 from .permgroup import (
     close,
     is_transitive,
@@ -152,30 +152,18 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _resolve_set(args: argparse.Namespace) -> SieveSet:
-    if args.set == "np":
-        if args.p is None:
-            raise ValueError("--set np needs --p")
-        return SieveSet("np", args.p)
-    if args.set == "sp":
-        if args.a is None:
-            raise ValueError("--set sp needs --a")
-        return SieveSet("sp", args.a)
-    return parse_set_name(args.set)
-
-
 # --- subcommand handlers ---
 
 
 def _run_sieve(args: argparse.Namespace) -> CommandOutput:
-    series = density_series(_resolve_set(args), [args.limit])
+    series = density_series(parse_set_name(args.set), [args.limit])
     cp = series.checkpoints[0]
     return CommandOutput(("limit", "count", "density"), [(cp.limit, cp.count, cp.ratio)])
 
 
 def _run_density(args: argparse.Namespace) -> CommandOutput:
     checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
-    series = density_series(_resolve_set(args), checkpoints)
+    series = density_series(parse_set_name(args.set), checkpoints)
     rows = [(cp.limit, cp.count, cp.ratio) for cp in series.checkpoints]
     return CommandOutput(("limit", "count", "density"), rows)
 
@@ -330,7 +318,7 @@ def _run_verify(args: argparse.Namespace) -> CommandOutput:
 
     for name, group in groups.items():
         n = group.order
-        for p, _ in factor(n).factors:
+        for p, _ in factor(n):
             if not np_contains(n, p):
                 continue
             add(
@@ -397,12 +385,6 @@ def _add_search_options(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_set_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--set", required=True, help="all, np, sp, np:<p> or sp:<a>")
-    sp.add_argument("--p", type=int, help="prime, with --set np")
-    sp.add_argument("--a", type=int, help="modulus, with --set sp")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fqlab",
@@ -412,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
 
     sp = sub.add_parser("sieve", help="count set members up to one limit")
-    _add_set_options(sp)
+    sp.add_argument("--set", required=True, help="all, np:<p> or sp:<a>")
     sp.add_argument("--limit", type=int, required=True)
     _add_output_options(sp)
     sp.set_defaults(handler=_run_sieve)
 
     sp = sub.add_parser("density", help="count set members at several limits")
-    _add_set_options(sp)
+    sp.add_argument("--set", required=True, help="all, np:<p> or sp:<a>")
     sp.add_argument("--checkpoints", required=True, help="comma-separated ascending limits")
     _add_output_options(sp)
     sp.set_defaults(handler=_run_density)

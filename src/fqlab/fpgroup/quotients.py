@@ -40,11 +40,11 @@ class FqResult:
             raise ValueError("need exactly one certificate per order")
 
 
-def _collect(pres, limit, node_budget, allow_partial):
+def _collect(pres, limit, allow_partial):
     if limit < 1:
         raise ValueError("limit must be >= 1")
     try:
-        return low_index_normal_subgroups(pres, limit, node_budget), True
+        return low_index_normal_subgroups(pres, limit), True
     except SearchBudgetError as err:
         if not allow_partial:
             raise
@@ -68,22 +68,20 @@ def _bundle(pres, limit, tables, complete) -> FqResult:
 def fq_up_to(
     pres: Presentation,
     limit: int,
-    node_budget: int | None = None,
     allow_partial: bool = False,
 ) -> FqResult:
     """All finite quotient orders up to the limit."""
-    tables, complete = _collect(pres, limit, node_budget, allow_partial)
+    tables, complete = _collect(pres, limit, allow_partial)
     return _bundle(pres, limit, tables, complete)
 
 
 def oq_up_to(
     pres: Presentation,
     limit: int,
-    node_budget: int | None = None,
     allow_partial: bool = False,
 ) -> FqResult:
     """Odd finite quotient orders up to the limit."""
-    tables, complete = _collect(pres, limit, node_budget, allow_partial)
+    tables, complete = _collect(pres, limit, allow_partial)
     odd = [t for t in tables if t.n_cosets % 2 == 1]
     return _bundle(pres, limit, odd, complete)
 
@@ -110,7 +108,6 @@ def free_product_of_cyclics(cyclic_orders) -> Presentation:
 def smooth_quotients(
     cyclic_orders,
     max_index: int,
-    node_budget: int | None = None,
     allow_partial: bool = False,
 ) -> FqResult:
     """Quotient orders of a free product of cyclic groups where every
@@ -122,7 +119,7 @@ def smooth_quotients(
     """
     orders = tuple(cyclic_orders)
     pres = free_product_of_cyclics(orders)
-    tables, complete = _collect(pres, max_index, node_budget, allow_partial)
+    tables, complete = _collect(pres, max_index, allow_partial)
     kept = [
         t
         for t in tables

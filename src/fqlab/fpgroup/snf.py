@@ -81,10 +81,6 @@ class SmithForm:
         return sum(1 for d in self.invariants if d == 0)
 
     @property
-    def torsion(self) -> tuple[int, ...]:
-        return tuple(d for d in self.invariants if d not in (0, 1))
-
-    @property
     def group_order(self) -> int | None:
         """Order of the presented abelian group, None when infinite."""
         if self.free_rank:

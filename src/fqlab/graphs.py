@@ -234,15 +234,6 @@ class TransitivityReport:
     edge_orbit_count: int
     local_shapes: tuple[tuple[int, GroupShape], ...]
 
-    @property
-    def flags(self) -> dict[str, bool]:
-        return {
-            "vertex": self.vertex_transitive,
-            "edge": self.edge_transitive,
-            "arc": self.arc_transitive,
-            "locally": self.locally_transitive,
-        }
-
 
 def local_action(ga: GraphAction, v: int) -> PermGroup:
     """Permutation group induced on the neighborhood of v by its stabilizer.
@@ -413,10 +404,10 @@ def odd_edge_core(ga: GraphAction, edge) -> OddCoreReport:
     odd_parts = []
     for x in (u, v):
         stab = close(stabilizer_generators(ga.group.generators, n, x), n)
-        odd_part = torsion_subgroup(stab, "odd")
+        odd_part = torsion_subgroup(stab, lambda k: k % 2 == 1)
         odd_parts.append(odd_part)
         restricted = _induced_on(graph.adjacency[x], odd_part.elements)
-        odd_of_restriction = torsion_subgroup(local_action(ga, x), "odd")
+        odd_of_restriction = torsion_subgroup(local_action(ga, x), lambda k: k % 2 == 1)
         commutes.append(restricted == odd_of_restriction)
         transitive.append(is_transitive(restricted))
 
@@ -557,7 +548,6 @@ class CensusResult:
 
 def cubic_census(
     max_index: int,
-    node_budget: int | None = None,
     allow_partial: bool = False,
 ) -> CensusResult:
     """Orders of connected cubic graphs carrying arc-regular symmetry.
@@ -568,7 +558,7 @@ def cubic_census(
     three-cycle and a two-cycle; each image of order m yields a coset
     graph on m/3 vertices.
     """
-    found = smooth_quotients((3, 2), max_index, node_budget, allow_partial)
+    found = smooth_quotients((3, 2), max_index, allow_partial)
     entries = []
     for m in found.orders:
         if m % 3:
@@ -581,7 +571,6 @@ def amalgam_census(
     pres: Presentation,
     stabilizer_order: int,
     max_index: int,
-    node_budget: int | None = None,
     allow_partial: bool = False,
 ) -> CensusResult:
     """Census over a user-supplied presentation with a declared vertex
@@ -594,7 +583,7 @@ def amalgam_census(
     """
     if stabilizer_order < 1:
         raise ValueError("stabilizer order must be >= 1")
-    found = fq_up_to(pres, max_index, node_budget, allow_partial)
+    found = fq_up_to(pres, max_index, allow_partial)
     entries = [
         CensusEntry(
             m // stabilizer_order,

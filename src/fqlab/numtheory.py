@@ -8,7 +8,10 @@ Two families of integer sets drive everything here:
   where p is admissible when gcd(a, p) = 1 and gcd(a, p - 1) <= 2.
 
 The pointwise half (``is_prime``, ``factor``, ``np_contains``,
-``sp_contains``) is stdlib-only: trial division and divisor enumeration.
+``sp_contains``) is stdlib-only.  One trial-division search finds least
+prime factors; ``factor`` divides them out into (prime, exponent) pairs,
+and divisors are enumerated from those pairs, so nothing is factored
+twice.  The search tries 2 to 13 before its budget applies.
 The sieves mark whole ranges at once with numpy, imported only inside
 the sieve functions, and must agree with the pointwise tests bit for
 bit.  Primes whose square reaches past a segment are batched by
@@ -30,40 +33,9 @@ from .errors import ResourceBudgetError
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_FACTOR_BOUND = 2**63 - 1
-
-# Trial-division budget: is_prime(n) raises when isqrt(n) exceeds it, factor(n)
-# when the cofactor left after 2 to 13 does.  No earlier call changes the rule.
+# Trial-division budget: past 2 to 13, the divisor search raises when isqrt
+# of the number it searches exceeds this.  No earlier call changes the rule.
 _TRIAL_DIVISOR_MAX = 10**8
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
-    """An integer with its full prime factorisation attached.
-
-    ``factors`` holds (prime, exponent) pairs with strictly increasing
-    primes and positive exponents; their product must equal ``value``.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError(f"value must be positive, got {self.value}")
-        prod = 1
-        prev = 1
-        for p, e in self.factors:
-            if e < 1:
-                raise ValueError(f"exponent must be >= 1, got {e}")
-            if p <= prev:
-                raise ValueError("primes must be strictly increasing")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prev = p
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError(f"factors multiply to {prod}, not {self.value}")
 
 
 @dataclass(frozen=True)
@@ -117,22 +89,25 @@ def _trial_divisors():
         d += 6
 
 
-def _check_trial_root(root: int) -> None:
-    if root > _TRIAL_DIVISOR_MAX:
-        raise ResourceBudgetError(f"trial division to {root} exceeds the {_TRIAL_DIVISOR_MAX} budget")
+def _least_prime_factor(m: int) -> int:
+    """Least prime factor of m >= 2: the only trial-division loop.
+
+    2 to 13 are tried first, so a number they divide is settled whatever
+    its size; the budget applies from 17 on.
+    """
+    root = math.isqrt(m)
+    for d in _trial_divisors():
+        if d > root:
+            return m
+        if d == 17 and root > _TRIAL_DIVISOR_MAX:
+            raise ResourceBudgetError(f"trial division to {root} exceeds the {_TRIAL_DIVISOR_MAX} budget")
+        if m % d == 0:
+            return d
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division up to isqrt(n)."""
-    if n < 2:
-        return False
-    root = math.isqrt(n)
-    _check_trial_root(root)
-    for d in _trial_divisors():
-        if d > root:
-            return True
-        if n % d == 0:
-            return n == d
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -152,41 +127,38 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInteger:
-    """Prime factorisation by trial division; 1 factors to the empty product."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation as (prime, exponent) pairs, primes ascending.
+
+    1 factors to the empty product.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}: must be >= 1")
-    if n > bound:
-        raise ValueError(f"{n} exceeds the configured bound {bound}")
-    m = n
-    root = math.isqrt(m)
     out: list[tuple[int, int]] = []
-    for d in _trial_divisors():
-        if d > root:
-            break
-        if d == 17:
-            _check_trial_root(root)
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-            root = math.isqrt(m)
-    if m > 1:
-        out.append((m, 1))
-    return FactoredInteger(n, tuple(out))
+    m = n
+    while m > 1:
+        p = _least_prime_factor(m)
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
+    return tuple(out)
 
 
-def divisors(n: int | FactoredInteger) -> list[int]:
-    """All positive divisors, ascending."""
-    fi = n if isinstance(n, FactoredInteger) else factor(n)
+def divisors(factors: tuple[tuple[int, int], ...]) -> list[int]:
+    """All positive divisors, ascending, of the product of (prime, exponent) pairs."""
     out = [1]
-    for p, e in fi.factors:
+    for p, e in factors:
         powers = [p**k for k in range(1, e + 1)]
         out += [d * q for d in out for q in powers]
     out.sort()
     return out
+
+
+def _no_divisor_one_mod(p: int, factors: tuple[tuple[int, int], ...]) -> bool:
+    """Is no divisor above 1 of the product of the pairs 1 mod p?"""
+    return all(d % p != 1 for d in divisors(factors)[1:])
 
 
 def np_contains(n: int, p: int) -> bool:
@@ -204,10 +176,7 @@ def np_contains(n: int, p: int) -> bool:
     m = n // p
     if m % p == 0:
         return False
-    for d in divisors(m):
-        if d != 1 and d % p == 1:
-            return False
-    return True
+    return _no_divisor_one_mod(p, factor(m))
 
 
 def pp_contains(p: int, a: int) -> bool:
@@ -227,14 +196,16 @@ def sp_contains(n: int, a: int) -> bool:
     """Does n lie in the anchored set of some admissible prime for a?
 
     Only primes dividing n to exact multiplicity 1 can anchor n, so only
-    those are tested.
+    those are tested.  n is factored once: the divisors of n/p are those
+    of the other pairs.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
-    for p, e in factor(n).factors:
-        if e == 1 and pp_contains(p, a) and np_contains(n, p):
+    pairs = factor(n)
+    for i, (p, e) in enumerate(pairs):
+        if e == 1 and pp_contains(p, a) and _no_divisor_one_mod(p, pairs[:i] + pairs[i + 1 :]):
             return True
     return False
 
@@ -338,13 +309,6 @@ class SieveSet:
     @property
     def name(self) -> str:
         return "all" if self.kind == "all" else f"{self.kind}:{self.param}"
-
-    def contains(self, n: int) -> bool:
-        if self.kind == "all":
-            return n >= 1
-        if self.kind == "np":
-            return np_contains(n, self.param)
-        return sp_contains(n, self.param)
 
     def admissible_primes(self, limit: int) -> np.ndarray:
         """Ascending admissible primes up to limit (sp sets only)."""

@@ -22,6 +22,7 @@ transitive odd-generated part.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .budgets import ELEMENT_CAP, NORMAL_SUBGROUP_CAP
@@ -304,29 +305,12 @@ def stabilizer_generators(generators, degree: int, base: int) -> list[Perm]:
     return out
 
 
-def _selector_predicate(selector):
-    if callable(selector):
-        return selector
-    if selector == "odd":
-        return lambda k: k % 2 == 1
-    name, sep, arg = str(selector).partition(":")
-    if sep == ":" and arg.isdigit() and int(arg) >= 1:
-        a = int(arg)
-        if name == "divides":
-            return lambda k: a % k == 0
-        if name == "odd_and_divides":
-            return lambda k: k % 2 == 1 and a % k == 0
-    raise ValueError(f"unknown order selector {selector!r}")
+def torsion_subgroup(group: PermGroup, pred: Callable[[int], bool]) -> PermGroup:
+    """Subgroup generated by every element whose order satisfies pred.
 
-
-def torsion_subgroup(group: PermGroup, selector) -> PermGroup:
-    """Subgroup generated by every element whose order matches the selector.
-
-    Selectors: "odd", "divides:a", "odd_and_divides:a", or any predicate
-    on element orders.  The generating set is order-defined, hence
-    closed under conjugation, so the result is normal in the group.
+    The generating set is order-defined, hence closed under
+    conjugation, so the result is normal in the group.
     """
-    pred = _selector_predicate(selector)
     gens = tuple(g for g in group.elements if pred(perm_order(g)))
     return close(gens, group.degree, group._cap)
 
@@ -511,11 +495,11 @@ class OddPartReport:
 def verify_odd_quotient(group: PermGroup) -> OddPartReport:
     """Check, for every normal subgroup, that quotienting commutes with
     taking the odd-generated part."""
-    odd_part = torsion_subgroup(group, "odd")
+    odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
     entries = []
     for N in normal_subgroups(group):
         Q, phi = quotient_with_map(group, N)
-        lhs = torsion_subgroup(Q, "odd").element_set
+        lhs = torsion_subgroup(Q, lambda k: k % 2 == 1).element_set
         rhs = frozenset(phi[x] for x in odd_part.elements)
         entries.append(OddPartEntry(N.order, lhs == rhs))
     return OddPartReport(group.order, tuple(entries))
@@ -609,7 +593,7 @@ def verify_quasiprimitive_odd(group: PermGroup) -> QuasiprimitiveOddReport:
     """Quasiprimitive groups of order above 2 must have a transitive
     odd-generated part; order 2 is the lone exception."""
     qp = is_quasiprimitive(group)
-    odd_part = torsion_subgroup(group, "odd")
+    odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
     transitive = (
         len(orbits_of(odd_part.generators or odd_part.elements, group.degree)) == 1
     )
@@ -637,9 +621,9 @@ def verify_restricted_quotient(group: PermGroup, a: int) -> RestrictedQuotientRe
     n = group.order
     if not sp_contains(n, a):
         return RestrictedQuotientReport(n, a, "hypotheses fail")
-    if torsion_subgroup(group, f"divides:{a}").order != n:
+    if torsion_subgroup(group, lambda k: a % k == 0).order != n:
         return RestrictedQuotientReport(n, a, "hypotheses fail")
-    core = torsion_subgroup(group, f"odd_and_divides:{a}")
+    core = torsion_subgroup(group, lambda k: k % 2 == 1 and a % k == 0)
     sh = shape(quotient(group, core))
     status = "violated" if sh.tag == "cyclic" else "verified"
     return RestrictedQuotientReport(n, a, status, sh)

@@ -118,7 +118,7 @@ def test_catalog_group_sweeps():
             failures.append(("odd_quotient", name))
     for name, group in groups.items():
         n = group.order
-        for p, _ in factor(n).factors:
+        for p, _ in factor(n):
             if not np_contains(n, p):
                 continue
             rep = normal_sylow_quotient(group, p)

@@ -52,12 +52,6 @@ def test_sieve_matches_direct_count(capsys):
     assert rows == [["500", str(count), ratio_string(count, 500)]]
 
 
-def test_sieve_p_flag_spelling(capsys):
-    a = run(capsys, ["sieve", "--set", "np", "--p", "5", "--limit", "200"])
-    b = run(capsys, ["sieve", "--set", "np:5", "--limit", "200"])
-    assert a == b == (0, a[1])
-
-
 def test_density_segments_are_byte_identical(capsys, monkeypatch):
     argv = ["density", "--set", "sp:6", "--checkpoints", "100,1000,5000"]
     rc, whole = run(capsys, argv)
@@ -279,6 +273,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["sieve", "--set", "xyz", "--limit", "10"],
         ["sieve", "--set", "np", "--limit", "10"],
         ["sieve", "--set", "sp", "--limit", "10"],
+        ["sieve", "--set", "np", "--p", "5", "--limit", "200"],
         ["density", "--set", "np:3", "--checkpoints", "5,x"],
         ["fq", "--presentation", str(tmp_path / "missing.pres"), "--max-index", "5"],
         ["census", "--max-index", "12", "--stabilizer-order", "2"],
@@ -305,6 +300,14 @@ def test_readme_lists_every_subcommand():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == list(sub.choices)
     assert len(documented) == 9
+
+
+def test_composite_past_the_trial_budget_is_not_prime(capsys):
+    # p = 2**60: 2 settles it before the trial-division budget applies
+    rc = dispatch(["density", "--set", "np:1152921504606846976", "--checkpoints", "10"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "fqlab: error: p must be prime, got 1152921504606846976\n"
 
 
 def test_budget_exhaustion_exits_3(capsys, monkeypatch):

@@ -167,9 +167,14 @@ def test_graph_action_validation():
         GraphAction(c4, close([(1, 2, 0)], 3))
 
 
+def transitivity(rep):
+    """Vertex-, edge-, arc- and local transitivity, in that order."""
+    return (rep.vertex_transitive, rep.edge_transitive, rep.arc_transitive, rep.locally_transitive)
+
+
 def test_report_cycle_full_dihedral():
     rep = transitivity_report(GraphAction(cycle(5), dihedral_on_cycle(5)))
-    assert rep.flags == {"vertex": True, "edge": True, "arc": True, "locally": True}
+    assert transitivity(rep) == (True, True, True, True)
     assert rep.vertex_orbit_count == 1 and rep.edge_orbit_count == 1
     assert rep.local_shapes == ((0, GroupShape("cyclic", 2)),)
 
@@ -184,25 +189,25 @@ def test_report_cycle_rotation_only():
 
 def test_report_star():
     rep = transitivity_report(star4())
-    assert rep.flags == {"vertex": False, "edge": True, "arc": False, "locally": True}
+    assert transitivity(rep) == (False, True, False, True)
     assert rep.vertex_orbit_count == 2 and rep.edge_orbit_count == 1
     assert rep.local_shapes == ((0, GroupShape("dihedral", 3)), (1, GroupShape("cyclic", 1)))
 
 
 def test_report_k4():
     rep = transitivity_report(k4_alternating())
-    assert all(rep.flags.values())
+    assert all(transitivity(rep))
     assert rep.local_shapes == ((0, GroupShape("cyclic", 3)),)
 
 
 def test_report_k33_subgroups():
     full = GraphAction(k33(), close([K33_ROT_TOP, K33_SWAP_TOP, K33_ROT_BOT, K33_SWAP_BOT, K33_SIDES], 6))
     rep = transitivity_report(full)
-    assert all(rep.flags.values())
+    assert all(transitivity(rep))
 
     one_sided = GraphAction(k33(), close([K33_ROT_TOP, K33_SWAP_TOP, K33_ROT_BOT, K33_SWAP_BOT], 6))
     rep = transitivity_report(one_sided)
-    assert rep.flags == {"vertex": False, "edge": True, "arc": False, "locally": True}
+    assert transitivity(rep) == (False, True, False, True)
     assert rep.vertex_orbit_count == 2
     assert all(s.tag == "dihedral" and s.parameter == 3 for _, s in rep.local_shapes)
 
@@ -550,8 +555,9 @@ def test_amalgam_census():
         amalgam_census(pres, 0, 12)
 
 
-def test_census_budget():
+def test_census_budget(monkeypatch):
+    monkeypatch.setenv("FQLAB_BUDGET", "10")
     with pytest.raises(SearchBudgetError):
-        cubic_census(120, node_budget=10)
-    partial = cubic_census(120, node_budget=10, allow_partial=True)
+        cubic_census(120)
+    partial = cubic_census(120, allow_partial=True)
     assert not partial.complete

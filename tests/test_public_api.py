@@ -1,4 +1,5 @@
-"""Every public top-level function and class of ``fqlab`` has a caller inside the package."""
+"""Every public top-level function and class of ``fqlab``, and every public
+method and property of those classes, has a caller inside the package."""
 
 import ast
 import pathlib
@@ -7,10 +8,17 @@ import fqlab
 
 PACKAGE = pathlib.Path(fqlab.__file__).resolve().parent
 
-# ``main`` is the console entry point; the other three are the print or
+# ``main`` is the console entry point; the next three are the print or
 # parse halves of documented file formats whose other half the package
-# itself uses
-ALLOWED_UNCALLED = {"format_presentation", "serialize_catalog", "graph_from_text", "main"}
+# itself uses; the Sylow-quotient oracle that ROADMAP item 1 plans reads
+# ``SylowQuotientReport.quotient_order``
+ALLOWED_UNCALLED = {
+    "main",
+    "format_presentation",
+    "serialize_catalog",
+    "graph_from_text",
+    "SylowQuotientReport.quotient_order",
+}
 
 
 def referenced_names(tree):
@@ -37,8 +45,17 @@ def test_public_definitions_are_used_in_the_package():
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used |= referenced_names(tree)
+        where = path.relative_to(PACKAGE).as_posix()
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = path.relative_to(PACKAGE).as_posix()
-    unused = sorted(f"{defined[name]}:{name}" for name in set(defined) - used - ALLOWED_UNCALLED)
+                defined[node.name] = (where, node.name)
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        defined[f"{node.name}.{member.name}"] = (where, member.name)
+    unused = sorted(
+        f"{where}:{qualname}"
+        for qualname, (where, name) in defined.items()
+        if name not in used and qualname not in ALLOWED_UNCALLED
+    )
     assert not unused, f"defined but called only from the tests: {unused}"

@@ -88,12 +88,13 @@ def test_smooth_is_subset_of_fq():
         assert kept <= full
 
 
-def test_fq_partial_flag():
-    r = fq_up_to(parse_presentation(MODULAR), 24, node_budget=10, allow_partial=True)
+def test_fq_partial_flag(monkeypatch):
+    monkeypatch.setenv("FQLAB_BUDGET", "10")
+    r = fq_up_to(parse_presentation(MODULAR), 24, allow_partial=True)
     assert not r.complete
     assert set(r.orders) <= {1, 2, 3, 6, 12, 18, 24}
     with pytest.raises(SearchBudgetError):
-        fq_up_to(parse_presentation(MODULAR), 24, node_budget=10)
+        fq_up_to(parse_presentation(MODULAR), 24)
 
 
 def test_fq_rejects_bad_limit():

@@ -83,7 +83,7 @@ def test_ragged_matrix_rejected():
 def test_group_order_and_torsion():
     f = smith_normal_form([[0, 0, 4], [1, -1, 0], [1, 1, 0]])
     assert f.free_rank == 0
-    assert f.torsion == (2, 4)
+    assert f.invariants == (1, 2, 4)
     assert f.group_order == 8
     f = smith_normal_form([[2, -3]])
     assert f.group_order is None  # infinite
