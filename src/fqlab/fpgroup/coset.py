@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..permgroup import Perm, PermGroup, close
+from ..permgroup import Perm, PermGroup, close, orbit
 from .presentation import Presentation, Word, free_reduce, invert_word
 
 Row = list
@@ -72,11 +72,11 @@ class CosetTable:
 def verify_table(t: CosetTable) -> bool:
     """Full certificate check, independent of how the table was built.
 
-    Complete, inverse-paired, transitive, and every relator closes from
-    every coset.
+    Complete with one entry per column, inverse-paired, transitive, and
+    every relator closes from every coset.
     """
     n = t.n_cosets
-    if n == 0 or not t.complete:
+    if n == 0 or not t.complete or any(len(row) != t.n_cols for row in t.rows):
         return False
     for a in range(n):
         for c in range(t.n_cols):
@@ -85,16 +85,7 @@ def verify_table(t: CosetTable) -> bool:
                 return False
             if t.rows[b][c ^ 1] != a:
                 return False
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        a = frontier.pop()
-        for c in range(t.n_cols):
-            b = t.rows[a][c]
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    if len(seen) != n:
+    if len(orbit(0, t.rows.__getitem__)) != n:
         return False
     for r in t.pres.relators:
         for a in range(n):

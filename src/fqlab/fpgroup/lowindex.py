@@ -34,9 +34,7 @@ from .coset import CosetTable, letter_to_col, verify_table
 from .presentation import Presentation
 
 
-def low_index_normal_subgroups(
-    pres: Presentation, max_index: int, node_budget: int | None = None
-) -> list[CosetTable]:
+def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[CosetTable]:
     """Every normal subgroup of bounded index, each exactly once.
 
     The action on cosets of a normal subgroup is the regular action of
@@ -77,7 +75,7 @@ def low_index_normal_subgroups(
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    budget = search_budget() if node_budget is None else node_budget
+    budget = search_budget()
     n_cols = 2 * pres.n_gens
     rel_cols = [tuple(letter_to_col(x) for x in r) for r in pres.relators]
     rotations: list[list[tuple[int, ...]]] = [[] for _ in range(n_cols)]

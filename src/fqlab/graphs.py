@@ -30,6 +30,7 @@ from .permgroup import (
     PermGroup,
     close,
     is_transitive,
+    orbit,
     orbits_of,
     shape,
     stabilizer_generators,
@@ -102,20 +103,8 @@ class Graph:
 
     @property
     def is_connected(self) -> bool:
-        if self.vertex_count <= 1:
-            return True
-        seen = [False] * self.vertex_count
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.vertex_count
+        n = self.vertex_count
+        return n <= 1 or len(orbit(0, self.adjacency.__getitem__)) == n
 
 
 def graph_from_edges(vertex_count: int, edges) -> Graph:
@@ -193,27 +182,14 @@ def _act_arc(g: Perm, a: tuple[int, int]) -> tuple[int, int]:
 
 
 def _orbit_reps(items, generators, act):
-    """First-seen orbit representatives and orbit sizes, in input order."""
+    """First-seen orbit representatives, in input order."""
     reps = []
-    sizes = []
     seen = set()
     for item in items:
-        if item in seen:
-            continue
-        members = [item]
-        seen.add(item)
-        i = 0
-        while i < len(members):
-            x = members[i]
-            i += 1
-            for g in generators:
-                y = act(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    members.append(y)
-        reps.append(item)
-        sizes.append(len(members))
-    return reps, sizes
+        if item not in seen:
+            reps.append(item)
+            seen.update(orbit(item, lambda x: (act(g, x) for g in generators)))
+    return reps
 
 
 @dataclass(frozen=True)
@@ -276,8 +252,8 @@ def transitivity_report(ga: GraphAction) -> TransitivityReport:
     gens = group.generators
     vertex_orbits = orbits_of(gens, graph.vertex_count) if graph.vertex_count else []
     edges = graph.edges
-    edge_reps, _ = _orbit_reps(edges, gens, _act_edge)
-    arc_reps, _ = _orbit_reps(graph.arcs, gens, _act_arc)
+    edge_reps = _orbit_reps(edges, gens, _act_edge)
+    arc_reps = _orbit_reps(graph.arcs, gens, _act_arc)
 
     local_ok: dict[int, bool] = {}
 
@@ -288,8 +264,8 @@ def transitivity_report(ga: GraphAction) -> TransitivityReport:
 
     shapes = []
     locally = True
-    for orbit in vertex_orbits:
-        rep = orbit[0]
+    for vertex_orbit in vertex_orbits:
+        rep = vertex_orbit[0]
         if not graph.adjacency[rep]:
             continue
         group_at_rep = local_action(ga, rep)
@@ -412,11 +388,10 @@ def odd_edge_core(ga: GraphAction, edge) -> OddCoreReport:
         transitive.append(is_transitive(restricted))
 
     core = close(odd_parts[0].generators + odd_parts[1].generators, n)
-    edge_reps, _ = _orbit_reps(graph.edges, core.generators, _act_edge)
+    edge_reps = _orbit_reps(graph.edges, core.generators, _act_edge)
     core_edge_transitive = len(edge_reps) <= 1
     orbit_sizes = tuple(
-        next(len(orb) for orb in orbits_of(core.generators, n) if x in orb)
-        for x in (u, v)
+        len(orbit(x, lambda y: (g[y] for g in core.generators))) for x in (u, v)
     )
 
     premise = all(transitive) and graph.is_connected

@@ -247,11 +247,7 @@ def _or_np_segment(out: np.ndarray, p: int, lo: int, hi: int) -> None:
     """OR membership bits of p's anchored set for n in [lo, hi) into out."""
     import numpy as np
     if p * p >= hi:
-        # Every multiple p*m below hi has cofactor m < p: no multiple of
-        # p*p, and no divisor in the class of 1 mod p other than 1.
-        start = max(p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            out[start - lo :: p] = True
+        _or_large_primes(out, np.array([p], dtype=np.int64), lo, hi)
         return
     mlo = max(1, (lo + p - 1) // p)
     mhi = (hi + p - 1) // p
@@ -265,16 +261,16 @@ def _or_np_segment(out: np.ndarray, p: int, lo: int, hi: int) -> None:
 def _or_large_primes(out: np.ndarray, big: np.ndarray, lo: int, hi: int) -> None:
     """OR in every multiple m*p in [lo, hi) of the ascending primes in big.
 
-    Every p in big lies above isqrt(hi - 1) and below hi, so each of its
-    multiples below hi has cofactor m < p and is a member of p's anchored
-    set.  Batching by m
-    turns one store per prime into one store per cofactor: the primes
-    with m*p in [lo, hi) are those in [ceil(lo/m), ceil(hi/m)).
+    Every p in big lies above isqrt(hi - 1), so each of its multiples
+    below hi has cofactor m < p and is a member of p's anchored set.
+    Batching by m turns one store per prime into one store per cofactor:
+    the primes with m*p in [lo, hi) are those in [ceil(lo/m), ceil(hi/m)),
+    and no m below ceil(lo/max(big)) reaches lo.
     """
     import numpy as np
     if big.size == 0:
         return
-    ms = np.arange(1, (hi - 1) // int(big[0]) + 1)
+    ms = np.arange(-(-lo // int(big[-1])), (hi - 1) // int(big[0]) + 1)
     starts = np.searchsorted(big, -(-lo // ms))
     ends = np.searchsorted(big, -(-hi // ms))
     for m, a, b in zip(ms.tolist(), starts.tolist(), ends.tolist()):

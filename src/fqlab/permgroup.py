@@ -2,10 +2,13 @@
 
 A group is held as its generators; its element set is closed from them
 only when a question needs it (cap 10^5).  Orbits, point stabilizers
-and normal closures work from generators alone; a point stabilizer is
+and conjugacy classes work from generators alone, the first and last
+through one breadth-first routine, ``orbit``; a point stabilizer is
 always given by its Schreier generators, never by filtering elements;
 normality, quotients and subgroups generated by order-restricted
 elements are direct scans of the element set, so they are desk scale.
+Normal subgroups are the joins of the subgroups that conjugacy classes
+generate.
 The closure sifts its generators, so a long redundant generating list
 costs little more than a short one.  Permutations are tuples of
 0-based images; composition is "left then right", so cosets and coset
@@ -22,14 +25,16 @@ transitive odd-generated part.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .budgets import ELEMENT_CAP, NORMAL_SUBGROUP_CAP
 from .errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
 from .numtheory import np_contains, sp_contains
 
 Perm = tuple[int, ...]
+T = TypeVar("T", bound=Hashable)
 
 
 def identity(degree: int) -> Perm:
@@ -237,29 +242,33 @@ def trivial_group(degree: int) -> PermGroup:
     return close((), degree)
 
 
+def orbit(seed: T, step: Callable[[T], Iterable[T]]) -> list[T]:
+    """Everything reachable from seed, breadth-first: seed, then each new
+    neighbor in the order step(x) yields the neighbors of x."""
+    out = [seed]
+    seen = {seed}
+    # the loop also visits what it appends
+    for x in out:
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
 def orbits(group: PermGroup) -> list[tuple[int, ...]]:
     """Orbit partition of the points, each orbit sorted, ordered by minimum."""
     return orbits_of(group.generators, group.degree)
 
 
 def orbits_of(generators, degree: int) -> list[tuple[int, ...]]:
-    seen = [False] * degree
+    seen: set[int] = set()
     out = []
     for start in range(degree):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        idx = 0
-        while idx < len(orb):
-            x = orb[idx]
-            idx += 1
-            for g in generators:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
-        out.append(tuple(sorted(orb)))
+        if start not in seen:
+            orb = orbit(start, lambda x: (g[x] for g in generators))
+            seen.update(orb)
+            out.append(tuple(sorted(orb)))
     return out
 
 
@@ -315,32 +324,6 @@ def torsion_subgroup(group: PermGroup, pred: Callable[[int], bool]) -> PermGroup
     return close(gens, group.degree, group._cap)
 
 
-def normal_closure(group: PermGroup, seed_elements) -> PermGroup:
-    """Smallest normal subgroup of the group containing the seeds.
-
-    Each generator of the closure is conjugated by each generator of
-    the group; a conjugate outside the closure joins its generators.
-    Once every generator's conjugates lie inside, the closure is
-    normal.  Each growth at least doubles it, so it is re-closed at
-    most log2 of the group order times.
-    """
-    gens = list(seed_elements)
-    for s in gens:
-        if s not in group.element_set:
-            raise ValueError("seed element outside the group")
-    N = close(gens, group.degree, group._cap)
-    queue = list(gens)
-    while queue:
-        x = queue.pop()
-        for b in group.generators:
-            y = conjugate(x, b)
-            if y not in N.element_set:
-                gens.append(y)
-                queue.append(y)
-                N = close(gens, group.degree, group._cap)
-    return N
-
-
 def is_normal(group: PermGroup, sub: PermGroup) -> bool:
     """Is the subgroup invariant under conjugation by the group?
 
@@ -356,41 +339,40 @@ def is_normal(group: PermGroup, sub: PermGroup) -> bool:
     return True
 
 
-def normal_subgroups(group: PermGroup, order_cap: int = NORMAL_SUBGROUP_CAP) -> list[PermGroup]:
+def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     """Every normal subgroup exactly once, sorted by order then elements.
 
-    Built as the join-closure of the normal closures of cyclic
-    subgroups: any normal subgroup is the join of the closures of its
-    own cyclic subgroups, so the fixpoint reaches all of them, and joins
-    of normal subgroups are normal, so it reaches nothing else.
+    Built as the join-closure of the subgroups generated by conjugacy
+    classes: a normal subgroup is a union of classes, so it is the join
+    of the subgroups its classes generate, and joins of normal subgroups
+    are normal, so the fixpoint reaches all of them and nothing else.
+    A class is the orbit of one element under conjugation by the
+    generators; a join closes the generators of both sides.
     """
-    if group.order > order_cap:
+    if group.order > NORMAL_SUBGROUP_CAP:
         raise GroupTooLargeError(
-            f"order {group.order} exceeds the normal-subgroup cap {order_cap}"
+            f"order {group.order} exceeds the normal-subgroup cap {NORMAL_SUBGROUP_CAP}"
         )
-    found: dict[frozenset[Perm], PermGroup] = {}
     triv = trivial_group(group.degree)
-    found[triv.element_set] = triv
+    found: dict[frozenset[Perm], PermGroup] = {triv.element_set: triv}
     atoms = []
-    seen_cyclic = set()
+    classified: set[Perm] = set()
     for g in group.elements:
-        if g == identity(group.degree):
+        if g in classified:
             continue
-        cyc = frozenset(_cyclic_elements(g))
-        if cyc in seen_cyclic:
-            continue
-        seen_cyclic.add(cyc)
-        nc = normal_closure(group, (g,))
-        if nc.element_set not in found:
-            found[nc.element_set] = nc
-            atoms.append(nc)
+        cls = orbit(g, lambda x: (conjugate(x, b) for b in group.generators))
+        classified.update(cls)
+        atom = close(cls, group.degree, group._cap)
+        if atom.element_set not in found:
+            found[atom.element_set] = atom
+            atoms.append(atom)
     worklist = list(found.values())
     while worklist:
         current = worklist.pop()
         for atom in atoms:
             if atom.element_set <= current.element_set:
                 continue
-            join = close(tuple(current.element_set | atom.element_set), group.degree, group._cap)
+            join = close(current.generators + atom.generators, group.degree, group._cap)
             if join.element_set not in found:
                 found[join.element_set] = join
                 worklist.append(join)
@@ -570,7 +552,7 @@ def is_quasiprimitive(group: PermGroup) -> bool:
     if not is_transitive(group):
         raise ValueError("group is not transitive")
     for N in normal_subgroups(group):
-        if N.order > 1 and len(orbits_of(N.generators or N.elements, N.degree)) > 1:
+        if N.order > 1 and len(orbits_of(N.generators, N.degree)) > 1:
             return False
     return True
 
@@ -594,9 +576,7 @@ def verify_quasiprimitive_odd(group: PermGroup) -> QuasiprimitiveOddReport:
     odd-generated part; order 2 is the lone exception."""
     qp = is_quasiprimitive(group)
     odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
-    transitive = (
-        len(orbits_of(odd_part.generators or odd_part.elements, group.degree)) == 1
-    )
+    transitive = len(orbits_of(odd_part.generators, group.degree)) == 1
     return QuasiprimitiveOddReport(group.order, qp, transitive, group.order == 2)
 
 

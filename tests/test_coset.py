@@ -99,6 +99,8 @@ def test_verify_rejects_broken_tables():
     hole = CosetTable(t.pres, [list(r) for r in t.rows])
     hole.rows[2][1] = None
     assert not verify_table(hole)
+    # an entry past the last column is not part of any action
+    assert not verify_table(CosetTable(t.pres, [list(r) + [0] for r in t.rows]))
 
 
 def test_index_two_counts():

@@ -264,12 +264,13 @@ def test_deterministic_output():
     assert a == b
 
 
-def test_node_budget_raises_with_partial():
+def test_node_budget_raises_with_partial(monkeypatch):
     p = parse_presentation("gens: a b\nrels: a^2, b^3\n")
     full = {t.flat() for t in low_index_normal_subgroups(p, 72)}
     for budget in (10, 40, 200):
+        monkeypatch.setenv("FQLAB_BUDGET", str(budget))
         with pytest.raises(SearchBudgetError) as e:
-            low_index_normal_subgroups(p, 72, node_budget=budget)
+            low_index_normal_subgroups(p, 72)
         keys = [(t.n_cosets, t.flat()) for t in e.value.partial]
         assert keys == sorted(keys), budget
         assert {flat for _, flat in keys} <= full, budget
@@ -287,10 +288,13 @@ def test_node_budget_raises_with_partial():
         ("gens: a b\nrels: a b a^-1 b^-1\n", 20, 971),
     ]:
         q = parse_presentation(text)
+        monkeypatch.delenv("FQLAB_BUDGET", raising=False)
         full_q = [t.flat() for t in low_index_normal_subgroups(q, max_index)]
+        monkeypatch.setenv("FQLAB_BUDGET", str(nodes - 1))
         with pytest.raises(SearchBudgetError):
-            low_index_normal_subgroups(q, max_index, node_budget=nodes - 1)
-        at_budget = low_index_normal_subgroups(q, max_index, node_budget=nodes)
+            low_index_normal_subgroups(q, max_index)
+        monkeypatch.setenv("FQLAB_BUDGET", str(nodes))
+        at_budget = low_index_normal_subgroups(q, max_index)
         assert [t.flat() for t in at_budget] == full_q, text
 
 
