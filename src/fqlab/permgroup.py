@@ -5,10 +5,12 @@ only when a question needs it (cap 10^5).  Orbits, point stabilizers
 and conjugacy classes work from generators alone, the first and last
 through one breadth-first routine, ``orbit``; a point stabilizer is
 always given by its Schreier generators, never by filtering elements;
-normality, quotients and subgroups generated by order-restricted
-elements are direct scans of the element set, so they are desk scale.
+normality is tested by conjugating generators by generators; a quotient
+by a normal subgroup labels each element with its coset and closes the
+coset action of the group's generators; subgroups generated by
+order-restricted elements scan the element set, so they are desk scale.
 Normal subgroups are the joins of the subgroups that conjugacy classes
-generate.
+generate, computed once per group.
 The closure sifts its generators, so a long redundant generating list
 costs little more than a short one.  Permutations are tuples of
 0-based images; composition is "left then right", so cosets and coset
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TypeVar
 
 from .budgets import ELEMENT_CAP, NORMAL_SUBGROUP_CAP
@@ -43,7 +46,10 @@ def identity(degree: int) -> Perm:
 
 def compose(g: Perm, h: Perm) -> Perm:
     """Apply g, then h."""
-    return tuple(h[x] for x in g)
+    if len(g) == 1:
+        # itemgetter with one index returns the item, not a tuple
+        return (h[g[0]],)
+    return itemgetter(*g)(h)
 
 
 def inverse(g: Perm) -> Perm:
@@ -59,9 +65,22 @@ def conjugate(g: Perm, b: Perm) -> Perm:
 
 
 def perm_order(g: Perm) -> int:
+    """The lcm of the cycle lengths."""
+    seen = [False] * len(g)
     out = 1
-    for c in cycle_decomposition(g):
-        out = math.lcm(out, len(c))
+    for start in range(len(g)):
+        if seen[start]:
+            continue
+        # start is the least point of its cycle, so the walk never meets
+        # a point that an earlier start marked
+        x = g[start]
+        length = 1
+        while x != start:
+            seen[x] = True
+            x = g[x]
+            length += 1
+        if length > 1:
+            out = math.lcm(out, length)
     return out
 
 
@@ -145,7 +164,7 @@ def extend_perm(g: Perm, degree: int) -> Perm:
 class PermGroup:
     """A permutation group held as generators plus an on-demand element set."""
 
-    __slots__ = ("degree", "generators", "_elements", "_element_set", "_cap")
+    __slots__ = ("degree", "generators", "_elements", "_element_set", "_normal", "_cap")
 
     def __init__(self, degree: int, generators: tuple[Perm, ...], element_cap: int = ELEMENT_CAP):
         if degree < 1:
@@ -157,6 +176,7 @@ class PermGroup:
         self.generators = tuple(generators)
         self._elements: tuple[Perm, ...] | None = None
         self._element_set: frozenset[Perm] | None = None
+        self._normal: tuple[PermGroup, ...] | None = None
         self._cap = element_cap
 
     @property
@@ -327,32 +347,44 @@ def torsion_subgroup(group: PermGroup, pred: Callable[[int], bool]) -> PermGroup
 def is_normal(group: PermGroup, sub: PermGroup) -> bool:
     """Is the subgroup invariant under conjugation by the group?
 
-    Conjugation by generators suffices: invariance propagates to all
-    products.  Raises if sub is not in fact a subgroup of group.
+    Conjugating the subgroup's generators by the group's generators
+    suffices: conjugation is a homomorphism, so the conjugates of the
+    generators generate the conjugate subgroup, and invariance under
+    generators propagates to all products.  Raises if sub is not in fact
+    a subgroup of group.
     """
     if sub.degree != group.degree or not sub.element_set <= group.element_set:
         raise ValueError("not a subgroup of the given group")
-    for n in sub.elements:
-        for g in group.generators:
-            if conjugate(n, g) not in sub.element_set:
-                return False
-    return True
+    members = sub.element_set
+    return all(
+        compose(compose(b_inv, n), b) in members
+        for b, b_inv in _with_inverses(group.generators)
+        for n in sub.generators
+    )
+
+
+def _with_inverses(generators) -> list[tuple[Perm, Perm]]:
+    return [(b, inverse(b)) for b in generators]
 
 
 def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     """Every normal subgroup exactly once, sorted by order then elements.
 
-    Built as the join-closure of the subgroups generated by conjugacy
-    classes: a normal subgroup is a union of classes, so it is the join
-    of the subgroups its classes generate, and joins of normal subgroups
-    are normal, so the fixpoint reaches all of them and nothing else.
+    Computed once per group; each call returns a fresh list.  Built as
+    the join-closure of the subgroups generated by conjugacy classes: a
+    normal subgroup is a union of classes, so it is the join of the
+    subgroups its classes generate, and joins of normal subgroups are
+    normal, so the fixpoint reaches all of them and nothing else.
     A class is the orbit of one element under conjugation by the
     generators; a join closes the generators of both sides.
     """
+    if group._normal is not None:
+        return list(group._normal)
     if group.order > NORMAL_SUBGROUP_CAP:
         raise GroupTooLargeError(
             f"order {group.order} exceeds the normal-subgroup cap {NORMAL_SUBGROUP_CAP}"
         )
+    conjugators = _with_inverses(group.generators)
     triv = trivial_group(group.degree)
     found: dict[frozenset[Perm], PermGroup] = {triv.element_set: triv}
     atoms = []
@@ -360,7 +392,7 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     for g in group.elements:
         if g in classified:
             continue
-        cls = orbit(g, lambda x: (conjugate(x, b) for b in group.generators))
+        cls = orbit(g, lambda x: (compose(compose(b_inv, x), b) for b, b_inv in conjugators))
         classified.update(cls)
         atom = close(cls, group.degree, group._cap)
         if atom.element_set not in found:
@@ -376,7 +408,8 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
             if join.element_set not in found:
                 found[join.element_set] = join
                 worklist.append(join)
-    return sorted(found.values(), key=lambda n: (n.order, n.elements))
+    group._normal = tuple(sorted(found.values(), key=lambda n: (n.order, n.elements)))
+    return list(group._normal)
 
 
 def _cyclic_elements(g: Perm) -> list[Perm]:
@@ -389,11 +422,15 @@ def _cyclic_elements(g: Perm) -> list[Perm]:
     return out
 
 
-def quotient_with_map(group: PermGroup, sub: PermGroup) -> tuple[PermGroup, dict[Perm, Perm]]:
+def quotient_with_map(group: PermGroup, sub: PermGroup) -> tuple[PermGroup, dict[Perm, int]]:
     """Coset action of the group on a normal subgroup's right cosets.
 
-    Returns the regular representation of the quotient (degree = index,
-    order = index) together with the element-to-image map.
+    Returns the regular representation Q of the quotient (degree = index,
+    order = index), generated by the images of the group's generators,
+    together with the label of each element: the number of its coset,
+    cosets being numbered by their least elements, so coset 0 is sub.
+    Q acts regularly and the image of x moves coset 0 to coset x, so the
+    image of x is the q in Q with q[0] == label[x].
     """
     if not is_normal(group, sub):
         raise ValueError("subgroup is not normal")
@@ -407,16 +444,11 @@ def quotient_with_map(group: PermGroup, sub: PermGroup) -> tuple[PermGroup, dict
             for n in nset:
                 label[compose(n, g)] = len(reps)
             reps.append(g)
-    phi: dict[Perm, Perm] = {}
-    for g in group.elements:
-        phi[g] = tuple(label[compose(rep, g)] for rep in reps)
-    images = sorted(set(phi.values()))
-    Q = PermGroup(len(reps), tuple(phi[g] for g in group.generators), group._cap)
-    Q._elements = tuple(images)
-    Q._element_set = frozenset(images)
+    gens = tuple(tuple(label[compose(rep, g)] for rep in reps) for g in group.generators)
+    Q = close(gens, len(reps), group._cap)
     if Q.order * sub.order != group.order:
         raise InternalInvariantError("coset action order mismatch")
-    return Q, phi
+    return Q, label
 
 
 def quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
@@ -480,9 +512,9 @@ def verify_odd_quotient(group: PermGroup) -> OddPartReport:
     odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
     entries = []
     for N in normal_subgroups(group):
-        Q, phi = quotient_with_map(group, N)
-        lhs = torsion_subgroup(Q, lambda k: k % 2 == 1).element_set
-        rhs = frozenset(phi[x] for x in odd_part.elements)
+        Q, label = quotient_with_map(group, N)
+        lhs = {q[0] for q in torsion_subgroup(Q, lambda k: k % 2 == 1).elements}
+        rhs = {label[x] for x in odd_part.elements}
         entries.append(OddPartEntry(N.order, lhs == rhs))
     return OddPartReport(group.order, tuple(entries))
 
@@ -536,8 +568,9 @@ def normal_sylow_quotient(group: PermGroup, p: int) -> SylowQuotientReport:
         raise InternalInvariantError("centralizer does not split as expected")
     if not is_normal(group, K):
         raise InternalInvariantError("coprime part of the centralizer is not normal")
-    Q, phi = quotient_with_map(group, K)
-    Pbar = close(tuple(phi[x] for x in P.elements), Q.degree, group._cap)
+    Q, label = quotient_with_map(group, K)
+    z_bar = next(q for q in Q.elements if q[0] == label[z])
+    Pbar = close((z_bar,), Q.degree, group._cap)
     if Pbar.order != p or not is_normal(Q, Pbar):
         raise InternalInvariantError("image of the Sylow part is not normal of order p")
     comp = quotient(Q, Pbar)

@@ -15,7 +15,8 @@ import pytest
 
 import fqlab.cli as cli
 import fqlab.fpgroup.classify as classify
-from fqlab.catalog import serialize_catalog
+import fqlab.permgroup as permgroup
+from fqlab.catalog import load_catalog, serialize_catalog
 from fqlab.cli import dispatch
 from fqlab.errors import InternalInvariantError
 from fqlab.fpgroup import CosetTable, schreier_data
@@ -196,6 +197,33 @@ def test_verify_all_rows_pass(capsys):
         "odd_edge_core",
     }
     assert len(rows) == 126
+    # the whole report is frozen: refactors of the checks keep it byte-identical
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256
+
+
+VERIFY_SHA256 = "3c2090a16fa09cf50de39e30d6c7ec2a66301724cdf5339f6e1b7c3f44f6abee"
+
+
+def test_verify_builds_each_lattice_once(capsys, monkeypatch):
+    computed = []
+    calls = 0
+    inner = permgroup.normal_subgroups
+
+    def counting(group):
+        nonlocal calls
+        calls += 1
+        before = group._normal
+        result = inner(group)
+        # a computation stores a new lattice; a cache hit leaves it alone
+        if group._normal is not before:
+            computed.append(group)
+        return result
+
+    monkeypatch.setattr(permgroup, "normal_subgroups", counting)
+    rc, _ = run(capsys, ["verify"])
+    assert rc == 0
+    assert len(computed) == len({id(G) for G in computed}) == len(load_catalog()) == 36
+    assert calls > len(computed)
 
 
 def test_verify_custom_fixtures(capsys, tmp_path):

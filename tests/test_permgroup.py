@@ -1,12 +1,14 @@
 """Permutation group tests.
 
 Oracles: a subgroup-lattice walk (extend-by-one-element fixpoint) for
-the normal-subgroup enumeration, and full-element conjugation scans for
-normality.  Everything order-restricted is cross-checked against plain
+the normal-subgroup enumeration, full-element conjugation scans for
+normality, and the defining formulas for compose and perm_order.
+Everything order-restricted is cross-checked against plain
 element filtering.
 """
 
 import math
+import random
 
 import pytest
 
@@ -95,6 +97,38 @@ def test_perm_primitives():
     assert perm_order(identity(5)) == 1
     assert perm_order(parse_perm("(1 2)(3 4 5)")) == 6
     assert cycle_decomposition(parse_perm("(2 4)(3 5 6)")) == [(1, 3), (2, 4, 5)]
+
+
+def random_perms(rng, count):
+    for _ in range(count):
+        g = list(range(rng.randint(1, 9)))
+        rng.shuffle(g)
+        yield tuple(g)
+
+
+def test_compose_matches_comprehension():
+    rng = random.Random(12)
+    degrees = set()
+    for g in random_perms(rng, 2000):
+        h = list(g)
+        rng.shuffle(h)
+        h = tuple(h)
+        degrees.add(len(g))
+        assert compose(g, h) == tuple(h[x] for x in g), (g, h)
+    assert {1, 2} <= degrees
+    assert compose((0,), (0,)) == (0,)
+
+
+def test_perm_order_matches_cycle_lengths():
+    def lcm_of_cycles(g):
+        return math.lcm(*(len(c) for c in cycle_decomposition(g)))
+
+    rng = random.Random(13)
+    for g in random_perms(rng, 2000):
+        assert perm_order(g) == lcm_of_cycles(g), g
+    for name, G in CAT.items():
+        for g in G.elements:
+            assert perm_order(g) == lcm_of_cycles(g), (name, format_perm(g))
 
 
 def test_format_parse_roundtrip():
@@ -256,6 +290,36 @@ def test_is_normal():
         is_normal(S3, close((parse_perm("(1 2 3 4)"),)))
 
 
+def test_is_normal_matches_conjugation_by_every_element():
+    # every normal subgroup and every cyclic subgroup of each catalog group
+    non_normal = 0
+    for name, G in CAT.items():
+        subs = {N.element_set: N for N in normal_subgroups(G)}
+        for g in G.elements:
+            C = close((g,), G.degree)
+            subs.setdefault(C.element_set, C)
+        for elem_set, H in subs.items():
+            want = oracle_is_normal(G, elem_set)
+            assert is_normal(G, H) == want, (name, H.generators)
+            non_normal += not want
+    assert non_normal > 0
+    T2 = close((parse_perm("(1 2)", 3),))
+    assert not oracle_is_normal(CAT["S3"], T2.element_set)
+    assert not is_normal(CAT["S3"], T2)
+
+
+def test_normal_subgroups_computed_once():
+    G = close(CAT["S4"].generators, 4)
+    first = normal_subgroups(G)
+    assert G._normal is not None
+    orders = [N.order for N in first]
+    first.clear()
+    again = normal_subgroups(G)
+    assert [N.order for N in again] == orders == [1, 4, 12, 24]
+    assert again is not normal_subgroups(G)
+    assert all(a is b for a, b in zip(again, normal_subgroups(G)))
+
+
 def test_normal_subgroups_counts():
     assert [N.order for N in normal_subgroups(CAT["C6"])] == [1, 2, 3, 6]
     assert [N.order for N in normal_subgroups(CAT["S3"])] == [1, 3, 6]
@@ -303,10 +367,18 @@ def test_quotient_order_product():
             assert Q.degree == G.order // N.order, name
 
 
+def image_map(Q, label):
+    # Q acts regularly, so the image of x is the q moving coset 0 to label[x]
+    by_first = {q[0]: q for q in Q.elements}
+    assert len(by_first) == Q.order
+    return {x: by_first[i] for x, i in label.items()}
+
+
 def test_quotient_map_is_homomorphism():
     G = CAT["S4"]
     N = [M for M in normal_subgroups(G) if M.order == 4][0]
-    Q, phi = quotient_with_map(G, N)
+    Q, label = quotient_with_map(G, N)
+    phi = image_map(Q, label)
     els = G.elements
     for g in els[::5]:
         for h in els[::7]:
@@ -322,8 +394,10 @@ def test_quotient_map_numbers_cosets_by_least_element():
             reps = sorted(set(key.values()))
             index_of = {rep: i for i, rep in enumerate(reps)}
             want = {g: tuple(index_of[key[compose(rep, g)]] for rep in reps) for g in G.elements}
-            Q, phi = quotient_with_map(G, N)
-            assert phi == want, (name, N.order)
+            Q, label = quotient_with_map(G, N)
+            assert label == {g: index_of[key[g]] for g in G.elements}, (name, N.order)
+            assert image_map(Q, label) == want, (name, N.order)
+            assert Q.element_set == frozenset(want.values()), (name, N.order)
             assert Q.generators == tuple(want[g] for g in G.generators), (name, N.order)
 
 
