@@ -87,9 +87,6 @@ def serialize_catalog(groups: dict[str, PermGroup]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_catalog(path: str | None = None) -> dict[str, PermGroup]:
-    """Groups from a catalog file, or the built-in fixture set."""
-    if path is None:
-        return parse_catalog(DEFAULT_CATALOG)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_catalog(fh.read())
+def load_catalog() -> dict[str, PermGroup]:
+    """The built-in fixture set."""
+    return parse_catalog(DEFAULT_CATALOG)

@@ -19,7 +19,8 @@ version, wall time and a completeness flag.  Runs with the same
 parameters produce byte-identical primary output; only the manifest's
 wall time varies.
 
-Exit codes: 0 success; 2 usage errors and malformed input; 3 exhausted
+Exit codes: 0 success; 2 usage errors, malformed input, an input file
+that cannot be read or an output path that cannot be written; 3 exhausted
 search budgets, including partial results kept under ``--allow-partial``;
 4 a violated internal invariant, or any failed ``verify`` row.  The
 environment variable ``FQLAB_BUDGET`` overrides the default node budget
@@ -38,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .catalog import load_catalog
+from .catalog import load_catalog, parse_catalog
 from .errors import (
     GroupTooLargeError,
     InputSyntaxError,
@@ -86,29 +87,11 @@ class CommandOutput:
     failures: int = 0
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record of one invocation."""
-
-    subcommand: str
-    parameters: tuple[tuple[str, str], ...]
-    inputs: tuple[tuple[str, str], ...]
-    version: str
-    wall_ms: int
-    complete: bool
-
-    def rows(self) -> list[tuple[str, str]]:
-        out = [("subcommand", self.subcommand)]
-        out.extend((f"parameter:{k}", v) for k, v in self.parameters)
-        out.extend((f"input:{path}", digest) for path, digest in self.inputs)
-        out.append(("version", self.version))
-        out.append(("wall_ms", str(self.wall_ms)))
-        out.append(("complete", _bool_text(self.complete)))
-        return out
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
+def _text(value) -> str:
+    """A parameter or flag as text: booleans lowercase, None empty."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
 def _csv_text(header: tuple[str, ...] | None, rows) -> str:
@@ -128,6 +111,13 @@ def _table_csv(table) -> str:
     return _csv_text(tuple(header), rows)
 
 
+def _table_files(args: argparse.Namespace, tables) -> dict[str, str]:
+    """``table_<m>.csv`` under ``--emit-tables`` for each (m, coset table) pair."""
+    if not args.emit_tables:
+        return {}
+    return {os.path.join(args.emit_tables, f"table_{m}.csv"): _table_csv(t) for m, t in tables}
+
+
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -143,12 +133,9 @@ def _read_text(path: str) -> str:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} wants comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} wants at least one integer")
-    return values
 
 
 # --- subcommand handlers ---
@@ -168,11 +155,7 @@ def _run_density(args: argparse.Namespace) -> CommandOutput:
 
 
 def _quotient_output(args: argparse.Namespace, result) -> CommandOutput:
-    files = {}
-    if getattr(args, "emit_tables", None):
-        for order in result.orders:
-            path = os.path.join(args.emit_tables, f"table_{order}.csv")
-            files[path] = _table_csv(result.certificates[order])
+    files = _table_files(args, ((m, result.certificates[m]) for m in result.orders))
     rows = [(order,) for order in result.orders]
     return CommandOutput(("order",), rows, complete=result.complete, files=files)
 
@@ -226,14 +209,11 @@ def _run_census(args: argparse.Namespace) -> CommandOutput:
         result = amalgam_census(
             pres, args.stabilizer_order, args.max_index, allow_partial=args.allow_partial
         )
-    rows = []
-    files = {}
-    for entry in result.entries:
-        note = "possibly non-simple" if entry.flagged else ""
-        rows.append((entry.order, entry.certificate_index, note))
-        if args.emit_tables:
-            path = os.path.join(args.emit_tables, f"table_{entry.certificate_index}.csv")
-            files[path] = _table_csv(entry.table)
+    rows = [
+        (e.order, e.certificate_index, "possibly non-simple" if e.flagged else "")
+        for e in result.entries
+    ]
+    files = _table_files(args, ((e.certificate_index, e.table) for e in result.entries))
     header = ("order", "certificate_index", "flagged")
     return CommandOutput(header, rows, complete=result.complete, files=files, inputs=inputs)
 
@@ -246,10 +226,10 @@ def _run_graphs(args: argparse.Namespace) -> CommandOutput:
     rep = transitivity_report(action)
     shapes = ";".join(f"{v}:{s.tag}:{s.parameter}" for v, s in rep.local_shapes)
     rows = [
-        ("vertex_transitive", _bool_text(rep.vertex_transitive)),
-        ("edge_transitive", _bool_text(rep.edge_transitive)),
-        ("arc_transitive", _bool_text(rep.arc_transitive)),
-        ("locally_transitive", _bool_text(rep.locally_transitive)),
+        ("vertex_transitive", _text(rep.vertex_transitive)),
+        ("edge_transitive", _text(rep.edge_transitive)),
+        ("arc_transitive", _text(rep.arc_transitive)),
+        ("locally_transitive", _text(rep.locally_transitive)),
         ("vertex_orbit_count", str(rep.vertex_orbit_count)),
         ("edge_orbit_count", str(rep.edge_orbit_count)),
         ("local_shapes", shapes),
@@ -296,71 +276,49 @@ ODD_CORE_FIXTURES = ("cycle5_dihedral", "k4_even", "k33_two_sided")
 
 
 def _run_verify(args: argparse.Namespace) -> CommandOutput:
-    groups = load_catalog(args.fixtures)
+    groups = parse_catalog(_read_text(args.fixtures)) if args.fixtures else load_catalog()
     rows: list[tuple[str, str, str]] = []
-    failures = 0
 
-    def add(check: str, subject: str, ok: bool) -> None:
-        nonlocal failures
-        rows.append((check, subject, "pass" if ok else "fail"))
-        if not ok:
-            failures += 1
-
-    def attempt(fn) -> bool:
+    def add(check: str, subject: str, check_passes) -> None:
+        """Run check_passes; a violated invariant counts as a fail."""
         try:
-            return bool(fn())
+            ok = bool(check_passes())
         except InternalInvariantError:
-            return False
+            ok = False
+        rows.append((check, subject, "pass" if ok else "fail"))
 
     for name, group in groups.items():
-        add("odd_quotient", name, attempt(lambda: verify_odd_quotient(group).passed))
+        add("odd_quotient", name, lambda: verify_odd_quotient(group).passed)
 
     for name, group in groups.items():
         n = group.order
         for p, _ in factor(n):
-            if not np_contains(n, p):
-                continue
-            add(
-                "sylow_quotient",
-                f"{name}@{p}",
-                attempt(lambda: normal_sylow_quotient(group, p) is not None),
-            )
+            if np_contains(n, p):
+                subject = f"{name}@{p}"
+                add("sylow_quotient", subject, lambda: normal_sylow_quotient(group, p) is not None)
 
     for name, group in groups.items():
         add(
             "restricted_quotient",
             name,
-            attempt(
-                lambda: all(
-                    verify_restricted_quotient(group, a).passed for a in RESTRICTED_MODULI
-                )
-            ),
+            lambda: all(verify_restricted_quotient(group, a).passed for a in RESTRICTED_MODULI),
         )
 
     for name, group in groups.items():
-        if not is_transitive(group):
-            continue
-        add(
-            "quasiprimitive_odd",
-            name,
-            attempt(lambda: verify_quasiprimitive_odd(group).passed),
-        )
+        if is_transitive(group):
+            add("quasiprimitive_odd", name, lambda: verify_quasiprimitive_odd(group).passed)
 
     fixtures = _graph_fixtures()
     for name, action in fixtures:
-        add(
-            "graph_implications",
-            name,
-            attempt(lambda: transitivity_report(action) is not None),
-        )
+        add("graph_implications", name, lambda: transitivity_report(action) is not None)
 
     for name, action in fixtures:
-        if name not in ODD_CORE_FIXTURES:
-            continue
-        edge = action.graph.edges[0]
-        add("odd_edge_core", name, attempt(lambda: odd_edge_core(action, edge).passed))
+        if name in ODD_CORE_FIXTURES:
+            edge = action.graph.edges[0]
+            add("odd_edge_core", name, lambda: odd_edge_core(action, edge).passed)
 
     inputs = [args.fixtures] if args.fixtures else []
+    failures = sum(row[2] == "fail" for row in rows)
     header = ("check", "subject", "result")
     return CommandOutput(header, rows, inputs=inputs, failures=failures)
 
@@ -404,19 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(sp)
     sp.set_defaults(handler=_run_density)
 
-    sp = sub.add_parser("fq", help="finite quotient orders of a presented group")
-    sp.add_argument("--presentation", required=True, metavar="PATH")
-    sp.add_argument("--max-index", type=int, required=True)
-    _add_search_options(sp)
-    _add_output_options(sp)
-    sp.set_defaults(handler=_run_fq)
-
-    sp = sub.add_parser("oq", help="odd finite quotient orders")
-    sp.add_argument("--presentation", required=True, metavar="PATH")
-    sp.add_argument("--max-index", type=int, required=True)
-    _add_search_options(sp)
-    _add_output_options(sp)
-    sp.set_defaults(handler=_run_oq)
+    for name, handler, summary in (
+        ("fq", _run_fq, "finite quotient orders of a presented group"),
+        ("oq", _run_oq, "odd finite quotient orders"),
+    ):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--presentation", required=True, metavar="PATH")
+        sp.add_argument("--max-index", type=int, required=True)
+        _add_search_options(sp)
+        _add_output_options(sp)
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("classify", help="density class of the quotient-order set")
     sp.add_argument("--presentation", required=True, metavar="PATH")
@@ -458,45 +413,37 @@ def build_parser() -> argparse.ArgumentParser:
 _INTERNAL_KEYS = ("handler", "subcommand")
 
 
-def _manifest_parameters(args: argparse.Namespace) -> tuple[tuple[str, str], ...]:
-    out = []
-    for key in sorted(vars(args)):
-        if key in _INTERNAL_KEYS:
-            continue
-        value = getattr(args, key)
-        if value is None:
-            text = ""
-        elif isinstance(value, bool):
-            text = _bool_text(value)
-        else:
-            text = str(value)
-        out.append((key, text))
-    return tuple(out)
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        err.filename = path
+        raise
 
 
 def _write_files(out: CommandOutput, args: argparse.Namespace, wall_ms: int) -> None:
+    """Write the primary output, tables and manifest; an OSError names its path."""
     payload = out.text if out.text is not None else _csv_text(out.header, out.rows)
     primary = getattr(args, "csv", None) or getattr(args, "out", None)
     if primary:
-        with open(primary, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_text(primary, payload)
     else:
         sys.stdout.write(payload)
     for path, content in out.files.items():
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-    if getattr(args, "manifest", None):
-        manifest = RunManifest(
-            subcommand=args.subcommand,
-            parameters=_manifest_parameters(args),
-            inputs=tuple((path, _digest(path)) for path in out.inputs),
-            version=__version__,
-            wall_ms=wall_ms,
-            complete=out.complete and out.failures == 0,
-        )
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(("key", "value"), manifest.rows()))
+        _write_text(path, content)
+    if args.manifest:
+        rows = [("subcommand", args.subcommand)]
+        rows += [
+            (f"parameter:{key}", _text(value))
+            for key, value in sorted(vars(args).items())
+            if key not in _INTERNAL_KEYS
+        ]
+        rows += [(f"input:{path}", _digest(path)) for path in out.inputs]
+        rows += [("version", __version__), ("wall_ms", str(wall_ms))]
+        rows.append(("complete", _text(out.complete and out.failures == 0)))
+        _write_text(args.manifest, _csv_text(("key", "value"), rows))
 
 
 def dispatch(argv=None) -> int:
@@ -519,7 +466,12 @@ def dispatch(argv=None) -> int:
         print(f"fqlab: internal invariant violated: {err}", file=sys.stderr)
         return 4
     wall_ms = int((time.monotonic() - start) * 1000)
-    _write_files(out, args, wall_ms)
+    try:
+        _write_files(out, args, wall_ms)
+    except OSError as err:
+        where = err.filename or "stdout"
+        print(f"fqlab: error: cannot write {where}: {err.strerror}", file=sys.stderr)
+        return 2
     if out.failures:
         print(f"fqlab: {out.failures} verification row(s) failed", file=sys.stderr)
         return 4

@@ -14,8 +14,9 @@ computations stay linear in the number of arcs.  Local actions come
 from Schreier generators of the vertex stabilizer restricted to the
 neighborhood, so a transitivity report never lists the group either.
 The odd edge core needs the odd-order stabilizer elements, so it lists
-only the vertex stabilizer, closed from those same Schreier generators;
-the stabilizer, not the acting group, must fit under the element cap.
+only the vertex stabilizer, closed from those same Schreier generators,
+computed once per endpoint; the stabilizer, not the acting group, must
+fit under the element cap.
 """
 
 from __future__ import annotations
@@ -368,6 +369,8 @@ def odd_edge_core(ga: GraphAction, edge) -> OddCoreReport:
     When both odd parts are transitive on their neighborhoods (and the
     graph is connected), the core must be edge-transitive and the
     vertex count must equal one point-orbit size or the sum of the two.
+    Restriction is a homomorphism, so the local action and the restricted
+    odd part are closed from the restrictions of their generators.
     """
     u, v = edge
     graph = ga.graph
@@ -379,12 +382,12 @@ def odd_edge_core(ga: GraphAction, edge) -> OddCoreReport:
     transitive = []
     odd_parts = []
     for x in (u, v):
-        stab = close(stabilizer_generators(ga.group.generators, n, x), n)
-        odd_part = torsion_subgroup(stab, lambda k: k % 2 == 1)
+        schreier = stabilizer_generators(ga.group.generators, n, x)
+        odd_part = torsion_subgroup(close(schreier, n), lambda k: k % 2 == 1)
         odd_parts.append(odd_part)
-        restricted = _induced_on(graph.adjacency[x], odd_part.elements)
-        odd_of_restriction = torsion_subgroup(local_action(ga, x), lambda k: k % 2 == 1)
-        commutes.append(restricted == odd_of_restriction)
+        restricted = _induced_on(graph.adjacency[x], odd_part.generators)
+        local = _induced_on(graph.adjacency[x], schreier)
+        commutes.append(restricted == torsion_subgroup(local, lambda k: k % 2 == 1))
         transitive.append(is_transitive(restricted))
 
     core = close(odd_parts[0].generators + odd_parts[1].generators, n)
@@ -521,6 +524,16 @@ class CensusResult:
         return tuple(e.order for e in self.entries)
 
 
+def _census(found, s: int, max_index: int) -> CensusResult:
+    """One entry of graph order m/s per quotient order m with s | m."""
+    entries = tuple(
+        CensusEntry(m // s, m, m // s < 4, found.certificates[m])
+        for m in found.orders
+        if m % s == 0
+    )
+    return CensusResult(max_index, s, entries, found.complete)
+
+
 def cubic_census(
     max_index: int,
     allow_partial: bool = False,
@@ -534,12 +547,10 @@ def cubic_census(
     graph on m/3 vertices.
     """
     found = smooth_quotients((3, 2), max_index, allow_partial)
-    entries = []
     for m in found.orders:
         if m % 3:
             raise InternalInvariantError(f"order {m} despite an order-3 generator")
-        entries.append(CensusEntry(m // 3, m, m // 3 < 4, found.certificates[m]))
-    return CensusResult(max_index, 3, tuple(entries), found.complete)
+    return _census(found, 3, max_index)
 
 
 def amalgam_census(
@@ -558,16 +569,4 @@ def amalgam_census(
     """
     if stabilizer_order < 1:
         raise ValueError("stabilizer order must be >= 1")
-    found = fq_up_to(pres, max_index, allow_partial)
-    entries = [
-        CensusEntry(
-            m // stabilizer_order,
-            m,
-            m // stabilizer_order < 4,
-            found.certificates[m],
-        )
-        for m in found.orders
-        if m % stabilizer_order == 0
-    ]
-    return CensusResult(max_index, stabilizer_order, tuple(entries), found.complete)
-
+    return _census(fq_up_to(pres, max_index, allow_partial), stabilizer_order, max_index)

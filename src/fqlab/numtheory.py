@@ -7,6 +7,9 @@ Two families of integer sets drive everything here:
 * the union of those sets over all *admissible* primes for a modulus a,
   where p is admissible when gcd(a, p) = 1 and gcd(a, p - 1) <= 2.
 
+Every sieved set but ``all`` is the union of the anchored sets of the
+primes that ``SieveSet.admissible_primes`` lists.
+
 The pointwise half (``is_prime``, ``factor``, ``np_contains``,
 ``sp_contains``) is stdlib-only.  One trial-division search finds least
 prime factors; ``factor`` divides them out into (prime, exponent) pairs,
@@ -244,11 +247,8 @@ def _mark_np_window(good: np.ndarray, p: int, mlo: int, mhi: int) -> None:
 
 
 def _or_np_segment(out: np.ndarray, p: int, lo: int, hi: int) -> None:
-    """OR membership bits of p's anchored set for n in [lo, hi) into out."""
+    """OR membership bits of p's anchored set for n in [lo, hi) into out; p*p < hi."""
     import numpy as np
-    if p * p >= hi:
-        _or_large_primes(out, np.array([p], dtype=np.int64), lo, hi)
-        return
     mlo = max(1, (lo + p - 1) // p)
     mhi = (hi + p - 1) // p
     if mlo >= mhi:
@@ -284,7 +284,8 @@ class SieveSet:
 
     ``kind`` is one of ``all`` (every positive integer), ``np`` (anchored
     set of the prime ``param``) or ``sp`` (union over admissible primes
-    for modulus ``param``).
+    for modulus ``param``).  Every set but ``all`` is the union of the
+    anchored sets of its ``admissible_primes``.
     """
 
     kind: str
@@ -307,11 +308,12 @@ class SieveSet:
         return "all" if self.kind == "all" else f"{self.kind}:{self.param}"
 
     def admissible_primes(self, limit: int) -> np.ndarray:
-        """Ascending admissible primes up to limit (sp sets only)."""
+        """Ascending primes up to limit whose anchored sets make up the set:
+        ``[p]`` for ``np:p`` (empty when p > limit), the admissible ones for ``sp:a``."""
         import numpy as np
+        if self.kind == "np":
+            return np.array([self.param] if self.param <= limit else [], dtype=np.int64)
         ps = primes_up_to(limit)
-        if ps.size == 0:
-            return ps
         a = self.param
         keep = (np.gcd(ps, a) == 1) & (np.gcd(ps - 1, a) <= 2)
         return ps[keep]
@@ -319,12 +321,12 @@ class SieveSet:
     def segment_bits(self, lo: int, hi: int, primes: np.ndarray | None = None) -> np.ndarray:
         """Membership bits for n in [lo, hi); lo >= 1.
 
-        For an sp set the admissible primes below hi take one of two
-        paths, split at isqrt(hi - 1).  Each prime at or below the cut
-        sieves its own anchored set over the cofactor window.  The primes
-        above it have p*p >= hi, so all their multiples below hi are
-        members; those are marked by cofactor m, one store per m for all
-        such primes at once.
+        ``primes`` defaults to ``admissible_primes(hi - 1)``.  They take
+        one of two paths, split at isqrt(hi - 1).  Each prime at or below
+        the cut sieves its own anchored set over the cofactor window.
+        The primes above it have p*p >= hi, so all their multiples below
+        hi are members; those are marked by cofactor m, one store per m
+        for all such primes at once.
         """
         import numpy as np
         if lo < 1 or hi <= lo:
@@ -332,9 +334,6 @@ class SieveSet:
         out = np.zeros(hi - lo, dtype=bool)
         if self.kind == "all":
             out[:] = True
-            return out
-        if self.kind == "np":
-            _or_np_segment(out, self.param, lo, hi)
             return out
         if primes is None:
             primes = self.admissible_primes(hi - 1)
@@ -375,7 +374,7 @@ def density_series(
     if segment_size < 2:
         raise ValueError("segment_size must be >= 2")
     limit = cps[-1]
-    primes = ss.admissible_primes(limit) if ss.kind == "sp" else None
+    primes = None if ss.kind == "all" else ss.admissible_primes(limit)
 
     running = 0
     at: dict[int, int] = {}

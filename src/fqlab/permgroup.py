@@ -412,16 +412,6 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     return list(group._normal)
 
 
-def _cyclic_elements(g: Perm) -> list[Perm]:
-    out = [g]
-    x = g
-    e = identity(len(g))
-    while x != e:
-        x = compose(x, g)
-        out.append(x)
-    return out
-
-
 def quotient_with_map(group: PermGroup, sub: PermGroup) -> tuple[PermGroup, dict[Perm, int]]:
     """Coset action of the group on a normal subgroup's right cosets.
 
@@ -472,6 +462,10 @@ def shape(group: PermGroup) -> GroupShape:
 
     Cyclic wins ties: an order-2 group is cyclic, never dihedral.  The
     Klein four-group counts as dihedral with rotation order 2.
+
+    Dihedral of order 2h means an involution b outside <r> inverts some r
+    of order h.  An involution in <r> inverts r only if r*r = 1, and then
+    the group is the Klein four-group either way, so <r> is never listed.
     """
     n = group.order
     orders = {g: perm_order(g) for g in group.elements}
@@ -479,12 +473,10 @@ def shape(group: PermGroup) -> GroupShape:
         return GroupShape("cyclic", n)
     if n % 2 == 0:
         half = n // 2
-        rotations = [g for g, k in orders.items() if k == half]
-        for r in rotations:
-            cyc = set(_cyclic_elements(r))
-            for b, k in orders.items():
-                if k == 2 and b not in cyc and conjugate(r, b) == inverse(r):
-                    return GroupShape("dihedral", half)
+        involutions = [b for b, k in orders.items() if k == 2]
+        for r, k in orders.items():
+            if k == half and any(conjugate(r, b) == inverse(r) for b in involutions):
+                return GroupShape("dihedral", half)
     return GroupShape("other", 0)
 
 
@@ -584,10 +576,7 @@ def is_quasiprimitive(group: PermGroup) -> bool:
     """Is every nontrivial normal subgroup transitive?  Requires transitivity."""
     if not is_transitive(group):
         raise ValueError("group is not transitive")
-    for N in normal_subgroups(group):
-        if N.order > 1 and len(orbits_of(N.generators, N.degree)) > 1:
-            return False
-    return True
+    return all(N.order == 1 or is_transitive(N) for N in normal_subgroups(group))
 
 
 @dataclass(frozen=True)
@@ -609,8 +598,7 @@ def verify_quasiprimitive_odd(group: PermGroup) -> QuasiprimitiveOddReport:
     odd-generated part; order 2 is the lone exception."""
     qp = is_quasiprimitive(group)
     odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
-    transitive = len(orbits_of(odd_part.generators, group.degree)) == 1
-    return QuasiprimitiveOddReport(group.order, qp, transitive, group.order == 2)
+    return QuasiprimitiveOddReport(group.order, qp, is_transitive(odd_part), group.order == 2)
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,57 @@ def test_census_emit_tables_names_certificates(capsys, tmp_path):
     assert sorted(p.name for p in tabs.iterdir()) == sorted(f"table_{m}.csv" for m in indices)
 
 
+def test_census_and_smooth_write_the_same_certificates(capsys, tmp_path):
+    census, smooth = tmp_path / "census", tmp_path / "smooth"
+    assert run(capsys, ["census", "--max-index", "48", "--emit-tables", str(census)])[0] == 0
+    argv = ["smooth", "--orders", "3,2", "--max-index", "48", "--emit-tables", str(smooth)]
+    assert run(capsys, argv)[0] == 0
+    names = sorted(p.name for p in census.iterdir())
+    assert len(names) == 6
+    assert names == sorted(p.name for p in smooth.iterdir())
+    for name in names:
+        assert (census / name).read_bytes() == (smooth / name).read_bytes(), name
+
+
+def test_manifest_key_order(capsys, tmp_path):
+    path = pres_file(tmp_path, DINF_PRES)
+    manifest = tmp_path / "run.manifest"
+    argv = ["fq", "--presentation", path, "--max-index", "8", "--manifest", str(manifest)]
+    assert run(capsys, argv)[0] == 0
+    keys = [row[0] for row in rows_of(manifest.read_text())[1]]
+    parameters = [
+        "allow_partial", "csv", "emit_tables", "manifest", "max_index", "presentation",
+    ]
+    assert keys == [
+        "subcommand",
+        *(f"parameter:{name}" for name in parameters),
+        f"input:{path}",
+        "version",
+        "wall_ms",
+        "complete",
+    ]
+
+
+def test_unreadable_input_and_unwritable_output_exit_2(capsys, tmp_path):
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    missing_dir = str(tmp_path / "no" / "x.csv")
+    missing_file = str(tmp_path / "missing.catalog")
+    sieve = ["sieve", "--set", "np:3", "--limit", "10"]
+    bad = [
+        ([*sieve, "--manifest", str(tmp_path)], f"cannot write {tmp_path}: "),
+        ([*sieve, "--csv", missing_dir], f"cannot write {missing_dir}: "),
+        (["census", "--max-index", "12", "--emit-tables", str(existing)], f"cannot write {existing}"),
+        (["verify", "--fixtures", missing_file], f"cannot read {missing_file}: "),
+        (["verify", "--fixtures", str(tmp_path)], f"cannot read {tmp_path}: "),
+    ]
+    for argv, message in bad:
+        assert dispatch(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("fqlab: error: " + message), (argv, err)
+        assert len(err.splitlines()) == 1, (argv, err)
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     good = pres_file(tmp_path, DINF_PRES)
     bad = [

@@ -265,7 +265,7 @@ def sieved_members(name, limit):
 def segmented_bits(name, limit, segment_size):
     """Membership bits of 1..limit, sieved segment by segment and joined."""
     ss = parse_set_name(name)
-    primes = ss.admissible_primes(limit) if ss.kind == "sp" else None
+    primes = None if ss.kind == "all" else ss.admissible_primes(limit)
     return np.concatenate(
         [
             ss.segment_bits(lo, min(lo + segment_size, limit + 1), primes)
@@ -336,6 +336,7 @@ def oracle_windows():
     for p in (11, 2003):
         for hi in (p * p, p * p + 1):
             yield "sp:6", max(1, hi - width), hi
+            yield f"np:{p}", max(1, hi - width), hi
 
 
 def pointwise_contains(ss, n):
@@ -349,6 +350,13 @@ def test_segment_bits_matches_pointwise_oracle_windows(name, lo, hi):
     got = {lo + int(i) for i in np.flatnonzero(bits)}
     want = {n for n in range(lo, hi) if pointwise_contains(ss, n)}
     assert got == want
+
+
+def test_admissible_primes_of_np_set_is_its_prime():
+    for p in (2, 3, 11, 2003):
+        assert SieveSet("np", p).admissible_primes(p).tolist() == [p]
+        assert SieveSet("np", p).admissible_primes(p - 1).tolist() == []
+        assert SieveSet("np", p).admissible_primes(10**9).tolist() == [p]
 
 
 def test_sieve_memory_budget():

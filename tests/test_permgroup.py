@@ -428,6 +428,74 @@ def test_shape_relabeling_invariance():
         assert shape(close(gens, 8)) == shape(G), name
 
 
+def reference_shape(G):
+    """Shape from the definitions: cyclic when some element has order |G|,
+    dihedral of order 2h when an involution b outside <r> inverts an
+    element r of order h."""
+    n = G.order
+    e = identity(G.degree)
+
+    def powers(g):
+        out = [g]
+        while out[-1] != e:
+            out.append(compose(out[-1], g))
+        return out
+
+    cyclic = {g: powers(g) for g in G.elements}
+    if any(len(c) == n for c in cyclic.values()):
+        return ("cyclic", n)
+    for r, rs in cyclic.items():
+        if 2 * len(rs) != n:
+            continue
+        for b, bs in cyclic.items():
+            if len(bs) == 2 and b not in rs and compose(compose(b, r), b) == inverse(r):
+                return ("dihedral", len(rs))
+    return ("other", 0)
+
+
+def random_involution(rng, degree):
+    pts = list(range(degree))
+    rng.shuffle(pts)
+    image = list(range(degree))
+    for a, b in zip(pts[: rng.randint(1, degree // 2) * 2 : 2], pts[1::2]):
+        image[a], image[b] = b, a
+    return tuple(image)
+
+
+def test_shape_matches_definition_on_catalog_and_quotients():
+    seen = set()
+    for name, G in CAT.items():
+        for N in normal_subgroups(G):
+            Q = quotient(G, N)
+            sh = shape(Q)
+            assert (sh.tag, sh.parameter) == reference_shape(Q), (name, N.order)
+            seen.add(sh.tag)
+    assert seen == {"cyclic", "dihedral", "other"}
+
+
+def test_shape_matches_definition_on_random_groups():
+    # each generator is a uniform permutation or an involution, so pairs
+    # of involutions bring in dihedral groups; groups over 200 are skipped
+    rng = random.Random(0)
+    seen = []
+    while len(seen) < 1000:
+        degree = rng.randint(2, 7)
+        gens = [
+            random_involution(rng, degree)
+            if rng.random() < 0.5
+            else tuple(rng.sample(range(degree), degree))
+            for _ in range(rng.randint(2, 3))
+        ]
+        try:
+            G = close(gens, degree, element_cap=200)
+        except GroupTooLargeError:
+            continue
+        sh = shape(G)
+        assert (sh.tag, sh.parameter) == reference_shape(G), gens
+        seen.append(sh.tag)
+    assert min(seen.count(tag) for tag in ("cyclic", "dihedral", "other")) >= 100
+
+
 def test_normal_sylow_quotient_examples():
     r = normal_sylow_quotient(CAT["S3"], 3)
     assert r.quotient.order == 6 and r.kernel_order == 1 and r.complement_order == 2
