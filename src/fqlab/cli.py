@@ -25,21 +25,23 @@ search budgets, including partial results kept under ``--allow-partial``;
 4 a violated internal invariant, or any failed ``verify`` row.  The
 environment variable ``FQLAB_BUDGET`` overrides the default node budget
 of the quotient searches.
+
+Each handler imports the library layers it runs, so a command loads
+only those; ``--version`` loads none.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import load_catalog, parse_catalog
 from .errors import (
     GroupTooLargeError,
     InputSyntaxError,
@@ -47,27 +49,9 @@ from .errors import (
     ResourceBudgetError,
     SearchBudgetError,
 )
-from .fpgroup import classify_density, fq_up_to, oq_up_to, parse_presentation, smooth_quotients
-from .graphs import (
-    GraphAction,
-    amalgam_census,
-    build_sw,
-    build_w,
-    cubic_census,
-    graph_from_edges,
-    graph_to_text,
-    odd_edge_core,
-    transitivity_report,
-)
-from .numtheory import density_series, factor, np_contains, parse_set_name
-from .permgroup import (
-    close,
-    is_transitive,
-    normal_sylow_quotient,
-    verify_odd_quotient,
-    verify_quasiprimitive_odd,
-    verify_restricted_quotient,
-)
+
+if TYPE_CHECKING:
+    from .graphs import GraphAction
 
 BUDGET_ERRORS = (SearchBudgetError, ResourceBudgetError, GroupTooLargeError)
 
@@ -119,6 +103,8 @@ def _table_files(args: argparse.Namespace, tables) -> dict[str, str]:
 
 
 def _digest(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -142,12 +128,16 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _run_sieve(args: argparse.Namespace) -> CommandOutput:
+    from .numtheory import density_series, parse_set_name
+
     series = density_series(parse_set_name(args.set), [args.limit])
     cp = series.checkpoints[0]
     return CommandOutput(("limit", "count", "density"), [(cp.limit, cp.count, cp.ratio)])
 
 
 def _run_density(args: argparse.Namespace) -> CommandOutput:
+    from .numtheory import density_series, parse_set_name
+
     checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
     series = density_series(parse_set_name(args.set), checkpoints)
     rows = [(cp.limit, cp.count, cp.ratio) for cp in series.checkpoints]
@@ -160,19 +150,26 @@ def _quotient_output(args: argparse.Namespace, result) -> CommandOutput:
     return CommandOutput(("order",), rows, complete=result.complete, files=files)
 
 
-def _run_fq(args: argparse.Namespace, search=fq_up_to) -> CommandOutput:
+def _run_fq(args: argparse.Namespace, search=None) -> CommandOutput:
+    """``fq``; ``oq`` passes ``oq_up_to`` as ``search``."""
+    from .fpgroup import fq_up_to, parse_presentation
+
     pres = parse_presentation(_read_text(args.presentation))
-    result = search(pres, args.max_index, allow_partial=args.allow_partial)
+    result = (search or fq_up_to)(pres, args.max_index, allow_partial=args.allow_partial)
     out = _quotient_output(args, result)
     out.inputs = [args.presentation]
     return out
 
 
 def _run_oq(args: argparse.Namespace) -> CommandOutput:
+    from .fpgroup import oq_up_to
+
     return _run_fq(args, oq_up_to)
 
 
 def _run_classify(args: argparse.Namespace) -> CommandOutput:
+    from .fpgroup import classify_density, parse_presentation
+
     pres = parse_presentation(_read_text(args.presentation))
     dc = classify_density(pres)
     density = {2: "1", 1: "1/2", 0: "0"}[dc.density_numerator]
@@ -192,6 +189,8 @@ def _run_classify(args: argparse.Namespace) -> CommandOutput:
 
 
 def _run_smooth(args: argparse.Namespace) -> CommandOutput:
+    from .fpgroup import smooth_quotients
+
     orders = tuple(_parse_int_list(args.orders, "--orders"))
     result = smooth_quotients(orders, args.max_index, allow_partial=args.allow_partial)
     return _quotient_output(args, result)
@@ -200,10 +199,14 @@ def _run_smooth(args: argparse.Namespace) -> CommandOutput:
 def _run_census(args: argparse.Namespace) -> CommandOutput:
     if (args.presentation is None) != (args.stabilizer_order is None):
         raise ValueError("--presentation and --stabilizer-order go together")
+    from .graphs import amalgam_census, cubic_census
+
     inputs = []
     if args.presentation is None:
         result = cubic_census(args.max_index, allow_partial=args.allow_partial)
     else:
+        from .fpgroup import parse_presentation
+
         pres = parse_presentation(_read_text(args.presentation))
         inputs.append(args.presentation)
         result = amalgam_census(
@@ -218,7 +221,20 @@ def _run_census(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(header, rows, complete=result.complete, files=files, inputs=inputs)
 
 
+def build_w(k: int, r: int) -> GraphAction:
+    """``graphs.build_w``, imported on first call.
+
+    ``graphs --family w`` builds through this module-level name, which
+    ``benchmark/freeze.py`` rebinds to give W(3,6) a larger element cap.
+    """
+    from .graphs import build_w
+
+    return build_w(k, r)
+
+
 def _run_graphs(args: argparse.Namespace) -> CommandOutput:
+    from .graphs import build_sw, graph_to_text, transitivity_report
+
     build = build_w if args.family == "w" else build_sw
     action = build(args.k, args.r)
     if not args.report:
@@ -240,11 +256,13 @@ def _run_graphs(args: argparse.Namespace) -> CommandOutput:
 # --- verify sweeps ---
 
 
-def _cycle_graph(n: int):
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def _graph_fixtures() -> list[tuple[str, GraphAction]]:
+    from .graphs import GraphAction, build_sw, build_w, graph_from_edges
+    from .permgroup import close
+
+    def cycle(n: int):
+        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
     star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     k4 = graph_from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     k33 = graph_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
@@ -252,8 +270,8 @@ def _graph_fixtures() -> list[tuple[str, GraphAction]]:
     ref5 = tuple(-i % 5 for i in range(5))
     rot6 = tuple((i + 1) % 6 for i in range(6))
     return [
-        ("cycle5_dihedral", GraphAction(_cycle_graph(5), close((rot5, ref5), 5))),
-        ("cycle6_rotations", GraphAction(_cycle_graph(6), close((rot6,), 6))),
+        ("cycle5_dihedral", GraphAction(cycle(5), close((rot5, ref5), 5))),
+        ("cycle6_rotations", GraphAction(cycle(6), close((rot6,), 6))),
         ("star4_leaf_swaps", GraphAction(star, close(((0, 2, 1, 3), (0, 1, 3, 2)), 4))),
         ("k4_even", GraphAction(k4, close(((1, 2, 0, 3), (1, 0, 3, 2)), 4))),
         (
@@ -276,6 +294,17 @@ ODD_CORE_FIXTURES = ("cycle5_dihedral", "k4_even", "k33_two_sided")
 
 
 def _run_verify(args: argparse.Namespace) -> CommandOutput:
+    from .catalog import load_catalog, parse_catalog
+    from .graphs import odd_edge_core, transitivity_report
+    from .numtheory import factor, np_contains
+    from .permgroup import (
+        is_transitive,
+        normal_sylow_quotient,
+        verify_odd_quotient,
+        verify_quasiprimitive_odd,
+        verify_restricted_quotient,
+    )
+
     groups = parse_catalog(_read_text(args.fixtures)) if args.fixtures else load_catalog()
     rows: list[tuple[str, str, str]] = []
 

@@ -22,9 +22,9 @@ fit under the element cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InputSyntaxError, InternalInvariantError
-from .fpgroup import CosetTable, Presentation, fq_up_to, smooth_quotients
 from .permgroup import (
     GroupShape,
     Perm,
@@ -37,6 +37,9 @@ from .permgroup import (
     stabilizer_generators,
     torsion_subgroup,
 )
+
+if TYPE_CHECKING:
+    from .fpgroup import CosetTable, Presentation
 
 
 @dataclass(frozen=True)
@@ -546,6 +549,8 @@ def cubic_census(
     three-cycle and a two-cycle; each image of order m yields a coset
     graph on m/3 vertices.
     """
+    from .fpgroup import smooth_quotients
+
     found = smooth_quotients((3, 2), max_index, allow_partial)
     for m in found.orders:
         if m % 3:
@@ -569,4 +574,6 @@ def amalgam_census(
     """
     if stabilizer_order < 1:
         raise ValueError("stabilizer order must be >= 1")
+    from .fpgroup import fq_up_to
+
     return _census(fq_up_to(pres, max_index, allow_partial), stabilizer_order, max_index)

@@ -17,11 +17,15 @@ and divisors are enumerated from those pairs, so nothing is factored
 twice.  The search tries 2 to 13 before its budget applies.
 The sieves mark whole ranges at once with numpy, imported only inside
 the sieve functions, and must agree with the pointwise tests bit for
-bit.  Primes whose square reaches past a segment are batched by
-cofactor: one numpy store marks m*p for every such prime p at a fixed
-cofactor m.  Counts are censused in fixed-size segments so large limits
-never need a full membership array in memory, and the segment
-boundaries cannot change any count.
+bit.  The prime list comes from a sieve over odd numbers only.  The
+admissible primes for a are filtered without a gcd: one pass computes
+a mod p over the whole list (in 31-bit limbs from 2**63 on), the primes
+q dividing a drop out, and each odd such q, and 4 when 4 | a, removes
+the primes that are 1 mod it.  Primes whose square reaches past a
+segment are batched by cofactor: one numpy store marks m*p for every
+such prime p at a fixed cofactor m.  Counts are censused in
+fixed-size segments so large limits never need a full membership
+array in memory, and the segment boundaries cannot change any count.
 """
 
 from __future__ import annotations
@@ -114,7 +118,15 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array."""
+    """All primes <= limit, ascending, as an int64 array.
+
+    The sieve holds odd numbers only: cell i stands for 2*i + 1, so the
+    mask is half of limit + 1 long.  Cell 0 (the number 1) is left set to
+    stand for 2, which keeps the list in one array: the mask is freed
+    once the indices of its set cells are read, and each index i then
+    becomes 2*i + 1 in place, the first becoming 2.  ``MAX_PRIME_SIEVE``
+    bounds limit + 1, as for a full-width mask.
+    """
     import numpy as np
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -122,12 +134,17 @@ def primes_up_to(limit: int) -> np.ndarray:
         raise ResourceBudgetError(f"prime sieve to {limit} exceeds the memory budget")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    del odd
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def factor(n: int) -> tuple[tuple[int, int], ...]:
@@ -278,6 +295,23 @@ def _or_large_primes(out: np.ndarray, big: np.ndarray, lo: int, hi: int) -> None
             out[big[a:b] * m - lo] = True
 
 
+def _residues(a: int, ps: np.ndarray) -> np.ndarray:
+    """a mod p for each p in ps, exactly, for any a >= 0; every p < 2**30.
+
+    From 2**63 on, a is read in 31-bit limbs by Horner's rule: a residue
+    below 2**30 times 2**31, plus a limb, stays below 2**62.
+    """
+    import numpy as np
+    if a < 2**63:
+        return a % ps
+    r = np.zeros_like(ps)
+    for shift in range(a.bit_length() // 31 * 31, -1, -31):
+        r <<= 31
+        r += (a >> shift) & (2**31 - 1)
+        r %= ps
+    return r
+
+
 @dataclass(frozen=True)
 class SieveSet:
     """A named integer set the segmented sieve knows how to enumerate.
@@ -313,9 +347,18 @@ class SieveSet:
         import numpy as np
         if self.kind == "np":
             return np.array([self.param] if self.param <= limit else [], dtype=np.int64)
+        # For a prime p, gcd(a, p) = 1 means p does not divide a, and
+        # gcd(a, p - 1) > 2 means an odd prime q | a has q | p - 1, or 4 | a
+        # and 4 | p - 1.  Such a q is below p, so it is a prime of ps.
         ps = primes_up_to(limit)
         a = self.param
-        keep = (np.gcd(ps, a) == 1) & (np.gcd(ps - 1, a) <= 2)
+        divides = _residues(a, ps) == 0
+        keep = ~divides
+        for q in ps[divides].tolist():
+            if q > 2:
+                keep &= ps % q != 1
+        if a % 4 == 0:
+            keep &= ps % 4 != 1
         return ps[keep]
 
     def segment_bits(self, lo: int, hi: int, primes: np.ndarray | None = None) -> np.ndarray:

@@ -34,7 +34,6 @@ from typing import TypeVar
 
 from .budgets import ELEMENT_CAP, NORMAL_SUBGROUP_CAP
 from .errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
-from .numtheory import np_contains, sp_contains
 
 Perm = tuple[int, ...]
 T = TypeVar("T", bound=Hashable)
@@ -540,6 +539,8 @@ def normal_sylow_quotient(group: PermGroup, p: int) -> SylowQuotientReport:
     p-coprime part K, K is normal, and G/K is a split extension of P by
     a cyclic group of order dividing p - 1.
     """
+    from .numtheory import np_contains
+
     n = group.order
     if not np_contains(n, p):
         raise ValueError(f"group order {n} is not anchored at {p}")
@@ -619,6 +620,8 @@ def verify_restricted_quotient(group: PermGroup, a: int) -> RestrictedQuotientRe
     """When the order sits in the admissible union set for a and elements
     of order dividing a generate the whole group, the quotient by the
     odd-order-dividing-a part must not be cyclic."""
+    from .numtheory import sp_contains
+
     n = group.order
     if not sp_contains(n, a):
         return RestrictedQuotientReport(n, a, "hypotheses fail")

@@ -9,7 +9,7 @@ import functools
 import math
 import time
 
-import fqlab.cli as cli
+import fqlab.numtheory as numtheory
 from fqlab.catalog import load_catalog
 from fqlab.cli import dispatch
 from fqlab.fpgroup import (
@@ -285,7 +285,7 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
     assert dispatch(argv) == 0
     whole = capsys.readouterr().out
     small = functools.partial(density_series, segment_size=4099)
-    monkeypatch.setattr(cli, "density_series", small)
+    monkeypatch.setattr(numtheory, "density_series", small)
     assert dispatch(argv) == 0
     assert capsys.readouterr().out == whole
     passed("repeated runs, in one segment or many, emit byte-identical output")

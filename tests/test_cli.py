@@ -15,12 +15,14 @@ import pytest
 
 import fqlab.cli as cli
 import fqlab.fpgroup.classify as classify
+import fqlab.graphs as graphs
+import fqlab.numtheory as numtheory
 import fqlab.permgroup as permgroup
 from fqlab.catalog import load_catalog, serialize_catalog
 from fqlab.cli import dispatch
 from fqlab.errors import InternalInvariantError
 from fqlab.fpgroup import CosetTable, schreier_data
-from fqlab.numtheory import SieveSet, density_series, ratio_string
+from fqlab.numtheory import SieveSet, density_series, ratio_string, sp_contains
 from fqlab.permgroup import close
 
 Z_PRES = "gens: x\n"
@@ -61,8 +63,20 @@ def test_density_segments_are_byte_identical(capsys, monkeypatch):
     assert [r[0] for r in rows] == ["100", "1000", "5000"]
     for segment_size in (7, 100, 1024):
         small = functools.partial(density_series, segment_size=segment_size)
-        monkeypatch.setattr(cli, "density_series", small)
+        monkeypatch.setattr(numtheory, "density_series", small)
         assert run(capsys, argv) == (0, whole), segment_size
+
+
+def test_density_of_sp_set_with_modulus_above_int64(capsys):
+    def density(a):
+        return run(capsys, ["density", "--set", f"sp:{a}", "--checkpoints", "100,1000"])
+
+    rc, out = density(2**64)
+    assert rc == 0
+    counts = {c: sum(sp_contains(n, 2**64) for n in range(1, c + 1)) for c in (100, 1000)}
+    assert rows_of(out)[1] == [[str(c), str(k), ratio_string(k, c)] for c, k in counts.items()]
+    # 2**89 - 1 is prime and above every limit here, so it excludes no prime
+    assert density(2**89 - 1) == density(1)
 
 
 def test_fq_lists_orders(capsys, tmp_path):
@@ -240,7 +254,7 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     class Failing:
         passed = False
 
-    monkeypatch.setattr(cli, "verify_odd_quotient", lambda group: Failing())
+    monkeypatch.setattr(permgroup, "verify_odd_quotient", lambda group: Failing())
     rc, out = run(capsys, ["verify"])
     assert rc == 4
     _, rows = rows_of(out)
@@ -425,7 +439,7 @@ def test_internal_invariant_exits_4(capsys, monkeypatch):
     def boom(*a, **k):
         raise InternalInvariantError("forced")
 
-    monkeypatch.setattr(cli, "cubic_census", boom)
+    monkeypatch.setattr(graphs, "cubic_census", boom)
     rc, out = run(capsys, ["census", "--max-index", "12"])
     assert rc == 4
     assert out == ""
@@ -487,43 +501,52 @@ def test_repeated_runs_byte_identical(capsys):
     assert first == second
 
 
-# Runs each argv list through fqlab.cli.main in one fresh interpreter and
-# prints, per command, its exit code and whether numpy is loaded after it.
+# Runs one argv list through fqlab.cli.main in a fresh interpreter and
+# prints its exit code, whether numpy is loaded and the fqlab modules loaded.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from fqlab.cli import main
-report = []
-for argv in json.loads(sys.argv[1]):
-    sys.argv = ["fqlab", *argv]
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            main()
-        except SystemExit as exc:
-            code = exc.code
-    report.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps(report))
+sys.argv = ["fqlab", *json.loads(sys.argv[1])]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+modules = sorted(name for name in sys.modules if name.split(".")[0] == "fqlab")
+print(json.dumps([code, "numpy" in sys.modules, modules]))
 """
 
+FRONT = {"fqlab", "fqlab.cli", "fqlab.errors"}
+PERMGROUP = {"fqlab.budgets", "fqlab.permgroup"}
+FPGROUP = PERMGROUP | {"fqlab.fpgroup"} | {
+    f"fqlab.fpgroup.{m}"
+    for m in ("classify", "coset", "lowindex", "presentation", "quotients", "snf")
+}
+GRAPHS = PERMGROUP | {"fqlab.graphs"}
+NUMTHEORY = {"fqlab.budgets", "fqlab.numtheory"}
 
-def test_only_sieve_commands_import_numpy(tmp_path):
-    # pytest itself has loaded numpy, so the check needs a fresh process
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    # pytest itself has loaded every layer and numpy, so each command
+    # runs in a fresh process
     path = pres_file(tmp_path, MOD_PRES)
     commands = [
-        ["--version"],
-        ["verify"],
-        ["census", "--max-index", "12"],
-        ["fq", "--presentation", path, "--max-index", "24"],
-        ["classify", "--presentation", path],
-        ["graphs", "--family", "w", "--k", "3", "--r", "5", "--report"],
-        ["density", "--set", "sp:6", "--checkpoints", "1000"],
+        (["--version"], set()),
+        (["density", "--set", "sp:6", "--checkpoints", "1000"], NUMTHEORY),
+        (["classify", "--presentation", path], FPGROUP),
+        (["fq", "--presentation", path, "--max-index", "24"], FPGROUP),
+        (["census", "--max-index", "12"], GRAPHS | FPGROUP),
+        (["graphs", "--family", "w", "--k", "3", "--r", "5", "--report"], GRAPHS),
+        (["verify"], GRAPHS | NUMTHEORY | {"fqlab.catalog"}),
     ]
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        check=True,
-    )
-    want = [[argv[0], 0, argv[0] == "density"] for argv in commands]
-    assert json.loads(done.stdout) == want
+    for argv, layers in commands:
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True,
+        )
+        want = [0, argv[0] == "density", sorted(FRONT | layers)]
+        assert json.loads(done.stdout) == want, argv

@@ -60,9 +60,10 @@ def test_primes_up_to_small():
 
 
 def test_primes_up_to_against_oracle():
-    got = set(primes_up_to(500))
-    want = {n for n in range(2, 501) if oracle_is_prime(n)}
-    assert got == want
+    for limit in (*range(401), 500):
+        got = primes_up_to(limit)
+        assert got.dtype == np.int64, limit
+        assert got.tolist() == [n for n in range(limit + 1) if oracle_is_prime(n)], limit
 
 
 def test_primes_up_to_million_count():
@@ -71,6 +72,29 @@ def test_primes_up_to_million_count():
 
 def test_primes_up_to_dtype():
     assert primes_up_to(10**5).dtype == np.int64
+
+
+# a divisor filter that tests only small factors of a, or reads a as a
+# fixed-width integer, fails on one of these
+LARGE_MODULI = (
+    2**31 - 1,
+    2**62,
+    2**63 - 1,
+    2**63,
+    2**64,
+    3 * 2**64,
+    2**89 - 1,
+    math.factorial(59),
+)
+
+
+def test_admissible_primes_match_pointwise_filter():
+    for limit in (0, 1, 2, 3, 1000, 5000):
+        primes = primes_up_to(limit).tolist()
+        for a in (*range(1, 401), *LARGE_MODULI):
+            got = SieveSet("sp", a).admissible_primes(limit)
+            assert got.dtype == np.int64, (a, limit)
+            assert got.tolist() == [p for p in primes if pp_contains(p, a)], (a, limit)
 
 
 def test_is_prime_matches_oracle():
