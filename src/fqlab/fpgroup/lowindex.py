@@ -4,12 +4,12 @@ The search builds a partial coset table column-pair by column-pair,
 propagating forced entries and backtracking on contradiction.  New
 cosets are numbered in order of first use at the row-major first hole,
 so every completed table comes out standardized: each subgroup is
-reached along exactly one search path.  Pruning uses a left-
-multiplication table that must extend to a consistent quotient
-multiplication; completed tables still get an independent certificate
-check and an asserted regularity check, so pruning only ever cuts the
-tree.  Pending branches sit on an explicit stack, so search depth is
-bounded by memory, not by the interpreter's recursion limit.
+reached along exactly one search path.  Pruning uses left
+multiplication by each generator, which must commute with the coset
+action; completed tables still get an independent certificate check and
+an asserted regularity check, so pruning only ever cuts the tree.
+Pending branches sit on an explicit stack, so search depth is bounded
+by memory, not by the interpreter's recursion limit.
 
 Relator deduction is incremental, as in HLT deduction processing (Sims,
 *Computation with Finitely Presented Groups*, ch. 5): every rotation of
@@ -37,37 +37,33 @@ from .presentation import Presentation
 def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[CosetTable]:
     """Every normal subgroup of bounded index, each exactly once.
 
-    The action on cosets of a normal subgroup is the regular action of
-    the quotient, so alongside the coset table T the search keeps the
-    quotient's left-multiplication table L, with L[a][b] the product of
-    cosets a and b.  Writing T[b][c] for the right action of column c,
-    associativity of a * (b * letter(c)) gives two closure rules:
+    A subgroup is normal exactly when left multiplication by each
+    generator x_i is a well-defined permutation of the cosets that
+    commutes with the right action.  So beside the coset table T, with
+    T[b][c] the right action of column c, the search keeps one row per
+    generator, L[i][b] = x_i b, seeded from row 0 of T: T[0][2i] = d
+    gives L[i][0] = d, and T[0][2i + 1] = d gives L[i][d] = 0.  Since
+    x_i (b c) = (x_i b) c and L[i] is a bijection, in every quotient:
 
-      L[a][b] = g, T[b][c] = d, T[g][c] = e   forces  L[a][d] = e
-      L[a][b] = g, T[b][c] = d, L[a][d] = e   forces  T[g][c] = e
+      L[i][b] = g, T[b][c] = d, T[g][c] = e   forces  L[i][d] = e
+      L[i][b] = g, T[b][c] = d, L[i][d] = e   forces  T[g][c] = e
+      L[i][b] = g, L[i][d] = e, T[g][c] = e   forces  T[b][c] = d
 
-    and since each L[a] is a bijection, knowing L[a][b] = g and the
-    product L[a][d] = e of the yet-unknown d = T[b][c] pins d down.
-    Contradictions prune the branch.
-
-    Propagation fires the cheap rules first: relator scans, then rules
-    from new T entries, then from new L entries.  Every rule is monotone
-    and the scans and both rules above fire from each of their premises,
-    so their closure is one fixpoint, or a contradiction, in any order.
-    The bijection rule fires from its L premises only: an instance whose
-    T premise comes last stays open until T[b][c] is set otherwise, when
-    any value but d contradicts at once.  Scans first set such premises
-    before the L rules read them.
+    Contradictions prune the branch.  Propagation fires the cheap rules
+    first: relator scans, then rules from new T entries, then from new L
+    entries.  Every rule is monotone and fires from each of its
+    premises, so their closure is one fixpoint, or a contradiction, in
+    any order.
 
     Every completed table is regular.  At completion propagation is at
-    a fixpoint, T is complete and connected, and L[a][0] = a; the first
-    rule, fired from either premise, extends L[a] along every edge of T,
-    so each L[a] is a bijection that commutes with every column and
-    sends 0 to a.  The image's centralizer is thus transitive, and a
-    transitive group with a transitive centralizer is regular.
-    ``complete`` asserts this, raising InternalInvariantError.  The
-    standardized table of a regular action looks the same from every
-    base coset, so each kernel is reached exactly once.
+    a fixpoint and T is complete and connected; the first rule extends
+    each L[i] from its seed along every edge of T, so each L[i] is a
+    bijection that commutes with every column and sends 0 to T[0][2i].
+    Their group moves 0 to every coset, so the image's centralizer is
+    transitive, and a transitive group with a transitive centralizer is
+    regular.  ``complete`` asserts this, raising InternalInvariantError.
+    The standardized table of a regular action looks the same from
+    every base coset, so each kernel is reached exactly once.
 
     Tables come back sorted by (index, flat table).  When the node
     budget runs out, the SearchBudgetError carries the tables completed
@@ -83,8 +79,8 @@ def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[Coset
         rotations[rot[0]].append(rot)
     # rows up to the capacity len(table), of which the first n are live
     table: list[list[int | None]] = []
-    lam: list[list[int | None]] = []
-    lam_inv: list[list[int | None]] = []
+    lam: list[list[int | None]] = [[] for _ in range(pres.n_gens)]
+    lam_inv: list[list[int | None]] = [[] for _ in range(pres.n_gens)]
     trail: list[tuple[int, int]] = []
     ltrail: list[tuple[int, int]] = []
     n = peak = 0
@@ -146,21 +142,20 @@ def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[Coset
 
     def add_coset() -> bool:
         nonlocal n, peak
-        g = n
-        if g == len(table):
-            cap = min(2 * g or 1, max_index)
+        if n == len(table):
+            cap = min(2 * n or 1, max_index)
             for row in lam + lam_inv:
-                row.extend([None] * (cap - g))
-            for rows, width in ((table, n_cols), (lam, cap), (lam_inv, cap)):
-                rows.extend([None] * width for _ in range(cap - g))
-        n = g + 1
+                row.extend([None] * (cap - n))
+            table.extend([None] * n_cols for _ in range(cap - n))
+        n += 1
         peak = max(peak, n)
-        # products with the identity coset, then each relator once
-        return set_lam(g, 0, g) and set_lam(0, g, g) and all(scan_relator(g, r) for r in rel_cols)
+        return all(scan_relator(n - 1, r) for r in rel_cols)
 
     def fire_t(b: int, c: int, d: int) -> bool:
-        # new action entry T[b][c] = d, in both premise roles
-        for a, row, inv in zip(range(n), lam, lam_inv):
+        # new action entry T[b][c] = d: row 0 seeds L, then both roles
+        if b == 0 and not (set_lam(c >> 1, d, 0) if c & 1 else set_lam(c >> 1, 0, d)):
+            return False
+        for a, (row, inv) in enumerate(zip(lam, lam_inv)):
             g = row[b]
             if g is not None:
                 e = table[g][c]
@@ -171,13 +166,17 @@ def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[Coset
                     e = row[d]
                     if e is not None and not set_entry(g, c, e):
                         return False
-            # same entry in the T[g][c] = e role: here g := b, e := d;
-            # only its L half, as its T half pruned no measured search
+            # the entry as T[g][c] = e: here g := b, e := d
             bb = inv[b]
             if bb is not None:
                 dd = table[bb][c]
-                if dd is not None and row[dd] != d and not set_lam(a, dd, d):
-                    return False
+                if dd is not None:
+                    if row[dd] != d and not set_lam(a, dd, d):
+                        return False
+                else:
+                    dd = inv[d]
+                    if dd is not None and not set_entry(bb, c, dd):
+                        return False
         return True
 
     def fire_l(a: int, b: int) -> bool:
@@ -241,8 +240,8 @@ def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[Coset
         del ltrail[lmark:]
         n = n_keep
 
-    def first_hole() -> tuple[int, int] | None:
-        return next(((a, row.index(None)) for a, row in zip(range(n), table) if None in row), None)
+    def first_hole(start: int) -> tuple[int, int] | None:
+        return next(((a, table[a].index(None)) for a in range(start, n) if None in table[a]), None)
 
     def complete() -> None:
         t = CosetTable(pres, [list(row) for row in table[:n]])
@@ -253,7 +252,7 @@ def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[Coset
         found.append(t)
 
     def search() -> None:
-        nodes = 0
+        nodes = a = 0
         # branches (a, c, b, marks of the node they leave from); trying
         # them in pop order visits the tree depth-first, candidates in
         # increasing b with the grow branch b = n last
@@ -267,7 +266,8 @@ def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[Coset
                         f"search exceeded the {budget} node budget after "
                         f"{len(found)} tables, at most {peak} live cosets"
                     )
-                hole = first_hole()
+                # along a path holes only move forward, so start at row a
+                hole = first_hole(a)
                 if hole is None:
                     complete()
                 else:

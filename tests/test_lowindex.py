@@ -277,13 +277,13 @@ def test_node_budget_raises_with_partial(monkeypatch):
     # the search trees themselves, fixed by the propagation closure: it
     # must raise one node short of each size and complete at exactly it
     for text, max_index, nodes in [
-        ("gens: a b\nrels: a^2, b^3\n", 72, 237),
-        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 337),
+        ("gens: a b\nrels: a^2, b^3\n", 72, 256),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 355),
         ("gens: x y\nrels:\n", 10, 285),
-        ("gens: a b\nrels: a^3, b^2\n", 120, 737),
+        ("gens: a b\nrels: a^3, b^2\n", 120, 936),
         ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 81, 153),
-        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 87),
-        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 190),
+        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 90),
+        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193),
         ("gens: x y\nrels:\n", 8, 163),
         ("gens: a b\nrels: a b a^-1 b^-1\n", 20, 971),
     ]:
@@ -298,6 +298,26 @@ def test_node_budget_raises_with_partial(monkeypatch):
         assert [t.flat() for t in at_budget] == full_q, text
 
 
+def test_node_count_does_not_depend_on_relator_order(monkeypatch):
+    # every rule fires from every premise, so each node's closure, and
+    # with it the search tree, is the same in any firing order
+    for text, max_index, nodes in [
+        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 90),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 355),
+        ("gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n", 32, 604),
+        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193),
+    ]:
+        p = parse_presentation(text)
+        for rels in itertools.permutations(p.relators):
+            for k in (0, 1):
+                q = Presentation(p.generator_names, tuple(r[k:] + r[:k] for r in rels))
+                monkeypatch.setenv("FQLAB_BUDGET", str(nodes - 1))
+                with pytest.raises(SearchBudgetError):
+                    low_index_normal_subgroups(q, max_index)
+                monkeypatch.setenv("FQLAB_BUDGET", str(nodes))
+                low_index_normal_subgroups(q, max_index)
+
+
 def test_search_memory_follows_live_cosets_not_max_index():
     # Z/5 never has more than 5 live cosets; preallocating one table
     # row per possible coset would take tens of megabytes here
@@ -310,6 +330,20 @@ def test_search_memory_follows_live_cosets_not_max_index():
         tracemalloc.stop()
     assert [t.n_cosets for t in tables] == [1, 5]
     assert peak < 1_000_000
+
+
+def test_search_memory_follows_generators_not_cosets():
+    # left multiplication is kept for the generators only; a row per
+    # live coset would be 400 x 400 entries here, about 8 MB
+    p = parse_presentation("gens: a b\nrels: a^2, b^3, (a b)^7\n")
+    tracemalloc.start()
+    try:
+        tables = low_index_normal_subgroups(p, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.n_cosets for t in tables] == [1, 168]
+    assert peak < 2_000_000
 
 
 def test_search_depth_needs_no_raised_recursion_limit(monkeypatch):
@@ -336,17 +370,20 @@ def test_search_depth_needs_no_raised_recursion_limit(monkeypatch):
 def test_normal_search_matches_filtered_oracle_on_random_presentations():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    words = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6)
-    relators = st.lists(words.map(free_reduce).filter(bool).map(tuple), max_size=3)
+    for names, max_index, examples in [(("a", "b"), 6, 40), (("a", "b", "c"), 4, 20)]:
+        letters = [s * (i + 1) for i in range(len(names)) for s in (1, -1)]
+        words = st.lists(st.sampled_from(letters), min_size=1, max_size=6)
+        relators = st.lists(words.map(free_reduce).filter(bool).map(tuple), max_size=3)
 
-    @hypothesis.settings(derandomize=True, deadline=None, max_examples=40, database=None)
-    @hypothesis.given(relators)
-    def check(rels):
-        p = Presentation(("a", "b"), tuple(rels))
-        regular = {t.flat() for t in low_index_subgroups(p, 6) if t.image_group().order == t.n_cosets}
-        assert {t.flat() for t in low_index_normal_subgroups(p, 6)} == regular
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=examples, database=None)
+        @hypothesis.given(relators)
+        def check(rels):
+            p = Presentation(names, tuple(rels))
+            allsubs = low_index_subgroups(p, max_index)
+            regular = {t.flat() for t in allsubs if t.image_group().order == t.n_cosets}
+            assert {t.flat() for t in low_index_normal_subgroups(p, max_index)} == regular
 
-    check()
+        check()
 
 
 def test_rejects_bad_max_index():
