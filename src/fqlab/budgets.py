@@ -8,7 +8,7 @@ prime sieve mask) are fixed per call site instead.
 import os
 
 SEGMENT_SIZE = 1 << 22          # integers per sieve segment
-MAX_PRIME_SIEVE = 1 << 30       # largest bool mask primes_up_to allocates
+MAX_PRIME_SIEVE = 1 << 30       # prime masks cover numbers below this: 512 MiB of odd cells
 ELEMENT_CAP = 100_000           # exhaustive closure cap
 NORMAL_SUBGROUP_CAP = 2_000     # group order cap for normal-subgroup listing
 SEARCH_NODES = 5_000_000        # low-index backtracking budget

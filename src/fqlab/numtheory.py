@@ -8,37 +8,61 @@ Two families of integer sets drive everything here:
   where p is admissible when gcd(a, p) = 1 and gcd(a, p - 1) <= 2.
 
 Every sieved set but ``all`` is the union of the anchored sets of the
-primes that ``SieveSet.admissible_primes`` lists.
+primes that ``SieveSet.admissible_primes`` lists.  The module needs the
+standard library alone.
 
 The pointwise half (``is_prime``, ``factor``, ``np_contains``,
-``sp_contains``) is stdlib-only.  One trial-division search finds least
-prime factors; ``factor`` divides them out into (prime, exponent) pairs,
-and divisors are enumerated from those pairs, so nothing is factored
-twice.  The search tries 2 to 13 before its budget applies.
-The sieves mark whole ranges at once with numpy, imported only inside
-the sieve functions, and must agree with the pointwise tests bit for
-bit.  The prime list comes from a sieve over odd numbers only.  The
-admissible primes for a are filtered without a gcd: one pass computes
-a mod p over the whole list (in 31-bit limbs from 2**63 on), the primes
-q dividing a drop out, and each odd such q, and 4 when 4 | a, removes
-the primes that are 1 mod it.  Primes whose square reaches past a
-segment are batched by cofactor: one numpy store marks m*p for every
-such prime p at a fixed cofactor m.  Counts are censused in
-fixed-size segments so large limits never need a full membership
-array in memory, and the segment boundaries cannot change any count.
+``sp_contains``) tests one integer at a time.  One trial-division
+search finds least prime factors; ``factor`` divides them out into
+(prime, exponent) pairs, and divisors are enumerated from those pairs,
+so nothing is factored twice.  The search tries 2 to 13 before its
+budget applies.
+
+The sieves mark whole ranges at once on bytearrays, one byte of 0 or 1
+per integer, and must agree with the pointwise tests bit for bit.
+
+* **Admissible primes** are one odd-only mask: cell i stands for
+  2i + 1, except cell 0, which stands for 2.  For ``sp:a``,
+  Eratosthenes builds the mask of all primes up to the limit with
+  strided slice stores.  The primes q | a are found by dividing a by
+  the mask's primes until the cofactor is 1 or below q*q.  Each such q
+  clears its own cell, and an odd q also clears every cell i > 0 with
+  q | i, because 2i + 1 = 1 (mod q) exactly when q | i.  When 4 | a the
+  even cells go too, because 2i + 1 = 1 (mod 4) exactly when i is
+  even.  For ``np:p`` the mask holds p's cell alone.
+* **Primes above cut = isqrt(hi - 1)** have every multiple below hi in
+  their anchored sets.  They go first, into the zeroed segment
+  [lo, hi), by cofactor m ascending: one strided store
+  ``out[m*x - lo :: 2m] = mask[cells of x]`` covers every odd x > cut
+  in range, prime or not.  A plain store, not an OR, is safe.  Let a
+  prime x* > cut divide n.  If a writer m of cell n had the factor x*,
+  both m and n/m would exceed cut and n >= (cut + 1)**2 > hi - 1; so
+  every writer has n/m = k*x* with k >= 1, hence m <= n/x*.  The last
+  write to n therefore comes from the cofactor n/x* and carries x*'s
+  own cell, which is n's membership through x*.  A cell with no prime
+  factor above the cut is written only from composite cells, zeros.
+* **Primes at or below the cut** each sieve their anchored set over the
+  cofactor window (``_mark_np_window``) and OR it into the segment, or
+  store it plainly when nothing has been written there yet.
+
+Counts are censused in fixed-size segments, so large limits never need
+a full membership array in memory, and the segment boundaries cannot
+change any count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import compress
 
 from .budgets import MAX_PRIME_SIEVE, SEGMENT_SIZE
 from .errors import ResourceBudgetError
 
-if TYPE_CHECKING:
-    import numpy as np
+# Cells of a segment that one pass of cofactor stores covers.  A 1 MB run
+# fits a 2 MB L2 cache; across a whole 4 MB segment, byte stores 256
+# apart cost about four times as much.
+_STORE_RUN = 1 << 20
 
 # Trial-division budget: past 2 to 13, the divisor search raises when isqrt
 # of the number it searches exceeds this.  No earlier call changes the rule.
@@ -115,36 +139,6 @@ def _least_prime_factor(m: int) -> int:
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division up to isqrt(n)."""
     return n >= 2 and _least_prime_factor(n) == n
-
-
-def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array.
-
-    The sieve holds odd numbers only: cell i stands for 2*i + 1, so the
-    mask is half of limit + 1 long.  Cell 0 (the number 1) is left set to
-    stand for 2, which keeps the list in one array: the mask is freed
-    once the indices of its set cells are read, and each index i then
-    becomes 2*i + 1 in place, the first becoming 2.  ``MAX_PRIME_SIEVE``
-    bounds limit + 1, as for a full-width mask.
-    """
-    import numpy as np
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    if limit + 1 > MAX_PRIME_SIEVE:
-        raise ResourceBudgetError(f"prime sieve to {limit} exceeds the memory budget")
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    odd = np.ones((limit + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-    del odd
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    return primes
 
 
 def factor(n: int) -> tuple[tuple[int, int], ...]:
@@ -230,7 +224,21 @@ def sp_contains(n: int, a: int) -> bool:
     return False
 
 
-def _mark_np_window(good: np.ndarray, p: int, mlo: int, mhi: int) -> None:
+def _odd_cells(limit: int) -> int:
+    """Cells of an odd-only mask of the numbers up to limit, under the
+    prime-sieve memory budget: cell i stands for 2i + 1, cell 0 for 2."""
+    if limit + 1 > MAX_PRIME_SIEVE:
+        raise ResourceBudgetError(f"prime sieve to {limit} exceeds the memory budget")
+    return (limit + 1) // 2 if limit >= 2 else 0
+
+
+def _clear(buf: bytearray, start: int, step: int, zeros: memoryview) -> None:
+    """Zero buf[start::step]; zeros is an all-zero buffer at least that long."""
+    if start < len(buf):
+        buf[start::step] = zeros[: (len(buf) - 1 - start) // step + 1]
+
+
+def _mark_np_window(good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryview) -> None:
     """Clear, in the cofactor window m in [mlo, mhi), every m that fails.
 
     A surviving m means p*m belongs to the anchored set of p.  Cleared are
@@ -242,74 +250,43 @@ def _mark_np_window(good: np.ndarray, p: int, mlo: int, mhi: int) -> None:
     k*p.  Any split clears the same cells; this one costs about
     2*sqrt(mhi/p) strided stores, whatever the window width.
     """
-    first = ((mlo + p - 1) // p) * p
-    if first < mhi:
-        good[first - mlo :: p] = False
+    _clear(good, ((mlo + p - 1) // p) * p - mlo, p, zeros)
     first = mlo + ((1 - mlo) % p)
     if first == 1:
         first += p
-    if first < mhi:
-        good[first - mlo :: p] = False
+    _clear(good, first - mlo, p, zeros)
     split = max(math.isqrt(p * mhi), p)
     for d in range(p + 1, min(split, (mhi - 1) // 2) + 1, p):
-        start = max(2 * d, ((mlo + d - 1) // d) * d)
-        if start < mhi:
-            good[start - mlo :: d] = False
+        _clear(good, max(2 * d, ((mlo + d - 1) // d) * d) - mlo, d, zeros)
     for k in range(2, (mhi - 1) // (split + 1) + 1):
         dmin = max(split + 1, (mlo + k - 1) // k)
         dmin += (1 - dmin) % p
-        start = k * dmin
-        if start < mhi:
-            good[start - mlo :: k * p] = False
+        _clear(good, k * dmin - mlo, k * p, zeros)
 
 
-def _or_np_segment(out: np.ndarray, p: int, lo: int, hi: int) -> None:
-    """OR membership bits of p's anchored set for n in [lo, hi) into out; p*p < hi."""
-    import numpy as np
-    mlo = max(1, (lo + p - 1) // p)
-    mhi = (hi + p - 1) // p
-    if mlo >= mhi:
-        return
-    good = np.ones(mhi - mlo, dtype=bool)
-    _mark_np_window(good, p, mlo, mhi)
-    out[mlo * p - lo :: p] |= good
+def _store_large_primes(out: bytearray, mask: bytearray, big: int, lo: int, hi: int) -> None:
+    """Write, for n in [lo, hi), the membership through mask's primes x >= 2*big + 1.
 
-
-def _or_large_primes(out: np.ndarray, big: np.ndarray, lo: int, hi: int) -> None:
-    """OR in every multiple m*p in [lo, hi) of the ascending primes in big.
-
-    Every p in big lies above isqrt(hi - 1), so each of its multiples
-    below hi has cofactor m < p and is a member of p's anchored set.
-    Batching by m turns one store per prime into one store per cofactor:
-    the primes with m*p in [lo, hi) are those in [ceil(lo/m), ceil(hi/m)),
-    and no m below ceil(lo/max(big)) reaches lo.
+    Every such x lies above isqrt(hi - 1), so each of its multiples m*x
+    below hi is a member of x's anchored set.  For each cofactor m,
+    ascending, one store copies the mask cells of the odd x with m*x in
+    a run of out to every 2m-th cell of the run; the module docstring
+    shows why the last store to a cell is the right one.
     """
-    import numpy as np
-    if big.size == 0:
+    top = min(len(mask), hi // 2)
+    first = mask.find(1, big, top)
+    if first < 0:
         return
-    ms = np.arange(-(-lo // int(big[-1])), (hi - 1) // int(big[0]) + 1)
-    starts = np.searchsorted(big, -(-lo // ms))
-    ends = np.searchsorted(big, -(-hi // ms))
-    for m, a, b in zip(ms.tolist(), starts.tolist(), ends.tolist()):
-        if a < b:
-            out[big[a:b] * m - lo] = True
-
-
-def _residues(a: int, ps: np.ndarray) -> np.ndarray:
-    """a mod p for each p in ps, exactly, for any a >= 0; every p < 2**30.
-
-    From 2**63 on, a is read in 31-bit limbs by Horner's rule: a residue
-    below 2**30 times 2**31, plus a limb, stays below 2**62.
-    """
-    import numpy as np
-    if a < 2**63:
-        return a % ps
-    r = np.zeros_like(ps)
-    for shift in range(a.bit_length() // 31 * 31, -1, -31):
-        r <<= 31
-        r += (a >> shift) & (2**31 - 1)
-        r %= ps
-    return r
+    last = mask.rfind(1, first, top)
+    cells = memoryview(mask)
+    for run in range(lo, hi, _STORE_RUN):
+        end = min(run + _STORE_RUN, hi)
+        for m in range(-(-run // (2 * last + 1)), (end - 1) // (2 * first + 1) + 1):
+            i0 = max(first, -(-run // m) // 2)
+            i1 = min(last + 1, -(-end // m) // 2)
+            if i0 < i1:
+                start = m * (2 * i0 + 1) - lo
+                out[start : start + 2 * m * (i1 - i0 - 1) + 1 : 2 * m] = cells[i0:i1]
 
 
 @dataclass(frozen=True)
@@ -341,49 +318,86 @@ class SieveSet:
     def name(self) -> str:
         return "all" if self.kind == "all" else f"{self.kind}:{self.param}"
 
-    def admissible_primes(self, limit: int) -> np.ndarray:
-        """Ascending primes up to limit whose anchored sets make up the set:
-        ``[p]`` for ``np:p`` (empty when p > limit), the admissible ones for ``sp:a``."""
-        import numpy as np
+    def admissible_primes(self, limit: int) -> bytearray:
+        """The primes up to limit whose anchored sets make up the set, as an
+        odd-only mask: cell i is 1 when 2i + 1 is one of them, cell 0 when 2
+        is.  ``sp:a`` has the admissible primes for a.  ``np:p`` has p's cell
+        alone, in a mask reaching p and under the same memory budget (no
+        cells when p > limit)."""
         if self.kind == "np":
-            return np.array([self.param] if self.param <= limit else [], dtype=np.int64)
+            p = self.param
+            mask = bytearray(_odd_cells(p) if p <= limit else 0)
+            if mask:
+                mask[(p - 1) // 2] = 1
+            return mask
+        n = _odd_cells(limit)
+        mask = bytearray(b"\x01") * n
+        zeros = memoryview(bytes(n // 2 + 1))
+        for i in range(1, (math.isqrt(limit) + 1) // 2):
+            if mask[i]:
+                p = 2 * i + 1
+                _clear(mask, p * p // 2, p, zeros)
         # For a prime p, gcd(a, p) = 1 means p does not divide a, and
         # gcd(a, p - 1) > 2 means an odd prime q | a has q | p - 1, or 4 | a
-        # and 4 | p - 1.  Such a q is below p, so it is a prime of ps.
-        ps = primes_up_to(limit)
+        # and 4 | p - 1.  Such a q is below p, so it is a prime of the mask.
+        # The odd q | a are all listed, by dividing them out of the odd
+        # part of a, before any cell is cleared.
         a = self.param
-        divides = _residues(a, ps) == 0
-        keep = ~divides
-        for q in ps[divides].tolist():
-            if q > 2:
-                keep &= ps % q != 1
-        if a % 4 == 0:
-            keep &= ps % 4 != 1
-        return ps[keep]
+        rest = a // (a & -a)
+        odd_divisors = []
+        for q in compress(range(3, 2 * n, 2), memoryview(mask)[1:]):
+            if q * q > rest:
+                break
+            if rest % q == 0:
+                odd_divisors.append(q)
+                while rest % q == 0:
+                    rest //= q
+        if 1 < rest < 2 * n:
+            odd_divisors.append(rest)
+        if n and a % 2 == 0:
+            mask[0] = 0
+            if a % 4 == 0:
+                _clear(mask, 2, 2, zeros)
+        for q in odd_divisors:
+            mask[q // 2] = 0
+            _clear(mask, q, q, zeros)
+        return mask
 
-    def segment_bits(self, lo: int, hi: int, primes: np.ndarray | None = None) -> np.ndarray:
-        """Membership bits for n in [lo, hi); lo >= 1.
+    def segment_bits(self, lo: int, hi: int, primes: bytearray | None = None) -> bytearray:
+        """Membership bytes, 0 or 1, for n in [lo, hi); lo >= 1.
 
-        ``primes`` defaults to ``admissible_primes(hi - 1)``.  They take
-        one of two paths, split at isqrt(hi - 1).  Each prime at or below
-        the cut sieves its own anchored set over the cofactor window.
-        The primes above it have p*p >= hi, so all their multiples below
-        hi are members; those are marked by cofactor m, one store per m
-        for all such primes at once.
+        ``primes`` is a mask from ``admissible_primes`` of any limit at
+        least hi - 1, by default ``admissible_primes(hi - 1)``.  The primes
+        above isqrt(hi - 1) are stored first, by cofactor; each prime at
+        or below it then sieves its own anchored set over the cofactor
+        window and ORs it in.
         """
-        import numpy as np
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
-        out = np.zeros(hi - lo, dtype=bool)
         if self.kind == "all":
-            out[:] = True
-            return out
+            return bytearray(b"\x01") * (hi - lo)
         if primes is None:
             primes = self.admissible_primes(hi - 1)
-        cut = int(np.searchsorted(primes, math.isqrt(hi - 1), side="right"))
-        for p in primes[:cut].tolist():
-            _or_np_segment(out, p, lo, hi)
-        _or_large_primes(out, primes[cut : np.searchsorted(primes, hi)], lo, hi)
+        out = bytearray(hi - lo)
+        big = (math.isqrt(hi - 1) + 1) // 2
+        _store_large_primes(out, primes, big, lo, hi)
+        plain = 1 not in out
+        zeros = memoryview(bytes((hi - lo) // 2 + 1))
+        for i in compress(range(big), primes):
+            p = 2 * i + 1 if i else 2
+            mlo = max(1, (lo + p - 1) // p)
+            mhi = (hi + p - 1) // p
+            if mlo >= mhi:
+                continue
+            good = bytearray(b"\x01") * (mhi - mlo)
+            _mark_np_window(good, p, mlo, mhi, zeros)
+            start = mlo * p - lo
+            if plain:
+                out[start::p] = good
+                plain = False
+            else:
+                merged = int.from_bytes(out[start::p], "little") | int.from_bytes(good, "little")
+                out[start::p] = merged.to_bytes(len(good), "little")
         return out
 
 
@@ -405,9 +419,9 @@ def density_series(
     """Count set members at each checkpoint limit.
 
     Segments are censused independently and merged in ascending order, so
-    the result is identical for any segment size.
+    the result is identical for any segment size.  Each segment is
+    counted once, in pieces split at the checkpoints inside it.
     """
-    import numpy as np
     ss = parse_set_name(sieve_set) if isinstance(sieve_set, str) else sieve_set
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
@@ -423,12 +437,12 @@ def density_series(
     at: dict[int, int] = {}
     for lo in range(1, limit + 1, segment_size):
         hi = min(lo + segment_size, limit + 1)
-        bits = ss.segment_bits(lo, hi, primes)
-        for c in cps:
-            if lo <= c < hi:
-                at[c] = running + int(np.count_nonzero(bits[: c - lo + 1]))
-        running += int(np.count_nonzero(bits))
+        bits = memoryview(ss.segment_bits(lo, hi, primes))
+        start = 0
+        for stop in [c - lo + 1 for c in cps if lo <= c < hi] + [hi - lo]:
+            running += int.from_bytes(bits[start:stop], "little").bit_count()
+            at[lo + stop - 1] = running
+            start = stop
 
     out = tuple(Checkpoint(c, at[c], ratio_string(at[c], c)) for c in cps)
     return DensitySeries(ss.name, out)
-

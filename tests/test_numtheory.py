@@ -8,7 +8,6 @@ small enough to brute-force.
 import functools
 import math
 
-import numpy as np
 import pytest
 
 from fqlab.errors import ResourceBudgetError
@@ -22,7 +21,6 @@ from fqlab.numtheory import (
     np_contains,
     parse_set_name,
     pp_contains,
-    primes_up_to,
     ratio_string,
     sp_contains,
 )
@@ -53,25 +51,47 @@ def oracle_sp(n, a):
     )
 
 
+def oracle_primes(limit):
+    return [n for n in range(limit + 1) if oracle_is_prime(n)]
+
+
+def mask_primes(mask):
+    """The primes an odd-only mask lists: cell i stands for 2i + 1, cell 0 for 2."""
+    return [2 * i + 1 if i else 2 for i, bit in enumerate(mask) if bit]
+
+
+def members(bits, lo):
+    """The n whose byte is set, for bits covering lo, lo + 1, ..."""
+    return {lo + i for i, bit in enumerate(bits) if bit}
+
+
+# Every prime is admissible for a = 1, so the mask of sp:1 is the sieve
+# of all primes.
+def primes_up_to(limit):
+    return mask_primes(SieveSet("sp", 1).admissible_primes(limit))
+
+
 def test_primes_up_to_small():
-    assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert list(primes_up_to(1)) == []
-    assert list(primes_up_to(2)) == [2]
+    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_up_to(1) == []
+    assert primes_up_to(2) == [2]
 
 
 def test_primes_up_to_against_oracle():
     for limit in (*range(401), 500):
-        got = primes_up_to(limit)
-        assert got.dtype == np.int64, limit
-        assert got.tolist() == [n for n in range(limit + 1) if oracle_is_prime(n)], limit
+        got = SieveSet("sp", 1).admissible_primes(limit)
+        assert type(got) is bytearray and set(got) <= {0, 1}, limit
+        assert mask_primes(got) == oracle_primes(limit), limit
 
 
 def test_primes_up_to_million_count():
-    assert len(primes_up_to(10**6)) == 78498
+    assert sum(SieveSet("sp", 1).admissible_primes(10**6)) == 78498
 
 
 def test_primes_up_to_dtype():
-    assert primes_up_to(10**5).dtype == np.int64
+    assert type(SieveSet("sp", 1).admissible_primes(10**5)) is bytearray
+    assert type(SieveSet("np", 3).admissible_primes(10**5)) is bytearray
+    assert type(SieveSet("sp", 6).segment_bits(1, 1000)) is bytearray
 
 
 # a divisor filter that tests only small factors of a, or reads a as a
@@ -90,11 +110,11 @@ LARGE_MODULI = (
 
 def test_admissible_primes_match_pointwise_filter():
     for limit in (0, 1, 2, 3, 1000, 5000):
-        primes = primes_up_to(limit).tolist()
+        primes = oracle_primes(limit)
         for a in (*range(1, 401), *LARGE_MODULI):
             got = SieveSet("sp", a).admissible_primes(limit)
-            assert got.dtype == np.int64, (a, limit)
-            assert got.tolist() == [p for p in primes if pp_contains(p, a)], (a, limit)
+            assert type(got) is bytearray, (a, limit)
+            assert mask_primes(got) == [p for p in primes if pp_contains(p, a)], (a, limit)
 
 
 def test_is_prime_matches_oracle():
@@ -237,17 +257,17 @@ def test_pp_membership_examples():
 
 def test_pp_mod_six_pattern():
     # for a = 6 the admissible primes are exactly those congruent to 5 mod 6
-    for p in primes_up_to(500):
+    for p in oracle_primes(500):
         assert pp_contains(p, 6) == (p % 6 == 5), p
 
 
 def test_pp_all_primes_when_a_is_one():
-    for p in primes_up_to(200):
+    for p in oracle_primes(200):
         assert pp_contains(p, 1)
 
 
 def test_pp_odd_primes_when_a_is_two():
-    for p in primes_up_to(200):
+    for p in oracle_primes(200):
         assert pp_contains(p, 2) == (p != 2)
 
 
@@ -282,19 +302,16 @@ NP5_TO_100 = {5, 10, 15, 20, 35, 40, 45, 65, 70, 85, 95}
 
 def sieved_members(name, limit):
     """Members of 1..limit, sieved as one segment."""
-    bits = parse_set_name(name).segment_bits(1, limit + 1)
-    return {int(i) + 1 for i in np.flatnonzero(bits)}
+    return members(parse_set_name(name).segment_bits(1, limit + 1), 1)
 
 
 def segmented_bits(name, limit, segment_size):
     """Membership bits of 1..limit, sieved segment by segment and joined."""
     ss = parse_set_name(name)
     primes = None if ss.kind == "all" else ss.admissible_primes(limit)
-    return np.concatenate(
-        [
-            ss.segment_bits(lo, min(lo + segment_size, limit + 1), primes)
-            for lo in range(1, limit + 1, segment_size)
-        ]
+    return b"".join(
+        ss.segment_bits(lo, min(lo + segment_size, limit + 1), primes)
+        for lo in range(1, limit + 1, segment_size)
     )
 
 
@@ -319,7 +336,7 @@ def test_sieve_np_segment_size_invariance():
         cps = [1, 999, 1000, 2000]
         want = density_series(name, cps, segment_size=4096)
         for seg in (2, 3, 17, 100, 999, 5000):
-            assert np.array_equal(segmented_bits(name, 2000, seg), ref), (p, seg)
+            assert segmented_bits(name, 2000, seg) == ref, (p, seg)
             assert density_series(name, cps, segment_size=seg) == want, (p, seg)
 
 
@@ -338,13 +355,13 @@ def test_sieve_sp_matches_oracle():
 def test_sieve_sp_segment_size_invariance():
     ref = segmented_bits("sp:6", 1500, 4096)
     for seg in (2, 13, 250, 1499):
-        assert np.array_equal(segmented_bits("sp:6", 1500, seg), ref), seg
+        assert segmented_bits("sp:6", 1500, seg) == ref, seg
     # the cut between per-prime and cofactor marking moves with each
     # segment's end, so segment boundaries pick the path a prime takes
     for name in ("sp:6", "np:3"):
         ref = segmented_bits(name, 200_000, 4096)
         for seg in (65_537, 200_000):
-            assert np.array_equal(segmented_bits(name, 200_000, seg), ref), (name, seg)
+            assert segmented_bits(name, 200_000, seg) == ref, (name, seg)
 
 
 def oracle_windows():
@@ -353,14 +370,18 @@ def oracle_windows():
     for p in (3, 7, 13):
         for hi in (10**6, 10**8, 3 * 10**9):
             yield f"np:{p}", hi - width, hi
-    for hi in (10**6, 10**7):
+    # sp:6 stops short of 3e9, which is over the prime-sieve budget
+    for hi in (10**6, 10**7, 10**8):
         yield "sp:6", hi - width, hi
     # windows ending just below and just above p*p for admissible p: the
-    # first marks p by cofactor, the second sieves its anchored set
+    # first marks p by cofactor, the second sieves its anchored set; 4 | a
+    # clears the even cells of the prime mask
     for p in (11, 2003):
         for hi in (p * p, p * p + 1):
-            yield "sp:6", max(1, hi - width), hi
-            yield f"np:{p}", max(1, hi - width), hi
+            for name in ("sp:6", f"np:{p}", "sp:4", "sp:12"):
+                yield name, max(1, hi - width), hi
+    # a prime factor of a above the square root of the limit
+    yield f"sp:{2 * 999983}", 10**6 - width, 10**6
 
 
 def pointwise_contains(ss, n):
@@ -370,17 +391,16 @@ def pointwise_contains(ss, n):
 @pytest.mark.parametrize("name,lo,hi", list(oracle_windows()))
 def test_segment_bits_matches_pointwise_oracle_windows(name, lo, hi):
     ss = parse_set_name(name)
-    bits = ss.segment_bits(lo, hi)
-    got = {lo + int(i) for i in np.flatnonzero(bits)}
+    got = members(ss.segment_bits(lo, hi), lo)
     want = {n for n in range(lo, hi) if pointwise_contains(ss, n)}
     assert got == want
 
 
 def test_admissible_primes_of_np_set_is_its_prime():
     for p in (2, 3, 11, 2003):
-        assert SieveSet("np", p).admissible_primes(p).tolist() == [p]
-        assert SieveSet("np", p).admissible_primes(p - 1).tolist() == []
-        assert SieveSet("np", p).admissible_primes(10**9).tolist() == [p]
+        assert mask_primes(SieveSet("np", p).admissible_primes(p)) == [p]
+        assert mask_primes(SieveSet("np", p).admissible_primes(p - 1)) == []
+        assert mask_primes(SieveSet("np", p).admissible_primes(10**9)) == [p]
 
 
 def test_sieve_memory_budget():
@@ -389,6 +409,14 @@ def test_sieve_memory_budget():
         SieveSet("sp", 6).segment_bits(2**40, 2**40 + 10)
     with pytest.raises(ResourceBudgetError):
         density_series("sp:6", [2**40])
+
+
+def test_np_mask_shares_the_memory_budget():
+    # an np:p mask reaches p, so a prime past the budget cannot be sieved
+    p = 2**30 + 3
+    assert SieveSet("np", p).admissible_primes(p - 1) == bytearray()
+    with pytest.raises(ResourceBudgetError):
+        SieveSet("np", p).admissible_primes(p)
 
 
 def test_ratio_string():
@@ -416,7 +444,7 @@ def test_density_series_counts_match_sieve():
     series = density_series("np:3", cps)
     bits = SieveSet("np", 3).segment_bits(1, 1001)
     for cp in series.checkpoints:
-        assert cp.count == int(np.count_nonzero(bits[: cp.limit]))
+        assert cp.count == sum(bits[: cp.limit])
         assert cp.ratio == ratio_string(cp.count, cp.limit)
 
 
