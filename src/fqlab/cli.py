@@ -27,7 +27,17 @@ environment variable ``FQLAB_BUDGET`` overrides the default node budget
 of the quotient searches.
 
 Each handler imports the library layers it runs, so a command loads
-only those; ``--version`` loads none.
+only those; ``--version`` loads none.  ``sieve`` and ``density`` load
+``numtheory``.  ``fq``, ``oq``, ``smooth`` and ``census`` load
+``permgroup`` and the ``fpgroup`` search: ``quotients``, ``lowindex``,
+``coset`` and ``presentation``; ``census`` adds ``graphs``.
+``classify`` loads ``permgroup`` and ``fpgroup``'s ``classify``,
+``coset``, ``presentation`` and ``snf``.  ``graphs`` loads ``graphs``
+and ``permgroup``; ``verify`` adds ``catalog`` and ``numtheory``.
+Every command is a fresh process and pays its start-up on each run, so
+the package's records are ``typing.NamedTuple``s or plain classes; a
+record decorator that generates methods at import would add about
+20 ms.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ import io
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -58,17 +67,26 @@ BUDGET_ERRORS = (SearchBudgetError, ResourceBudgetError, GroupTooLargeError)
 RESTRICTED_MODULI = (1, 2, 3, 4, 5, 6)
 
 
-@dataclass
 class CommandOutput:
     """What a subcommand produced, before any of it touches disk."""
 
-    header: tuple[str, ...] | None
-    rows: list[tuple]
-    complete: bool = True
-    text: str | None = None
-    files: dict[str, str] = field(default_factory=dict)
-    inputs: list[str] = field(default_factory=list)
-    failures: int = 0
+    def __init__(
+        self,
+        header: tuple[str, ...] | None,
+        rows: list[tuple],
+        complete: bool = True,
+        text: str | None = None,
+        files: dict[str, str] | None = None,
+        inputs: list[str] | None = None,
+        failures: int = 0,
+    ) -> None:
+        self.header = header
+        self.rows = rows
+        self.complete = complete
+        self.text = text
+        self.files = files or {}
+        self.inputs = inputs or []
+        self.failures = failures
 
 
 def _text(value) -> str:

@@ -1,59 +1,53 @@
-"""Finitely presented groups: parsing, quotient search and density classification."""
+"""Finitely presented groups: parsing, quotient search and density classification.
 
-from .classify import (
-    DensityClass,
-    abelianization,
-    classify_density,
-    index_two_subgroups,
-    verify_cyclic_witness,
-    verify_dihedral_witness,
-)
-from .coset import (
-    CosetTable,
-    SchreierData,
-    schreier_data,
-    verify_table,
-)
-from .lowindex import low_index_normal_subgroups
-from .presentation import (
-    Presentation,
-    Word,
-    concat_words,
-    format_presentation,
-    free_reduce,
-    invert_word,
-    parse_presentation,
-    word_exponents,
-    word_to_text,
-)
-from .quotients import FqResult, fq_up_to, free_product_of_cyclics, oq_up_to, smooth_quotients
-from .snf import SmithForm, null_column_witness, smith_normal_form
+Every name below loads its submodule on first use (PEP 562), so a
+command imports only the submodules it runs: ``classify`` loads
+``classify``, ``coset``, ``presentation`` and ``snf``; ``fq``, ``oq``,
+``smooth`` and ``census`` load ``quotients``, ``lowindex``, ``coset``
+and ``presentation``.  ``coset`` brings in ``permgroup``.  Each command
+is a fresh process, so the records here are ``typing.NamedTuple``s or
+plain classes, cheap to build at import.
+"""
 
-__all__ = [
-    "CosetTable",
-    "DensityClass",
-    "FqResult",
-    "Presentation",
-    "SchreierData",
-    "SmithForm",
-    "Word",
-    "abelianization",
-    "classify_density",
-    "concat_words",
-    "format_presentation",
-    "fq_up_to",
-    "free_product_of_cyclics",
-    "free_reduce",
-    "index_two_subgroups",
-    "invert_word",
-    "low_index_normal_subgroups",
-    "null_column_witness",
-    "oq_up_to",
-    "parse_presentation",
-    "schreier_data",
-    "smith_normal_form",
-    "smooth_quotients",
-    "verify_table",
-    "word_exponents",
-    "word_to_text",
-]
+import importlib
+
+_SUBMODULE = {
+    "DensityClass": "classify",
+    "abelianization": "classify",
+    "classify_density": "classify",
+    "index_two_subgroups": "classify",
+    "verify_cyclic_witness": "classify",
+    "verify_dihedral_witness": "classify",
+    "CosetTable": "coset",
+    "SchreierData": "coset",
+    "schreier_data": "coset",
+    "verify_table": "coset",
+    "low_index_normal_subgroups": "lowindex",
+    "Presentation": "presentation",
+    "Word": "presentation",
+    "concat_words": "presentation",
+    "format_presentation": "presentation",
+    "free_reduce": "presentation",
+    "invert_word": "presentation",
+    "parse_presentation": "presentation",
+    "word_exponents": "presentation",
+    "word_to_text": "presentation",
+    "FqResult": "quotients",
+    "fq_up_to": "quotients",
+    "free_product_of_cyclics": "quotients",
+    "oq_up_to": "quotients",
+    "smooth_quotients": "quotients",
+    "SmithForm": "snf",
+    "null_column_witness": "snf",
+    "smith_normal_form": "snf",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value

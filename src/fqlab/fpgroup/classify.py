@@ -25,7 +25,7 @@ relation matrix nor the Schreier rewriting that proposed the witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import InternalInvariantError
 from .coset import CosetTable, schreier_data, verify_table
@@ -161,8 +161,7 @@ def verify_dihedral_witness(
     return math.gcd(*(evaluate(m)[0] for m in sd.schreier_words)) == 1
 
 
-@dataclass(frozen=True)
-class DensityClass:
+class DensityClass(NamedTuple):
     """Outcome of the classification, with its certificate."""
 
     tag: str  # infinite_cyclic | infinite_dihedral | density_zero

@@ -10,8 +10,6 @@ rewrites the subgroup of a verified table onto Schreier generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..permgroup import Perm, PermGroup, close, orbit
 from .presentation import Presentation, Word, free_reduce, invert_word
 
@@ -26,12 +24,12 @@ def col_to_letter(c: int) -> int:
     return c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1)
 
 
-@dataclass
 class CosetTable:
     """A complete or partial coset action of a presentation."""
 
-    pres: Presentation
-    rows: list[Row]
+    def __init__(self, pres: Presentation, rows: list[Row]) -> None:
+        self.pres = pres
+        self.rows = rows
 
     @property
     def n_cosets(self) -> int:
@@ -112,7 +110,6 @@ def _rewrite(rows: list[Row], gen_of_pair: dict[tuple[int, int], int], word: Wor
     return free_reduce(out)
 
 
-@dataclass(frozen=True)
 class SchreierData:
     """Subgroup presentation on Schreier generators, with rewriting data.
 
@@ -122,10 +119,17 @@ class SchreierData:
     Schreier generators.
     """
 
-    table: CosetTable
-    presentation: Presentation
-    schreier_words: tuple[Word, ...]
-    _gen_of_pair: dict = field(repr=False, hash=False, compare=False)
+    def __init__(
+        self,
+        table: CosetTable,
+        presentation: Presentation,
+        schreier_words: tuple[Word, ...],
+        gen_of_pair: dict[tuple[int, int], int],
+    ) -> None:
+        self.table = table
+        self.presentation = presentation
+        self.schreier_words = schreier_words
+        self._gen_of_pair = gen_of_pair
 
     def rewrite(self, word: Word) -> Word:
         return _rewrite(self.table.rows, self._gen_of_pair, word)

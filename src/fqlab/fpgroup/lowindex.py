@@ -34,7 +34,9 @@ from .coset import CosetTable, letter_to_col, verify_table
 from .presentation import Presentation
 
 
-def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[CosetTable]:
+def low_index_normal_subgroups(
+    pres: Presentation, max_index: int, stats: dict[str, int] | None = None
+) -> list[CosetTable]:
     """Every normal subgroup of bounded index, each exactly once.
 
     A subgroup is normal exactly when left multiplication by each
@@ -67,7 +69,9 @@ def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[Coset
 
     Tables come back sorted by (index, flat table).  When the node
     budget runs out, the SearchBudgetError carries the tables completed
-    so far, in the same order, as ``partial``.
+    so far, in the same order, as ``partial``.  Given a ``stats`` dict,
+    a completed search sets ``stats["nodes"]`` to the nodes it visited,
+    the smallest node budget under which it completes.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
@@ -279,6 +283,8 @@ def low_index_normal_subgroups(pres: Presentation, max_index: int) -> list[Coset
                         if table[b][c ^ 1] is None:
                             pending.append((a, c, b, marks))
             if not pending:
+                if stats is not None:
+                    stats["nodes"] = nodes
                 return
             a, c, b, (mark, lmark, n_keep) = pending.pop()
             undo_to(mark, lmark, n_keep)

@@ -19,7 +19,6 @@ reduced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..errors import InputSyntaxError
 
@@ -61,14 +60,12 @@ def word_exponents(w: Word, n_gens: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: ordered generator names plus relator words."""
 
-    generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, generator_names: tuple[str, ...], relators: tuple[Word, ...]) -> None:
+        self.generator_names = generator_names
+        self.relators = relators
         if not self.generator_names:
             raise ValueError("a presentation needs at least one generator")
         seen = set()
@@ -87,6 +84,9 @@ class Presentation:
             for x in w:
                 if not 1 <= abs(x) <= n:
                     raise ValueError(f"letter {x} outside generator range")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Presentation and vars(self) == vars(other)
 
     @property
     def n_gens(self) -> int:

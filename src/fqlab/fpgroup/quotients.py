@@ -13,8 +13,6 @@ consumers unless explicitly requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import SearchBudgetError
 from ..permgroup import perm_order
 from .coset import CosetTable
@@ -22,18 +20,24 @@ from .lowindex import low_index_normal_subgroups
 from .presentation import Presentation
 
 
-@dataclass(frozen=True)
 class FqResult:
     """Sorted quotient orders up to a limit, one certificate per order."""
 
-    presentation: Presentation
-    limit: int
-    orders: tuple[int, ...]
-    certificates: dict[int, CosetTable]
-    tables: tuple[CosetTable, ...]
-    complete: bool
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        presentation: Presentation,
+        limit: int,
+        orders: tuple[int, ...],
+        certificates: dict[int, CosetTable],
+        tables: tuple[CosetTable, ...],
+        complete: bool,
+    ):
+        self.presentation = presentation
+        self.limit = limit
+        self.orders = orders
+        self.certificates = certificates
+        self.tables = tables
+        self.complete = complete
         if tuple(sorted(set(self.orders))) != self.orders:
             raise ValueError("orders must be sorted and duplicate-free")
         if set(self.certificates) != set(self.orders):

@@ -14,8 +14,6 @@ the abelian invariants of the quotient directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import InternalInvariantError
 
 Matrix = list[list[int]]
@@ -50,7 +48,6 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
 class SmithForm:
     """Diagonalization result: invariant factors and the transforms.
 
@@ -59,12 +56,17 @@ class SmithForm:
     transforms are unimodular.
     """
 
-    invariants: tuple[int, ...]
-    row_transform: tuple[tuple[int, ...], ...]
-    col_transform: tuple[tuple[int, ...], ...]
-    input_shape: tuple[int, int]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        invariants: tuple[int, ...],
+        row_transform: tuple[tuple[int, ...], ...],
+        col_transform: tuple[tuple[int, ...], ...],
+        input_shape: tuple[int, int],
+    ) -> None:
+        self.invariants = invariants
+        self.row_transform = row_transform
+        self.col_transform = col_transform
+        self.input_shape = input_shape
         nz = [d for d in self.invariants if d != 0]
         if any(d < 0 for d in self.invariants):
             raise ValueError("invariants must be nonnegative")

@@ -21,8 +21,7 @@ fit under the element cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputSyntaxError, InternalInvariantError
 from .permgroup import (
@@ -42,7 +41,6 @@ if TYPE_CHECKING:
     from .fpgroup import CosetTable, Presentation
 
 
-@dataclass(frozen=True)
 class Graph:
     """Finite simple undirected graph on vertices 0..vertex_count-1.
 
@@ -50,11 +48,9 @@ class Graph:
     repeated neighbors, and any asymmetry in the edge relation.
     """
 
-    vertex_count: int
-    adjacency: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]):
+        self.vertex_count = n = vertex_count
+        self.adjacency = adjacency
         if n < 0:
             raise ValueError("vertex_count must be >= 0")
         if len(self.adjacency) != n:
@@ -69,6 +65,9 @@ class Graph:
                     raise ValueError(f"loop at vertex {v}")
                 if v not in self.adjacency[w]:
                     raise ValueError(f"edge {v}-{w} is missing its reverse")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Graph and vars(self) == vars(other)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -151,7 +150,6 @@ def graph_from_text(text: str) -> Graph:
         raise InputSyntaxError(str(err)) from None
 
 
-@dataclass(frozen=True)
 class GraphAction:
     """A permutation group acting on a graph through automorphisms.
 
@@ -160,10 +158,9 @@ class GraphAction:
     elements.
     """
 
-    graph: Graph
-    group: PermGroup
-
-    def __post_init__(self):
+    def __init__(self, graph: Graph, group: PermGroup):
+        self.graph = graph
+        self.group = group
         if self.group.degree != self.graph.vertex_count:
             raise ValueError("group degree must equal the vertex count")
         edge_set = set(self.graph.edges)
@@ -196,8 +193,7 @@ def _orbit_reps(items, generators, act):
     return reps
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     """Orbit-level symmetry summary of a graph action.
 
     ``local_shapes`` pairs one representative vertex per vertex orbit
@@ -332,8 +328,7 @@ def implication_violations(report: TransitivityReport, graph: Graph) -> list[str
     return out
 
 
-@dataclass(frozen=True)
-class OddCoreReport:
+class OddCoreReport(NamedTuple):
     """The subgroup generated by the odd-order parts of the two endpoint
     stabilizers of one edge, with its structural checks.
 
@@ -497,8 +492,7 @@ def build_sw(k: int, r: int) -> GraphAction:
     return GraphAction(graph, PermGroup(n, tuple(generators)))
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """One certified graph order.
 
     ``certificate_index`` is the quotient group order backing the
@@ -513,8 +507,7 @@ class CensusEntry:
     table: CosetTable
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     """Sorted census entries plus the parameters that produced them."""
 
     max_index: int

@@ -53,8 +53,8 @@ change any count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .budgets import MAX_PRIME_SIEVE, SEGMENT_SIZE
 from .errors import ResourceBudgetError
@@ -69,21 +69,18 @@ _STORE_RUN = 1 << 20
 _TRIAL_DIVISOR_MAX = 10**8
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     limit: int
     count: int
     ratio: str
 
 
-@dataclass(frozen=True)
 class DensitySeries:
     """Cumulative membership counts of a sieved set at increasing limits."""
 
-    set_name: str
-    checkpoints: tuple[Checkpoint, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, set_name: str, checkpoints: tuple[Checkpoint, ...]) -> None:
+        self.set_name = set_name
+        self.checkpoints = checkpoints
         prev_limit = 0
         prev_count = -1
         for cp in self.checkpoints:
@@ -92,6 +89,9 @@ class DensitySeries:
             if cp.count < max(prev_count, 0) or cp.count > cp.limit:
                 raise ValueError("checkpoint counts must be nondecreasing and <= limit")
             prev_limit, prev_count = cp.limit, cp.count
+
+    def __eq__(self, other) -> bool:
+        return type(other) is DensitySeries and vars(self) == vars(other)
 
 
 def ratio_string(count: int, limit: int) -> str:
@@ -289,7 +289,6 @@ def _store_large_primes(out: bytearray, mask: bytearray, big: int, lo: int, hi: 
                 out[start : start + 2 * m * (i1 - i0 - 1) + 1 : 2 * m] = cells[i0:i1]
 
 
-@dataclass(frozen=True)
 class SieveSet:
     """A named integer set the segmented sieve knows how to enumerate.
 
@@ -299,10 +298,9 @@ class SieveSet:
     anchored sets of its ``admissible_primes``.
     """
 
-    kind: str
-    param: int = 0
-
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, param: int = 0) -> None:
+        self.kind = kind
+        self.param = param
         if self.kind == "all":
             return
         if self.kind == "np":

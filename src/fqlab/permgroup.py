@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Hashable, Iterable
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .budgets import ELEMENT_CAP, NORMAL_SUBGROUP_CAP
 from .errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
@@ -444,8 +443,7 @@ def quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     return quotient_with_map(group, sub)[0]
 
 
-@dataclass(frozen=True)
-class GroupShape:
+class GroupShape(NamedTuple):
     """Coarse isomorphism shape: cyclic, dihedral, or other.
 
     ``parameter`` is the cyclic order for cyclic groups and the rotation
@@ -479,14 +477,12 @@ def shape(group: PermGroup) -> GroupShape:
     return GroupShape("other", 0)
 
 
-@dataclass(frozen=True)
-class OddPartEntry:
+class OddPartEntry(NamedTuple):
     kernel_order: int
     matched: bool
 
 
-@dataclass(frozen=True)
-class OddPartReport:
+class OddPartReport(NamedTuple):
     """Per-kernel comparison of odd-generated parts across a quotient."""
 
     group_order: int
@@ -510,8 +506,7 @@ def verify_odd_quotient(group: PermGroup) -> OddPartReport:
     return OddPartReport(group.order, tuple(entries))
 
 
-@dataclass(frozen=True)
-class SylowQuotientReport:
+class SylowQuotientReport(NamedTuple):
     """Witness decomposition of the distinguished quotient at a prime.
 
     The quotient has order prime * complement_order, a normal subgroup
@@ -580,8 +575,7 @@ def is_quasiprimitive(group: PermGroup) -> bool:
     return all(N.order == 1 or is_transitive(N) for N in normal_subgroups(group))
 
 
-@dataclass(frozen=True)
-class QuasiprimitiveOddReport:
+class QuasiprimitiveOddReport(NamedTuple):
     group_order: int
     quasiprimitive: bool
     odd_part_transitive: bool
@@ -602,8 +596,7 @@ def verify_quasiprimitive_odd(group: PermGroup) -> QuasiprimitiveOddReport:
     return QuasiprimitiveOddReport(group.order, qp, is_transitive(odd_part), group.order == 2)
 
 
-@dataclass(frozen=True)
-class RestrictedQuotientReport:
+class RestrictedQuotientReport(NamedTuple):
     """Outcome of the non-cyclic-quotient check at a modulus."""
 
     group_order: int

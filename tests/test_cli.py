@@ -502,8 +502,8 @@ def test_repeated_runs_byte_identical(capsys):
 
 
 # Runs one argv list through fqlab.cli.main in a fresh interpreter and
-# prints its exit code and the fqlab modules loaded.  numpy is blocked, so
-# a command that imports it fails.
+# prints its exit code, the fqlab modules loaded and whether dataclasses
+# was imported.  numpy is blocked, so a command that imports it fails.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
@@ -515,14 +515,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 modules = sorted(name for name in sys.modules if name.split(".")[0] == "fqlab")
-print(json.dumps([code, modules]))
+print(json.dumps([code, modules, "dataclasses" in sys.modules]))
 """
 
 FRONT = {"fqlab", "fqlab.cli", "fqlab.errors"}
 PERMGROUP = {"fqlab.budgets", "fqlab.permgroup"}
-FPGROUP = PERMGROUP | {"fqlab.fpgroup"} | {
-    f"fqlab.fpgroup.{m}"
-    for m in ("classify", "coset", "lowindex", "presentation", "quotients", "snf")
+CLASSIFY = PERMGROUP | {"fqlab.fpgroup"} | {
+    f"fqlab.fpgroup.{m}" for m in ("classify", "coset", "presentation", "snf")
+}
+QUOTIENTS = PERMGROUP | {"fqlab.fpgroup"} | {
+    f"fqlab.fpgroup.{m}" for m in ("coset", "lowindex", "presentation", "quotients")
 }
 GRAPHS = PERMGROUP | {"fqlab.graphs"}
 NUMTHEORY = {"fqlab.budgets", "fqlab.numtheory"}
@@ -536,9 +538,9 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["--version"], set()),
         (["density", "--set", "sp:6", "--checkpoints", "1000"], NUMTHEORY),
         (["sieve", "--set", "np:3", "--limit", "1000"], NUMTHEORY),
-        (["classify", "--presentation", path], FPGROUP),
-        (["fq", "--presentation", path, "--max-index", "24"], FPGROUP),
-        (["census", "--max-index", "12"], GRAPHS | FPGROUP),
+        (["classify", "--presentation", path], CLASSIFY),
+        (["fq", "--presentation", path, "--max-index", "24"], QUOTIENTS),
+        (["census", "--max-index", "12"], GRAPHS | QUOTIENTS),
         (["graphs", "--family", "w", "--k", "3", "--r", "5", "--report"], GRAPHS),
         (["verify"], GRAPHS | NUMTHEORY | {"fqlab.catalog"}),
     ]
@@ -551,5 +553,5 @@ def test_each_command_loads_only_its_layers(tmp_path):
             env=dict(os.environ, PYTHONPATH=str(src)),
             check=True,
         )
-        want = [0, sorted(FRONT | layers)]
+        want = [0, sorted(FRONT | layers), False]
         assert json.loads(done.stdout) == want, argv

@@ -264,6 +264,21 @@ def test_deterministic_output():
     assert a == b
 
 
+def assert_tree_size(monkeypatch, pres, max_index, nodes):
+    """The search raises one node short of the tree's size and completes
+    at exactly it, with the tables of an unlimited search."""
+    monkeypatch.delenv("FQLAB_BUDGET", raising=False)
+    stats = {}
+    full = [t.flat() for t in low_index_normal_subgroups(pres, max_index, stats)]
+    assert stats == {"nodes": nodes}
+    monkeypatch.setenv("FQLAB_BUDGET", str(nodes - 1))
+    with pytest.raises(SearchBudgetError):
+        low_index_normal_subgroups(pres, max_index)
+    monkeypatch.setenv("FQLAB_BUDGET", str(nodes))
+    assert [t.flat() for t in low_index_normal_subgroups(pres, max_index)] == full
+    monkeypatch.delenv("FQLAB_BUDGET")
+
+
 def test_node_budget_raises_with_partial(monkeypatch):
     p = parse_presentation("gens: a b\nrels: a^2, b^3\n")
     full = {t.flat() for t in low_index_normal_subgroups(p, 72)}
@@ -287,15 +302,7 @@ def test_node_budget_raises_with_partial(monkeypatch):
         ("gens: x y\nrels:\n", 8, 163),
         ("gens: a b\nrels: a b a^-1 b^-1\n", 20, 971),
     ]:
-        q = parse_presentation(text)
-        monkeypatch.delenv("FQLAB_BUDGET", raising=False)
-        full_q = [t.flat() for t in low_index_normal_subgroups(q, max_index)]
-        monkeypatch.setenv("FQLAB_BUDGET", str(nodes - 1))
-        with pytest.raises(SearchBudgetError):
-            low_index_normal_subgroups(q, max_index)
-        monkeypatch.setenv("FQLAB_BUDGET", str(nodes))
-        at_budget = low_index_normal_subgroups(q, max_index)
-        assert [t.flat() for t in at_budget] == full_q, text
+        assert_tree_size(monkeypatch, parse_presentation(text), max_index, nodes)
 
 
 def test_node_count_does_not_depend_on_relator_order(monkeypatch):
@@ -308,14 +315,13 @@ def test_node_count_does_not_depend_on_relator_order(monkeypatch):
         ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193),
     ]:
         p = parse_presentation(text)
+        assert_tree_size(monkeypatch, p, max_index, nodes)
         for rels in itertools.permutations(p.relators):
             for k in (0, 1):
                 q = Presentation(p.generator_names, tuple(r[k:] + r[:k] for r in rels))
-                monkeypatch.setenv("FQLAB_BUDGET", str(nodes - 1))
-                with pytest.raises(SearchBudgetError):
-                    low_index_normal_subgroups(q, max_index)
-                monkeypatch.setenv("FQLAB_BUDGET", str(nodes))
-                low_index_normal_subgroups(q, max_index)
+                stats = {}
+                low_index_normal_subgroups(q, max_index, stats)
+                assert stats == {"nodes": nodes}, (text, rels, k)
 
 
 def test_search_memory_follows_live_cosets_not_max_index():

@@ -2,9 +2,13 @@
 method and property of those classes, has a caller inside the package."""
 
 import ast
+import importlib
 import pathlib
 
+import pytest
+
 import fqlab
+import fqlab.fpgroup
 
 PACKAGE = pathlib.Path(fqlab.__file__).resolve().parent
 
@@ -59,3 +63,15 @@ def test_public_definitions_are_used_in_the_package():
         if name not in used and qualname not in ALLOWED_UNCALLED
     )
     assert not unused, f"defined but called only from the tests: {unused}"
+
+
+def test_every_fpgroup_export_resolves_to_its_submodule():
+    # the package loads a submodule only when one of its names is used
+    table = fqlab.fpgroup._SUBMODULE
+    assert fqlab.fpgroup.__all__ == sorted(table)
+    assert {"verify_cyclic_witness", "verify_dihedral_witness"} <= set(table)
+    for name in fqlab.fpgroup.__all__:
+        module = importlib.import_module(f"fqlab.fpgroup.{table[name]}")
+        assert getattr(fqlab.fpgroup, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        fqlab.fpgroup.no_such_name

@@ -4,6 +4,7 @@ import pytest
 
 from fqlab.errors import SearchBudgetError
 from fqlab.fpgroup import (
+    FqResult,
     fq_up_to,
     free_product_of_cyclics,
     oq_up_to,
@@ -109,3 +110,18 @@ def test_lcm_divisibility_structure():
     have = set(r.orders)
     assert {2, 4} <= have and 4 in have
     assert {4, 6} <= have and 12 in have
+
+
+def test_fq_result_construction_checks():
+    r = fq_up_to(parse_presentation(MODULAR), 12)
+    last = r.orders[-1]
+    fewer = {m: t for m, t in r.certificates.items() if m != last}
+    more = {**r.certificates, 13: r.certificates[last]}
+    for orders, certificates, message in [
+        (r.orders[::-1], r.certificates, "sorted and duplicate-free"),
+        (r.orders + (last,), r.certificates, "sorted and duplicate-free"),
+        (r.orders, fewer, "one certificate per order"),
+        (r.orders, more, "one certificate per order"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            FqResult(r.presentation, r.limit, orders, certificates, r.tables, r.complete)

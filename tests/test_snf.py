@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fqlab.fpgroup import null_column_witness, smith_normal_form
+from fqlab.fpgroup import SmithForm, null_column_witness, smith_normal_form
 
 
 def oracle_det(rows):
@@ -152,3 +152,16 @@ def test_divisibility_chain_holds():
         assert all(d > 0 for d in nz)
         assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
         assert list(inv[len(nz):]) == [0] * (n - len(nz))
+
+
+def test_smith_form_construction_checks():
+    unit = ((1, 0), (0, 1))
+    assert SmithForm((2, 4), unit, unit, (2, 2)).invariants == (2, 4)
+    for invariants, shape, message in [
+        ((-2, 4), (2, 2), "nonnegative"),
+        ((2, 3), (2, 2), "divisibility chain broken"),
+        ((0, 2), (2, 2), "zero invariants must come last"),
+        ((2, 4), (2, 3), "one invariant per input column"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SmithForm(invariants, unit, unit, shape)
