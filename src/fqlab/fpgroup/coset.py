@@ -10,8 +10,13 @@ rewrites the subgroup of a verified table onto Schreier generators.
 
 from __future__ import annotations
 
-from ..permgroup import Perm, PermGroup, close, orbit
+from typing import TYPE_CHECKING
+
+from ..orbit import orbit
 from .presentation import Presentation, Word, free_reduce, invert_word
+
+if TYPE_CHECKING:
+    from ..permgroup import Perm, PermGroup
 
 Row = list
 
@@ -56,6 +61,8 @@ class CosetTable:
 
     def image_group(self) -> PermGroup:
         """Permutation group generated by the generator columns."""
+        from ..permgroup import close
+
         if not self.complete:
             raise ValueError("table is not complete")
         return close(

@@ -24,13 +24,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputSyntaxError, InternalInvariantError
+from .orbit import orbit
 from .permgroup import (
     GroupShape,
     Perm,
     PermGroup,
     close,
     is_transitive,
-    orbit,
     orbits_of,
     shape,
     stabilizer_generators,

@@ -24,7 +24,7 @@ per integer, and must agree with the pointwise tests bit for bit.
 * **Admissible primes** are one odd-only mask: cell i stands for
   2i + 1, except cell 0, which stands for 2.  For ``sp:a``,
   Eratosthenes builds the mask of all primes up to the limit with
-  strided slice stores.  The primes q | a are found by dividing a by
+  strided slice stores, one cache-sized run of cells at a time.  The primes q | a are found by dividing a by
   the mask's primes until the cofactor is 1 or below q*q.  Each such q
   clears its own cell, and an odd q also clears every cell i > 0 with
   q | i, because 2i + 1 = 1 (mod q) exactly when q | i.  When 4 | a the
@@ -41,28 +41,46 @@ per integer, and must agree with the pointwise tests bit for bit.
   write to n therefore comes from the cofactor n/x* and carries x*'s
   own cell, which is n's membership through x*.  A cell with no prime
   factor above the cut is written only from composite cells, zeros.
+  For ``sp:a`` with 3 | a every admissible prime is 2 mod 3, so the
+  stores take every third cell, ``mask[c :: 3]`` into
+  ``out[... :: 6m]``; ``_store_large_primes`` shows why the writes it
+  skips cannot change a cell.
 * **Primes at or below the cut** each sieve their anchored set over the
   cofactor window (``_mark_np_window``) and OR it into the segment, or
-  store it plainly when nothing has been written there yet.
+  store it plainly when nothing has been written there yet.  A window
+  clears every multiple k*d, k >= 2, of each d = 1 (mod p), d > 1.  It
+  walks only the primitive d, those with no divisor f = 1 (mod p) with
+  1 < f < d, and only the cofactors k that have no divisor f = 1
+  (mod p), f > 1: every cell the others would clear is a multiple
+  k'*f, k' >= 2, of a walked f, already cleared.  A small sieve, no
+  longer than the walk, finds both as the walk ascends.
 
 Counts are censused in fixed-size segments, so large limits never need
 a full membership array in memory, and the segment boundaries cannot
-change any count.
+change any count.  A piece of a segment is counted with Adler-32: its
+low 16 bits are 1 + the byte sum mod 65,521 (RFC 1950), so on 0/1
+bytes a chunk of at most 65,519 bytes reads its exact count, with no
+branch per byte and no segment-sized integer.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from itertools import compress
 from typing import NamedTuple
 
 from .budgets import MAX_PRIME_SIEVE, SEGMENT_SIZE
 from .errors import ResourceBudgetError
 
-# Cells of a segment that one pass of cofactor stores covers.  A 1 MB run
-# fits a 2 MB L2 cache; across a whole 4 MB segment, byte stores 256
-# apart cost about four times as much.
+# Cells that one pass of strided stores covers, in a segment or in the
+# prime mask.  A 1 MB run fits a 2 MB L2 cache; across a whole 4 MB
+# segment, byte stores 256 apart cost about four times as much.
 _STORE_RUN = 1 << 20
+
+# Bytes per Adler-32 count: 1 + 65,519 is the largest sum below the
+# checksum's modulus, 65,521.
+_ADLER_CHUNK = 65_519
 
 # Trial-division budget: past 2 to 13, the divisor search raises when isqrt
 # of the number it searches exceeds this.  No earlier call changes the rule.
@@ -249,6 +267,12 @@ def _mark_np_window(good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryvi
     k < mhi/S, for which the multiples k*d form one progression of step
     k*p.  Any split clears the same cells; this one costs about
     2*sqrt(mhi/p) strided stores, whatever the window width.
+
+    Only primitive d are walked, those with no divisor f = 1 mod p and
+    1 < f < d, and only cofactors k with no divisor f = 1 mod p, f > 1:
+    each cell a skipped d or k would clear is a multiple k'*f, k' >= 2,
+    of a walked f.  ``zeros`` is an all-zero buffer at least
+    (mhi - mlo) // 2 + 1 and isqrt(p*mhi) // 3 + 1 long.
     """
     _clear(good, ((mlo + p - 1) // p) * p - mlo, p, zeros)
     first = mlo + ((1 - mlo) % p)
@@ -256,15 +280,26 @@ def _mark_np_window(good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryvi
         first += p
     _clear(good, first - mlo, p, zeros)
     split = max(math.isqrt(p * mhi), p)
-    for d in range(p + 1, min(split, (mhi - 1) // 2) + 1, p):
-        _clear(good, max(2 * d, ((mlo + d - 1) // d) * d) - mlo, d, zeros)
-    for k in range(2, (mhi - 1) // (split + 1) + 1):
+    top = min(split, (mhi - 1) // 2)
+    kmax = (mhi - 1) // (split + 1)
+    # plain[x] drops to 0 once the walk reaches a divisor f > 1 of x with
+    # f = 1 mod p.  A walked f marks only while that can matter: for a
+    # cofactor k <= kmax, or for a later d = f*c with c = 1 mod p, so
+    # d >= f*(p + 1).  kmax is at most split and at most (mhi - 1) // 2.
+    marks = max(kmax, top // (p + 1))
+    plain = bytearray(b"\x01") * (top + 1)
+    for d in range(p + 1, top + 1, p):
+        if plain[d]:
+            if d <= marks:
+                _clear(plain, d, d, zeros)
+            _clear(good, max(2 * d, ((mlo + d - 1) // d) * d) - mlo, d, zeros)
+    for k in compress(range(2, kmax + 1), plain[2:]):
         dmin = max(split + 1, (mlo + k - 1) // k)
         dmin += (1 - dmin) % p
         _clear(good, k * dmin - mlo, k * p, zeros)
 
 
-def _store_large_primes(out: bytearray, mask: bytearray, big: int, lo: int, hi: int) -> None:
+def _store_large_primes(out: bytearray, mask: bytearray, big: int, lo: int, hi: int, step: int) -> None:
     """Write, for n in [lo, hi), the membership through mask's primes x >= 2*big + 1.
 
     Every such x lies above isqrt(hi - 1), so each of its multiples m*x
@@ -272,21 +307,35 @@ def _store_large_primes(out: bytearray, mask: bytearray, big: int, lo: int, hi: 
     ascending, one store copies the mask cells of the odd x with m*x in
     a run of out to every 2m-th cell of the run; the module docstring
     shows why the last store to a cell is the right one.
+
+    ``step`` is 3 when every prime the mask may list is 2 mod 3.  Their
+    cells (x - 1)/2 are then 2 mod 3 too, and each store copies every
+    third cell, from the class of the first, to every 6m-th cell of out.
+    Skipping the other cells is safe: each holds a 0, so a skipped write
+    stores a 0 into some n.  Let x* be the prime above isqrt(hi - 1) that
+    divides n.  If x*'s cell is stored, the store from the cofactor n/x*
+    comes after every skipped write to n, whose cofactors are smaller,
+    and writes n's membership, as at step 1.  Otherwise x*'s cell is 0,
+    as is every cell of a multiple of x*, so every write to n is a 0 and
+    n stays 0.  With no such x*, every x above isqrt(hi - 1) dividing n
+    is composite, and again every write is a 0.  ``step`` 1 copies every
+    cell.
     """
     top = min(len(mask), hi // 2)
     first = mask.find(1, big, top)
     if first < 0:
         return
     last = mask.rfind(1, first, top)
-    cells = memoryview(mask)
     for run in range(lo, hi, _STORE_RUN):
         end = min(run + _STORE_RUN, hi)
         for m in range(-(-run // (2 * last + 1)), (end - 1) // (2 * first + 1) + 1):
             i0 = max(first, -(-run // m) // 2)
+            i0 += (first - i0) % step
             i1 = min(last + 1, -(-end // m) // 2)
             if i0 < i1:
                 start = m * (2 * i0 + 1) - lo
-                out[start : start + 2 * m * (i1 - i0 - 1) + 1 : 2 * m] = cells[i0:i1]
+                stride = 2 * m * step
+                out[start : start + stride * ((i1 - i0 - 1) // step) + 1 : stride] = mask[i0:i1:step]
 
 
 class SieveSet:
@@ -330,11 +379,23 @@ class SieveSet:
             return mask
         n = _odd_cells(limit)
         mask = bytearray(b"\x01") * n
-        zeros = memoryview(bytes(n // 2 + 1))
-        for i in range(1, (math.isqrt(limit) + 1) // 2):
-            if mask[i]:
-                p = 2 * i + 1
-                _clear(mask, p * p // 2, p, zeros)
+        zeros = memoryview(bytes(_STORE_RUN // 2))
+        # Eratosthenes run by run, so each run is cleared while in cache:
+        # the primes up to isqrt(limit) kept from earlier runs clear it
+        # first, then its own such primes are kept, each clearing the run
+        # from p*p on.
+        root = (math.isqrt(limit) + 1) // 2
+        base: list[int] = []
+        for run in range(0, n, _STORE_RUN):
+            end = min(run + _STORE_RUN, n)
+            for p in base:
+                start = max(p * p // 2, run + (p * p // 2 - run) % p)
+                mask[start:end:p] = zeros[: len(range(start, end, p))]
+            for i in range(max(run, 1), min(end, root)):
+                if mask[i]:
+                    p = 2 * i + 1
+                    base.append(p)
+                    mask[p * p // 2 : end : p] = zeros[: len(range(p * p // 2, end, p))]
         # For a prime p, gcd(a, p) = 1 means p does not divide a, and
         # gcd(a, p - 1) > 2 means an odd prime q | a has q | p - 1, or 4 | a
         # and 4 | p - 1.  Such a q is below p, so it is a prime of the mask.
@@ -354,11 +415,17 @@ class SieveSet:
             odd_divisors.append(rest)
         if n and a % 2 == 0:
             mask[0] = 0
-            if a % 4 == 0:
-                _clear(mask, 2, 2, zeros)
         for q in odd_divisors:
             mask[q // 2] = 0
-            _clear(mask, q, q, zeros)
+        # each q clears the cells i >= q with q | i, and 4 | a the even
+        # cells from 2, run by run: a store copies its zeros first, so no
+        # copy is larger than a run
+        steps = odd_divisors + [2] * (a % 4 == 0)
+        for run in range(0, n, _STORE_RUN):
+            end = min(run + _STORE_RUN, n)
+            for q in steps:
+                start = max(q, run + (-run) % q)
+                mask[start:end:q] = zeros[: len(range(start, end, q))]
         return mask
 
     def segment_bits(self, lo: int, hi: int, primes: bytearray | None = None) -> bytearray:
@@ -378,9 +445,12 @@ class SieveSet:
             primes = self.admissible_primes(hi - 1)
         out = bytearray(hi - lo)
         big = (math.isqrt(hi - 1) + 1) // 2
-        _store_large_primes(out, primes, big, lo, hi)
+        # for 3 | a, every admissible prime is 2 mod 3: 3 itself is not,
+        # and a prime p = 1 mod 3 has 3 | gcd(a, p - 1)
+        step = 3 if self.kind == "sp" and self.param % 3 == 0 else 1
+        _store_large_primes(out, primes, big, lo, hi, step)
         plain = 1 not in out
-        zeros = memoryview(bytes((hi - lo) // 2 + 1))
+        zeros = memoryview(bytes(max(hi - lo, math.isqrt(hi)) // 2 + 1))
         for i in compress(range(big), primes):
             p = 2 * i + 1 if i else 2
             mlo = max(1, (lo + p - 1) // p)
@@ -397,6 +467,19 @@ class SieveSet:
                 merged = int.from_bytes(out[start::p], "little") | int.from_bytes(good, "little")
                 out[start::p] = merged.to_bytes(len(good), "little")
         return out
+
+
+def _count_ones(bits: memoryview) -> int:
+    """The number of 1 bytes in a buffer of 0 and 1 bytes.
+
+    Adler-32 keeps 1 + the byte sum mod 65,521 in its low 16 bits
+    (RFC 1950), so on a chunk of at most 65,519 such bytes it reads the
+    exact count.
+    """
+    count = 0
+    for i in range(0, len(bits), _ADLER_CHUNK):
+        count += (zlib.adler32(bits[i : i + _ADLER_CHUNK]) & 0xFFFF) - 1
+    return count
 
 
 def parse_set_name(name: str) -> SieveSet:
@@ -438,7 +521,7 @@ def density_series(
         bits = memoryview(ss.segment_bits(lo, hi, primes))
         start = 0
         for stop in [c - lo + 1 for c in cps if lo <= c < hi] + [hi - lo]:
-            running += int.from_bytes(bits[start:stop], "little").bit_count()
+            running += _count_ones(bits[start:stop])
             at[lo + stop - 1] = running
             start = stop
 

@@ -3,7 +3,7 @@
 A group is held as its generators; its element set is closed from them
 only when a question needs it (cap 10^5).  Orbits, point stabilizers
 and conjugacy classes work from generators alone, the first and last
-through one breadth-first routine, ``orbit``; a point stabilizer is
+through one breadth-first routine, ``orbit.orbit``; a point stabilizer is
 always given by its Schreier generators, never by filtering elements;
 normality is tested by conjugating generators by generators; a quotient
 by a normal subgroup labels each element with its coset and closes the
@@ -27,15 +27,15 @@ transitive odd-generated part.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable
 from operator import itemgetter
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .budgets import ELEMENT_CAP, NORMAL_SUBGROUP_CAP
 from .errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
+from .orbit import orbit
 
 Perm = tuple[int, ...]
-T = TypeVar("T", bound=Hashable)
 
 
 def identity(degree: int) -> Perm:
@@ -258,20 +258,6 @@ def close(generators, degree: int | None = None, element_cap: int = ELEMENT_CAP)
 
 def trivial_group(degree: int) -> PermGroup:
     return close((), degree)
-
-
-def orbit(seed: T, step: Callable[[T], Iterable[T]]) -> list[T]:
-    """Everything reachable from seed, breadth-first: seed, then each new
-    neighbor in the order step(x) yields the neighbors of x."""
-    out = [seed]
-    seen = {seed}
-    # the loop also visits what it appends
-    for x in out:
-        for y in step(x):
-            if y not in seen:
-                seen.add(y)
-                out.append(y)
-    return out
 
 
 def orbits(group: PermGroup) -> list[tuple[int, ...]]:

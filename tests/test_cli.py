@@ -18,6 +18,7 @@ import fqlab.fpgroup.classify as classify
 import fqlab.graphs as graphs
 import fqlab.numtheory as numtheory
 import fqlab.permgroup as permgroup
+import fqlab.sweeps as sweeps
 from fqlab.catalog import load_catalog, serialize_catalog
 from fqlab.cli import dispatch
 from fqlab.errors import InternalInvariantError
@@ -254,7 +255,7 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     class Failing:
         passed = False
 
-    monkeypatch.setattr(permgroup, "verify_odd_quotient", lambda group: Failing())
+    monkeypatch.setattr(sweeps, "verify_odd_quotient", lambda group: Failing())
     rc, out = run(capsys, ["verify"])
     assert rc == 4
     _, rows = rows_of(out)
@@ -519,8 +520,8 @@ print(json.dumps([code, modules, "dataclasses" in sys.modules]))
 """
 
 FRONT = {"fqlab", "fqlab.cli", "fqlab.errors"}
-PERMGROUP = {"fqlab.budgets", "fqlab.permgroup"}
-CLASSIFY = PERMGROUP | {"fqlab.fpgroup"} | {
+PERMGROUP = {"fqlab.budgets", "fqlab.orbit", "fqlab.permgroup"}
+CLASSIFY = {"fqlab.fpgroup", "fqlab.orbit"} | {
     f"fqlab.fpgroup.{m}" for m in ("classify", "coset", "presentation", "snf")
 }
 QUOTIENTS = PERMGROUP | {"fqlab.fpgroup"} | {
@@ -542,7 +543,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["fq", "--presentation", path, "--max-index", "24"], QUOTIENTS),
         (["census", "--max-index", "12"], GRAPHS | QUOTIENTS),
         (["graphs", "--family", "w", "--k", "3", "--r", "5", "--report"], GRAPHS),
-        (["verify"], GRAPHS | NUMTHEORY | {"fqlab.catalog"}),
+        (["verify"], GRAPHS | NUMTHEORY | {"fqlab.catalog", "fqlab.sweeps"}),
     ]
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     for argv, layers in commands:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from fqlab.budgets import ELEMENT_CAP
-from fqlab.cli import _graph_fixtures
+from fqlab.sweeps import graph_fixtures
 from fqlab.errors import InputSyntaxError, SearchBudgetError
 from fqlab.fpgroup import parse_presentation
 from fqlab.fpgroup.coset import col_to_letter
@@ -307,7 +307,7 @@ def family_actions_under_the_cap():
 
 def test_local_action_matches_element_filter():
     # Schreier generators against the full element list of the stabilizer
-    actions = [ga for _, ga in _graph_fixtures()] + list(family_actions_under_the_cap())
+    actions = [ga for _, ga in graph_fixtures()] + list(family_actions_under_the_cap())
     assert len(actions) == 11 + 16 + 20
     for ga in actions:
         for v, neighbors in enumerate(ga.graph.adjacency):

@@ -7,13 +7,17 @@ small enough to brute-force.
 
 import functools
 import math
+import random
 
 import pytest
 
 from fqlab.errors import ResourceBudgetError
 from fqlab.numtheory import (
+    _STORE_RUN,
     DensitySeries,
     SieveSet,
+    _count_ones,
+    _mark_np_window,
     density_series,
     divisors,
     factor,
@@ -86,6 +90,38 @@ def test_primes_up_to_against_oracle():
 
 def test_primes_up_to_million_count():
     assert sum(SieveSet("sp", 1).admissible_primes(10**6)) == 78498
+
+
+def unblocked_prime_mask(limit):
+    """The odd-only prime mask by Eratosthenes over the whole mask at once."""
+    n = (limit + 1) // 2
+    mask = bytearray(b"\x01") * n
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, n, p)))
+    return mask
+
+
+def test_prime_mask_matches_unblocked_sieve_across_runs():
+    # the mask is sieved in runs of _STORE_RUN cells; cell i is 2i + 1
+    for cells in (2 * _STORE_RUN - 1, 2 * _STORE_RUN, 2 * _STORE_RUN + 1, 4 * _STORE_RUN + 7):
+        limit = 2 * cells - 1
+        assert SieveSet("sp", 1).admissible_primes(limit) == unblocked_prime_mask(limit), cells
+    assert SieveSet("sp", 1).admissible_primes(10**7).count(1) == 664_579
+
+
+def test_admissible_prime_mask_across_runs():
+    # the cells of primes q | a and of the primes that 4 | a rules out are
+    # cleared run by run too
+    limit = 4 * _STORE_RUN + 5
+    primes = unblocked_prime_mask(limit)
+    for a in (6, 12, 35):
+        want = bytearray(primes)
+        for i in range(len(want)):
+            if want[i] and not pp_contains(2 * i + 1 if i else 2, a):
+                want[i] = 0
+        assert SieveSet("sp", a).admissible_primes(limit) == want, a
 
 
 def test_primes_up_to_dtype():
@@ -394,6 +430,99 @@ def test_segment_bits_matches_pointwise_oracle_windows(name, lo, hi):
     got = members(ss.segment_bits(lo, hi), lo)
     want = {n for n in range(lo, hi) if pointwise_contains(ss, n)}
     assert got == want
+
+
+def unpruned_window(p, mlo, mhi):
+    """The cofactor window with every divisor d = 1 mod p walked.
+
+    The same split as ``_mark_np_window`` with nothing pruned: the d <= S
+    are walked one by one and the d > S through every cofactor k.
+    """
+    good = bytearray(b"\x01") * (mhi - mlo)
+
+    def clear(start, step):
+        if start < len(good):
+            good[start::step] = bytes(len(range(start, len(good), step)))
+
+    clear(((mlo + p - 1) // p) * p - mlo, p)
+    first = mlo + ((1 - mlo) % p)
+    if first == 1:
+        first += p
+    clear(first - mlo, p)
+    split = max(math.isqrt(p * mhi), p)
+    for d in range(p + 1, min(split, (mhi - 1) // 2) + 1, p):
+        clear(max(2 * d, ((mlo + d - 1) // d) * d) - mlo, d)
+    for k in range(2, (mhi - 1) // (split + 1) + 1):
+        dmin = max(split + 1, (mlo + k - 1) // k)
+        dmin += (1 - dmin) % p
+        clear(k * dmin - mlo, k * p)
+    return good
+
+
+def pruned_window(p, mlo, mhi):
+    good = bytearray(b"\x01") * (mhi - mlo)
+    zeros = memoryview(bytes((mhi - mlo) // 2 + math.isqrt(p * mhi) // 3 + 2))
+    _mark_np_window(good, p, mlo, mhi, zeros)
+    return good
+
+
+WINDOW_PRIMES = (2, 3, 5, 7, 11, 101)
+
+
+@pytest.mark.parametrize("p", WINDOW_PRIMES)
+def test_unpruned_window_oracle_matches_definition(p):
+    for mlo, mhi in ((1, 700), (500, 1300)):
+        want = bytearray(np_contains(p * m, p) for m in range(mlo, mhi))
+        assert unpruned_window(p, mlo, mhi) == want, (mlo, mhi)
+
+
+@pytest.mark.parametrize("p", WINDOW_PRIMES)
+def test_pruned_window_matches_unpruned_rule(p):
+    windows = [(1, mhi) for mhi in (2, 3, p + 2, 2 * p + 3, 1000, 100_000)]
+    windows += [(mlo, mlo + width) for mlo in (999, 10**6 - 1234, 10**9 + 7) for width in (1, 2000)]
+    for mlo, mhi in windows:
+        assert pruned_window(p, mlo, mhi) == unpruned_window(p, mlo, mhi), (mlo, mhi)
+
+
+@pytest.mark.parametrize("length", [0, 65_518, 65_519, 65_520, 3 * 65_519 + 1])
+def test_count_ones_is_exact_at_the_adler_chunk_edges(length):
+    for fill in (b"\x00", b"\x01"):
+        buf = fill * length
+        assert _count_ones(memoryview(buf)) == buf.count(1)
+    rng = random.Random(length)
+    buf = bytes(rng.getrandbits(1) for _ in range(length))
+    assert _count_ones(memoryview(buf)) == buf.count(1)
+
+
+SP_THREE_STEP = ("sp:3", "sp:6", "sp:12", "sp:15")
+
+
+@pytest.mark.parametrize("name", SP_THREE_STEP)
+def test_segment_bits_matches_pointwise_across_store_runs_and_segments(name):
+    # for 3 | a the large primes are stored every third mask cell; a 1 MB
+    # store run starts at lo + _STORE_RUN, inside the checked window, and
+    # the joined segments meet at the same point
+    ss = parse_set_name(name)
+    lo = 2_000_001
+    mid = lo + _STORE_RUN
+    primes = ss.admissible_primes(mid + 3000)
+    window = range(mid - 1500, mid + 1500)
+    want = {n for n in window if sp_contains(n, ss.param)}
+    bits = ss.segment_bits(lo, mid + 1500, primes)
+    assert members(bits[window.start - lo :], window.start) == want
+    joined = ss.segment_bits(window.start, mid, primes) + ss.segment_bits(mid, window.stop, primes)
+    assert members(joined, window.start) == want
+
+
+@pytest.mark.parametrize("name", SP_THREE_STEP)
+def test_segment_bits_matches_pointwise_on_tiny_segments(name):
+    # with hi <= 9 the cut is at most 2, so 3 and its cell lie above it
+    ss = parse_set_name(name)
+    for primes in (None, ss.admissible_primes(100)):
+        for lo in range(1, 9):
+            for hi in range(lo + 1, 10):
+                got = members(ss.segment_bits(lo, hi, primes), lo)
+                assert got == {n for n in range(lo, hi) if sp_contains(n, ss.param)}, (lo, hi)
 
 
 def test_admissible_primes_of_np_set_is_its_prime():

@@ -15,6 +15,7 @@ import pytest
 from fqlab.catalog import DEFAULT_CATALOG, load_catalog, parse_catalog, serialize_catalog
 from fqlab.errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
 from fqlab.numtheory import np_contains
+from fqlab.orbit import orbit
 from fqlab.permgroup import (
     PermGroup,
     close,
@@ -30,7 +31,6 @@ from fqlab.permgroup import (
     is_transitive,
     normal_subgroups,
     normal_sylow_quotient,
-    orbit,
     orbits,
     orbits_of,
     parse_perm,
