@@ -181,8 +181,8 @@ def classify_density(pres: Presentation) -> DensityClass:
     """Classify the natural density of the set of finite quotient orders.
 
     A surjection onto the integers gives every order (density 1); else
-    a surjection onto the infinite dihedral group gives exactly 1 and
-    the even orders (density 1/2); else the order set has density 0.
+    one onto the infinite dihedral group gives every even order, and odd
+    orders of density 0 (density 1/2); else the order set has density 0.
     A witness that fails its verifier raises InternalInvariantError.
     """
     form = abelianization(pres)

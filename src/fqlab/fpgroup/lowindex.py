@@ -9,7 +9,10 @@ multiplication by each generator, which must commute with the coset
 action; completed tables still get an independent certificate check and
 an asserted regularity check, so pruning only ever cuts the tree.
 Pending branches sit on an explicit stack, so search depth is bounded
-by memory, not by the interpreter's recursion limit.
+by memory, not by the interpreter's recursion limit.  A candidate whose
+entry clashes with the left multiplication already known is dropped
+before it is pushed; it would have died in propagation without becoming
+a node, so node counts and every output are unchanged.
 
 Relator deduction is incremental, as in HLT deduction processing (Sims,
 *Computation with Finitely Presented Groups*, ch. 5): every rotation of
@@ -71,7 +74,9 @@ def low_index_normal_subgroups(
     budget runs out, the SearchBudgetError carries the tables completed
     so far, in the same order, as ``partial``.  Given a ``stats`` dict,
     a completed search sets ``stats["nodes"]`` to the nodes it visited,
-    the smallest node budget under which it completes.
+    the smallest node budget under which it completes, and
+    ``stats["branches"]`` to the branches it popped: those that
+    ``candidates`` did not refute at the branch point.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
@@ -244,6 +249,30 @@ def low_index_normal_subgroups(
         del ltrail[lmark:]
         n = n_keep
 
+    def candidates(a: int, c: int) -> list[int]:
+        """The old cosets b that the branch T[a][c] = b does not refute.
+
+        Each x = x_i or x_i⁻¹ commutes with the action, so T[a][c] = b
+        forces T[x a][c] = x b where x a and x b are both known: the
+        second rule for x_i, the third for x_i⁻¹.  At a node propagation
+        is at a fixpoint with T[a][c] open, so that entry is not already
+        set, or the third rule for x_i (the second for x_i⁻¹) would have
+        set T[a][c] = b.  So a set T[x a][c] or T[x b][c^1] is a clash:
+        the first one that ``fire_t(a, c, b)`` or ``fire_t(b, c^1, a)``
+        would hit, in the first rule or in ``set_entry``.  The branch
+        would die in ``propagate`` before becoming a node, so dropping it
+        here leaves the tree, and every count but popped branches, as it
+        was.  A new coset has no L entries: the grow branch always stays.
+        """
+        c1 = c ^ 1
+        live = [b for b in range(n) if table[b][c1] is None]
+        for row in lam + lam_inv:
+            g = row[a]
+            if g is not None:
+                gc = table[g][c]
+                live = [b for b in live if row[b] is None or gc is None and table[row[b]][c1] is None]
+        return live
+
     def first_hole(start: int) -> tuple[int, int] | None:
         return next(((a, table[a].index(None)) for a in range(start, n) if None in table[a]), None)
 
@@ -256,7 +285,7 @@ def low_index_normal_subgroups(
         found.append(t)
 
     def search() -> None:
-        nodes = a = 0
+        nodes = branches = a = 0
         # branches (a, c, b, marks of the node they leave from); trying
         # them in pop order visits the tree depth-first, candidates in
         # increasing b with the grow branch b = n last
@@ -279,13 +308,14 @@ def low_index_normal_subgroups(
                     marks = (len(trail), len(ltrail), n)
                     if n < max_index:
                         pending.append((a, c, n, marks))
-                    for b in reversed(range(n)):
-                        if table[b][c ^ 1] is None:
-                            pending.append((a, c, b, marks))
+                    for b in reversed(candidates(a, c)):
+                        pending.append((a, c, b, marks))
             if not pending:
                 if stats is not None:
                     stats["nodes"] = nodes
+                    stats["branches"] = branches
                 return
+            branches += 1
             a, c, b, (mark, lmark, n_keep) = pending.pop()
             undo_to(mark, lmark, n_keep)
             ok = (b < n or add_coset()) and set_entry(a, c, b) and propagate(mark, lmark)

@@ -7,6 +7,7 @@ from fqlab.errors import InternalInvariantError
 from fqlab.fpgroup import (
     abelianization,
     classify_density,
+    fq_up_to,
     index_two_subgroups,
     parse_presentation,
     schreier_data,
@@ -77,6 +78,10 @@ def test_d_infinity_times_finite_still_dihedral():
     assert verify_dihedral_witness(
         p, cls.dihedral_table, cls.dihedral_generator, cls.dihedral_functional
     )
+    # density 1/2 is every even order plus odd ones of density 0, not
+    # only 1 and the evens: C3 is an odd quotient here
+    r = fq_up_to(p, 12)
+    assert r.complete and r.orders == (1, 2, 3, 4, 6, 8, 10, 12)
 
 
 def test_classification_tags():

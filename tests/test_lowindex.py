@@ -264,13 +264,14 @@ def test_deterministic_output():
     assert a == b
 
 
-def assert_tree_size(monkeypatch, pres, max_index, nodes):
-    """The search raises one node short of the tree's size and completes
-    at exactly it, with the tables of an unlimited search."""
+def assert_tree_size(monkeypatch, pres, max_index, nodes, branches):
+    """The search pops ``branches`` branches, raises one node short of
+    the tree's size and completes at exactly it, with the tables of an
+    unlimited search."""
     monkeypatch.delenv("FQLAB_BUDGET", raising=False)
     stats = {}
     full = [t.flat() for t in low_index_normal_subgroups(pres, max_index, stats)]
-    assert stats == {"nodes": nodes}
+    assert stats == {"nodes": nodes, "branches": branches}
     monkeypatch.setenv("FQLAB_BUDGET", str(nodes - 1))
     with pytest.raises(SearchBudgetError):
         low_index_normal_subgroups(pres, max_index)
@@ -290,38 +291,39 @@ def test_node_budget_raises_with_partial(monkeypatch):
         assert keys == sorted(keys), budget
         assert {flat for _, flat in keys} <= full, budget
     # the search trees themselves, fixed by the propagation closure: it
-    # must raise one node short of each size and complete at exactly it
-    for text, max_index, nodes in [
-        ("gens: a b\nrels: a^2, b^3\n", 72, 256),
-        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 355),
-        ("gens: x y\nrels:\n", 10, 285),
-        ("gens: a b\nrels: a^3, b^2\n", 120, 936),
-        ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 81, 153),
-        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 90),
-        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193),
-        ("gens: x y\nrels:\n", 8, 163),
-        ("gens: a b\nrels: a b a^-1 b^-1\n", 20, 971),
+    # must raise one node short of each size and complete at exactly it;
+    # the popped branches count the candidates the branch point keeps
+    for text, max_index, nodes, branches in [
+        ("gens: a b\nrels: a^2, b^3\n", 72, 256, 510),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 355, 1377),
+        ("gens: x y\nrels:\n", 10, 285, 323),
+        ("gens: a b\nrels: a^3, b^2\n", 120, 936, 2267),
+        ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 81, 153, 201),
+        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 90, 192),
+        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193, 314),
+        ("gens: x y\nrels:\n", 8, 163, 167),
+        ("gens: a b\nrels: a b a^-1 b^-1\n", 20, 971, 976),
     ]:
-        assert_tree_size(monkeypatch, parse_presentation(text), max_index, nodes)
+        assert_tree_size(monkeypatch, parse_presentation(text), max_index, nodes, branches)
 
 
 def test_node_count_does_not_depend_on_relator_order(monkeypatch):
     # every rule fires from every premise, so each node's closure, and
     # with it the search tree, is the same in any firing order
-    for text, max_index, nodes in [
-        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 90),
-        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 355),
-        ("gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n", 32, 604),
-        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193),
+    for text, max_index, nodes, branches in [
+        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 90, 192),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 355, 1377),
+        ("gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n", 32, 604, 1224),
+        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193, 314),
     ]:
         p = parse_presentation(text)
-        assert_tree_size(monkeypatch, p, max_index, nodes)
+        assert_tree_size(monkeypatch, p, max_index, nodes, branches)
         for rels in itertools.permutations(p.relators):
             for k in (0, 1):
                 q = Presentation(p.generator_names, tuple(r[k:] + r[:k] for r in rels))
                 stats = {}
                 low_index_normal_subgroups(q, max_index, stats)
-                assert stats == {"nodes": nodes}, (text, rels, k)
+                assert stats == {"nodes": nodes, "branches": branches}, (text, rels, k)
 
 
 def test_search_memory_follows_live_cosets_not_max_index():
