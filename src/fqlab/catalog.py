@@ -5,12 +5,92 @@ in the notation; the common degree of a group is the largest point any
 of its generators moves (at least 1).  Blank lines and ``#`` comments
 are skipped.  The parser rejects anything that is not a bijection,
 including a point repeated across the cycles of one permutation.
+Cycle notation is read and written here only, so this module holds
+``parse_perm`` and ``format_perm``; only ``verify`` loads it.
 """
 
 from __future__ import annotations
 
 from .errors import InputSyntaxError
-from .permgroup import PermGroup, close, extend_perm, format_perm, parse_perm
+from .permgroup import Perm, PermGroup, close
+
+
+def cycle_decomposition(g: Perm) -> list[tuple[int, ...]]:
+    """Nontrivial cycles, 0-based, each starting at its smallest point."""
+    seen = [False] * len(g)
+    out = []
+    for start in range(len(g)):
+        if seen[start] or g[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = g[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = g[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def format_perm(g: Perm) -> str:
+    """1-based cycle notation; the identity prints as ``()``."""
+    cycles = cycle_decomposition(g)
+    if not cycles:
+        return "()"
+    return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles)
+
+
+def parse_perm(text: str, degree: int | None = None, line: int | None = None) -> Perm:
+    """Parse 1-based cycle notation like ``(1 2 3)(4 5)``.
+
+    A point may appear at most once across all cycles; anything else is
+    not a bijection and is rejected.
+    """
+    mapping: dict[int, int] = {}
+    maxpt = 0
+    i = 0
+    text = text.strip()
+    if not text:
+        raise InputSyntaxError("empty permutation", line=line)
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch != "(":
+            raise InputSyntaxError(f"expected '(' in permutation, found {ch!r}", line=line, column=i + 1)
+        j = text.find(")", i)
+        if j < 0:
+            raise InputSyntaxError("unclosed cycle", line=line, column=i + 1)
+        body = text[i + 1 : j].replace(",", " ").split()
+        pts = []
+        for tok in body:
+            if not tok.isdigit() or int(tok) < 1:
+                raise InputSyntaxError(f"bad point {tok!r}", line=line, column=i + 1)
+            pts.append(int(tok) - 1)
+        for k, p in enumerate(pts):
+            if p in mapping:
+                raise InputSyntaxError(f"point {p + 1} repeated", line=line, column=i + 1)
+            mapping[p] = pts[(k + 1) % len(pts)]
+            maxpt = max(maxpt, p + 1)
+        i = j + 1
+    if degree is None:
+        degree = max(maxpt, 1)
+    elif maxpt > degree:
+        raise InputSyntaxError(f"point {maxpt} exceeds degree {degree}", line=line)
+    images = list(range(degree))
+    for src, dst in mapping.items():
+        images[src] = dst
+    return tuple(images)
+
+
+def extend_perm(g: Perm, degree: int) -> Perm:
+    if len(g) > degree:
+        raise ValueError("cannot shrink a permutation")
+    return g + tuple(range(len(g), degree))
+
 
 # Small groups used by the verification sweeps.  Orders range over
 # 1..200 with every structure the sweeps exercise: cyclic chains,

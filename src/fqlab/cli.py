@@ -30,12 +30,12 @@ Each handler imports the library layers it runs, so a command loads
 only those; ``--version`` loads none.  ``sieve`` and ``density`` load
 ``numtheory``.  ``fq``, ``oq``, ``smooth`` and ``census`` load
 ``permgroup`` and the ``fpgroup`` search: ``quotients``, ``lowindex``,
-``coset`` and ``presentation``; ``census`` adds ``graphs``.
+``coset`` and ``presentation``; ``census`` adds ``census``.
 ``classify`` loads ``fpgroup``'s ``classify``, ``coset``,
 ``presentation`` and ``snf``, but not ``permgroup``: a table is
 certified with ``orbit`` alone.  ``graphs`` loads ``graphs`` and
 ``permgroup``; ``verify`` adds ``catalog``, ``numtheory`` and
-``sweeps``, which holds the verification sweeps.
+``sweeps``, which holds the verification sweeps and their checks.
 Every command is a fresh process and pays its start-up on each run, so
 the package's records are ``typing.NamedTuple``s or plain classes; a
 record decorator that generates methods at import would add about
@@ -217,7 +217,7 @@ def _run_smooth(args: argparse.Namespace) -> CommandOutput:
 def _run_census(args: argparse.Namespace) -> CommandOutput:
     if (args.presentation is None) != (args.stabilizer_order is None):
         raise ValueError("--presentation and --stabilizer-order go together")
-    from .graphs import amalgam_census, cubic_census
+    from .census import amalgam_census, cubic_census
 
     inputs = []
     if args.presentation is None:

@@ -2,10 +2,9 @@
 
 Two parametric symmetric families built from modular coordinates,
 orbit-count transitivity reports with the classical implications
-re-checked at construction time, induced local actions at vertices,
-the subgroup generated by the odd-order parts of two adjacent vertex
-stabilizers, and a desk-scale census of cubic arc-regular graph
-orders driven by the bounded quotient search.
+re-checked at construction time, and induced local actions at
+vertices.  The odd edge core of an action is a ``verify`` check and
+lives in ``sweeps``; graph-order censuses live in ``census``.
 
 Transitivity of the built-in generator sets is certified by orbit
 counting on vertices and arcs, never by closing the generated group:
@@ -13,15 +12,11 @@ the group order grows factorially in the parameters while the orbit
 computations stay linear in the number of arcs.  Local actions come
 from Schreier generators of the vertex stabilizer restricted to the
 neighborhood, so a transitivity report never lists the group either.
-The odd edge core needs the odd-order stabilizer elements, so it lists
-only the vertex stabilizer, closed from those same Schreier generators,
-computed once per endpoint; the stabilizer, not the acting group, must
-fit under the element cap.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputSyntaxError, InternalInvariantError
 from .orbit import orbit
@@ -34,11 +29,7 @@ from .permgroup import (
     orbits_of,
     shape,
     stabilizer_generators,
-    torsion_subgroup,
 )
-
-if TYPE_CHECKING:
-    from .fpgroup import CosetTable, Presentation
 
 
 class Graph:
@@ -328,88 +319,6 @@ def implication_violations(report: TransitivityReport, graph: Graph) -> list[str
     return out
 
 
-class OddCoreReport(NamedTuple):
-    """The subgroup generated by the odd-order parts of the two endpoint
-    stabilizers of one edge, with its structural checks.
-
-    ``check_restriction`` demands that restricting the odd part to the
-    neighborhood equals taking the odd part of the restriction, at both
-    endpoints.  ``check_edge_transitivity`` and ``check_vertex_count``
-    are conditional: they bind only when both odd parts act
-    transitively on their neighborhoods and the graph is connected,
-    and pass vacuously otherwise (odd parts of 2-groups are trivial,
-    so small stabilizers fail the premise, not the check).
-    """
-
-    edge: tuple[int, int]
-    core: PermGroup
-    odd_restriction_commutes: tuple[bool, bool]
-    odd_local_transitive: tuple[bool, bool]
-    core_edge_transitive: bool
-    core_orbit_sizes: tuple[int, int]
-    check_restriction: bool
-    check_edge_transitivity: bool
-    check_vertex_count: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.check_restriction
-            and self.check_edge_transitivity
-            and self.check_vertex_count
-        )
-
-
-def odd_edge_core(ga: GraphAction, edge) -> OddCoreReport:
-    """Generate a subgroup from the odd-order elements of the two
-    endpoint stabilizers and check what that forces.
-
-    When both odd parts are transitive on their neighborhoods (and the
-    graph is connected), the core must be edge-transitive and the
-    vertex count must equal one point-orbit size or the sum of the two.
-    Restriction is a homomorphism, so the local action and the restricted
-    odd part are closed from the restrictions of their generators.
-    """
-    u, v = edge
-    graph = ga.graph
-    n = graph.vertex_count
-    if not graph.has_edge(u, v):
-        raise ValueError(f"{u}-{v} is not an edge")
-
-    commutes = []
-    transitive = []
-    odd_parts = []
-    for x in (u, v):
-        schreier = stabilizer_generators(ga.group.generators, n, x)
-        odd_part = torsion_subgroup(close(schreier, n), lambda k: k % 2 == 1)
-        odd_parts.append(odd_part)
-        restricted = _induced_on(graph.adjacency[x], odd_part.generators)
-        local = _induced_on(graph.adjacency[x], schreier)
-        commutes.append(restricted == torsion_subgroup(local, lambda k: k % 2 == 1))
-        transitive.append(is_transitive(restricted))
-
-    core = close(odd_parts[0].generators + odd_parts[1].generators, n)
-    edge_reps = _orbit_reps(graph.edges, core.generators, _act_edge)
-    core_edge_transitive = len(edge_reps) <= 1
-    orbit_sizes = tuple(
-        len(orbit(x, lambda y: (g[y] for g in core.generators))) for x in (u, v)
-    )
-
-    premise = all(transitive) and graph.is_connected
-    return OddCoreReport(
-        edge=(u, v),
-        core=core,
-        odd_restriction_commutes=(commutes[0], commutes[1]),
-        odd_local_transitive=(transitive[0], transitive[1]),
-        core_edge_transitive=core_edge_transitive,
-        core_orbit_sizes=orbit_sizes,
-        check_restriction=all(commutes),
-        check_edge_transitivity=(not premise) or core_edge_transitive,
-        check_vertex_count=(not premise)
-        or n in (orbit_sizes[0], orbit_sizes[0] + orbit_sizes[1]),
-    )
-
-
 def build_w(k: int, r: int) -> GraphAction:
     """Layered graph on Z_k x Z_r: consecutive layers completely joined.
 
@@ -490,83 +399,3 @@ def build_sw(k: int, r: int) -> GraphAction:
     if k >= 2:
         generators.insert(0, tuple(vid(x + 1, y, z) for x, y, z in coords))
     return GraphAction(graph, PermGroup(n, tuple(generators)))
-
-
-class CensusEntry(NamedTuple):
-    """One certified graph order.
-
-    ``certificate_index`` is the quotient group order backing the
-    entry and ``table`` its coset table; ``flagged`` marks orders below
-    four, where the quotient is too degenerate for the coset graph to
-    be trusted simple.
-    """
-
-    order: int
-    certificate_index: int
-    flagged: bool
-    table: CosetTable
-
-
-class CensusResult(NamedTuple):
-    """Sorted census entries plus the parameters that produced them."""
-
-    max_index: int
-    stabilizer_order: int
-    entries: tuple[CensusEntry, ...]
-    complete: bool
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(e.order for e in self.entries)
-
-
-def _census(found, s: int, max_index: int) -> CensusResult:
-    """One entry of graph order m/s per quotient order m with s | m."""
-    entries = tuple(
-        CensusEntry(m // s, m, m // s < 4, found.certificates[m])
-        for m in found.orders
-        if m % s == 0
-    )
-    return CensusResult(max_index, s, entries, found.complete)
-
-
-def cubic_census(
-    max_index: int,
-    allow_partial: bool = False,
-) -> CensusResult:
-    """Orders of connected cubic graphs carrying arc-regular symmetry.
-
-    Such a symmetry group is generated by a vertex rotation of order
-    exactly three and an edge swap of order exactly two, so its finite
-    images are the order-preserving quotients of the free product of a
-    three-cycle and a two-cycle; each image of order m yields a coset
-    graph on m/3 vertices.
-    """
-    from .fpgroup import smooth_quotients
-
-    found = smooth_quotients((3, 2), max_index, allow_partial)
-    for m in found.orders:
-        if m % 3:
-            raise InternalInvariantError(f"order {m} despite an order-3 generator")
-    return _census(found, 3, max_index)
-
-
-def amalgam_census(
-    pres: Presentation,
-    stabilizer_order: int,
-    max_index: int,
-    allow_partial: bool = False,
-) -> CensusResult:
-    """Census over a user-supplied presentation with a declared vertex
-    stabilizer order s: each finite quotient of order m with s | m
-    yields the graph order m/s.
-
-    Quotient orders not divisible by s are dropped: the declared
-    stabilizer cannot embed in such an image, so no coset graph of the
-    promised valency exists there.
-    """
-    if stabilizer_order < 1:
-        raise ValueError("stabilizer order must be >= 1")
-    from .fpgroup import fq_up_to
-
-    return _census(fq_up_to(pres, max_index, allow_partial), stabilizer_order, max_index)

@@ -10,18 +10,13 @@ by a normal subgroup labels each element with its coset and closes the
 coset action of the group's generators; subgroups generated by
 order-restricted elements scan the element set, so they are desk scale.
 Normal subgroups are the joins of the subgroups that conjugacy classes
-generate, computed once per group.
+generate, computed once per group; each join is a union of cosets.
 The closure sifts its generators, so a long redundant generating list
 costs little more than a short one.  Permutations are tuples of
 0-based images; composition is "left then right", so cosets and coset
 actions are right-handed throughout.
-
-The checks in this module back three structural facts used elsewhere:
-the subgroup generated by odd-order elements maps onto its counterpart
-in any quotient; a group whose order is anchored at a prime p has a
-quotient that is a cyclic-by-p split extension with complement order
-dividing p - 1; and quasiprimitive groups of order above 2 have a
-transitive odd-generated part.
+Cycle notation lives in ``catalog``, and the checks built on this kit
+in ``sweeps``; only ``verify`` loads either.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .budgets import ELEMENT_CAP, NORMAL_SUBGROUP_CAP
-from .errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
+from .errors import GroupTooLargeError, InternalInvariantError
 from .orbit import orbit
 
 Perm = tuple[int, ...]
@@ -80,83 +75,6 @@ def perm_order(g: Perm) -> int:
         if length > 1:
             out = math.lcm(out, length)
     return out
-
-
-def cycle_decomposition(g: Perm) -> list[tuple[int, ...]]:
-    """Nontrivial cycles, 0-based, each starting at its smallest point."""
-    seen = [False] * len(g)
-    out = []
-    for start in range(len(g)):
-        if seen[start] or g[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = g[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = g[x]
-        out.append(tuple(cyc))
-    return out
-
-
-def format_perm(g: Perm) -> str:
-    """1-based cycle notation; the identity prints as ``()``."""
-    cycles = cycle_decomposition(g)
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles)
-
-
-def parse_perm(text: str, degree: int | None = None, line: int | None = None) -> Perm:
-    """Parse 1-based cycle notation like ``(1 2 3)(4 5)``.
-
-    A point may appear at most once across all cycles; anything else is
-    not a bijection and is rejected.
-    """
-    mapping: dict[int, int] = {}
-    maxpt = 0
-    i = 0
-    text = text.strip()
-    if not text:
-        raise InputSyntaxError("empty permutation", line=line)
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "(":
-            raise InputSyntaxError(f"expected '(' in permutation, found {ch!r}", line=line, column=i + 1)
-        j = text.find(")", i)
-        if j < 0:
-            raise InputSyntaxError("unclosed cycle", line=line, column=i + 1)
-        body = text[i + 1 : j].replace(",", " ").split()
-        pts = []
-        for tok in body:
-            if not tok.isdigit() or int(tok) < 1:
-                raise InputSyntaxError(f"bad point {tok!r}", line=line, column=i + 1)
-            pts.append(int(tok) - 1)
-        for k, p in enumerate(pts):
-            if p in mapping:
-                raise InputSyntaxError(f"point {p + 1} repeated", line=line, column=i + 1)
-            mapping[p] = pts[(k + 1) % len(pts)]
-            maxpt = max(maxpt, p + 1)
-        i = j + 1
-    if degree is None:
-        degree = max(maxpt, 1)
-    elif maxpt > degree:
-        raise InputSyntaxError(f"point {maxpt} exceeds degree {degree}", line=line)
-    images = list(range(degree))
-    for src, dst in mapping.items():
-        images[src] = dst
-    return tuple(images)
-
-
-def extend_perm(g: Perm, degree: int) -> Perm:
-    if len(g) > degree:
-        raise ValueError("cannot shrink a permutation")
-    return g + tuple(range(len(g), degree))
 
 
 class PermGroup:
@@ -360,7 +278,10 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     subgroups its classes generate, and joins of normal subgroups are
     normal, so the fixpoint reaches all of them and nothing else.
     A class is the orbit of one element under conjugation by the
-    generators; a join closes the generators of both sides.
+    generators.  A join N M with one side inside the other is that
+    other side, already found.  Otherwise, both sides being normal, it is
+    the union of the cosets N m over m in M; a coset meets the union
+    built so far only if it lies in it, so each m already in is skipped.
     """
     if group._normal is not None:
         return list(group._normal)
@@ -386,11 +307,17 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     while worklist:
         current = worklist.pop()
         for atom in atoms:
-            if atom.element_set <= current.element_set:
+            if atom.element_set <= current.element_set or current.element_set <= atom.element_set:
                 continue
-            join = close(current.generators + atom.generators, group.degree, group._cap)
-            if join.element_set not in found:
-                found[join.element_set] = join
+            joined = set(current.element_set)
+            for m in atom.elements:
+                if m not in joined:
+                    joined.update([compose(n, m) for n in current.elements])
+            key = frozenset(joined)
+            if key not in found:
+                join = PermGroup(group.degree, current.generators + atom.generators, group._cap)
+                join._elements, join._element_set = tuple(sorted(key)), key
+                found[key] = join
                 worklist.append(join)
     group._normal = tuple(sorted(found.values(), key=lambda n: (n.order, n.elements)))
     return list(group._normal)
@@ -461,152 +388,3 @@ def shape(group: PermGroup) -> GroupShape:
             if k == half and any(conjugate(r, b) == inverse(r) for b in involutions):
                 return GroupShape("dihedral", half)
     return GroupShape("other", 0)
-
-
-class OddPartEntry(NamedTuple):
-    kernel_order: int
-    matched: bool
-
-
-class OddPartReport(NamedTuple):
-    """Per-kernel comparison of odd-generated parts across a quotient."""
-
-    group_order: int
-    entries: tuple[OddPartEntry, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.matched for e in self.entries)
-
-
-def verify_odd_quotient(group: PermGroup) -> OddPartReport:
-    """Check, for every normal subgroup, that quotienting commutes with
-    taking the odd-generated part."""
-    odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
-    entries = []
-    for N in normal_subgroups(group):
-        Q, label = quotient_with_map(group, N)
-        lhs = {q[0] for q in torsion_subgroup(Q, lambda k: k % 2 == 1).elements}
-        rhs = {label[x] for x in odd_part.elements}
-        entries.append(OddPartEntry(N.order, lhs == rhs))
-    return OddPartReport(group.order, tuple(entries))
-
-
-class SylowQuotientReport(NamedTuple):
-    """Witness decomposition of the distinguished quotient at a prime.
-
-    The quotient has order prime * complement_order, a normal subgroup
-    of order prime, and a cyclic complement quotient whose order divides
-    prime - 1.
-    """
-
-    prime: int
-    group_order: int
-    kernel_order: int
-    complement_order: int
-    quotient: PermGroup
-
-    @property
-    def quotient_order(self) -> int:
-        return self.prime * self.complement_order
-
-
-def normal_sylow_quotient(group: PermGroup, p: int) -> SylowQuotientReport:
-    """Quotient by the coprime part of the centralizer of the Sylow p-part.
-
-    Requires the group order to be anchored at p (p divides exactly
-    once, no divisor above 1 in the class of 1 mod p): then the Sylow
-    p-subgroup P is normal, its centralizer splits as P times a
-    p-coprime part K, K is normal, and G/K is a split extension of P by
-    a cyclic group of order dividing p - 1.
-    """
-    from .numtheory import np_contains
-
-    n = group.order
-    if not np_contains(n, p):
-        raise ValueError(f"group order {n} is not anchored at {p}")
-    z = next((g for g in group.elements if perm_order(g) == p), None)
-    if z is None:
-        raise InternalInvariantError(f"no element of order {p} found")
-    P = close((z,), group.degree, group._cap)
-    if not is_normal(group, P):
-        raise InternalInvariantError("Sylow subgroup not normal despite anchored order")
-    cent = tuple(
-        g for g in group.elements if compose(g, z) == compose(z, g)
-    )
-    k_elems = tuple(g for g in cent if math.gcd(perm_order(g), p) == 1)
-    K = PermGroup(group.degree, k_elems, group._cap)
-    if len(K.elements) != len(k_elems):
-        raise InternalInvariantError("coprime part of the centralizer is not closed")
-    if len(cent) != p * len(k_elems):
-        raise InternalInvariantError("centralizer does not split as expected")
-    if not is_normal(group, K):
-        raise InternalInvariantError("coprime part of the centralizer is not normal")
-    Q, label = quotient_with_map(group, K)
-    z_bar = next(q for q in Q.elements if q[0] == label[z])
-    Pbar = close((z_bar,), Q.degree, group._cap)
-    if Pbar.order != p or not is_normal(Q, Pbar):
-        raise InternalInvariantError("image of the Sylow part is not normal of order p")
-    comp = quotient(Q, Pbar)
-    sh = shape(comp)
-    if sh.tag != "cyclic" or (p - 1) % comp.order != 0:
-        raise InternalInvariantError("complement is not cyclic of order dividing p - 1")
-    return SylowQuotientReport(p, n, K.order, comp.order, Q)
-
-
-def is_quasiprimitive(group: PermGroup) -> bool:
-    """Is every nontrivial normal subgroup transitive?  Requires transitivity."""
-    if not is_transitive(group):
-        raise ValueError("group is not transitive")
-    return all(N.order == 1 or is_transitive(N) for N in normal_subgroups(group))
-
-
-class QuasiprimitiveOddReport(NamedTuple):
-    group_order: int
-    quasiprimitive: bool
-    odd_part_transitive: bool
-    exempt: bool
-
-    @property
-    def passed(self) -> bool:
-        if not self.quasiprimitive or self.exempt:
-            return True
-        return self.odd_part_transitive
-
-
-def verify_quasiprimitive_odd(group: PermGroup) -> QuasiprimitiveOddReport:
-    """Quasiprimitive groups of order above 2 must have a transitive
-    odd-generated part; order 2 is the lone exception."""
-    qp = is_quasiprimitive(group)
-    odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
-    return QuasiprimitiveOddReport(group.order, qp, is_transitive(odd_part), group.order == 2)
-
-
-class RestrictedQuotientReport(NamedTuple):
-    """Outcome of the non-cyclic-quotient check at a modulus."""
-
-    group_order: int
-    modulus: int
-    status: str  # "verified", "violated", or "hypotheses fail"
-    quotient_shape: GroupShape | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "violated"
-
-
-def verify_restricted_quotient(group: PermGroup, a: int) -> RestrictedQuotientReport:
-    """When the order sits in the admissible union set for a and elements
-    of order dividing a generate the whole group, the quotient by the
-    odd-order-dividing-a part must not be cyclic."""
-    from .numtheory import sp_contains
-
-    n = group.order
-    if not sp_contains(n, a):
-        return RestrictedQuotientReport(n, a, "hypotheses fail")
-    if torsion_subgroup(group, lambda k: a % k == 0).order != n:
-        return RestrictedQuotientReport(n, a, "hypotheses fail")
-    core = torsion_subgroup(group, lambda k: k % 2 == 1 and a % k == 0)
-    sh = shape(quotient(group, core))
-    status = "violated" if sh.tag == "cyclic" else "verified"
-    return RestrictedQuotientReport(n, a, status, sh)

@@ -1,32 +1,299 @@
-"""The verification sweeps behind ``fqlab verify``.
+"""The verification sweeps behind ``fqlab verify``, and the checks they run.
 
 Each row checks one structural fact on one subject and reads pass or
-fail; a violated internal invariant counts as a fail.  The subjects are
-the groups of a catalog and a fixed list of graph actions.  Only
-``verify`` loads this module.
+fail; a violated internal invariant counts as a fail, and an exhausted
+budget stops the sweep, naming the check, the subject and the rows
+done.  The subjects are the groups of a catalog and a fixed list of
+graph actions.  Only ``verify`` loads this module.
+
+The facts: the odd-generated subgroup maps onto its counterpart in any
+quotient; an order anchored at a prime p gives a cyclic-by-p split
+quotient with complement order dividing p - 1; quasiprimitive groups
+of order above 2 have a transitive odd-generated part; and the odd
+parts of two adjacent vertex stabilizers generate an edge core whose
+orbits local transitivity constrains.  The core lists only the vertex
+stabilizers, each closed once from its Schreier generators.
 """
 
 from __future__ import annotations
 
-from .errors import InternalInvariantError
+import math
+from typing import NamedTuple
+
+from .errors import GroupTooLargeError, InternalInvariantError
 from .graphs import (
     GraphAction,
+    _act_edge,
+    _induced_on,
+    _orbit_reps,
     build_sw,
     build_w,
     graph_from_edges,
-    odd_edge_core,
     transitivity_report,
 )
-from .numtheory import factor, np_contains
+from .numtheory import factor, np_contains, sp_contains
+from .orbit import orbit
 from .permgroup import (
+    GroupShape,
     PermGroup,
     close,
+    compose,
+    is_normal,
     is_transitive,
-    normal_sylow_quotient,
-    verify_odd_quotient,
-    verify_quasiprimitive_odd,
-    verify_restricted_quotient,
+    normal_subgroups,
+    perm_order,
+    quotient,
+    quotient_with_map,
+    shape,
+    stabilizer_generators,
+    torsion_subgroup,
 )
+
+
+class OddPartEntry(NamedTuple):
+    kernel_order: int
+    matched: bool
+
+
+class OddPartReport(NamedTuple):
+    """Per-kernel comparison of odd-generated parts across a quotient."""
+
+    group_order: int
+    entries: tuple[OddPartEntry, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(e.matched for e in self.entries)
+
+
+def regular_odd_part(Q: PermGroup) -> set[int]:
+    """The subgroup of a regular group Q generated by its odd-order
+    elements, as the set of points to which it moves 0.
+
+    Only the identity of a regular group fixes a point, so q^k = 1
+    exactly when q^k fixes 0: the order of q is the length of its cycle
+    through 0.  Likewise h -> h[0] maps a subgroup H one to one onto the
+    orbit of 0 under H's generators, so H is read off with no closure.
+    """
+    odd = [q for q in Q.elements if len(orbit(0, lambda x: (q[x],))) % 2 == 1]
+    return set(orbit(0, lambda x: (q[x] for q in odd)))
+
+
+def verify_odd_quotient(group: PermGroup) -> OddPartReport:
+    """Check, for every normal subgroup N, N = 1 and N = G included, that
+    quotienting commutes with taking the odd-generated part.
+
+    ``quotient_with_map`` returns a Q transitive on the |G:N| cosets and
+    checks that its order is |G:N|, so Q is regular: its odd part is
+    ``regular_odd_part(Q)``, computed apart from G's odd part mapped
+    through the coset labels.
+    """
+    odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
+    entries = []
+    for N in normal_subgroups(group):
+        Q, label = quotient_with_map(group, N)
+        rhs = {label[x] for x in odd_part.elements}
+        entries.append(OddPartEntry(N.order, regular_odd_part(Q) == rhs))
+    return OddPartReport(group.order, tuple(entries))
+
+
+class SylowQuotientReport(NamedTuple):
+    """Witness decomposition of the distinguished quotient at a prime.
+
+    The quotient has order prime * complement_order, a normal subgroup
+    of order prime, and a cyclic complement quotient whose order divides
+    prime - 1.
+    """
+
+    prime: int
+    group_order: int
+    kernel_order: int
+    complement_order: int
+    quotient: PermGroup
+
+    @property
+    def quotient_order(self) -> int:
+        return self.prime * self.complement_order
+
+
+def normal_sylow_quotient(group: PermGroup, p: int) -> SylowQuotientReport:
+    """Quotient by the coprime part of the centralizer of the Sylow p-part.
+
+    Requires the group order to be anchored at p (p divides exactly
+    once, no divisor above 1 in the class of 1 mod p): then the Sylow
+    p-subgroup P is normal, its centralizer splits as P times a
+    p-coprime part K, K is normal, and G/K is a split extension of P by
+    a cyclic group of order dividing p - 1.
+    """
+    n = group.order
+    if not np_contains(n, p):
+        raise ValueError(f"group order {n} is not anchored at {p}")
+    z = next((g for g in group.elements if perm_order(g) == p), None)
+    if z is None:
+        raise InternalInvariantError(f"no element of order {p} found")
+    P = close((z,), group.degree, group._cap)
+    if not is_normal(group, P):
+        raise InternalInvariantError("Sylow subgroup not normal despite anchored order")
+    cent = tuple(
+        g for g in group.elements if compose(g, z) == compose(z, g)
+    )
+    k_elems = tuple(g for g in cent if math.gcd(perm_order(g), p) == 1)
+    K = PermGroup(group.degree, k_elems, group._cap)
+    if len(K.elements) != len(k_elems):
+        raise InternalInvariantError("coprime part of the centralizer is not closed")
+    if len(cent) != p * len(k_elems):
+        raise InternalInvariantError("centralizer does not split as expected")
+    if not is_normal(group, K):
+        raise InternalInvariantError("coprime part of the centralizer is not normal")
+    Q, label = quotient_with_map(group, K)
+    z_bar = next(q for q in Q.elements if q[0] == label[z])
+    Pbar = close((z_bar,), Q.degree, group._cap)
+    if Pbar.order != p or not is_normal(Q, Pbar):
+        raise InternalInvariantError("image of the Sylow part is not normal of order p")
+    comp = quotient(Q, Pbar)
+    sh = shape(comp)
+    if sh.tag != "cyclic" or (p - 1) % comp.order != 0:
+        raise InternalInvariantError("complement is not cyclic of order dividing p - 1")
+    return SylowQuotientReport(p, n, K.order, comp.order, Q)
+
+
+def is_quasiprimitive(group: PermGroup) -> bool:
+    """Is every nontrivial normal subgroup transitive?  Requires transitivity."""
+    if not is_transitive(group):
+        raise ValueError("group is not transitive")
+    return all(N.order == 1 or is_transitive(N) for N in normal_subgroups(group))
+
+
+class QuasiprimitiveOddReport(NamedTuple):
+    group_order: int
+    quasiprimitive: bool
+    odd_part_transitive: bool
+    exempt: bool
+
+    @property
+    def passed(self) -> bool:
+        if not self.quasiprimitive or self.exempt:
+            return True
+        return self.odd_part_transitive
+
+
+def verify_quasiprimitive_odd(group: PermGroup) -> QuasiprimitiveOddReport:
+    """Quasiprimitive groups of order above 2 must have a transitive
+    odd-generated part; order 2 is the lone exception."""
+    qp = is_quasiprimitive(group)
+    odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
+    return QuasiprimitiveOddReport(group.order, qp, is_transitive(odd_part), group.order == 2)
+
+
+class RestrictedQuotientReport(NamedTuple):
+    """Outcome of the non-cyclic-quotient check at a modulus."""
+
+    group_order: int
+    modulus: int
+    status: str  # "verified", "violated", or "hypotheses fail"
+    quotient_shape: GroupShape | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.status != "violated"
+
+
+def verify_restricted_quotient(group: PermGroup, a: int) -> RestrictedQuotientReport:
+    """When the order sits in the admissible union set for a and elements
+    of order dividing a generate the whole group, the quotient by the
+    odd-order-dividing-a part must not be cyclic."""
+    n = group.order
+    if not sp_contains(n, a):
+        return RestrictedQuotientReport(n, a, "hypotheses fail")
+    if torsion_subgroup(group, lambda k: a % k == 0).order != n:
+        return RestrictedQuotientReport(n, a, "hypotheses fail")
+    core = torsion_subgroup(group, lambda k: k % 2 == 1 and a % k == 0)
+    sh = shape(quotient(group, core))
+    status = "violated" if sh.tag == "cyclic" else "verified"
+    return RestrictedQuotientReport(n, a, status, sh)
+
+
+class OddCoreReport(NamedTuple):
+    """The subgroup generated by the odd-order parts of the two endpoint
+    stabilizers of one edge, with its structural checks.
+
+    ``check_restriction`` demands that restricting the odd part to the
+    neighborhood equals taking the odd part of the restriction, at both
+    endpoints.  ``check_edge_transitivity`` and ``check_vertex_count``
+    are conditional: they bind only when both odd parts act
+    transitively on their neighborhoods and the graph is connected,
+    and pass vacuously otherwise (odd parts of 2-groups are trivial,
+    so small stabilizers fail the premise, not the check).
+    """
+
+    edge: tuple[int, int]
+    core: PermGroup
+    odd_restriction_commutes: tuple[bool, bool]
+    odd_local_transitive: tuple[bool, bool]
+    core_edge_transitive: bool
+    core_orbit_sizes: tuple[int, int]
+    check_restriction: bool
+    check_edge_transitivity: bool
+    check_vertex_count: bool
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.check_restriction
+            and self.check_edge_transitivity
+            and self.check_vertex_count
+        )
+
+
+def odd_edge_core(ga: GraphAction, edge) -> OddCoreReport:
+    """Generate a subgroup from the odd-order elements of the two
+    endpoint stabilizers and check what that forces.
+
+    When both odd parts are transitive on their neighborhoods (and the
+    graph is connected), the core must be edge-transitive and the
+    vertex count must equal one point-orbit size or the sum of the two.
+    Restriction is a homomorphism, so the local action and the restricted
+    odd part are closed from the restrictions of their generators.
+    """
+    u, v = edge
+    graph = ga.graph
+    n = graph.vertex_count
+    if not graph.has_edge(u, v):
+        raise ValueError(f"{u}-{v} is not an edge")
+
+    commutes = []
+    transitive = []
+    odd_parts = []
+    for x in (u, v):
+        schreier = stabilizer_generators(ga.group.generators, n, x)
+        odd_part = torsion_subgroup(close(schreier, n), lambda k: k % 2 == 1)
+        odd_parts.append(odd_part)
+        restricted = _induced_on(graph.adjacency[x], odd_part.generators)
+        local = _induced_on(graph.adjacency[x], schreier)
+        commutes.append(restricted == torsion_subgroup(local, lambda k: k % 2 == 1))
+        transitive.append(is_transitive(restricted))
+
+    core = close(odd_parts[0].generators + odd_parts[1].generators, n)
+    edge_reps = _orbit_reps(graph.edges, core.generators, _act_edge)
+    core_edge_transitive = len(edge_reps) <= 1
+    orbit_sizes = tuple(
+        len(orbit(x, lambda y: (g[y] for g in core.generators))) for x in (u, v)
+    )
+
+    premise = all(transitive) and graph.is_connected
+    return OddCoreReport(
+        edge=(u, v),
+        core=core,
+        odd_restriction_commutes=(commutes[0], commutes[1]),
+        odd_local_transitive=(transitive[0], transitive[1]),
+        core_edge_transitive=core_edge_transitive,
+        core_orbit_sizes=orbit_sizes,
+        check_restriction=all(commutes),
+        check_edge_transitivity=(not premise) or core_edge_transitive,
+        check_vertex_count=(not premise)
+        or n in (orbit_sizes[0], orbit_sizes[0] + orbit_sizes[1]),
+    )
+
 
 RESTRICTED_MODULI = (1, 2, 3, 4, 5, 6)
 
@@ -76,6 +343,8 @@ def verification_rows(groups: dict[str, PermGroup]) -> list[tuple[str, str, str]
             ok = bool(check_passes())
         except InternalInvariantError:
             ok = False
+        except GroupTooLargeError as err:
+            raise GroupTooLargeError(f"{err}, in {check} on {subject} after {len(rows)} rows") from None
         rows.append((check, subject, "pass" if ok else "fail"))
 
     for name, group in groups.items():

@@ -20,11 +20,12 @@ from fqlab.fpgroup import (
     smooth_quotients,
     verify_table,
 )
-from fqlab.graphs import build_sw, build_w, cubic_census, transitivity_report
+from fqlab.census import cubic_census
+from fqlab.graphs import build_sw, build_w, transitivity_report
 from fqlab.numtheory import SieveSet, density_series, factor, np_contains
-from fqlab.permgroup import (
+from fqlab.permgroup import is_transitive
+from fqlab.sweeps import (
     is_quasiprimitive,
-    is_transitive,
     normal_sylow_quotient,
     verify_odd_quotient,
     verify_quasiprimitive_odd,

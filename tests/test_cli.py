@@ -13,11 +13,10 @@ import types
 
 import pytest
 
+import fqlab.census as census
 import fqlab.cli as cli
 import fqlab.fpgroup.classify as classify
-import fqlab.graphs as graphs
 import fqlab.numtheory as numtheory
-import fqlab.permgroup as permgroup
 import fqlab.sweeps as sweeps
 from fqlab.catalog import load_catalog, serialize_catalog
 from fqlab.cli import dispatch
@@ -222,7 +221,7 @@ VERIFY_SHA256 = "3c2090a16fa09cf50de39e30d6c7ec2a66301724cdf5339f6e1b7c3f44f6abe
 def test_verify_builds_each_lattice_once(capsys, monkeypatch):
     computed = []
     calls = 0
-    inner = permgroup.normal_subgroups
+    inner = sweeps.normal_subgroups
 
     def counting(group):
         nonlocal calls
@@ -234,7 +233,7 @@ def test_verify_builds_each_lattice_once(capsys, monkeypatch):
             computed.append(group)
         return result
 
-    monkeypatch.setattr(permgroup, "normal_subgroups", counting)
+    monkeypatch.setattr(sweeps, "normal_subgroups", counting)
     rc, _ = run(capsys, ["verify"])
     assert rc == 0
     assert len(computed) == len({id(G) for G in computed}) == len(load_catalog()) == 36
@@ -249,6 +248,19 @@ def test_verify_custom_fixtures(capsys, tmp_path):
     _, rows = rows_of(out)
     assert any(r[1] == "c3" for r in rows)
     assert all(r[2] == "pass" for r in rows)
+
+
+def test_verify_budget_message_says_how_far_it_got(capsys, tmp_path):
+    path = tmp_path / "big.catalog"
+    path.write_text("C3: (1 2 3)\nS7: (1 2 3 4 5 6 7), (1 2)\n")
+    rc = dispatch(["verify", "--fixtures", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        "fqlab: budget exhausted: order 5040 exceeds the normal-subgroup cap 2000, "
+        "in odd_quotient on S7 after 1 rows\n"
+    )
 
 
 def test_verify_failure_exits_4(capsys, monkeypatch):
@@ -440,7 +452,7 @@ def test_internal_invariant_exits_4(capsys, monkeypatch):
     def boom(*a, **k):
         raise InternalInvariantError("forced")
 
-    monkeypatch.setattr(graphs, "cubic_census", boom)
+    monkeypatch.setattr(census, "cubic_census", boom)
     rc, out = run(capsys, ["census", "--max-index", "12"])
     assert rc == 4
     assert out == ""
@@ -541,7 +553,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["sieve", "--set", "np:3", "--limit", "1000"], NUMTHEORY),
         (["classify", "--presentation", path], CLASSIFY),
         (["fq", "--presentation", path, "--max-index", "24"], QUOTIENTS),
-        (["census", "--max-index", "12"], GRAPHS | QUOTIENTS),
+        (["census", "--max-index", "12"], QUOTIENTS | {"fqlab.census"}),
         (["graphs", "--family", "w", "--k", "3", "--r", "5", "--report"], GRAPHS),
         (["verify"], GRAPHS | NUMTHEORY | {"fqlab.catalog", "fqlab.sweeps"}),
     ]

@@ -3,6 +3,7 @@
 import pytest
 from coset_oracle import EnumerationUndecided, standardize_rows, todd_coxeter
 
+from fqlab.catalog import parse_perm
 from fqlab.fpgroup import (
     abelianization,
     index_two_subgroups,
@@ -11,7 +12,7 @@ from fqlab.fpgroup import (
     verify_table,
 )
 from fqlab.fpgroup.coset import CosetTable
-from fqlab.permgroup import close, parse_perm
+from fqlab.permgroup import close
 
 
 def enumerate_group(text, cap=10000):

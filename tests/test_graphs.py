@@ -6,30 +6,26 @@ import math
 import pytest
 
 from fqlab.budgets import ELEMENT_CAP
-from fqlab.sweeps import graph_fixtures
+from fqlab.census import CensusEntry, amalgam_census, cubic_census
 from fqlab.errors import InputSyntaxError, SearchBudgetError
 from fqlab.fpgroup import parse_presentation
 from fqlab.fpgroup.coset import col_to_letter
 from fqlab.graphs import (
-    CensusEntry,
     Graph,
     GraphAction,
-    OddCoreReport,
     TransitivityReport,
-    amalgam_census,
     build_sw,
     build_w,
-    cubic_census,
     graph_from_edges,
     graph_from_text,
     graph_to_text,
     implication_violations,
     local_action,
-    odd_edge_core,
     transitivity_report,
 )
 from fqlab.graphs import _induced_on
 from fqlab.permgroup import GroupShape, PermGroup, close, is_transitive
+from fqlab.sweeps import OddCoreReport, graph_fixtures, odd_edge_core
 
 
 def cycle(n):

@@ -1,7 +1,8 @@
 """Permutation group tests.
 
-Oracles: a subgroup-lattice walk (extend-by-one-element fixpoint) for
-the normal-subgroup enumeration, full-element conjugation scans for
+Oracles: a subgroup-lattice walk (extend-by-one-element fixpoint) and
+joins closed from generators (``lattice_oracle``) for the
+normal-subgroup enumeration, full-element conjugation scans for
 normality, and the defining formulas for compose and perm_order.
 Everything order-restricted is cross-checked against plain
 element filtering.
@@ -11,8 +12,18 @@ import math
 import random
 
 import pytest
+from lattice_oracle import closure_join_lattice
 
-from fqlab.catalog import DEFAULT_CATALOG, load_catalog, parse_catalog, serialize_catalog
+from fqlab.catalog import (
+    DEFAULT_CATALOG,
+    cycle_decomposition,
+    extend_perm,
+    format_perm,
+    load_catalog,
+    parse_catalog,
+    parse_perm,
+    serialize_catalog,
+)
 from fqlab.errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
 from fqlab.numtheory import np_contains
 from fqlab.orbit import orbit
@@ -21,19 +32,13 @@ from fqlab.permgroup import (
     close,
     compose,
     conjugate,
-    cycle_decomposition,
-    extend_perm,
-    format_perm,
     identity,
     inverse,
     is_normal,
-    is_quasiprimitive,
     is_transitive,
     normal_subgroups,
-    normal_sylow_quotient,
     orbits,
     orbits_of,
-    parse_perm,
     perm_order,
     quotient,
     quotient_with_map,
@@ -41,6 +46,11 @@ from fqlab.permgroup import (
     stabilizer_generators,
     torsion_subgroup,
     trivial_group,
+)
+from fqlab.sweeps import (
+    is_quasiprimitive,
+    normal_sylow_quotient,
+    regular_odd_part,
     verify_odd_quotient,
     verify_quasiprimitive_odd,
     verify_restricted_quotient,
@@ -338,6 +348,48 @@ def test_normal_subgroups_against_lattice_oracle():
         got = {N.element_set for N in normal_subgroups(G)}
         assert got == want, name
         assert len(got) == len(normal_subgroups(G)), name  # exactly once
+
+
+def block_product_groups(seed, count):
+    """Fixed-seed groups of order 24 to 2,000, each generated by two or
+    three permutations that move the points of two blocks separately."""
+    rng = random.Random(seed)
+    groups = []
+    while len(groups) < count:
+        a, b = rng.randint(2, 5), rng.randint(2, 5)
+
+        def perm():
+            return tuple(rng.sample(range(a), a) + [a + x for x in rng.sample(range(b), b)])
+
+        try:
+            G = close([perm() for _ in range(rng.randint(2, 3))], a + b, element_cap=2000)
+        except GroupTooLargeError:
+            continue
+        if G.order >= 24:
+            groups.append(G)
+    return groups
+
+
+def test_normal_subgroups_match_closure_join_oracle():
+    # joins as coset unions give the same lattice as joins closed from generators
+    S6 = close((parse_perm("(1 2 3 4 5 6)"), parse_perm("(1 2)", 6)))
+    assert S6.order == 720
+    others = block_product_groups(1, 4)
+    assert [G.order for G in others] == [36, 120, 240, 720]
+    for G in [*CAT.values(), S6, *others]:
+        got = [N.element_set for N in normal_subgroups(G)]
+        assert len(got) == len(set(got)), G.generators
+        assert set(got) == closure_join_lattice(G), G.generators
+
+
+def test_regular_odd_part_matches_torsion_closure():
+    # on every quotient verify builds, the point-set odd part is the
+    # odd-generated subgroup closed in full, read at point 0
+    for name, G in CAT.items():
+        for N in normal_subgroups(G):
+            Q, _ = quotient_with_map(G, N)
+            want = {q[0] for q in torsion_subgroup(Q, odd).elements}
+            assert regular_odd_part(Q) == want, (name, N.order)
 
 
 def test_normal_subgroups_cap():
