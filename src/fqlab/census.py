@@ -36,10 +36,6 @@ class CensusResult(NamedTuple):
     entries: tuple[CensusEntry, ...]
     complete: bool
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(e.order for e in self.entries)
-
 
 def _census(found, s: int, max_index: int) -> CensusResult:
     """One entry of graph order m/s per quotient order m with s | m."""

@@ -28,12 +28,12 @@ of the quotient searches.
 
 Each handler imports the library layers it runs, so a command loads
 only those; ``--version`` loads none.  ``sieve`` and ``density`` load
-``numtheory``.  ``fq``, ``oq``, ``smooth`` and ``census`` load
-``permgroup`` and the ``fpgroup`` search: ``quotients``, ``lowindex``,
-``coset`` and ``presentation``; ``census`` adds ``census``.
-``classify`` loads ``fpgroup``'s ``classify``, ``coset``,
-``presentation`` and ``snf``, but not ``permgroup``: a table is
-certified with ``orbit`` alone.  ``graphs`` loads ``graphs`` and
+``numtheory``.  ``fq``, ``oq``, ``smooth`` and ``census`` load the
+``fpgroup`` search: ``quotients``, ``lowindex``, ``coset`` and
+``presentation``; ``census`` adds ``census``.  ``classify`` loads
+``fpgroup``'s ``classify``, ``coset``, ``presentation`` and ``snf``.
+None of these loads ``permgroup``: a table is certified from the table
+itself, with ``orbit``.  ``graphs`` loads ``graphs`` and
 ``permgroup``; ``verify`` adds ``catalog``, ``numtheory`` and
 ``sweeps``, which holds the verification sweeps and their checks.
 Every command is a fresh process and pays its start-up on each run, so

@@ -4,8 +4,8 @@ Every name below loads its submodule on first use (PEP 562), so a
 command imports only the submodules it runs: ``classify`` loads
 ``classify``, ``coset``, ``presentation`` and ``snf``; ``fq``, ``oq``,
 ``smooth`` and ``census`` load ``quotients``, ``lowindex``, ``coset``
-and ``presentation``.  ``coset`` brings in ``permgroup``.  Each command
-is a fresh process, so the records here are ``typing.NamedTuple``s or
+and ``presentation``; none loads ``permgroup``.  Each command is a
+fresh process, so the records here are ``typing.NamedTuple``s or
 plain classes, cheap to build at import.
 """
 
@@ -20,6 +20,7 @@ _SUBMODULE = {
     "verify_dihedral_witness": "classify",
     "CosetTable": "coset",
     "SchreierData": "coset",
+    "is_regular": "coset",
     "schreier_data": "coset",
     "verify_table": "coset",
     "low_index_normal_subgroups": "lowindex",

@@ -4,8 +4,10 @@ A table row holds one coset's images under every generator and inverse:
 generator i acts through column 2i, its inverse through column 2i+1.
 Tables are built elsewhere (the normal low-index search, or directly
 for the index-2 subgroups in ``classify``); ``verify_table`` certifies
-any of them without trusting how it was built.  ``schreier_data``
-rewrites the subgroup of a verified table onto Schreier generators.
+any of them without trusting how it was built, and ``is_regular``
+certifies that a verified table is a regular action, from the table
+alone.  ``schreier_data`` rewrites the subgroup of a verified table
+onto Schreier generators.
 """
 
 from __future__ import annotations
@@ -96,6 +98,31 @@ def verify_table(t: CosetTable) -> bool:
         for a in range(n):
             if t.trace(a, r) != a:
                 return False
+    return True
+
+
+def is_regular(t: CosetTable) -> bool:
+    """Whether a table that passed ``verify_table`` is a regular action.
+
+    Left multiplication by generator i is forced from L(0) = T[0][2i]
+    along every edge, L(T[b][c]) = T[L(b)][c]; the table is regular
+    exactly when each L is well defined.  Each L then commutes with every
+    column, so its image is closed under them and, the table being
+    transitive, it is onto.  The L move 0 along every word, so the image
+    group has a transitive centralizer and is regular (Dixon & Mortimer,
+    *Permutation Groups*, Thm 4.2A).
+    """
+    rows = t.rows
+    order = orbit(0, rows.__getitem__)
+    for i in range(t.pres.n_gens):
+        lam: list[int | None] = [None] * len(rows)
+        lam[0] = rows[0][2 * i]
+        for b in order:
+            for d, e in zip(rows[b], rows[lam[b]]):
+                if lam[d] is None:
+                    lam[d] = e
+                elif lam[d] != e:
+                    return False
     return True
 
 

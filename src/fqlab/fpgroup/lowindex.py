@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from ..budgets import search_budget
 from ..errors import InternalInvariantError, SearchBudgetError
-from .coset import CosetTable, letter_to_col, verify_table
+from .coset import CosetTable, is_regular, letter_to_col, verify_table
 from .presentation import Presentation
 
 
@@ -66,9 +66,10 @@ def low_index_normal_subgroups(
     bijection that commutes with every column and sends 0 to T[0][2i].
     Their group moves 0 to every coset, so the image's centralizer is
     transitive, and a transitive group with a transitive centralizer is
-    regular.  ``complete`` asserts this, raising InternalInvariantError.
-    The standardized table of a regular action looks the same from
-    every base coset, so each kernel is reached exactly once.
+    regular.  ``complete`` asserts this with ``is_regular`` on the
+    finished table alone, raising InternalInvariantError.  The
+    standardized table of a regular action looks the same from every
+    base coset, so each kernel is reached exactly once.
 
     Tables come back sorted by (index, flat table).  When the node
     budget runs out, the SearchBudgetError carries the tables completed
@@ -280,7 +281,7 @@ def low_index_normal_subgroups(
         t = CosetTable(pres, [list(row) for row in table[:n]])
         if not verify_table(t):
             raise InternalInvariantError("search completed an inconsistent table")
-        if t.image_group().order != t.n_cosets:
+        if not is_regular(t):
             raise InternalInvariantError("search completed a table that is not regular")
         found.append(t)
 

@@ -4,7 +4,7 @@ Every finite quotient of order n corresponds to a normal subgroup of
 index n, so order sets come straight out of the normal low-index
 search.  Each order keeps one certificate: the standardized table of
 the smallest normal subgroup realizing it, re-checkable independently
-with ``verify_table`` and a regularity test.
+with ``verify_table`` and ``is_regular``.
 
 A budget exhaustion can leave the listing incomplete; results carry a
 ``complete`` flag and incomplete ones are refused by downstream
@@ -14,7 +14,7 @@ consumers unless explicitly requested.
 from __future__ import annotations
 
 from ..errors import SearchBudgetError
-from ..permgroup import perm_order
+from ..orbit import orbit
 from .coset import CosetTable
 from .lowindex import low_index_normal_subgroups
 from .presentation import Presentation
@@ -118,8 +118,9 @@ def smooth_quotients(
     factor keeps its full order.
 
     A quotient counts only if the image of each factor's generator has
-    order exactly the factor's order, not a proper divisor; kept
-    certificates are checked generator by generator.
+    order exactly the factor's order, not a proper divisor.  Every table
+    is a regular action, where all cycles of a generator have the same
+    length, so that order is the length of its cycle through coset 0.
     """
     orders = tuple(cyclic_orders)
     pres = free_product_of_cyclics(orders)
@@ -127,6 +128,6 @@ def smooth_quotients(
     kept = [
         t
         for t in tables
-        if all(perm_order(t.column_perm(i)) == s for i, s in enumerate(orders))
+        if all(len(orbit(0, lambda x: (t.rows[x][2 * i],))) == s for i, s in enumerate(orders))
     ]
     return _bundle(pres, max_index, kept, complete)

@@ -7,9 +7,9 @@ returning; a mismatch is an internal bug, not a user error.
 
 ``invariants`` follows the cokernel convention: one entry per input
 column, nonzero entries first satisfying the divisibility chain, then a
-zero for each free factor.  ``free_rank`` counts the zeros, so a
-presentation matrix (relators as rows, generators as columns) yields
-the abelian invariants of the quotient directly.
+zero for each free factor, so a presentation matrix (relators as rows,
+generators as columns) yields the abelian invariants of the quotient
+directly.
 """
 
 from __future__ import annotations
@@ -77,20 +77,6 @@ class SmithForm:
             raise ValueError("zero invariants must come last")
         if len(self.invariants) != self.input_shape[1]:
             raise ValueError("need one invariant per input column")
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.invariants if d == 0)
-
-    @property
-    def group_order(self) -> int | None:
-        """Order of the presented abelian group, None when infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.invariants:
-            out *= d
-        return out
 
 
 def smith_normal_form(rows, n_cols: int | None = None) -> SmithForm:

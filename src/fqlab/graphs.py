@@ -80,9 +80,6 @@ class Graph:
             (v, w) for v in range(self.vertex_count) for w in self.adjacency[v]
         )
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 

@@ -9,19 +9,19 @@ import pathlib
 import re
 import subprocess
 import sys
-import types
 
 import pytest
 
 import fqlab.census as census
 import fqlab.cli as cli
 import fqlab.fpgroup.classify as classify
+import fqlab.fpgroup.lowindex as lowindex
 import fqlab.numtheory as numtheory
 import fqlab.sweeps as sweeps
 from fqlab.catalog import load_catalog, serialize_catalog
 from fqlab.cli import dispatch
 from fqlab.errors import InternalInvariantError
-from fqlab.fpgroup import CosetTable, schreier_data
+from fqlab.fpgroup import schreier_data
 from fqlab.numtheory import SieveSet, density_series, ratio_string, sp_contains
 from fqlab.permgroup import close
 
@@ -492,7 +492,7 @@ def test_corrupted_dihedral_matrix_exits_4(capsys, monkeypatch, tmp_path):
 
 
 def test_non_regular_search_table_exits_4(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(CosetTable, "image_group", lambda t: types.SimpleNamespace(order=1))
+    monkeypatch.setattr(lowindex, "is_regular", lambda t: False)
     path = pres_file(tmp_path, Z_PRES)
     monkeypatch.setattr(sys, "argv", ["fqlab", "fq", "--presentation", path, "--max-index", "3"])
     with pytest.raises(SystemExit) as exc:
@@ -536,7 +536,8 @@ PERMGROUP = {"fqlab.budgets", "fqlab.orbit", "fqlab.permgroup"}
 CLASSIFY = {"fqlab.fpgroup", "fqlab.orbit"} | {
     f"fqlab.fpgroup.{m}" for m in ("classify", "coset", "presentation", "snf")
 }
-QUOTIENTS = PERMGROUP | {"fqlab.fpgroup"} | {
+# a search table is certified from the table alone, without permgroup
+QUOTIENTS = {"fqlab.budgets", "fqlab.orbit", "fqlab.fpgroup"} | {
     f"fqlab.fpgroup.{m}" for m in ("coset", "lowindex", "presentation", "quotients")
 }
 GRAPHS = PERMGROUP | {"fqlab.graphs"}
@@ -553,6 +554,8 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["sieve", "--set", "np:3", "--limit", "1000"], NUMTHEORY),
         (["classify", "--presentation", path], CLASSIFY),
         (["fq", "--presentation", path, "--max-index", "24"], QUOTIENTS),
+        (["oq", "--presentation", path, "--max-index", "24"], QUOTIENTS),
+        (["smooth", "--orders", "3,2", "--max-index", "24"], QUOTIENTS),
         (["census", "--max-index", "12"], QUOTIENTS | {"fqlab.census"}),
         (["graphs", "--family", "w", "--k", "3", "--r", "5", "--report"], GRAPHS),
         (["verify"], GRAPHS | NUMTHEORY | {"fqlab.catalog", "fqlab.sweeps"}),

@@ -14,19 +14,21 @@ by each table's Schreier generators must rebuild that table exactly.
 import itertools
 import sys
 import tracemalloc
-import types
 
 import pytest
 from coset_oracle import standardize_rows, todd_coxeter
 
+import fqlab.fpgroup.lowindex as lowindex
 from fqlab.errors import InternalInvariantError, SearchBudgetError
 from fqlab.fpgroup import (
     CosetTable,
     Presentation,
     free_reduce,
+    is_regular,
     low_index_normal_subgroups,
     parse_presentation,
     schreier_data,
+    verify_table,
 )
 from fqlab.fpgroup.coset import letter_to_col
 from fqlab.permgroup import compose, identity, inverse
@@ -205,23 +207,68 @@ def test_infinite_dihedral_against_oracle():
         assert search_flats(subs, n) == oracle_classes(p, n, pools), n
 
 
+FULL_SEARCH_CASES = [
+    ("gens: a b\nrels: a^2, b^3\n", 6),
+    ("gens: a b\nrels: a^2, b^2\n", 6),
+    ("gens: a b\nrels: a^2, b^4, (a b)^3\n", 6),
+    ("gens: x y\nrels:\n", 6),
+    ("gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n", 6),
+    # a length-1 relator, deduced only by the scan of each new coset
+    ("gens: a b\nrels: a, b^6\n", 12),
+    ("gens: a b\nrels: a b a^-1 b^-2\n", 16),
+]
+
+
 def test_normal_search_matches_filtered_full_search():
-    cases = [
-        ("gens: a b\nrels: a^2, b^3\n", 6),
-        ("gens: a b\nrels: a^2, b^2\n", 6),
-        ("gens: a b\nrels: a^2, b^4, (a b)^3\n", 6),
-        ("gens: x y\nrels:\n", 6),
-        ("gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n", 6),
-        # a length-1 relator, deduced only by the scan of each new coset
-        ("gens: a b\nrels: a, b^6\n", 12),
-        ("gens: a b\nrels: a b a^-1 b^-2\n", 16),
-    ]
-    for text, max_index in cases:
+    for text, max_index in FULL_SEARCH_CASES:
         p = parse_presentation(text)
         allsubs = low_index_subgroups(p, max_index)
         filtered = {t.flat() for t in allsubs if t.image_group().order == t.n_cosets}
         normal = {t.flat() for t in low_index_normal_subgroups(p, max_index)}
         assert normal == filtered, text
+
+
+def test_is_regular_matches_closure_order():
+    # the closure order is the definition: a transitive image is regular
+    # exactly when it has as many elements as points
+    def agrees(tables):
+        for t in tables:
+            assert is_regular(t) == (t.image_group().order == t.n_cosets), t.flat()
+        return sum(not is_regular(t) for t in tables)
+
+    non_regular = 0
+    for text, max_index in FULL_SEARCH_CASES:
+        non_regular += agrees(low_index_subgroups(parse_presentation(text), max_index))
+    assert non_regular > 700
+    normal = [
+        ("gens: a b\nrels: a^3, b^2\n", 120),
+        ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 243),
+        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200),
+    ]
+    for text, max_index in normal:
+        assert agrees(low_index_normal_subgroups(parse_presentation(text), max_index)) == 0
+    # every transitive action of the free group of rank 2 on up to 4 points
+    free = parse_presentation("gens: x y\nrels:\n")
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(n)))
+        tables = [
+            CosetTable(free, [[x[a], inverse(x)[a], y[a], inverse(y)[a]] for a in range(n)])
+            for x in perms
+            for y in perms
+        ]
+        agrees([t for t in tables if verify_table(t)])
+
+
+def test_is_regular_rejects_a_verified_non_regular_table():
+    # S3 on 3 points: a transitive action of a^3, b^2, (a b)^2 whose
+    # image has 6 elements; left multiplication by a sends 0 to 1, but b
+    # fixes 0 and not 1
+    p = parse_presentation("gens: a b\nrels: a^3, b^2, (a b)^2\n")
+    t = CosetTable(p, [[1, 2, 0, 0], [2, 0, 2, 2], [0, 1, 1, 1]])
+    assert verify_table(t)
+    assert t.image_group().order == 6
+    assert not is_regular(t)
 
 
 def test_normal_search_tables_rebuilt_by_todd_coxeter():
@@ -402,8 +449,7 @@ def test_rejects_bad_max_index():
 
 def test_non_regular_completed_table_raises(monkeypatch):
     # regularity is proven for every completed table, so a failing check
-    # is a fault to report, not a table to skip; here every image
-    # reports order 1, so no nontrivial table looks regular
-    monkeypatch.setattr(CosetTable, "image_group", lambda t: types.SimpleNamespace(order=1))
+    # is a fault to report, not a table to skip; here no table passes it
+    monkeypatch.setattr(lowindex, "is_regular", lambda t: False)
     with pytest.raises(InternalInvariantError):
         low_index_normal_subgroups(parse_presentation("gens: x\nrels:\n"), 3)
