@@ -1,8 +1,13 @@
 """Censuses of graph orders certified by the bounded quotient search.
 
-Each quotient order m with s | m, s the vertex stabilizer order, gives
-the graph order m/s, certified by the quotient's coset table.  Only
-``census`` loads this module, and it loads no graph code.
+An amalgam is presented with the arc-transitive convention: the
+generators but the last span the vertex stabilizer, the last reverses
+an arc, and the stabilizer order s is checked per table.  A quotient
+table of order m certifies the graph order m/s exactly when the
+stabilizer's generators have an image of exactly s elements and the
+reverser's image lies outside it (Djoković & Miller, JCTB 29 (1980);
+Conder & Lorimer, JCTB 47 (1989)).  Only ``census`` loads this module,
+and it loads no graph code.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalInvariantError
-from .fpgroup import CosetTable, Presentation, fq_up_to, smooth_quotients
+from .fpgroup import CosetTable, Presentation, free_product_of_cyclics, fq_up_to, subgroup_image
 
 
 class CensusEntry(NamedTuple):
@@ -29,51 +34,42 @@ class CensusEntry(NamedTuple):
 
 
 class CensusResult(NamedTuple):
-    """Sorted census entries plus the parameters that produced them."""
+    """Sorted census entries and the stabilizer order they were checked against."""
 
-    max_index: int
     stabilizer_order: int
     entries: tuple[CensusEntry, ...]
     complete: bool
 
 
-def _census(found, s: int, max_index: int) -> CensusResult:
-    """One entry of graph order m/s per quotient order m with s | m."""
-    entries = tuple(
-        CensusEntry(m // s, m, m // s < 4, found.certificates[m])
-        for m in found.orders
-        if m % s == 0
-    )
-    return CensusResult(max_index, s, entries, found.complete)
-
-
-def cubic_census(max_index: int, allow_partial: bool = False) -> CensusResult:
-    """Orders of connected cubic graphs carrying arc-regular symmetry.
-
-    Such a symmetry group is generated by a vertex rotation of order
-    exactly three and an edge swap of order exactly two, so its finite
-    images are the order-preserving quotients of the free product of a
-    three-cycle and a two-cycle; each image of order m yields a coset
-    graph on m/3 vertices.
-    """
-    found = smooth_quotients((3, 2), max_index, allow_partial)
-    for m in found.orders:
-        if m % 3:
-            raise InternalInvariantError(f"order {m} despite an order-3 generator")
-    return _census(found, 3, max_index)
-
-
 def amalgam_census(
     pres: Presentation, stabilizer_order: int, max_index: int, allow_partial: bool = False
 ) -> CensusResult:
-    """Census over a user-supplied presentation with a declared vertex
-    stabilizer order s: each finite quotient of order m with s | m
-    yields the graph order m/s.
+    """Census over an amalgam presented in the convention above.
 
-    Quotient orders not divisible by s are dropped: the declared
-    stabilizer cannot embed in such an image, so no coset graph of the
-    promised valency exists there.
+    Every search table is regular, so the stabilizer's image is the
+    orbit of coset 0 under its generators' columns; a graph order's
+    certificate is the first table in search order that passes.
     """
-    if stabilizer_order < 1:
+    s = stabilizer_order
+    if s < 1:
         raise ValueError("stabilizer order must be >= 1")
-    return _census(fq_up_to(pres, max_index, allow_partial), stabilizer_order, max_index)
+    found = fq_up_to(pres, max_index, allow_partial)
+    last = pres.n_gens - 1
+    certificates: dict[int, CosetTable] = {}
+    for t in found.tables:
+        image = subgroup_image(t, range(last))
+        if len(image) == s and t.rows[0][2 * last] not in image:
+            if t.n_cosets % s:
+                raise InternalInvariantError(f"order {t.n_cosets} holds a subgroup of order {s}")
+            certificates.setdefault(t.n_cosets, t)
+    entries = tuple(
+        CensusEntry(m // s, m, m // s < 4, certificates[m]) for m in sorted(certificates)
+    )
+    return CensusResult(s, entries, found.complete)
+
+
+def cubic_census(max_index: int, allow_partial: bool = False) -> CensusResult:
+    """Orders of connected cubic graphs carrying arc-regular symmetry:
+    the census of the free product of a vertex rotation of order three
+    and an edge swap of order two, with the rotation as stabilizer."""
+    return amalgam_census(free_product_of_cyclics((3, 2)), 3, max_index, allow_partial)

@@ -11,6 +11,10 @@ Subcommands
     graphs     build a parametric graph, emit its edge list or report
     verify     run the verification sweeps and print a pass/fail table
 
+``census --presentation`` reads an amalgam in the arc-transitive
+convention: the generators but the last span the vertex stabilizer, the
+last reverses an arc, and s (``--stabilizer-order``) is checked per table.
+
 The primary output is CSV (for ``graphs`` without ``--report``, the
 edge-list text format), written to ``--csv``/``--out`` or stdout.
 ``--manifest PATH`` additionally records the run as key,value rows:
@@ -348,7 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("census", help="graph orders certified by a quotient search")
     sp.add_argument("--max-index", type=int, required=True)
     sp.add_argument("--presentation", metavar="PATH", help="amalgam presentation to search")
-    sp.add_argument("--stabilizer-order", type=int, help="vertex stabilizer order of the amalgam")
+    sp.add_argument(
+        "--stabilizer-order",
+        type=int,
+        help="vertex stabilizer order s of the amalgam: the generators but the last span the "
+        "stabilizer, the last reverses an arc, and s is checked per table",
+    )
     _add_search_options(sp)
     _add_output_options(sp)
     sp.set_defaults(handler=_run_census)

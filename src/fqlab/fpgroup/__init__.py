@@ -38,6 +38,7 @@ _SUBMODULE = {
     "free_product_of_cyclics": "quotients",
     "oq_up_to": "quotients",
     "smooth_quotients": "quotients",
+    "subgroup_image": "quotients",
     "SmithForm": "snf",
     "null_column_witness": "snf",
     "smith_normal_form": "snf",

@@ -25,15 +25,11 @@ class FqResult:
 
     def __init__(
         self,
-        presentation: Presentation,
-        limit: int,
         orders: tuple[int, ...],
         certificates: dict[int, CosetTable],
         tables: tuple[CosetTable, ...],
         complete: bool,
     ):
-        self.presentation = presentation
-        self.limit = limit
         self.orders = orders
         self.certificates = certificates
         self.tables = tables
@@ -55,18 +51,11 @@ def _collect(pres, limit, allow_partial):
         return getattr(err, "partial", []), False
 
 
-def _bundle(pres, limit, tables, complete) -> FqResult:
+def _bundle(tables, complete) -> FqResult:
     certificates: dict[int, CosetTable] = {}
     for t in tables:
         certificates.setdefault(t.n_cosets, t)
-    return FqResult(
-        presentation=pres,
-        limit=limit,
-        orders=tuple(sorted(certificates)),
-        certificates=certificates,
-        tables=tuple(tables),
-        complete=complete,
-    )
+    return FqResult(tuple(sorted(certificates)), certificates, tuple(tables), complete)
 
 
 def fq_up_to(
@@ -76,7 +65,7 @@ def fq_up_to(
 ) -> FqResult:
     """All finite quotient orders up to the limit."""
     tables, complete = _collect(pres, limit, allow_partial)
-    return _bundle(pres, limit, tables, complete)
+    return _bundle(tables, complete)
 
 
 def oq_up_to(
@@ -87,7 +76,15 @@ def oq_up_to(
     """Odd finite quotient orders up to the limit."""
     tables, complete = _collect(pres, limit, allow_partial)
     odd = [t for t in tables if t.n_cosets % 2 == 1]
-    return _bundle(pres, limit, odd, complete)
+    return _bundle(odd, complete)
+
+
+def subgroup_image(t: CosetTable, gens) -> list[int]:
+    """The cosets reached from coset 0 along the columns of the given
+    generators.  In a regular table coset g is the group element g, so
+    this is the image of the subgroup those generators span."""
+    cols = [2 * i for i in gens]
+    return orbit(0, lambda x: [t.rows[x][c] for c in cols])
 
 
 def _letter_names(k: int) -> tuple[str, ...]:
@@ -118,16 +115,13 @@ def smooth_quotients(
     factor keeps its full order.
 
     A quotient counts only if the image of each factor's generator has
-    order exactly the factor's order, not a proper divisor.  Every table
-    is a regular action, where all cycles of a generator have the same
-    length, so that order is the length of its cycle through coset 0.
+    order exactly the factor's order, not a proper divisor: the size of
+    ``subgroup_image`` of that generator alone.
     """
     orders = tuple(cyclic_orders)
     pres = free_product_of_cyclics(orders)
     tables, complete = _collect(pres, max_index, allow_partial)
     kept = [
-        t
-        for t in tables
-        if all(len(orbit(0, lambda x: (t.rows[x][2 * i],))) == s for i, s in enumerate(orders))
+        t for t in tables if all(len(subgroup_image(t, (i,))) == s for i, s in enumerate(orders))
     ]
-    return _bundle(pres, max_index, kept, complete)
+    return _bundle(kept, complete)

@@ -168,7 +168,21 @@ def test_census_amalgam_flags(capsys, tmp_path):
     assert rc == 0
     header, rows = rows_of(out)
     assert header == ["order", "certificate_index", "flagged"]
-    assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 2), (3, 6), (6, 12)]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(3, 6), (6, 12)]
+
+
+def test_census_checks_the_stabilizer_order(capsys, tmp_path):
+    for text, s, index, want in [
+        ("gens: x y\nrels: x^4, x^-3\n", "4", "24", []),
+        ("gens: x y\nrels: x^6, y^2\n", "6", "30", [(2, 12), (3, 18), (4, 24), (5, 30)]),
+    ]:
+        path = pres_file(tmp_path, text)
+        argv = ["census", "--max-index", index, "--presentation", path, "--stabilizer-order", s]
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        header, rows = rows_of(out)
+        assert header == ["order", "certificate_index", "flagged"]
+        assert [(int(r[0]), int(r[1])) for r in rows] == want
 
 
 def test_graphs_edge_list(capsys):

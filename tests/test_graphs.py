@@ -6,9 +6,10 @@ import math
 import pytest
 
 from fqlab.budgets import ELEMENT_CAP
+import fqlab.census as census
 from fqlab.census import CensusEntry, amalgam_census, cubic_census
-from fqlab.errors import InputSyntaxError, SearchBudgetError
-from fqlab.fpgroup import parse_presentation
+from fqlab.errors import InputSyntaxError, InternalInvariantError, SearchBudgetError
+from fqlab.fpgroup import free_product_of_cyclics, fq_up_to, parse_presentation, subgroup_image
 from fqlab.fpgroup.coset import col_to_letter
 from fqlab.graphs import (
     Graph,
@@ -532,23 +533,74 @@ def test_cubic_orders_frozen():
     assert len(orders) / 120 < 0.5
 
 
+def assert_stabilizer_embeds(pres, result):
+    """Oracle by closure: in every certificate the stabilizer columns
+    generate exactly s permutations, and the last generator's column is
+    not one of them."""
+    s, last = result.stabilizer_order, pres.n_gens - 1
+    for e in result.entries:
+        cols = [e.table.column_perm(i) for i in range(last)]
+        stabilizer = set(close(cols, e.certificate_index).elements)
+        assert len(stabilizer) == s, (e.order, e.certificate_index)
+        assert e.table.column_perm(last) not in stabilizer, (e.order, e.certificate_index)
+
+
+def test_cubic_census_stabilizer_embeds():
+    result = cubic_census(240)
+    assert len(result.entries) == 25
+    assert_stabilizer_embeds(free_product_of_cyclics((3, 2)), result)
+
+
 def test_amalgam_census():
     pres = parse_presentation("gens: s t\nrels: s^2, t^3")
     result = amalgam_census(pres, 2, 24)
     assert result.stabilizer_order == 2
+    # C2 is gone: there t maps to 1, inside the stabilizer
     assert [(e.order, e.certificate_index) for e in result.entries] == [
-        (1, 2),
         (3, 6),
         (6, 12),
         (9, 18),
         (12, 24),
     ]
-    assert [e.flagged for e in result.entries] == [True, True, False, False, False]
-    # declaring a trivial stabilizer reports plain quotient orders
+    assert [e.flagged for e in result.entries] == [True, False, False, False]
+    assert_stabilizer_embeds(pres, result)
     trivial = amalgam_census(pres, 1, 12)
-    assert [e.order for e in trivial.entries] == [1, 2, 3, 6, 12]
+    assert [(e.order, e.certificate_index) for e in trivial.entries] == [(3, 3)]
+    assert_stabilizer_embeds(pres, trivial)
     with pytest.raises(ValueError):
         amalgam_census(pres, 0, 12)
+
+
+def test_amalgam_census_drops_a_trivial_stabilizer():
+    # x^-3 and x^4 make x trivial, so no quotient holds a stabilizer of order 4
+    pres = parse_presentation("gens: x y\nrels: x^4, x^-3")
+    result = amalgam_census(pres, 4, 24)
+    assert result.complete and result.entries == ()
+
+
+def test_amalgam_census_keeps_the_stabilizer_order():
+    pres = parse_presentation("gens: x y\nrels: x^6, y^2")
+    result = amalgam_census(pres, 6, 30)
+    assert [(e.order, e.certificate_index) for e in result.entries] == [
+        (2, 12),
+        (3, 18),
+        (4, 24),
+        (5, 30),
+    ]
+    assert_stabilizer_embeds(pres, result)
+    # order 1 drops out: y lies in <x> in every index-6 table where x has order 6
+    six = [t for t in fq_up_to(pres, 6).tables if t.n_cosets == 6]
+    full = [t for t in six if len(subgroup_image(t, (0,))) == 6]
+    assert len(full) == 2
+    assert all(t.rows[0][2] in subgroup_image(t, (0,)) for t in full)
+
+
+def test_census_checks_lagrange(monkeypatch):
+    # an image of s cosets that misses the reverser, forced on every
+    # table, meets the trivial quotient first, where 3 does not divide 1
+    monkeypatch.setattr(census, "subgroup_image", lambda t, gens: [-1, -1, -1])
+    with pytest.raises(InternalInvariantError, match="order 1"):
+        cubic_census(12)
 
 
 def test_census_budget(monkeypatch):

@@ -124,4 +124,4 @@ def test_fq_result_construction_checks():
         (r.orders, more, "one certificate per order"),
     ]:
         with pytest.raises(ValueError, match=message):
-            FqResult(r.presentation, r.limit, orders, certificates, r.tables, r.complete)
+            FqResult(orders, certificates, r.tables, r.complete)
