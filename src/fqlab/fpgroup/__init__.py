@@ -22,6 +22,7 @@ _SUBMODULE = {
     "SchreierData": "coset",
     "is_regular": "coset",
     "schreier_data": "coset",
+    "verify_regular_table": "coset",
     "verify_table": "coset",
     "low_index_normal_subgroups": "lowindex",
     "Presentation": "presentation",

@@ -5,9 +5,12 @@ generator i acts through column 2i, its inverse through column 2i+1.
 Tables are built elsewhere (the normal low-index search, or directly
 for the index-2 subgroups in ``classify``); ``verify_table`` certifies
 any of them without trusting how it was built, and ``is_regular``
-certifies that a verified table is a regular action, from the table
-alone.  ``schreier_data`` rewrites the subgroup of a verified table
-onto Schreier generators.
+certifies that a well-formed table (complete, inverse-paired and
+transitive) is a regular action, from the table alone.
+``verify_regular_table`` certifies a table that should be regular, as
+the search's are, with both checks but relators traced from coset 0
+only, which regularity makes enough.  ``schreier_data`` rewrites the
+subgroup of a verified table onto Schreier generators.
 """
 
 from __future__ import annotations
@@ -76,12 +79,8 @@ class CosetTable:
         return tuple(e for row in self.rows for e in row)
 
 
-def verify_table(t: CosetTable) -> bool:
-    """Full certificate check, independent of how the table was built.
-
-    Complete with one entry per column, inverse-paired, transitive, and
-    every relator closes from every coset.
-    """
+def _well_formed(t: CosetTable) -> bool:
+    """Complete with one entry per column, inverse-paired and transitive."""
     n = t.n_cosets
     if n == 0 or not t.complete or any(len(row) != t.n_cols for row in t.rows):
         return False
@@ -92,17 +91,21 @@ def verify_table(t: CosetTable) -> bool:
                 return False
             if t.rows[b][c ^ 1] != a:
                 return False
-    if len(orbit(0, t.rows.__getitem__)) != n:
-        return False
-    for r in t.pres.relators:
-        for a in range(n):
-            if t.trace(a, r) != a:
-                return False
-    return True
+    return len(orbit(0, t.rows.__getitem__)) == n
+
+
+def verify_table(t: CosetTable) -> bool:
+    """Full certificate check, independent of how the table was built.
+
+    Well-formed (complete with one entry per column, inverse-paired,
+    transitive), and every relator closes from every coset.
+    """
+    n = t.n_cosets
+    return _well_formed(t) and all(t.trace(a, r) == a for r in t.pres.relators for a in range(n))
 
 
 def is_regular(t: CosetTable) -> bool:
-    """Whether a table that passed ``verify_table`` is a regular action.
+    """Whether a well-formed table is a regular action.
 
     Left multiplication by generator i is forced from L(0) = T[0][2i]
     along every edge, L(T[b][c]) = T[L(b)][c]; the table is regular
@@ -124,6 +127,18 @@ def is_regular(t: CosetTable) -> bool:
                 elif lam[d] != e:
                     return False
     return True
+
+
+def verify_regular_table(t: CosetTable) -> bool:
+    """``verify_table(t) and is_regular(t)``, tracing relators from coset 0 only.
+
+    Once a well-formed table passes ``is_regular``, its left
+    multiplications generate a group that commutes with every column and
+    moves 0 to every coset.  A permutation λ commuting with the columns
+    carries the trace of a word from 0 to its trace from λ(0), so a
+    relator that closes at 0 closes at every coset.
+    """
+    return _well_formed(t) and is_regular(t) and all(t.trace(0, r) == 0 for r in t.pres.relators)
 
 
 def _rewrite(rows: list[Row], gen_of_pair: dict[tuple[int, int], int], word: Word) -> Word:

@@ -6,8 +6,8 @@ cosets are numbered in order of first use at the row-major first hole,
 so every completed table comes out standardized: each subgroup is
 reached along exactly one search path.  Pruning uses left
 multiplication by each generator, which must commute with the coset
-action; completed tables still get an independent certificate check and
-an asserted regularity check, so pruning only ever cuts the tree.
+action; completed tables still get an independent certificate of
+regularity and of the relators, so pruning only ever cuts the tree.
 Pending branches sit on an explicit stack, so search depth is bounded
 by memory, not by the interpreter's recursion limit.  A candidate whose
 entry clashes with the left multiplication already known is dropped
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from ..budgets import search_budget
 from ..errors import InternalInvariantError, SearchBudgetError
-from .coset import CosetTable, is_regular, letter_to_col, verify_table
+from .coset import CosetTable, letter_to_col, verify_regular_table
 from .presentation import Presentation
 
 
@@ -54,11 +54,13 @@ def low_index_normal_subgroups(
       L[i][b] = g, T[b][c] = d, L[i][d] = e   forces  T[g][c] = e
       L[i][b] = g, L[i][d] = e, T[g][c] = e   forces  T[b][c] = d
 
-    Contradictions prune the branch.  Propagation fires the cheap rules
-    first: relator scans, then rules from new T entries, then from new L
-    entries.  Every rule is monotone and fires from each of its
-    premises, so their closure is one fixpoint, or a contradiction, in
-    any order.
+    Contradictions prune the branch.  Propagation drains the new L
+    entries first, then takes the next new T entry: its rules, then its
+    relator scans.  Most branches that die, die in an L rule: at (3,2)
+    to 240, 14,275 of 15,769, against 1,494 in scans.  Firing the L
+    rules first finds those clashes before the scans of every entry have
+    run.  Every rule is monotone and fires from each of its premises, so
+    their closure is one fixpoint, or a contradiction, in any order.
 
     Every completed table is regular.  At completion propagation is at
     a fixpoint and T is complete and connected; the first rule extends
@@ -66,8 +68,8 @@ def low_index_normal_subgroups(
     bijection that commutes with every column and sends 0 to T[0][2i].
     Their group moves 0 to every coset, so the image's centralizer is
     transitive, and a transitive group with a transitive centralizer is
-    regular.  ``complete`` asserts this with ``is_regular`` on the
-    finished table alone, raising InternalInvariantError.  The
+    regular.  ``complete`` asserts this with ``verify_regular_table``
+    on the finished table alone, raising InternalInvariantError.  The
     standardized table of a regular action looks the same from every
     base coset, so each kernel is reached exactly once.
 
@@ -91,6 +93,8 @@ def low_index_normal_subgroups(
     table: list[list[int | None]] = []
     lam: list[list[int | None]] = [[] for _ in range(pres.n_gens)]
     lam_inv: list[list[int | None]] = [[] for _ in range(pres.n_gens)]
+    gen_rows = [(a, lam[a], lam_inv[a]) for a in range(pres.n_gens)]
+    l_rows = lam + lam_inv
     trail: list[tuple[int, int]] = []
     ltrail: list[tuple[int, int]] = []
     n = peak = 0
@@ -154,7 +158,7 @@ def low_index_normal_subgroups(
         nonlocal n, peak
         if n == len(table):
             cap = min(2 * n or 1, max_index)
-            for row in lam + lam_inv:
+            for row in l_rows:
                 row.extend([None] * (cap - n))
             table.extend([None] * n_cols for _ in range(cap - n))
         n += 1
@@ -165,7 +169,7 @@ def low_index_normal_subgroups(
         # new action entry T[b][c] = d: row 0 seeds L, then both roles
         if b == 0 and not (set_lam(c >> 1, d, 0) if c & 1 else set_lam(c >> 1, 0, d)):
             return False
-        for a, (row, inv) in enumerate(zip(lam, lam_inv)):
+        for a, row, inv in gen_rows:
             g = row[b]
             if g is not None:
                 e = table[g][c]
@@ -211,33 +215,23 @@ def low_index_normal_subgroups(
                     return False
         return True
 
-    def propagate(scan_at: int, l_at: int) -> bool:
+    def propagate(t_at: int, l_at: int) -> bool:
         """Close T and L from the trail marks on; False on a contradiction."""
-        t_at = scan_at
         while True:
-            top = len(trail)
-            if scan_at < top:
-                a, c = trail[scan_at]
-                scan_at += 1
-                for cols in rotations[c]:
-                    if not scan_relator(a, cols):
-                        return False
-            elif t_at < top:
-                a, c = trail[t_at]
-                t_at += 1
-                if not fire_t(a, c, table[a][c]):
+            while l_at < len(ltrail):
+                a, b = ltrail[l_at]
+                l_at += 1
+                if not fire_l(a, b):
                     return False
-            else:
-                # L entries, back to the scans once one sets a T entry
-                while l_at < len(ltrail):
-                    a, b = ltrail[l_at]
-                    l_at += 1
-                    if not fire_l(a, b):
-                        return False
-                    if len(trail) > top:
-                        break
-                else:
-                    return True
+            if t_at == len(trail):
+                return True
+            a, c = trail[t_at]
+            t_at += 1
+            if not fire_t(a, c, table[a][c]):
+                return False
+            for cols in rotations[c]:
+                if not scan_relator(a, cols):
+                    return False
 
     def undo_to(mark: int, lmark: int, n_keep: int) -> None:
         nonlocal n
@@ -267,7 +261,7 @@ def low_index_normal_subgroups(
         """
         c1 = c ^ 1
         live = [b for b in range(n) if table[b][c1] is None]
-        for row in lam + lam_inv:
+        for row in l_rows:
             g = row[a]
             if g is not None:
                 gc = table[g][c]
@@ -279,10 +273,8 @@ def low_index_normal_subgroups(
 
     def complete() -> None:
         t = CosetTable(pres, [list(row) for row in table[:n]])
-        if not verify_table(t):
-            raise InternalInvariantError("search completed an inconsistent table")
-        if not is_regular(t):
-            raise InternalInvariantError("search completed a table that is not regular")
+        if not verify_regular_table(t):
+            raise InternalInvariantError("search completed a table that is not a regular quotient")
         found.append(t)
 
     def search() -> None:

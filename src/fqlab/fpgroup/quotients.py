@@ -4,7 +4,8 @@ Every finite quotient of order n corresponds to a normal subgroup of
 index n, so order sets come straight out of the normal low-index
 search.  Each order keeps one certificate: the standardized table of
 the smallest normal subgroup realizing it, re-checkable independently
-with ``verify_table`` and ``is_regular``.
+with ``verify_regular_table``: well-formed and regular, so each
+relator closes everywhere once it closes at coset 0.
 
 A budget exhaustion can leave the listing incomplete; results carry a
 ``complete`` flag and incomplete ones are refused by downstream

@@ -506,7 +506,7 @@ def test_corrupted_dihedral_matrix_exits_4(capsys, monkeypatch, tmp_path):
 
 
 def test_non_regular_search_table_exits_4(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(lowindex, "is_regular", lambda t: False)
+    monkeypatch.setattr(lowindex, "verify_regular_table", lambda t: False)
     path = pres_file(tmp_path, Z_PRES)
     monkeypatch.setattr(sys, "argv", ["fqlab", "fq", "--presentation", path, "--max-index", "3"])
     with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,9 @@ backtracking logic.  Todd-Coxeter enumeration of the subgroup spanned
 by each table's Schreier generators must rebuild that table exactly.
 """
 
+import collections
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -28,9 +30,11 @@ from fqlab.fpgroup import (
     low_index_normal_subgroups,
     parse_presentation,
     schreier_data,
+    verify_regular_table,
     verify_table,
 )
 from fqlab.fpgroup.coset import letter_to_col
+from fqlab.orbit import orbit
 from fqlab.permgroup import compose, identity, inverse
 
 
@@ -271,6 +275,62 @@ def test_is_regular_rejects_a_verified_non_regular_table():
     assert not is_regular(t)
 
 
+def test_regular_certificate_refuses_a_relator_failing_at_coset_0():
+    # C4's regular table read under a^2: regular, but a^2 moves 0 to 2
+    t = CosetTable(parse_presentation("gens: a\nrels: a^2\n"), [[1, 3], [2, 0], [3, 1], [0, 2]])
+    assert is_regular(t)
+    assert t.trace(0, (1, 1)) == 2
+    assert not verify_regular_table(t)
+
+
+def test_regular_certificate_refuses_a_verified_non_regular_table():
+    # S3 on the three cosets of <a>: every relator closes from every
+    # coset, but a fixes 0 and not 1
+    p = parse_presentation("gens: a b\nrels: a^2, b^3, (a b)^2\n")
+    t = CosetTable(p, [[0, 0, 1, 2], [2, 2, 2, 0], [1, 1, 0, 1]])
+    assert verify_table(t)
+    assert not is_regular(t)
+    assert not verify_regular_table(t)
+
+
+def test_regular_certificate_agrees_with_the_full_check():
+    # the coset-0 certificate decides exactly what verify_table and
+    # is_regular decide together: on every search table, on regular
+    # tables read under other relators, and on random actions
+    def outcome(t):
+        full = verify_table(t)
+        assert verify_regular_table(t) == (full and is_regular(t)), (t.pres.relators, t.rows)
+        # is_regular asks for a well-formed table; these are complete and
+        # inverse-paired, so transitivity is what is left to ask
+        transitive = len(orbit(0, t.rows.__getitem__)) == t.n_cosets
+        return full, is_regular(t) if transitive else None
+
+    regular_rows = collections.defaultdict(list)
+    for text, max_index, _, _ in SEARCH_TREES:
+        p = parse_presentation(text)
+        for t in low_index_normal_subgroups(p, max_index):
+            assert outcome(t) == (True, True)
+            if t.n_cosets <= 24:
+                regular_rows[p.n_gens].append(t.rows)
+    rng = random.Random(23)
+    seen = collections.Counter()
+    for _ in range(400):
+        g = rng.choice((1, 2, 2, 3))
+        letters = [s * (i + 1) for i in range(g) for s in (1, -1)]
+        words = [free_reduce(tuple(rng.choices(letters, k=rng.randint(1, 8)))) for _ in range(rng.randint(0, 3))]
+        p = Presentation(("a", "b", "c")[:g], tuple(w for w in words if w))
+        if g in regular_rows and rng.random() < 0.5:
+            rows = rng.choice(regular_rows[g])
+        else:
+            n = rng.randint(1, 6)
+            perms = [rng.sample(range(n), n) for _ in range(g)]
+            rows = [[e for x in perms for e in (x[a], x.index(a))] for a in range(n)]
+        seen[outcome(CosetTable(p, rows))] += 1
+    # regular and certified, regular with a relator failing, verified but
+    # not regular, and not transitive: every way to pass or fail occurs
+    assert set(seen) == {(True, True), (False, True), (True, False), (False, False), (False, None)}, seen
+
+
 def test_normal_search_tables_rebuilt_by_todd_coxeter():
     cases = [
         ("gens: a b\nrels: a^2, b^3\n", 72, 17),
@@ -311,6 +371,23 @@ def test_deterministic_output():
     assert a == b
 
 
+# the search trees themselves, fixed by the propagation closure: the
+# search must raise one node short of each size and complete at exactly
+# it; the popped branches count the candidates the branch point keeps
+SEARCH_TREES = [
+    ("gens: a b\nrels: a^2, b^3\n", 72, 256, 510),
+    ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 355, 1377),
+    ("gens: x y\nrels:\n", 10, 285, 323),
+    ("gens: a b\nrels: a^3, b^2\n", 120, 936, 2267),
+    ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 81, 153, 201),
+    ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 90, 192),
+    ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193, 314),
+    ("gens: x y\nrels:\n", 8, 163, 167),
+    ("gens: a b\nrels: a b a^-1 b^-1\n", 20, 971, 976),
+    ("gens: a b\nrels: a^3, b^2\n", 240, 5190, 20958),
+]
+
+
 def assert_tree_size(monkeypatch, pres, max_index, nodes, branches):
     """The search pops ``branches`` branches, raises one node short of
     the tree's size and completes at exactly it, with the tables of an
@@ -337,21 +414,22 @@ def test_node_budget_raises_with_partial(monkeypatch):
         keys = [(t.n_cosets, t.flat()) for t in e.value.partial]
         assert keys == sorted(keys), budget
         assert {flat for _, flat in keys} <= full, budget
-    # the search trees themselves, fixed by the propagation closure: it
-    # must raise one node short of each size and complete at exactly it;
-    # the popped branches count the candidates the branch point keeps
-    for text, max_index, nodes, branches in [
-        ("gens: a b\nrels: a^2, b^3\n", 72, 256, 510),
-        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200, 355, 1377),
-        ("gens: x y\nrels:\n", 10, 285, 323),
-        ("gens: a b\nrels: a^3, b^2\n", 120, 936, 2267),
-        ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 81, 153, 201),
-        ("gens: a b c\nrels: a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^3\n", 60, 90, 192),
-        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64, 193, 314),
-        ("gens: x y\nrels:\n", 8, 163, 167),
-        ("gens: a b\nrels: a b a^-1 b^-1\n", 20, 971, 976),
-    ]:
+    for text, max_index, nodes, branches in SEARCH_TREES:
         assert_tree_size(monkeypatch, parse_presentation(text), max_index, nodes, branches)
+    # in the last tree, (3,2) to 240, three in four popped branches die
+    # after the branch point, so its pins guard the propagation order
+    assert len(low_index_normal_subgroups(parse_presentation("gens: a b\nrels: a^3, b^2\n"), 240)) == 47
+
+
+def test_certificate_traces_relators_from_coset_0_only(monkeypatch):
+    # the search scans relators incrementally, never through trace; each
+    # of the 2 tables costs one trace per relator, not one per coset
+    traced = []
+    trace = CosetTable.trace
+    monkeypatch.setattr(CosetTable, "trace", lambda t, a, w: traced.append(a) or trace(t, a, w))
+    tables = low_index_normal_subgroups(parse_presentation("gens: a b\nrels: a^2, b^3, (a b)^7\n"), 200)
+    assert [t.n_cosets for t in tables] == [1, 168]
+    assert traced == [0] * 6
 
 
 def test_node_count_does_not_depend_on_relator_order(monkeypatch):
@@ -450,6 +528,6 @@ def test_rejects_bad_max_index():
 def test_non_regular_completed_table_raises(monkeypatch):
     # regularity is proven for every completed table, so a failing check
     # is a fault to report, not a table to skip; here no table passes it
-    monkeypatch.setattr(lowindex, "is_regular", lambda t: False)
+    monkeypatch.setattr(lowindex, "verify_regular_table", lambda t: False)
     with pytest.raises(InternalInvariantError):
         low_index_normal_subgroups(parse_presentation("gens: x\nrels:\n"), 3)
