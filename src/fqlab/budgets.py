@@ -2,7 +2,7 @@
 
 FQLAB_BUDGET, when set to a positive integer, replaces the node budget
 of the normal low-index search.  Caps that guard memory (element cap,
-prime sieve mask) are fixed per call site instead.
+prime sieve mask, relator length, graph family size) are fixed instead.
 """
 
 import os
@@ -12,6 +12,8 @@ MAX_PRIME_SIEVE = 1 << 30       # prime masks cover numbers below this: 512 MiB 
 ELEMENT_CAP = 100_000           # exhaustive closure cap
 NORMAL_SUBGROUP_CAP = 2_000     # group order cap for normal-subgroup listing
 SEARCH_NODES = 5_000_000        # low-index backtracking budget
+MAX_RELATOR_LETTERS = 2_048     # letters per relator; search rotations grow with its square
+MAX_GRAPH_EDGES = 100_000       # edges of a built graph family
 
 _ENV = "FQLAB_BUDGET"
 

@@ -25,8 +25,9 @@ wall time varies.
 
 Exit codes: 0 success; 2 usage errors, malformed input, an input file
 that cannot be read or an output path that cannot be written; 3 exhausted
-search budgets, including partial results kept under ``--allow-partial``;
-4 a violated internal invariant, or any failed ``verify`` row.  The
+search budgets, including partial results kept under ``--allow-partial``,
+or a relator or graph family over its size budget, refused before it is
+built; 4 a violated internal invariant, or any failed ``verify`` row.  The
 environment variable ``FQLAB_BUDGET`` overrides the default node budget
 of the quotient searches.
 
@@ -35,7 +36,8 @@ only those; ``--version`` loads none.  ``sieve`` and ``density`` load
 ``numtheory``.  ``fq``, ``oq``, ``smooth`` and ``census`` load the
 ``fpgroup`` search: ``quotients``, ``lowindex``, ``coset`` and
 ``presentation``; ``census`` adds ``census``.  ``classify`` loads
-``fpgroup``'s ``classify``, ``coset``, ``presentation`` and ``snf``.
+``fpgroup``'s ``classify``, ``coset``, ``presentation`` and ``snf``,
+and ``budgets``.
 None of these loads ``permgroup``: a table is certified from the table
 itself, with ``orbit``.  ``graphs`` loads ``graphs`` and
 ``permgroup``; ``verify`` adds ``catalog``, ``numtheory`` and

@@ -5,8 +5,8 @@ propagating forced entries and backtracking on contradiction.  New
 cosets are numbered in order of first use at the row-major first hole,
 so every completed table comes out standardized: each subgroup is
 reached along exactly one search path.  Pruning uses left
-multiplication by each generator, which must commute with the coset
-action; completed tables still get an independent certificate of
+multiplication by each generator and inverse, which must commute with
+the coset action; completed tables still get an independent certificate of
 regularity and of the relators, so pruning only ever cuts the tree.
 Pending branches sit on an explicit stack, so search depth is bounded
 by memory, not by the interpreter's recursion limit.  A candidate whose
@@ -42,17 +42,20 @@ def low_index_normal_subgroups(
 ) -> list[CosetTable]:
     """Every normal subgroup of bounded index, each exactly once.
 
-    A subgroup is normal exactly when left multiplication by each
-    generator x_i is a well-defined permutation of the cosets that
-    commutes with the right action.  So beside the coset table T, with
-    T[b][c] the right action of column c, the search keeps one row per
-    generator, L[i][b] = x_i b, seeded from row 0 of T: T[0][2i] = d
-    gives L[i][0] = d, and T[0][2i + 1] = d gives L[i][d] = 0.  Since
-    x_i (b c) = (x_i b) c and L[i] is a bijection, in every quotient:
+    A subgroup is normal exactly when left multiplication by each letter
+    x, a generator or its inverse, is a well-defined permutation of the
+    cosets that commutes with the right action.  So beside the coset
+    table T, with T[b][c] the right action of column c, the search keeps
+    one row per letter, L[k][b] = x b for the letter x of column k.
+    Rows k and k ^ 1 are inverse bijections, paired as T pairs c and
+    c ^ 1, and are written together.  Row 0 of T seeds them: T[0][c] = d
+    gives L[c][0] = d.  Since x (b c) = (x b) c, in every quotient:
 
-      L[i][b] = g, T[b][c] = d, T[g][c] = e   forces  L[i][d] = e
-      L[i][b] = g, T[b][c] = d, L[i][d] = e   forces  T[g][c] = e
-      L[i][b] = g, L[i][d] = e, T[g][c] = e   forces  T[b][c] = d
+      L[x][b] = g, T[b][c] = d, T[g][c] = e   forces  L[x][d] = e
+      L[x][b] = g, T[b][c] = d, L[x][d] = e   forces  T[g][c] = e
+
+    The bijection rule, L[x][b] = g, L[x][d] = e, T[g][c] = e forcing
+    T[b][c] = d, is the second rule for x⁻¹ anchored at g.
 
     Contradictions prune the branch.  Propagation drains the new L
     entries first, then takes the next new T entry: its rules, then its
@@ -64,8 +67,8 @@ def low_index_normal_subgroups(
 
     Every completed table is regular.  At completion propagation is at
     a fixpoint and T is complete and connected; the first rule extends
-    each L[i] from its seed along every edge of T, so each L[i] is a
-    bijection that commutes with every column and sends 0 to T[0][2i].
+    each L[k] from its seed along every edge of T, so each L[k] is a
+    bijection that commutes with every column and sends 0 to T[0][k].
     Their group moves 0 to every coset, so the image's centralizer is
     transitive, and a transitive group with a transitive centralizer is
     regular.  ``complete`` asserts this with ``verify_regular_table``
@@ -91,10 +94,7 @@ def low_index_normal_subgroups(
         rotations[rot[0]].append(rot)
     # rows up to the capacity len(table), of which the first n are live
     table: list[list[int | None]] = []
-    lam: list[list[int | None]] = [[] for _ in range(pres.n_gens)]
-    lam_inv: list[list[int | None]] = [[] for _ in range(pres.n_gens)]
-    gen_rows = [(a, lam[a], lam_inv[a]) for a in range(pres.n_gens)]
-    l_rows = lam + lam_inv
+    lrows: list[list[int | None]] = [[] for _ in range(n_cols)]
     trail: list[tuple[int, int]] = []
     ltrail: list[tuple[int, int]] = []
     n = peak = 0
@@ -143,22 +143,24 @@ def low_index_normal_subgroups(
             return set_entry(f, cols[i], b)
         return True
 
-    def set_lam(a: int, b: int, g: int) -> bool:
-        cur = lam[a][b]
+    def set_lam(k: int, b: int, g: int) -> bool:
+        """Record x b = g and x⁻¹ g = b for the letter x of column k; False on clash."""
+        row, inv = lrows[k], lrows[k ^ 1]
+        cur = row[b]
         if cur is not None:
             return cur == g
-        if lam_inv[a][g] is not None:
+        if inv[g] is not None:
             return False
-        lam[a][b] = g
-        lam_inv[a][g] = b
-        ltrail.append((a, b))
+        row[b] = g
+        inv[g] = b
+        ltrail.append((k, b))
         return True
 
     def add_coset() -> bool:
         nonlocal n, peak
         if n == len(table):
             cap = min(2 * n or 1, max_index)
-            for row in l_rows:
+            for row in lrows:
                 row.extend([None] * (cap - n))
             table.extend([None] * n_cols for _ in range(cap - n))
         n += 1
@@ -166,36 +168,27 @@ def low_index_normal_subgroups(
         return all(scan_relator(n - 1, r) for r in rel_cols)
 
     def fire_t(b: int, c: int, d: int) -> bool:
-        # new action entry T[b][c] = d: row 0 seeds L, then both roles
-        if b == 0 and not (set_lam(c >> 1, d, 0) if c & 1 else set_lam(c >> 1, 0, d)):
+        # new action entry T[b][c] = d: row 0 seeds L, then both rules
+        # for every letter, anchored at b
+        if b == 0 and not set_lam(c, 0, d):
             return False
-        for a, row, inv in gen_rows:
+        for k, row in enumerate(lrows):
             g = row[b]
             if g is not None:
                 e = table[g][c]
                 if e is not None:
-                    if row[d] != e and not set_lam(a, d, e):
+                    if row[d] != e and not set_lam(k, d, e):
                         return False
                 else:
                     e = row[d]
                     if e is not None and not set_entry(g, c, e):
                         return False
-            # the entry as T[g][c] = e: here g := b, e := d
-            bb = inv[b]
-            if bb is not None:
-                dd = table[bb][c]
-                if dd is not None:
-                    if row[dd] != d and not set_lam(a, dd, d):
-                        return False
-                else:
-                    dd = inv[d]
-                    if dd is not None and not set_entry(bb, c, dd):
-                        return False
         return True
 
-    def fire_l(a: int, b: int) -> bool:
-        # new product entry L[a][b] = g, as the rule's anchor
-        row, inv = lam[a], lam_inv[a]
+    def fire_l(k: int, b: int) -> bool:
+        # new product entry L[k][b] = g: both rules for x anchored at b,
+        # and the second for x⁻¹ anchored at g
+        row, inv = lrows[k], lrows[k ^ 1]
         g = row[b]
         tb, tg = table[b], table[g]
         for c in range(n_cols):
@@ -203,7 +196,7 @@ def low_index_normal_subgroups(
             e = tg[c]
             if d is not None:
                 if e is not None:
-                    if row[d] != e and not set_lam(a, d, e):
+                    if row[d] != e and not set_lam(k, d, e):
                         return False
                 else:
                     e = row[d]
@@ -219,9 +212,9 @@ def low_index_normal_subgroups(
         """Close T and L from the trail marks on; False on a contradiction."""
         while True:
             while l_at < len(ltrail):
-                a, b = ltrail[l_at]
+                k, b = ltrail[l_at]
                 l_at += 1
-                if not fire_l(a, b):
+                if not fire_l(k, b):
                     return False
             if t_at == len(trail):
                 return True
@@ -238,21 +231,20 @@ def low_index_normal_subgroups(
         for a, c in trail[mark:]:
             table[a][c] = None
         del trail[mark:]
-        for a, b in ltrail[lmark:]:
-            lam_inv[a][lam[a][b]] = None
-            lam[a][b] = None
+        for k, b in ltrail[lmark:]:
+            lrows[k ^ 1][lrows[k][b]] = None
+            lrows[k][b] = None
         del ltrail[lmark:]
         n = n_keep
 
     def candidates(a: int, c: int) -> list[int]:
         """The old cosets b that the branch T[a][c] = b does not refute.
 
-        Each x = x_i or x_i⁻¹ commutes with the action, so T[a][c] = b
-        forces T[x a][c] = x b where x a and x b are both known: the
-        second rule for x_i, the third for x_i⁻¹.  At a node propagation
-        is at a fixpoint with T[a][c] open, so that entry is not already
-        set, or the third rule for x_i (the second for x_i⁻¹) would have
-        set T[a][c] = b.  So a set T[x a][c] or T[x b][c^1] is a clash:
+        Each letter x commutes with the action, so T[a][c] = b forces
+        T[x a][c] = x b where x a and x b are both known: the second rule
+        for x.  At a node propagation is at a fixpoint with T[a][c] open,
+        so that entry is not already set, or the second rule for x⁻¹,
+        anchored at x a, would have set T[a][c] = b.  So a set T[x a][c] or T[x b][c^1] is a clash:
         the first one that ``fire_t(a, c, b)`` or ``fire_t(b, c^1, a)``
         would hit, in the first rule or in ``set_entry``.  The branch
         would die in ``propagate`` before becoming a node, so dropping it
@@ -261,7 +253,7 @@ def low_index_normal_subgroups(
         """
         c1 = c ^ 1
         live = [b for b in range(n) if table[b][c1] is None]
-        for row in l_rows:
+        for row in lrows:
             g = row[a]
             if g is not None:
                 gc = table[g][c]

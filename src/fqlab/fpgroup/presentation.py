@@ -13,14 +13,17 @@ may be absent or empty and may repeat.  ``#`` starts a comment.
 
 Words are stored as tuples of nonzero signed integers: letter +k is
 generator k-1, letter -k its inverse.  Stored words are always freely
-reduced.
+reduced.  No word, expanded or stored, may exceed ``MAX_RELATOR_LETTERS``:
+the parser checks each power before expanding it and each word as its
+terms join, and raises ResourceBudgetError.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..errors import InputSyntaxError
+from ..budgets import MAX_RELATOR_LETTERS
+from ..errors import InputSyntaxError, ResourceBudgetError
 
 Word = tuple[int, ...]
 
@@ -79,6 +82,10 @@ class Presentation:
         for w in self.relators:
             if not w:
                 raise ValueError("empty relator")
+            if len(w) > MAX_RELATOR_LETTERS:
+                raise ResourceBudgetError(
+                    f"a relator of {len(w)} letters exceeds the {MAX_RELATOR_LETTERS}-letter budget"
+                )
             if w != free_reduce(w):
                 raise ValueError(f"relator not freely reduced: {w}")
             for x in w:
@@ -104,6 +111,13 @@ class _Tokens:
 
     def error(self, msg: str) -> InputSyntaxError:
         return InputSyntaxError(msg, line=self.line, column=self.off + self.pos + 1)
+
+    def check_length(self, n: int) -> None:
+        if n > MAX_RELATOR_LETTERS:
+            raise ResourceBudgetError(
+                f"a word of {n} letters exceeds the {MAX_RELATOR_LETTERS}-letter budget"
+                f" (line {self.line}, column {self.off + self.pos + 1})"
+            )
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -147,12 +161,14 @@ def _parse_word(ts: _Tokens, gen_index: dict[str, int], stop: str) -> list[int]:
         if ch == "" or ch in stop:
             return letters
         letters.extend(_parse_term(ts, gen_index))
+        ts.check_length(len(letters))
 
 
 def _apply_exponent(ts: _Tokens, letters: list[int]) -> list[int]:
     if not ts.take_char("^"):
         return letters
     e = ts.take_int()
+    ts.check_length(len(letters) * abs(e))
     if e >= 0:
         return letters * e
     return [-x for x in reversed(letters)] * (-e)

@@ -14,7 +14,8 @@ consumers unless explicitly requested.
 
 from __future__ import annotations
 
-from ..errors import SearchBudgetError
+from ..budgets import MAX_RELATOR_LETTERS
+from ..errors import ResourceBudgetError, SearchBudgetError
 from ..orbit import orbit
 from .coset import CosetTable
 from .lowindex import low_index_normal_subgroups
@@ -102,6 +103,10 @@ def free_product_of_cyclics(cyclic_orders) -> Presentation:
     for s in orders:
         if not isinstance(s, int) or s < 2:
             raise ValueError(f"cyclic factor orders must be integers >= 2, got {s!r}")
+        if s > MAX_RELATOR_LETTERS:
+            raise ResourceBudgetError(
+                f"cyclic factor order {s} exceeds the {MAX_RELATOR_LETTERS}-letter budget"
+            )
     names = _letter_names(len(orders))
     relators = tuple(tuple([i + 1] * s) for i, s in enumerate(orders))
     return Presentation(names, relators)

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InputSyntaxError, InternalInvariantError
+from .budgets import MAX_GRAPH_EDGES
+from .errors import InputSyntaxError, InternalInvariantError, ResourceBudgetError
 from .orbit import orbit
 from .permgroup import (
     GroupShape,
@@ -330,6 +331,10 @@ def build_w(k: int, r: int) -> GraphAction:
         raise ValueError("need k >= 1")
     if r < 3:
         raise ValueError("need r >= 3: two layers would double the edges")
+    if k * k * r > MAX_GRAPH_EDGES:
+        raise ResourceBudgetError(
+            f"W({k},{r}) has {k * k * r} edges, over the {MAX_GRAPH_EDGES}-edge budget"
+        )
     n = k * r
 
     def vid(x: int, y: int) -> int:
@@ -374,6 +379,10 @@ def build_sw(k: int, r: int) -> GraphAction:
         raise ValueError("need k >= 1")
     if r < 2:
         raise ValueError("need r >= 2: one layer would collide with the matching")
+    if k * r + k * k * r > MAX_GRAPH_EDGES:
+        raise ResourceBudgetError(
+            f"SW({k},{r}) has {k * r + k * k * r} edges, over the {MAX_GRAPH_EDGES}-edge budget"
+        )
     n = 2 * k * r
 
     def vid(x: int, y: int, z: int) -> int:

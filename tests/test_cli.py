@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 
@@ -515,6 +516,43 @@ def test_non_regular_search_table_exits_4(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+def test_over_budget_inputs_exit_3_before_building(tmp_path):
+    # each input asks for more letters or edges than the budgets allow;
+    # refused from its size alone, it exits 3 under a 1 GB address-space
+    # limit, with an empty stdout and no traceback
+    path = pres_file(tmp_path, "gens: a b\nrels: a^300000000 b\n")
+    cases = [
+        (
+            ["fq", "--presentation", path, "--max-index", "4"],
+            "a word of 300000000 letters exceeds the 2048-letter budget (line 2, column 18)",
+        ),
+        (
+            ["smooth", "--orders", "300000000,2", "--max-index", "4"],
+            "cyclic factor order 300000000 exceeds the 2048-letter budget",
+        ),
+        (
+            ["graphs", "--family", "w", "--k", "3000", "--r", "3"],
+            "W(3000,3) has 27000000 edges, over the 100000-edge budget",
+        ),
+    ]
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    for argv, message in cases:
+        done = subprocess.run(
+            [sys.executable, "-c", "from fqlab.cli import main; main()", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            preexec_fn=cap_memory,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (3, ""), argv
+        assert done.stderr == f"fqlab: budget exhausted: {message}\n", argv
+
+
 def test_version_flag(capsys):
     rc = dispatch(["--version"])
     assert rc == 0
@@ -547,7 +585,7 @@ print(json.dumps([code, modules, "dataclasses" in sys.modules]))
 
 FRONT = {"fqlab", "fqlab.cli", "fqlab.errors"}
 PERMGROUP = {"fqlab.budgets", "fqlab.orbit", "fqlab.permgroup"}
-CLASSIFY = {"fqlab.fpgroup", "fqlab.orbit"} | {
+CLASSIFY = {"fqlab.budgets", "fqlab.fpgroup", "fqlab.orbit"} | {
     f"fqlab.fpgroup.{m}" for m in ("classify", "coset", "presentation", "snf")
 }
 # a search table is certified from the table alone, without permgroup

@@ -5,10 +5,10 @@ import math
 
 import pytest
 
-from fqlab.budgets import ELEMENT_CAP
+from fqlab.budgets import ELEMENT_CAP, MAX_GRAPH_EDGES
 import fqlab.census as census
 from fqlab.census import CensusEntry, amalgam_census, cubic_census
-from fqlab.errors import InputSyntaxError, InternalInvariantError, SearchBudgetError
+from fqlab.errors import InputSyntaxError, InternalInvariantError, ResourceBudgetError, SearchBudgetError
 from fqlab.fpgroup import free_product_of_cyclics, fq_up_to, parse_presentation, subgroup_image
 from fqlab.fpgroup.coset import col_to_letter
 from fqlab.graphs import (
@@ -366,6 +366,17 @@ def test_w_small_cases():
         build_w(0, 5)
     with pytest.raises(ValueError):
         build_w(2, 2)
+
+
+def test_family_edge_budget_is_checked_before_building():
+    # W(k, r) has k^2 r edges and SW(k, r) has k r + k^2 r; W(100, 10)
+    # sits at the budget, and a family past it is refused from the
+    # parameters alone
+    assert MAX_GRAPH_EDGES == 100 * 100 * 10
+    with pytest.raises(ResourceBudgetError, match="W\\(100,11\\) has 110000 edges"):
+        build_w(100, 11)
+    with pytest.raises(ResourceBudgetError, match="SW\\(100,10\\) has 101000 edges"):
+        build_sw(100, 10)
 
 
 def test_sw_family_sweep():

@@ -451,6 +451,26 @@ def test_node_count_does_not_depend_on_relator_order(monkeypatch):
                 assert stats == {"nodes": nodes, "branches": branches}, (text, rels, k)
 
 
+def test_inverting_one_generator_keeps_the_table_indices():
+    # x -> x⁻¹ in every relator is an automorphism of the free group, so
+    # the two presentations define the same group and their normal
+    # subgroups have the same indices; the search treats x and x⁻¹ as a
+    # pair of letter rows and must favour neither
+    for text, max_index in [
+        ("gens: a b\nrels: a^3, b^2\n", 120),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200),
+        ("gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n", 32),
+        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64),
+        ("gens: a b\n", 8),
+    ]:
+        p = parse_presentation(text)
+        want = [t.n_cosets for t in low_index_normal_subgroups(p, max_index)]
+        for i in range(1, p.n_gens + 1):
+            rels = tuple(tuple(-x if abs(x) == i else x for x in r) for r in p.relators)
+            got = low_index_normal_subgroups(Presentation(p.generator_names, rels), max_index)
+            assert [t.n_cosets for t in got] == want, (text, i)
+
+
 def test_search_memory_follows_live_cosets_not_max_index():
     # Z/5 never has more than 5 live cosets; preallocating one table
     # row per possible coset would take tens of megabytes here
@@ -466,8 +486,8 @@ def test_search_memory_follows_live_cosets_not_max_index():
 
 
 def test_search_memory_follows_generators_not_cosets():
-    # left multiplication is kept for the generators only; a row per
-    # live coset would be 400 x 400 entries here, about 8 MB
+    # left multiplication is kept for the generators and inverses only;
+    # a row per live coset would be 400 x 400 entries here, about 8 MB
     p = parse_presentation("gens: a b\nrels: a^2, b^3, (a b)^7\n")
     tracemalloc.start()
     try:

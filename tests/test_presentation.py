@@ -2,7 +2,8 @@
 
 import pytest
 
-from fqlab.errors import InputSyntaxError
+from fqlab.budgets import MAX_RELATOR_LETTERS
+from fqlab.errors import InputSyntaxError, ResourceBudgetError
 from fqlab.fpgroup import (
     Presentation,
     concat_words,
@@ -109,6 +110,27 @@ def test_presentation_validation():
         Presentation(("a",), ((1, -1),))  # not freely reduced
     with pytest.raises(ValueError):
         Presentation(("a",), ((),))  # empty relator
+
+
+def test_words_past_the_letter_budget_raise_before_expanding():
+    cap = MAX_RELATOR_LETTERS
+    assert parse_presentation(f"gens: a b\nrels: a^{cap}\n").relators == ((1,) * cap,)
+    # each power is checked before it is multiplied out, and each word
+    # as its terms join, so nested commutators cannot double unchecked
+    for rels, column in [
+        (f"a^{cap + 1}", 13),
+        ("a^-300000000 b", 19),
+        (f"(a b)^{cap // 2 + 1}", 17),
+        (f"a^{cap} b", 15),
+        ("[" * 12 + "a, b" + "], b" * 12, 60),
+    ]:
+        with pytest.raises(ResourceBudgetError, match=f"line 2, column {column}"):
+            parse_presentation(f"gens: a b\nrels: {rels}\n")
+    # an equation joins two words that each fit
+    with pytest.raises(ResourceBudgetError, match=f"relator of {2 * cap} letters"):
+        parse_presentation(f"gens: a b\nrels: a^{cap} = b^{cap}\n")
+    with pytest.raises(ResourceBudgetError):
+        Presentation(("a",), ((1,) * (cap + 1),))
 
 
 def test_word_to_text_runs():

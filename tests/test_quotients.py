@@ -2,7 +2,8 @@
 
 import pytest
 
-from fqlab.errors import SearchBudgetError
+from fqlab.budgets import MAX_RELATOR_LETTERS
+from fqlab.errors import ResourceBudgetError, SearchBudgetError
 from fqlab.fpgroup import (
     FqResult,
     fq_up_to,
@@ -59,6 +60,9 @@ def test_free_product_presentation():
         free_product_of_cyclics([3, 1])
     with pytest.raises(ValueError):
         free_product_of_cyclics([])
+    assert free_product_of_cyclics([MAX_RELATOR_LETTERS]).relators == ((1,) * MAX_RELATOR_LETTERS,)
+    with pytest.raises(ResourceBudgetError):
+        free_product_of_cyclics([300_000_000, 2])
 
 
 def test_smooth_two_two_is_all_even():
