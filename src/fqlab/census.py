@@ -53,17 +53,19 @@ def amalgam_census(
     s = stabilizer_order
     if s < 1:
         raise ValueError("stabilizer order must be >= 1")
-    found = fq_up_to(pres, max_index, allow_partial)
     last = pres.n_gens - 1
-    certificates: dict[int, CosetTable] = {}
-    for t in found.tables:
+
+    def keep(t: CosetTable) -> bool:
         image = subgroup_image(t, range(last))
-        if len(image) == s and t.rows[0][2 * last] not in image:
-            if t.n_cosets % s:
-                raise InternalInvariantError(f"order {t.n_cosets} holds a subgroup of order {s}")
-            certificates.setdefault(t.n_cosets, t)
+        if len(image) != s or t.rows[0][2 * last] in image:
+            return False
+        if t.n_cosets % s:
+            raise InternalInvariantError(f"order {t.n_cosets} holds a subgroup of order {s}")
+        return True
+
+    found = fq_up_to(pres, max_index, allow_partial, keep=keep)
     entries = tuple(
-        CensusEntry(m // s, m, m // s < 4, certificates[m]) for m in sorted(certificates)
+        CensusEntry(m // s, m, m // s < 4, found.certificates[m]) for m in found.orders
     )
     return CensusResult(s, entries, found.complete)
 

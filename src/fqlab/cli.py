@@ -174,21 +174,16 @@ def _quotient_output(args: argparse.Namespace, result) -> CommandOutput:
     return CommandOutput(("order",), rows, complete=result.complete, files=files)
 
 
-def _run_fq(args: argparse.Namespace, search=None) -> CommandOutput:
-    """``fq``; ``oq`` passes ``oq_up_to`` as ``search``."""
-    from .fpgroup import fq_up_to, parse_presentation
+def _run_fq(args: argparse.Namespace) -> CommandOutput:
+    """``fq``, and ``oq``, which keeps the odd orders."""
+    from .fpgroup import fq_up_to, oq_up_to, parse_presentation
 
+    search = oq_up_to if args.subcommand == "oq" else fq_up_to
     pres = parse_presentation(_read_text(args.presentation))
-    result = (search or fq_up_to)(pres, args.max_index, allow_partial=args.allow_partial)
+    result = search(pres, args.max_index, allow_partial=args.allow_partial)
     out = _quotient_output(args, result)
     out.inputs = [args.presentation]
     return out
-
-
-def _run_oq(args: argparse.Namespace) -> CommandOutput:
-    from .fpgroup import oq_up_to
-
-    return _run_fq(args, oq_up_to)
 
 
 def _run_classify(args: argparse.Namespace) -> CommandOutput:
@@ -330,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, handler, summary in (
         ("fq", _run_fq, "finite quotient orders of a presented group"),
-        ("oq", _run_oq, "odd finite quotient orders"),
+        ("oq", _run_fq, "odd finite quotient orders"),
     ):
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--presentation", required=True, metavar="PATH")
@@ -454,3 +449,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

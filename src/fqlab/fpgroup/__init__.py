@@ -16,8 +16,7 @@ _SUBMODULE = {
     "abelianization": "classify",
     "classify_density": "classify",
     "index_two_subgroups": "classify",
-    "verify_cyclic_witness": "classify",
-    "verify_dihedral_witness": "classify",
+    "verify_images": "classify",
     "CosetTable": "coset",
     "SchreierData": "coset",
     "is_regular": "coset",

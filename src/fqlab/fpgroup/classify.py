@@ -3,23 +3,26 @@
 The set of finite quotient orders of a group has natural density 1, 1/2,
 or 0 inside the positive integers, according to whether the group maps
 onto the infinite cyclic group, else onto the infinite dihedral group,
-else neither.  Both positive cases come with finite certificates:
+else neither.  Both positive cases have one kind of certificate: an
+image (t, s) of each generator in D-infinity, the map x -> s x + t of
+the integers, with no reflection in the image of Z.  They are found as
 
 * infinite cyclic: a primitive integer vector orthogonal to every
-  relator's exponent vector (a surjection onto the integers);
+  relator's exponent vector, sent to the translations;
 * infinite dihedral: an index-2 subgroup H, a generator outside it, and
   a primitive functional on H's abelianization that the outside element
-  negates and that kills its square.
+  negates and that kills its square, carried back to the generators
+  through H's Schreier rewriting.
 
 One Smith form of the relator exponent matrix serves both searches: a
 zero invariant gives the surjection onto the integers, and the column
 transform spans the mod-2 nullspace that lists the index-2 subgroups.
 The negative case is certified by exhaustion: the abelianization has no
 free part, and every index-2 subgroup fails the dihedral test.  Each
-positive witness passes its verifier before it is returned.  The
-dihedral verifier maps the generators into the infinite dihedral group
-and evaluates the original relators there, so it trusts neither the
-relation matrix nor the Schreier rewriting that proposed the witness.
+positive case's images pass ``verify_images`` before they are returned.
+It evaluates the original relators in D-infinity and reads the image's
+translations off the images alone, so it trusts neither the relation
+matrices nor the Schreier rewriting that proposed them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from typing import NamedTuple
 
 from ..errors import InternalInvariantError
-from .coset import CosetTable, schreier_data, verify_table
+from .coset import CosetTable, SchreierData, schreier_data, verify_table
 from .presentation import Presentation, Word, concat_words, invert_word, word_exponents
 from .snf import SmithForm, null_column_witness, smith_normal_form
 
@@ -69,20 +72,36 @@ def index_two_subgroups(pres: Presentation, form: SmithForm | None = None) -> li
     return out
 
 
-def verify_cyclic_witness(pres: Presentation, witness) -> bool:
-    """Whether sending generator i to witness[i] maps onto the integers.
+def verify_images(pres: Presentation, images) -> bool:
+    """Whether generator i -> images[i] = (t, s), the map x -> s x + t,
+    defines a surjection onto Z (every s is +1) or onto D-infinity.
 
-    That holds when the vector is primitive and kills every relator.
+    Accepted when there is one image per generator, each t an integer
+    and each s +1 or -1, every relator evaluates to (0, +1), and the
+    image's translations generate the integers.  Those translations are
+    generated by the t with s = +1 and by t_k - t_j over the reflections
+    k, for one fixed reflection j; composed with a translation, j gives
+    x -> -x, so the image is then all of D-infinity.
     """
-    w = tuple(witness)
-    if len(w) != pres.n_gens or any(not isinstance(e, int) for e in w):
+    imgs = tuple(images)
+    if len(imgs) != pres.n_gens or not all(
+        isinstance(t, int) and isinstance(s, int) and s in (1, -1) for t, s in imgs
+    ):
         return False
-    if math.gcd(*w) != 1:
+
+    def evaluate(word: Word) -> tuple[int, int]:
+        t, s = 0, 1
+        for x in word:
+            u, v = imgs[abs(x) - 1]
+            if x < 0:
+                u = -v * u
+            t, s = t + s * u, s * v
+        return t, s
+
+    if any(evaluate(r) != (0, 1) for r in pres.relators):
         return False
-    for r in pres.relators:
-        if sum(e * x for e, x in zip(word_exponents(r, pres.n_gens), w)) != 0:
-            return False
-    return True
+    flips = [t for t, s in imgs if s == -1]
+    return math.gcd(*(t for t, s in imgs if s == 1), *(t - flips[0] for t in flips)) == 1
 
 
 def _reflection_generator(table: CosetTable) -> int:
@@ -93,7 +112,8 @@ def _reflection_generator(table: CosetTable) -> int:
 
 
 def _dihedral_matrix(pres: Presentation, table: CosetTable, gen: int):
-    """Relation matrix whose integer nullspace holds dihedral functionals.
+    """Relation matrix whose integer nullspace holds dihedral functionals,
+    with the Schreier data of the subgroup it is written over.
 
     For the index-2 subgroup H of the table and b the given generator
     outside it, a surjection onto the infinite dihedral group sending H
@@ -111,54 +131,22 @@ def _dihedral_matrix(pres: Presentation, table: CosetTable, gen: int):
         row[j] += 1
         rows.append(row)
     rows.append(word_exponents(sd.rewrite(b_word + b_word), k))
-    return rows, k
+    return rows, sd
 
 
-def verify_dihedral_witness(
-    pres: Presentation, table: CosetTable, gen: int, witness
-) -> bool:
-    """Whether the witness defines a surjection onto the infinite dihedral group.
-
-    The table must be a verified index-2 table of the presentation with
-    the generator b outside its subgroup H, and the witness f one integer
-    per Schreier generator of H.  On rewritten words, f maps a generator
-    x to (f(x), +1) in D-infinity if x is in H, else to (f(x b^-1), -1),
-    where (t, s) is x -> s x + t.  Accepted when every original relator
-    maps to (0, +1) and the Schreier generators to translations with gcd
-    1, so the rewriting only proposes the images.
-    """
-    if table.pres is not pres and table.pres != pres:
-        return False
-    if table.n_cosets != 2 or not verify_table(table):
-        return False
-    if not 0 <= gen < pres.n_gens or table.rows[0][2 * gen] != 1:
-        return False
-    sd = schreier_data(pres, table)
-    w = tuple(witness)
-    if len(w) != len(sd.schreier_words) or any(not isinstance(e, int) for e in w):
-        return False
+def _dihedral_images(sd: SchreierData, gen: int, functional) -> tuple[tuple[int, int], ...]:
+    """Generator images of a dihedral functional f: a generator x goes to
+    (f(x), +1) if it lies in H, else to (f(x b^-1), -1), for b the given
+    generator outside H."""
 
     def f(word: Word) -> int:
-        return sum(w[x - 1] if x > 0 else -w[-x - 1] for x in sd.rewrite(word))
+        return sum(functional[x - 1] if x > 0 else -functional[-x - 1] for x in sd.rewrite(word))
 
-    images = [
-        (f((i + 1,)), 1) if table.rows[0][2 * i] == 0 else (f((i + 1, -(gen + 1))), -1)
-        for i in range(pres.n_gens)
-    ]
-
-    def evaluate(word: Word) -> tuple[int, int]:
-        t, s = 0, 1
-        for x in word:
-            u, v = images[abs(x) - 1]
-            if x < 0:
-                u = -v * u
-            t, s = t + s * u, s * v
-        return t, s
-
-    if any(evaluate(r) != (0, 1) for r in pres.relators):
-        return False
-    # Schreier words lie in H, so they map to translations
-    return math.gcd(*(evaluate(m)[0] for m in sd.schreier_words)) == 1
+    row = sd.table.rows[0]
+    return tuple(
+        (f((i + 1,)), 1) if row[2 * i] == 0 else (f((i + 1, -(gen + 1))), -1)
+        for i in range(sd.table.pres.n_gens)
+    )
 
 
 class DensityClass(NamedTuple):
@@ -167,7 +155,7 @@ class DensityClass(NamedTuple):
     tag: str  # infinite_cyclic | infinite_dihedral | density_zero
     abelian_invariants: tuple[int, ...]
     cyclic_witness: tuple[int, ...] | None = None
-    dihedral_table: CosetTable | None = None
+    images: tuple[tuple[int, int], ...] | None = None  # (t, s): x -> s x + t, either positive case
     dihedral_generator: int | None = None
     dihedral_functional: tuple[int, ...] | None = None
     index_two_checked: int | None = None
@@ -183,28 +171,24 @@ def classify_density(pres: Presentation) -> DensityClass:
     A surjection onto the integers gives every order (density 1); else
     one onto the infinite dihedral group gives every even order, and odd
     orders of density 0 (density 1/2); else the order set has density 0.
-    A witness that fails its verifier raises InternalInvariantError.
+    Images that fail ``verify_images`` raise InternalInvariantError.
     """
     form = abelianization(pres)
     invariants = form.invariants
     witness = null_column_witness(form)
     if witness is not None:
-        if not verify_cyclic_witness(pres, witness):
-            raise InternalInvariantError("cyclic witness failed verification")
-        return DensityClass("infinite_cyclic", invariants, cyclic_witness=witness)
+        images = tuple((e, 1) for e in witness)
+        if not verify_images(pres, images):
+            raise InternalInvariantError("cyclic images failed verification")
+        return DensityClass("infinite_cyclic", invariants, witness, images)
     tables = index_two_subgroups(pres, form)
     for table in tables:
         gen = _reflection_generator(table)
-        rows, k = _dihedral_matrix(pres, table, gen)
-        w = null_column_witness(smith_normal_form(rows, n_cols=k))
+        rows, sd = _dihedral_matrix(pres, table, gen)
+        w = null_column_witness(smith_normal_form(rows, n_cols=sd.presentation.n_gens))
         if w is not None:
-            if not verify_dihedral_witness(pres, table, gen, w):
-                raise InternalInvariantError("dihedral witness failed verification")
-            return DensityClass(
-                "infinite_dihedral",
-                invariants,
-                dihedral_table=table,
-                dihedral_generator=gen,
-                dihedral_functional=w,
-            )
+            images = _dihedral_images(sd, gen, w)
+            if not verify_images(pres, images):
+                raise InternalInvariantError("dihedral images failed verification")
+            return DensityClass("infinite_dihedral", invariants, None, images, gen, w)
     return DensityClass("density_zero", invariants, index_two_checked=len(tables))

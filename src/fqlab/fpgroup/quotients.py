@@ -14,6 +14,8 @@ consumers unless explicitly requested.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from ..budgets import MAX_RELATOR_LETTERS
 from ..errors import ResourceBudgetError, SearchBudgetError
 from ..orbit import orbit
@@ -22,52 +24,39 @@ from .lowindex import low_index_normal_subgroups
 from .presentation import Presentation
 
 
-class FqResult:
-    """Sorted quotient orders up to a limit, one certificate per order."""
+class FqResult(NamedTuple):
+    """Quotient orders up to a limit, each with one certificate table."""
 
-    def __init__(
-        self,
-        orders: tuple[int, ...],
-        certificates: dict[int, CosetTable],
-        tables: tuple[CosetTable, ...],
-        complete: bool,
-    ):
-        self.orders = orders
-        self.certificates = certificates
-        self.tables = tables
-        self.complete = complete
-        if tuple(sorted(set(self.orders))) != self.orders:
-            raise ValueError("orders must be sorted and duplicate-free")
-        if set(self.certificates) != set(self.orders):
-            raise ValueError("need exactly one certificate per order")
+    certificates: dict[int, CosetTable]
+    complete: bool
 
-
-def _collect(pres, limit, allow_partial):
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    try:
-        return low_index_normal_subgroups(pres, limit), True
-    except SearchBudgetError as err:
-        if not allow_partial:
-            raise
-        return getattr(err, "partial", []), False
-
-
-def _bundle(tables, complete) -> FqResult:
-    certificates: dict[int, CosetTable] = {}
-    for t in tables:
-        certificates.setdefault(t.n_cosets, t)
-    return FqResult(tuple(sorted(certificates)), certificates, tuple(tables), complete)
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(sorted(self.certificates))
 
 
 def fq_up_to(
     pres: Presentation,
     limit: int,
     allow_partial: bool = False,
+    keep=None,
 ) -> FqResult:
-    """All finite quotient orders up to the limit."""
-    tables, complete = _collect(pres, limit, allow_partial)
-    return _bundle(tables, complete)
+    """All finite quotient orders up to the limit, or with ``keep`` only
+    those of the tables it accepts; each order's certificate is its first
+    kept table in search order."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    try:
+        tables, complete = low_index_normal_subgroups(pres, limit), True
+    except SearchBudgetError as err:
+        if not allow_partial:
+            raise
+        tables, complete = getattr(err, "partial", []), False
+    certificates: dict[int, CosetTable] = {}
+    for t in tables:
+        if keep is None or keep(t):
+            certificates.setdefault(t.n_cosets, t)
+    return FqResult(certificates, complete)
 
 
 def oq_up_to(
@@ -76,9 +65,7 @@ def oq_up_to(
     allow_partial: bool = False,
 ) -> FqResult:
     """Odd finite quotient orders up to the limit."""
-    tables, complete = _collect(pres, limit, allow_partial)
-    odd = [t for t in tables if t.n_cosets % 2 == 1]
-    return _bundle(odd, complete)
+    return fq_up_to(pres, limit, allow_partial, keep=lambda t: t.n_cosets % 2 == 1)
 
 
 def subgroup_image(t: CosetTable, gens) -> list[int]:
@@ -125,9 +112,8 @@ def smooth_quotients(
     ``subgroup_image`` of that generator alone.
     """
     orders = tuple(cyclic_orders)
-    pres = free_product_of_cyclics(orders)
-    tables, complete = _collect(pres, max_index, allow_partial)
-    kept = [
-        t for t in tables if all(len(subgroup_image(t, (i,))) == s for i, s in enumerate(orders))
-    ]
-    return _bundle(kept, complete)
+
+    def keep(t: CosetTable) -> bool:
+        return all(len(subgroup_image(t, (i,))) == s for i, s in enumerate(orders))
+
+    return fq_up_to(free_product_of_cyclics(orders), max_index, allow_partial, keep=keep)

@@ -198,36 +198,28 @@ def is_transitive(group: PermGroup) -> bool:
     return len(orbits(group)) == 1
 
 
-def orbit_transversal(generators, degree: int, base: int) -> dict[int, Perm]:
-    """Orbit of the base point with, for each point, a word mapping base there."""
-    gens = tuple(generators)
-    trans = {base: identity(degree)}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g[x]
-                if y not in trans:
-                    trans[y] = compose(trans[x], g)
-                    nxt.append(y)
-        frontier = nxt
-    return trans
-
-
 def stabilizer_generators(generators, degree: int, base: int) -> list[Perm]:
     """Generators of the stabilizer of a point, no element listing needed.
 
-    For each orbit point x and generator g, the loop word
-    t_x g t_{x.g}^-1 fixes the base; those loops generate the stabilizer.
+    The orbit of the base comes with a transversal: t_y = t_x g for the
+    first point x and generator g that reach y.  For each orbit point x
+    and generator g, the loop word t_x g t_{x.g}^-1 fixes the base; those
+    loops generate the stabilizer.
     """
     gens = tuple(generators)
-    trans = orbit_transversal(gens, degree, base)
+    trans = {base: identity(degree)}
+
+    def step(x: int):
+        for g in gens:
+            if g[x] not in trans:
+                trans[g[x]] = compose(trans[x], g)
+            yield g[x]
+
     out = []
     seen = set()
-    for x, t in trans.items():
+    for x in orbit(base, step):
         for g in gens:
-            word = compose(compose(t, g), inverse(trans[g[x]]))
+            word = compose(compose(trans[x], g), inverse(trans[g[x]]))
             if word[base] != base:
                 raise InternalInvariantError("loop word moved the base point")
             if word not in seen and word != identity(degree):

@@ -1,5 +1,8 @@
 """Density classification and its certificates."""
 
+import math
+import random
+
 import pytest
 
 import fqlab.fpgroup.classify as classify
@@ -9,10 +12,12 @@ from fqlab.fpgroup import (
     classify_density,
     fq_up_to,
     index_two_subgroups,
+    null_column_witness,
     parse_presentation,
     schreier_data,
-    verify_cyclic_witness,
-    verify_dihedral_witness,
+    smith_normal_form,
+    verify_images,
+    verify_table,
     word_exponents,
 )
 
@@ -36,8 +41,9 @@ def test_abelianization_examples():
 def test_infinite_cyclic_detection():
     assert classify_density(parse_presentation(Z)).cyclic_witness == (1,)
     trefoil = parse_presentation("gens: u v\nrels: u^2 = v^3\n")
-    w = classify_density(trefoil).cyclic_witness
-    assert verify_cyclic_witness(trefoil, w)
+    cls = classify_density(trefoil)
+    w = cls.cyclic_witness
+    assert cls.images == tuple((e, 1) for e in w) and verify_images(trefoil, cls.images)
     assert sorted(abs(e) for e in w) == [2, 3]
     for text in (DINF, MODULAR, CRYSTAL):
         assert classify_density(parse_presentation(text)).cyclic_witness is None
@@ -45,29 +51,30 @@ def test_infinite_cyclic_detection():
 
 def test_cyclic_witness_verification_rejects_junk():
     p = parse_presentation(Z)
-    assert verify_cyclic_witness(p, (1,))
-    assert not verify_cyclic_witness(p, (2,))   # not primitive
-    assert not verify_cyclic_witness(p, (0,))
-    assert not verify_cyclic_witness(p, (1, 1))  # wrong length
+    assert verify_images(p, ((1, 1),))
+    assert not verify_images(p, ((2, 1),))  # not primitive
+    assert not verify_images(p, ((0, 1),))
+    assert not verify_images(p, ((0, -1),))  # image C2: a lone reflection gives no translation
+    assert not verify_images(p, ((1, 1), (1, 1)))  # wrong length
     trefoil = parse_presentation("gens: u v\nrels: u^2 = v^3\n")
-    assert not verify_cyclic_witness(trefoil, (1, 1))  # kills no relator
+    assert not verify_images(trefoil, ((1, 1), (1, 1)))  # kills no relator
 
 
 def test_infinite_dihedral_detection():
     p = parse_presentation(DINF)
     cls = classify_density(p)
-    assert verify_dihedral_witness(
-        p, cls.dihedral_table, cls.dihedral_generator, cls.dihedral_functional
-    )
+    assert verify_images(p, cls.images)
+    assert [s for _, s in cls.images] == [-1, -1]
     for text in (MODULAR, CRYSTAL):
         cls = classify_density(parse_presentation(text))
-        assert cls.dihedral_table is None and cls.dihedral_functional is None
+        assert cls.images is None and cls.dihedral_functional is None
     # Z itself also surjects onto nothing dihedral: its only index-2
     # subgroup is 2Z, with one Schreier generator that the outer
     # generator cannot negate, so neither primitive functional passes
     z = parse_presentation(Z)
     (table,) = index_two_subgroups(z)
-    assert not any(verify_dihedral_witness(z, table, 0, (e,)) for e in (1, -1))
+    sd = schreier_data(z, table)
+    assert not any(verify_images(z, classify._dihedral_images(sd, 0, (e,))) for e in (1, -1))
 
 
 def test_d_infinity_times_finite_still_dihedral():
@@ -75,9 +82,7 @@ def test_d_infinity_times_finite_still_dihedral():
     p = parse_presentation("gens: a b c\nrels: a^2, b^2, c^3, [a,c], [b,c]\n")
     cls = classify_density(p)
     assert cls.tag == "infinite_dihedral"
-    assert verify_dihedral_witness(
-        p, cls.dihedral_table, cls.dihedral_generator, cls.dihedral_functional
-    )
+    assert verify_images(p, cls.images)
     # density 1/2 is every even order plus odd ones of density 0, not
     # only 1 and the evens: C3 is an odd quotient here
     r = fq_up_to(p, 12)
@@ -96,7 +101,7 @@ def test_cyclic_takes_precedence_over_dihedral():
     p = parse_presentation("gens: a b z\nrels: a^2, b^2, [a,z], [b,z]\n")
     cls = classify_density(p)
     assert cls.tag == "infinite_cyclic"
-    assert verify_cyclic_witness(p, cls.cyclic_witness)
+    assert verify_images(p, cls.images) and {s for _, s in cls.images} == {1}
 
 
 def test_density_zero_reports_checked_count():
@@ -124,12 +129,16 @@ def test_finite_groups_are_density_zero():
 
 def test_dihedral_witness_verification_rejects_junk():
     p = parse_presentation(DINF)
-    cls = classify_density(p)
-    table, gen, w = cls.dihedral_table, cls.dihedral_generator, cls.dihedral_functional
-    assert not verify_dihedral_witness(p, table, gen, tuple(2 * e for e in w))
-    assert not verify_dihedral_witness(p, table, gen, w + (0,))
-    other = parse_presentation(MODULAR)
-    assert not verify_dihedral_witness(other, table, gen, w)
+    images = classify_density(p).images
+    (t0, s0), (t1, s1) = images
+    assert verify_images(p, images)
+    assert not verify_images(p, tuple((2 * t, s) for t, s in images))
+    assert not verify_images(p, images + ((0, 1),))
+    assert not verify_images(p, images[:1])
+    assert not verify_images(p, ((t0, 2 * s0), (t1, s1)))
+    # a^2 still evaluates to (0, +1) with a float translation
+    assert not verify_images(p, ((float(t0), s0), (t1, s1)))
+    assert not verify_images(parse_presentation(MODULAR), images)
 
 
 INDEX_TWO_CASES = (
@@ -183,3 +192,66 @@ def test_dihedral_check_catches_a_corrupted_relation_matrix(monkeypatch):
     ):
         with pytest.raises(InternalInvariantError):
             classify_density(parse_presentation(text))
+
+
+def schreier_route_verdict(pres, table, gen, witness):
+    """The dihedral verifier that the image check replaced, kept as its
+    oracle: it re-verifies the index-2 table, takes the images from
+    Schreier rewriting and checks that the Schreier generators map to
+    translations with gcd 1."""
+    if table.n_cosets != 2 or not verify_table(table) or table.rows[0][2 * gen] != 1:
+        return False
+    sd = schreier_data(pres, table)
+    w = tuple(witness)
+    if len(w) != len(sd.schreier_words):
+        return False
+
+    def f(word):
+        return sum(w[x - 1] if x > 0 else -w[-x - 1] for x in sd.rewrite(word))
+
+    images = [
+        (f((i + 1,)), 1) if table.rows[0][2 * i] == 0 else (f((i + 1, -(gen + 1))), -1)
+        for i in range(pres.n_gens)
+    ]
+
+    def evaluate(word):
+        t, s = 0, 1
+        for x in word:
+            u, v = images[abs(x) - 1]
+            if x < 0:
+                u = -v * u
+            t, s = t + s * u, s * v
+        return t, s
+
+    if any(evaluate(r) != (0, 1) for r in pres.relators):
+        return False
+    return math.gcd(*(evaluate(m)[0] for m in sd.schreier_words)) == 1
+
+
+def test_image_check_agrees_with_the_schreier_route():
+    # functionals on each index-2 subgroup, mapped to images as classify
+    # maps them: the found one and its double, each unit vector and its
+    # negative, zero, and fixed-seed random ones
+    rng = random.Random(25)
+    for text in INDEX_TWO_CASES:
+        p = parse_presentation(text)
+        tag = classify_density(p).tag
+        if tag == "density_zero":
+            continue
+        accepted = 0
+        for table in index_two_subgroups(p):
+            gen = classify._reflection_generator(table)
+            rows, sd = classify._dihedral_matrix(p, table, gen)
+            k = sd.presentation.n_gens
+            found = null_column_witness(smith_normal_form(rows, n_cols=k))
+            functionals = [(0,) * k]
+            units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+            functionals += units + [tuple(-e for e in u) for u in units]
+            functionals += [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(4)]
+            if found is not None:
+                functionals += [found, tuple(2 * e for e in found)]
+            for w in functionals:
+                verdict = verify_images(p, classify._dihedral_images(sd, gen, w))
+                assert verdict == schreier_route_verdict(p, table, gen, w), (text, w)
+                accepted += verdict
+        assert accepted or tag == "infinite_cyclic", text

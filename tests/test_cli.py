@@ -553,6 +553,25 @@ def test_over_budget_inputs_exit_3_before_building(tmp_path):
         assert done.stderr == f"fqlab: budget exhausted: {message}\n", argv
 
 
+def test_module_runs_as_a_script(capsys, tmp_path):
+    # python -m fqlab.cli is the fqlab command: same stdout, same exit codes
+    argv = ["fq", "--presentation", pres_file(tmp_path, MOD_PRES), "--max-index", "12"]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+
+    def module(args):
+        return subprocess.run(
+            [sys.executable, "-m", "fqlab.cli", *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+
+    done = module(argv)
+    assert (done.returncode, done.stdout) == (0, run(capsys, argv)[1])
+    assert module(["fq", "--max-index", "12"]).returncode == 2
+
+
 def test_version_flag(capsys):
     rc = dispatch(["--version"])
     assert rc == 0

@@ -9,7 +9,12 @@ from fqlab.budgets import ELEMENT_CAP, MAX_GRAPH_EDGES
 import fqlab.census as census
 from fqlab.census import CensusEntry, amalgam_census, cubic_census
 from fqlab.errors import InputSyntaxError, InternalInvariantError, ResourceBudgetError, SearchBudgetError
-from fqlab.fpgroup import free_product_of_cyclics, fq_up_to, parse_presentation, subgroup_image
+from fqlab.fpgroup import (
+    free_product_of_cyclics,
+    low_index_normal_subgroups,
+    parse_presentation,
+    subgroup_image,
+)
 from fqlab.fpgroup.coset import col_to_letter
 from fqlab.graphs import (
     Graph,
@@ -600,7 +605,7 @@ def test_amalgam_census_keeps_the_stabilizer_order():
     ]
     assert_stabilizer_embeds(pres, result)
     # order 1 drops out: y lies in <x> in every index-6 table where x has order 6
-    six = [t for t in fq_up_to(pres, 6).tables if t.n_cosets == 6]
+    six = [t for t in low_index_normal_subgroups(pres, 6) if t.n_cosets == 6]
     full = [t for t in six if len(subgroup_image(t, (0,))) == 6]
     assert len(full) == 2
     assert all(t.rows[0][2] in subgroup_image(t, (0,)) for t in full)

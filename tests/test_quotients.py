@@ -5,9 +5,9 @@ import pytest
 from fqlab.budgets import MAX_RELATOR_LETTERS
 from fqlab.errors import ResourceBudgetError, SearchBudgetError
 from fqlab.fpgroup import (
-    FqResult,
     fq_up_to,
     free_product_of_cyclics,
+    low_index_normal_subgroups,
     oq_up_to,
     parse_presentation,
     smooth_quotients,
@@ -78,11 +78,16 @@ def test_smooth_three_two():
 
 
 def test_smooth_certificates_keep_exact_orders():
+    # every search table where both generators keep their orders, read
+    # from the column permutations; the certificates are the first of
+    # each order among them
     r = smooth_quotients([3, 2], 48)
-    for t in r.tables:
-        assert perm_order(t.column_perm(0)) == 3
-        assert perm_order(t.column_perm(1)) == 2
-        assert t.image_group().order == t.n_cosets
+    first = {}
+    for t in low_index_normal_subgroups(free_product_of_cyclics([3, 2]), 48):
+        if perm_order(t.column_perm(0)) == 3 and perm_order(t.column_perm(1)) == 2:
+            assert t.image_group().order == t.n_cosets
+            first.setdefault(t.n_cosets, t.flat())
+    assert {m: t.flat() for m, t in r.certificates.items()} == first
 
 
 def test_smooth_is_subset_of_fq():
@@ -114,18 +119,3 @@ def test_lcm_divisibility_structure():
     have = set(r.orders)
     assert {2, 4} <= have and 4 in have
     assert {4, 6} <= have and 12 in have
-
-
-def test_fq_result_construction_checks():
-    r = fq_up_to(parse_presentation(MODULAR), 12)
-    last = r.orders[-1]
-    fewer = {m: t for m, t in r.certificates.items() if m != last}
-    more = {**r.certificates, 13: r.certificates[last]}
-    for orders, certificates, message in [
-        (r.orders[::-1], r.certificates, "sorted and duplicate-free"),
-        (r.orders + (last,), r.certificates, "sorted and duplicate-free"),
-        (r.orders, fewer, "one certificate per order"),
-        (r.orders, more, "one certificate per order"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            FqResult(orders, certificates, r.tables, r.complete)
