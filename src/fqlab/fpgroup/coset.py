@@ -6,7 +6,9 @@ Tables are built elsewhere (the normal low-index search, or directly
 for the index-2 subgroups in ``classify``); ``verify_table`` certifies
 any of them without trusting how it was built, and ``is_regular``
 certifies that a well-formed table (complete, inverse-paired and
-transitive) is a regular action, from the table alone.
+transitive) is a regular action, from the table alone, with the
+certificate that ``lattice`` also runs on the coset action of a
+quotient.
 ``verify_regular_table`` certifies a table that should be regular, as
 the search's are, with both checks but relators traced from coset 0
 only, which regularity makes enough.  ``schreier_data`` rewrites the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..orbit import orbit
+from ..orbit import is_regular_action, orbit
 from .presentation import Presentation, Word, free_reduce, invert_word
 
 if TYPE_CHECKING:
@@ -105,28 +107,10 @@ def verify_table(t: CosetTable) -> bool:
 
 
 def is_regular(t: CosetTable) -> bool:
-    """Whether a well-formed table is a regular action.
-
-    Left multiplication by generator i is forced from L(0) = T[0][2i]
-    along every edge, L(T[b][c]) = T[L(b)][c]; the table is regular
-    exactly when each L is well defined.  Each L then commutes with every
-    column, so its image is closed under them and, the table being
-    transitive, it is onto.  The L move 0 along every word, so the image
-    group has a transitive centralizer and is regular (Dixon & Mortimer,
-    *Permutation Groups*, Thm 4.2A).
-    """
-    rows = t.rows
-    order = orbit(0, rows.__getitem__)
-    for i in range(t.pres.n_gens):
-        lam: list[int | None] = [None] * len(rows)
-        lam[0] = rows[0][2 * i]
-        for b in order:
-            for d, e in zip(rows[b], rows[lam[b]]):
-                if lam[d] is None:
-                    lam[d] = e
-                elif lam[d] != e:
-                    return False
-    return True
+    """Whether a well-formed table is a regular action: the shared
+    certificate ``orbit.is_regular_action``, seeded with the image of
+    coset 0 under each generator column."""
+    return is_regular_action(t.rows, t.rows[0][::2])
 
 
 def verify_regular_table(t: CosetTable) -> bool:

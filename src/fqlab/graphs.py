@@ -11,7 +11,8 @@ counting on vertices and arcs, never by closing the generated group:
 the group order grows factorially in the parameters while the orbit
 computations stay linear in the number of arcs.  Local actions come
 from Schreier generators of the vertex stabilizer restricted to the
-neighborhood, so a transitivity report never lists the group either.
+neighborhood and stay unclosed: a report lists a local action only
+when ``permgroup.shape``'s commutator screen cannot call it "other".
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .permgroup import (
     GroupShape,
     Perm,
     PermGroup,
-    close,
     is_transitive,
     orbits_of,
     shape,
@@ -205,10 +205,11 @@ def local_action(ga: GraphAction, v: int) -> PermGroup:
 
     Points of the result are positions in the sorted neighbor list of
     v.  The stabilizer enters through its Schreier generators, and
-    restriction to the neighborhood is a homomorphism, so closing the
-    restricted generators gives the induced group exactly.  Only that
-    group, on at most valency-many points, is ever listed, so the
-    acting group need not fit under the element cap.
+    restriction to the neighborhood is a homomorphism, so the restricted
+    generators generate the induced group exactly.  They are returned
+    unclosed: transitivity needs their orbits only, and ``shape`` lists
+    the group only when its commutator screen passes, so neither the
+    acting group nor the local action need fit under the element cap.
     """
     if not 0 <= v < ga.graph.vertex_count:
         raise ValueError(f"no vertex {v}")
@@ -222,10 +223,10 @@ def local_action(ga: GraphAction, v: int) -> PermGroup:
 
 def _induced_on(neighbors: tuple[int, ...], perms) -> PermGroup:
     """Group generated by the restrictions of perms, each of which must
-    map the neighbor list onto itself."""
+    map the neighbor list onto itself; unclosed."""
     position = {w: i for i, w in enumerate(neighbors)}
     restricted = sorted({tuple(position[g[w]] for w in neighbors) for g in perms})
-    return close(restricted, len(neighbors))
+    return PermGroup(len(neighbors), tuple(restricted))
 
 
 def transitivity_report(ga: GraphAction) -> TransitivityReport:

@@ -12,12 +12,22 @@ quotient with complement order dividing p - 1; quasiprimitive groups
 of order above 2 have a transitive odd-generated part; and the odd
 parts of two adjacent vertex stabilizers generate an edge core whose
 orbits local transitivity constrains.  The core lists only the vertex
-stabilizers, each closed once from its Schreier generators.
+stabilizers, each closed once from its Schreier generators; the local
+actions it compares come unclosed from ``graphs`` and are listed only
+there.
+
+The group checks run on each catalog group's element index
+(``lattice``): its lattice, torsion subgroups, Sylow quotients and
+coset labels are numbers.  Each quotient arrives certified regular by
+``orbit.is_regular_action``, the certificate the quotient search runs
+on its tables, and the quotient side of the odd-part check reads its
+element orders and odd part off that table without closing it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 from .errors import GroupTooLargeError, InternalInvariantError
@@ -31,23 +41,27 @@ from .graphs import (
     graph_from_edges,
     transitivity_report,
 )
-from .numtheory import factor, np_contains, sp_contains
+from .lattice import (
+    element_index,
+    is_normal,
+    normal_subgroups,
+    quotient,
+    quotient_with_map,
+    torsion_subgroup,
+)
 from .orbit import orbit
 from .permgroup import (
     GroupShape,
     PermGroup,
     close,
     compose,
-    is_normal,
+    generated,
+    identity,
     is_transitive,
-    normal_subgroups,
-    perm_order,
-    quotient,
-    quotient_with_map,
     shape,
     stabilizer_generators,
-    torsion_subgroup,
 )
+from .pointwise import factor, np_contains, sp_contains
 
 
 class OddPartEntry(NamedTuple):
@@ -68,31 +82,67 @@ class OddPartReport(NamedTuple):
 
 def regular_odd_part(Q: PermGroup) -> set[int]:
     """The subgroup of a regular group Q generated by its odd-order
-    elements, as the set of points to which it moves 0.
+    elements, as the set of points to which it moves 0, read off the
+    table of Q's generators without closing Q.
 
-    Only the identity of a regular group fixes a point, so q^k = 1
-    exactly when q^k fixes 0: the order of q is the length of its cycle
-    through 0.  Likewise h -> h[0] maps a subgroup H one to one onto the
-    orbit of 0 under H's generators, so H is read off with no closure.
+    Only the identity of a regular group fixes a point, so each point c
+    stands for the one element q_c moving 0 to c: the product of c's
+    word in a breadth-first tree from 0.  Tracing that word from d
+    reaches d q_c.  The order of q_c is the length of its cycle through
+    0, and the odd ones are closed by ``generated`` on points, each kept
+    one composed along its word.
     """
-    odd = [q for q in Q.elements if len(orbit(0, lambda x: (q[x],))) % 2 == 1]
-    return set(orbit(0, lambda x: (q[x] for q in odd)))
+    if Q.degree % 2:
+        # every element order divides the odd order |Q|
+        return set(range(Q.degree))
+    words = {0: ()}
+
+    def step(b: int):
+        for g in Q.generators:
+            words.setdefault(g[b], words[b] + (g,))
+            yield g[b]
+
+    orbit(0, step)
+    # tracing the cycle c, c^2, ... back to 0 gives the order of every
+    # power: c^j has order k / gcd(j, k)
+    orders = [0] * Q.degree
+    for c in range(Q.degree):
+        if not orders[c]:
+            cycle = [c]
+            while cycle[-1]:
+                d = cycle[-1]
+                for g in words[c]:
+                    d = g[d]
+                cycle.append(d)
+            k = len(cycle)
+            for j, d in enumerate(cycle, 1):
+                orders[d] = k // math.gcd(j, k)
+
+    def right_by(c: int):
+        perm = identity(Q.degree)
+        for g in words[c]:
+            perm = compose(perm, g)
+        return partial(map, perm.__getitem__)
+
+    odd = [c for c, k in enumerate(orders) if k % 2]
+    return generated(0, odd, right_by, Q.degree)[0]
 
 
 def verify_odd_quotient(group: PermGroup) -> OddPartReport:
     """Check, for every normal subgroup N, N = 1 and N = G included, that
     quotienting commutes with taking the odd-generated part.
 
-    ``quotient_with_map`` returns a Q transitive on the |G:N| cosets and
-    checks that its order is |G:N|, so Q is regular: its odd part is
-    ``regular_odd_part(Q)``, computed apart from G's odd part mapped
-    through the coset labels.
+    ``quotient_with_map`` returns a Q certified regular on the |G:N|
+    cosets, so its odd part is ``regular_odd_part(Q)``, computed apart
+    from G's odd part mapped through the coset labels.
     """
     odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
+    position = element_index(group).position
+    odd = [position[g] for g in odd_part.elements]
     entries = []
     for N in normal_subgroups(group):
         Q, label = quotient_with_map(group, N)
-        rhs = {label[x] for x in odd_part.elements}
+        rhs = {label[i] for i in odd}
         entries.append(OddPartEntry(N.order, regular_odd_part(Q) == rhs))
     return OddPartReport(group.order, tuple(entries))
 
@@ -123,34 +173,36 @@ def normal_sylow_quotient(group: PermGroup, p: int) -> SylowQuotientReport:
     once, no divisor above 1 in the class of 1 mod p): then the Sylow
     p-subgroup P is normal, its centralizer splits as P times a
     p-coprime part K, K is normal, and G/K is a split extension of P by
-    a cyclic group of order dividing p - 1.
+    a cyclic group of order dividing p - 1.  Every subgroup is built and
+    every quotient taken on the element index of G.
     """
     n = group.order
     if not np_contains(n, p):
         raise ValueError(f"group order {n} is not anchored at {p}")
-    z = next((g for g in group.elements if perm_order(g) == p), None)
-    if z is None:
+    ix = element_index(group)
+    zi = next((i for i, k in enumerate(ix.orders) if k == p), None)
+    if zi is None:
         raise InternalInvariantError(f"no element of order {p} found")
-    P = close((z,), group.degree, group._cap)
+    P = ix.subgroup(*ix.closure([zi]))
     if not is_normal(group, P):
         raise InternalInvariantError("Sylow subgroup not normal despite anchored order")
-    cent = tuple(
-        g for g in group.elements if compose(g, z) == compose(z, g)
-    )
-    k_elems = tuple(g for g in cent if math.gcd(perm_order(g), p) == 1)
-    K = PermGroup(group.degree, k_elems, group._cap)
-    if len(K.elements) != len(k_elems):
+    # x z = z x
+    cent = [i for i, (a, b) in enumerate(zip(ix.row(zi), ix.left_row(zi))) if a == b]
+    k_elems = [i for i in cent if math.gcd(ix.orders[i], p) == 1]
+    members, kept = ix.closure(k_elems)
+    if len(members) != len(k_elems):
         raise InternalInvariantError("coprime part of the centralizer is not closed")
     if len(cent) != p * len(k_elems):
         raise InternalInvariantError("centralizer does not split as expected")
+    K = ix.subgroup(members, kept)
     if not is_normal(group, K):
         raise InternalInvariantError("coprime part of the centralizer is not normal")
-    Q, label = quotient_with_map(group, K)
-    z_bar = next(q for q in Q.elements if q[0] == label[z])
-    Pbar = close((z_bar,), Q.degree, group._cap)
-    if Pbar.order != p or not is_normal(Q, Pbar):
+    Q = quotient(group, K)
+    # the image of P in Q is K P / K; Q over it is G / K P
+    KP = ix.subgroup(*ix.closure(kept + [zi]))
+    if KP.order != p * K.order or not is_normal(group, KP):
         raise InternalInvariantError("image of the Sylow part is not normal of order p")
-    comp = quotient(Q, Pbar)
+    comp = quotient(group, KP)
     sh = shape(comp)
     if sh.tag != "cyclic" or (p - 1) % comp.order != 0:
         raise InternalInvariantError("complement is not cyclic of order dividing p - 1")

@@ -612,7 +612,7 @@ QUOTIENTS = {"fqlab.budgets", "fqlab.orbit", "fqlab.fpgroup"} | {
     f"fqlab.fpgroup.{m}" for m in ("coset", "lowindex", "presentation", "quotients")
 }
 GRAPHS = PERMGROUP | {"fqlab.graphs"}
-NUMTHEORY = {"fqlab.budgets", "fqlab.numtheory"}
+NUMTHEORY = {"fqlab.budgets", "fqlab.numtheory", "fqlab.pointwise"}
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
@@ -629,7 +629,8 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["smooth", "--orders", "3,2", "--max-index", "24"], QUOTIENTS),
         (["census", "--max-index", "12"], QUOTIENTS | {"fqlab.census"}),
         (["graphs", "--family", "w", "--k", "3", "--r", "5", "--report"], GRAPHS),
-        (["verify"], GRAPHS | NUMTHEORY | {"fqlab.catalog", "fqlab.sweeps"}),
+        # verify tests single orders only, so it compiles no sieve
+        (["verify"], GRAPHS | {f"fqlab.{m}" for m in ("catalog", "lattice", "pointwise", "sweeps")}),
     ]
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     for argv, layers in commands:

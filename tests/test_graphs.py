@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -30,7 +31,14 @@ from fqlab.graphs import (
     transitivity_report,
 )
 from fqlab.graphs import _induced_on
-from fqlab.permgroup import GroupShape, PermGroup, close, is_transitive
+from fqlab.permgroup import (
+    GroupShape,
+    PermGroup,
+    _commutators_commute,
+    close,
+    is_transitive,
+    shape,
+)
 from fqlab.sweeps import OddCoreReport, graph_fixtures, odd_edge_core
 
 
@@ -371,6 +379,52 @@ def test_w_small_cases():
         build_w(0, 5)
     with pytest.raises(ValueError):
         build_w(2, 2)
+
+
+def test_w_reports_past_the_element_cap():
+    # the local action (S_k x S_k) x| C2 has 2 (k!)^2 elements, over the
+    # cap from k = 6 on; the commutator screen calls it other unlisted
+    for k in (6, 40):
+        rep = transitivity_report(build_w(k, 3))
+        assert rep.vertex_transitive and rep.arc_transitive and rep.locally_transitive, k
+        assert rep.local_shapes == ((0, GroupShape("other", 0)),), k
+
+
+def test_w_6_3_report_lists_no_elements(monkeypatch):
+    def refuse(group):
+        raise AssertionError(f"listed the elements of {group!r}")
+
+    ga = build_w(6, 3)
+    monkeypatch.setattr(PermGroup, "elements", property(refuse))
+    rep = transitivity_report(ga)
+    assert rep.locally_transitive and rep.local_shapes[0][1].tag == "other"
+
+
+def test_commutator_screen_passes_cyclic_and_dihedral_groups():
+    # a cyclic or dihedral group has a cyclic derived subgroup, so the
+    # screen must pass it on whatever generates it: here every element,
+    # in shuffled orders, of C_n, D_n (V4 is D_2) on n or 2n points
+    rng = random.Random(5)
+    groups = []
+    for n in range(1, 13):
+        rot = tuple((i + 1) % n for i in range(n))
+        groups.append(close([rot], n))
+        if n >= 3:
+            groups.append(dihedral_on_cycle(n))
+    groups.append(close([(1, 0, 3, 2), (2, 3, 0, 1)], 4))
+    for n in range(2, 7):
+        # D_n acting regularly on 2n points
+        rot = tuple((i + 1) % n for i in range(n)) + tuple(n + (i - 1) % n for i in range(n))
+        flip = tuple(n + i for i in range(n)) + tuple(range(n))
+        groups.append(close([rot, flip], 2 * n))
+    for G in groups:
+        assert shape(G).tag in ("cyclic", "dihedral"), G.generators
+        for _ in range(5):
+            gens = list(G.elements)
+            rng.shuffle(gens)
+            assert _commutators_commute(gens), G.generators
+    # and it does call S4 other from its commutators alone
+    assert not _commutators_commute([(1, 2, 3, 0), (1, 0, 2, 3), (0, 2, 1, 3)])
 
 
 def test_family_edge_budget_is_checked_before_building():

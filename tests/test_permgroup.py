@@ -25,6 +25,14 @@ from fqlab.catalog import (
     serialize_catalog,
 )
 from fqlab.errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
+from fqlab.lattice import (
+    element_index,
+    is_normal,
+    normal_subgroups,
+    quotient,
+    quotient_with_map,
+    torsion_subgroup,
+)
 from fqlab.numtheory import np_contains
 from fqlab.orbit import orbit
 from fqlab.permgroup import (
@@ -34,18 +42,12 @@ from fqlab.permgroup import (
     conjugate,
     identity,
     inverse,
-    is_normal,
     is_transitive,
-    normal_subgroups,
     orbits,
     orbits_of,
     perm_order,
-    quotient,
-    quotient_with_map,
     shape,
     stabilizer_generators,
-    torsion_subgroup,
-    trivial_group,
 )
 from fqlab.sweeps import (
     is_quasiprimitive,
@@ -211,7 +213,7 @@ def test_orbits_and_transitivity():
     assert orbits(G) == [(0, 1, 2), (3, 4, 5, 6, 7)]
     assert not is_transitive(G)
     assert is_transitive(CAT["S4"])
-    assert orbits(trivial_group(3)) == [(0,), (1,), (2,)]
+    assert orbits(close((), 3)) == [(0,), (1,), (2,)]
 
 
 def element_filter_stabilizer(G, point):
@@ -230,7 +232,7 @@ def test_stabilizer_generators_match_filter():
     for name, base in (("S4", 0), ("A5", 2), ("D10", 1), ("F20", 0), ("PSL27", 0)):
         G = CAT[name]
         gens = stabilizer_generators(G.generators, G.degree, base)
-        got = close(gens, G.degree) if gens else trivial_group(G.degree)
+        got = close(gens, G.degree)
         assert got.element_set == element_filter_stabilizer(G, base), name
 
 
@@ -286,6 +288,23 @@ def test_conjugacy_class_orbit_matches_conjugates_by_every_element():
             cls = orbit(g, lambda x: (conjugate(x, b) for b in G.generators))
             assert cls[0] == g and len(cls) == len(set(cls)), (name, format_perm(g))
             assert set(cls) == {conjugate(g, b) for b in G.elements}, (name, format_perm(g))
+
+
+def test_element_index_rows_match_composition():
+    # every row is checked against the tuples it replaces
+    for name, G in CAT.items():
+        ix = element_index(G)
+        els = ix.elements
+        assert els == G.elements and els[0] == identity(G.degree), name
+        for i in range(0, len(els), 7):
+            want_right = [ix.position[compose(x, els[i])] for x in els]
+            want_left = [ix.position[compose(els[i], x)] for x in els]
+            assert list(ix.row(i)) == want_right and ix.left_row(i) == want_left, (name, i)
+        assert ix.orders == [perm_order(x) for x in els], name
+        classes = {frozenset(cls) for cls in ix.classes}
+        assert classes == {
+            frozenset(ix.position[conjugate(x, b)] for b in els) for x in els
+        }, name
 
 
 def test_is_normal():
@@ -392,6 +411,27 @@ def test_regular_odd_part_matches_torsion_closure():
             assert regular_odd_part(Q) == want, (name, N.order)
 
 
+def test_quotient_certificate_refuses_a_non_normal_subgroup(monkeypatch):
+    # with the normality test bypassed, S4 on the cosets of <(1 2)(3 4)>
+    # gives permutation columns that do not act regularly
+    import fqlab.lattice as lattice
+
+    S4, H = CAT["S4"], close((parse_perm("(1 2)(3 4)"),))
+    monkeypatch.setattr(lattice, "is_normal", lambda group, sub: True)
+    with pytest.raises(InternalInvariantError):
+        quotient_with_map(S4, H)
+
+
+def test_odd_quotient_check_reads_the_quotient_side(monkeypatch):
+    # the check compares the quotient's own odd part with the image of
+    # G's, so a wrong quotient side must fail it
+    import fqlab.sweeps as sweeps
+
+    assert verify_odd_quotient(CAT["S3"]).passed
+    monkeypatch.setattr(sweeps, "regular_odd_part", lambda Q: {0})
+    assert not verify_odd_quotient(CAT["S3"]).passed
+
+
 def test_normal_subgroups_cap():
     S7 = close((parse_perm("(1 2 3 4 5 6 7)"), parse_perm("(1 2)", 7)))
     assert S7.order == 5040
@@ -401,7 +441,7 @@ def test_normal_subgroups_cap():
 
 def test_quotient_examples():
     S3 = CAT["S3"]
-    assert quotient(S3, trivial_group(3)).order == 6
+    assert quotient(S3, close((), 3)).order == 6
     A3 = close((parse_perm("(1 2 3)"),))
     assert quotient(S3, A3).order == 2
     V4 = close((parse_perm("(1 2)(3 4)"), parse_perm("(1 3)(2 4)")))
@@ -419,18 +459,19 @@ def test_quotient_order_product():
             assert Q.degree == G.order // N.order, name
 
 
-def image_map(Q, label):
-    # Q acts regularly, so the image of x is the q moving coset 0 to label[x]
+def image_map(G, Q, label):
+    # Q acts regularly, so the image of the element numbered i is the q
+    # moving coset 0 to label[i]
     by_first = {q[0]: q for q in Q.elements}
     assert len(by_first) == Q.order
-    return {x: by_first[i] for x, i in label.items()}
+    return {x: by_first[label[i]] for i, x in enumerate(G.elements)}
 
 
 def test_quotient_map_is_homomorphism():
     G = CAT["S4"]
     N = [M for M in normal_subgroups(G) if M.order == 4][0]
     Q, label = quotient_with_map(G, N)
-    phi = image_map(Q, label)
+    phi = image_map(G, Q, label)
     els = G.elements
     for g in els[::5]:
         for h in els[::7]:
@@ -447,8 +488,8 @@ def test_quotient_map_numbers_cosets_by_least_element():
             index_of = {rep: i for i, rep in enumerate(reps)}
             want = {g: tuple(index_of[key[compose(rep, g)]] for rep in reps) for g in G.elements}
             Q, label = quotient_with_map(G, N)
-            assert label == {g: index_of[key[g]] for g in G.elements}, (name, N.order)
-            assert image_map(Q, label) == want, (name, N.order)
+            assert label == [index_of[key[g]] for g in G.elements], (name, N.order)
+            assert image_map(G, Q, label) == want, (name, N.order)
             assert Q.element_set == frozenset(want.values()), (name, N.order)
             assert Q.generators == tuple(want[g] for g in G.generators), (name, N.order)
 

@@ -16,10 +16,11 @@ PACKAGE = pathlib.Path(fqlab.__file__).resolve().parent
 
 # ``main`` is the console entry point; the next three are the print or
 # parse halves of documented file formats whose other half the package
-# itself uses; the Sylow-quotient oracle that ROADMAP item 1 plans reads
-# ``SylowQuotientReport.quotient_order``.  ``CosetTable.image_group`` is
-# wrapped by name by the benchmark's tracer and is the tests' closure
-# oracle for regularity; it goes when ROADMAP item 7 rewrites the tracer.
+# itself uses; the Sylow oracle over quotient-table images in
+# test_quotients.py reads ``SylowQuotientReport.quotient_order``.
+# ``CosetTable.image_group`` is wrapped by name by the benchmark's tracer
+# and is the tests' closure oracle for regularity; it goes when ROADMAP
+# item 7 rewrites the tracer.
 ALLOWED_UNCALLED = {
     "main",
     "format_presentation",

@@ -13,7 +13,9 @@ from fqlab.fpgroup import (
     smooth_quotients,
     verify_table,
 )
+from fqlab.numtheory import factor, np_contains
 from fqlab.permgroup import perm_order
+from fqlab.sweeps import normal_sylow_quotient
 
 Z = "gens: x\nrels:\n"
 DINF = "gens: a b\nrels: a^2, b^2\n"
@@ -119,3 +121,31 @@ def test_lcm_divisibility_structure():
     have = set(r.orders)
     assert {2, 4} <= have and 4 in have
     assert {4, 6} <= have and 12 in have
+
+
+# presentations with anchored quotient orders, each with its search limit
+SYLOW_CASES = (
+    (MODULAR, 72),
+    ("gens: a b\nrels: a^2, b^2, (a b)^5\n", 10),
+    ("gens: a b\nrels: a^2, b^2, (a b)^15\n", 30),
+    ("gens: a b\nrels: a^3, b^3, (a b)^3\n", 81),
+    ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64),
+)
+
+
+def test_sylow_quotients_of_table_images_are_quotient_orders():
+    # a quotient of a quotient is a quotient: for every table image Q and
+    # every prime p at which |Q| is anchored, the split quotient C_p x| C_k
+    # that normal_sylow_quotient builds from Q has an order in fq
+    hits = 0
+    for text, limit in SYLOW_CASES:
+        pres = parse_presentation(text)
+        orders = set(fq_up_to(pres, limit).orders)
+        for t in low_index_normal_subgroups(pres, limit):
+            n = t.n_cosets
+            for p, _ in factor(n):
+                if np_contains(n, p):
+                    order = normal_sylow_quotient(t.image_group(), p).quotient_order
+                    assert order in orders, (text, n, p, order)
+                    hits += 1
+    assert hits >= 20
