@@ -6,32 +6,14 @@ of its generators moves (at least 1).  Blank lines and ``#`` comments
 are skipped.  The parser rejects anything that is not a bijection,
 including a point repeated across the cycles of one permutation.
 Cycle notation is read and written here only, so this module holds
-``parse_perm`` and ``format_perm``; only ``verify`` loads it.
+``parse_perm`` and ``format_perm``, which writes the cycles that
+``permgroup.cycle_decomposition`` walks; only ``verify`` loads it.
 """
 
 from __future__ import annotations
 
 from .errors import InputSyntaxError
-from .permgroup import Perm, PermGroup, close
-
-
-def cycle_decomposition(g: Perm) -> list[tuple[int, ...]]:
-    """Nontrivial cycles, 0-based, each starting at its smallest point."""
-    seen = [False] * len(g)
-    out = []
-    for start in range(len(g)):
-        if seen[start] or g[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = g[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = g[x]
-        out.append(tuple(cyc))
-    return out
+from .permgroup import Perm, PermGroup, close, cycle_decomposition
 
 
 def format_perm(g: Perm) -> str:

@@ -12,14 +12,16 @@ quotient.
 ``verify_regular_table`` certifies a table that should be regular, as
 the search's are, with both checks but relators traced from coset 0
 only, which regularity makes enough.  ``schreier_data`` rewrites the
-subgroup of a verified table onto Schreier generators.
+subgroup of a verified table onto Schreier generators, with its
+transversal on ``orbit.spanning_tree``.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING
 
-from ..orbit import is_regular_action, orbit
+from ..orbit import is_regular_action, orbit, spanning_tree
 from .presentation import Presentation, Word, free_reduce, invert_word
 
 if TYPE_CHECKING:
@@ -171,26 +173,21 @@ class SchreierData:
 def schreier_data(pres: Presentation, t: CosetTable) -> SchreierData:
     """Rewrite the subgroup of a complete table onto Schreier generators.
 
-    Spanning tree: breadth-first from coset 0 in column order.  One
-    generator per non-tree (coset, original generator) pair; relators
-    are the rewrites of every original relator traced from every coset.
+    Transversal: along ``orbit.spanning_tree`` from coset 0, in column
+    order.  One generator per non-tree (coset, original generator) pair;
+    relators are the rewrites of every original relator traced from
+    every coset.
     """
     if not verify_table(t):
         raise ValueError("need a complete, verified table")
     rows = t.rows
     n = t.n_cosets
     g = pres.n_gens
-    transversal: list[Word | None] = [None] * n
-    transversal[0] = ()
-    order = [0]
+    transversal: list[Word] = [()] * n
     tree_pairs = set()
-    for a in order:
-        for c in range(2 * g):
-            b = rows[a][c]
-            if transversal[b] is None:
-                transversal[b] = transversal[a] + (col_to_letter(c),)
-                tree_pairs.add((a if c % 2 == 0 else b, c // 2))
-                order.append(b)
+    for b, (a, c) in islice(spanning_tree(0, rows.__getitem__).items(), 1, None):
+        transversal[b] = transversal[a] + (col_to_letter(c),)
+        tree_pairs.add((a if c % 2 == 0 else b, c // 2))
     gen_of_pair: dict[tuple[int, int], int] = {}
     schreier_words: list[Word] = []
     for a in range(n):

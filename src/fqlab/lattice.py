@@ -1,17 +1,18 @@
 """Normal subgroups, torsion subgroups and quotients on an element index.
 
 A listed permutation group's sorted elements are numbered once (the
-identity is 0), and the lattice, element-order, odd-part and quotient
+identity is 0), and the lattice, element-order, torsion and quotient
 work runs on those numbers: right multiplication by a generator is one
 int row, and by any other element a row grown from those along the
-element's word in a breadth-first tree; left multiplication is filled
-in along the same tree.  Conjugacy classes, their closures and joins
-are sets of numbers, and coset labels one int list.  Normal subgroups
-are the joins of the subgroups that classes generate, computed once
-per group; each join is the union of the cosets of one side that meet
-the other.  Normality is tested by conjugating generators by
-generators.  A quotient is the generators' action on the cosets,
-certified regular by ``orbit.is_regular_action`` and left unclosed.
+element's word in ``orbit.spanning_tree``; left multiplication is
+filled in along the same tree.  Conjugacy classes, their closures and
+joins are sets of numbers, and coset labels one int list.  Normal
+subgroups are the joins of the subgroups that classes generate,
+computed once per group; each join is the union of the cosets of one
+side that meet the other.  Normality is tested by conjugating
+generators by generators.  A quotient is the generators' action on the
+cosets, certified regular by ``orbit.is_regular_action`` and left
+unclosed; its generator tuples are the rows of its own element index.
 Only ``verify`` loads this module.
 """
 
@@ -20,56 +21,48 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from functools import partial
-from itertools import islice
 from operator import itemgetter
 
 from .budgets import NORMAL_SUBGROUP_CAP
 from .errors import GroupTooLargeError, InternalInvariantError
-from .orbit import is_regular_action, orbit, orbit_labels
-from .permgroup import PermGroup, compose, generated, inverse, perm_order
+from .orbit import is_regular_action, left_multiplication, orbit_labels, spanning_tree
+from .permgroup import PermGroup, compose, generated, inverse
 
 
 class ElementIndex:
-    """A group's sorted elements numbered 0, 1, ..., so 0 is the identity.
-
-    ``gen_rows[j][i]`` numbers elements[i] g_j, the one place where tuples
-    are composed.  A breadth-first tree from 0 along those rows spells
-    every element as a word; ``row`` grows right multiplication by any
-    element from the generator rows along its word, and ``left_row``
-    fills left multiplication by h in along the tree, h x g from h x.
-    ``classes`` are the conjugacy classes, ascending and ordered by least
-    element: orbits under x -> b^-1 x b for each generator b, one row
-    each (left multiplication by b^-1, the x with x b = 1, then right
-    multiplication by b).  ``orders`` takes one ``perm_order`` per class.
+    """A group's elements numbered 0, 1, ..., 0 the identity, held as the
+    generators' right-multiplication rows: ``gen_rows[j][i]`` numbers
+    element i times g_j.  ``element_index`` composes them once for a
+    listed group and keeps its ``elements`` and ``position``.  A quotient
+    certified regular needs no composition: point c stands for the one
+    element moving 0 to c, which times g_j moves 0 to g_j[c], so the
+    quotient's generator tuples are its rows.  ``row`` grows right
+    multiplication by any element from those along its word in a
+    breadth-first tree from 0; ``left_row`` fills left multiplication in
+    along the tree.  ``classes`` are the conjugacy classes, ascending and
+    ordered by least element: orbits under x -> b^-1 x b for each
+    generator b (left multiplication by b^-1, the x with x b = 1, then
+    right multiplication by b).  ``orders`` holds the length of the cycle
+    of 0 under right multiplication by each class's least element.
     """
 
-    __slots__ = (
-        "elements", "position", "gen_rows", "classes", "orders", "_tree", "_rows", "_degree", "_cap",
-    )
+    __slots__ = ("gen_rows", "classes", "orders", "elements", "position", "_tree", "_rows")
 
-    def __init__(self, group: PermGroup):
-        self.elements = els = group.elements
-        self.position = pos = {g: i for i, g in enumerate(els)}
-        self.gen_rows = rows = [tuple(pos[compose(x, g)] for x in els) for g in group.generators]
-        self._rows = {pos[g]: row for g, row in zip(group.generators, rows)}
-        self._degree, self._cap = group.degree, group._cap
-        # element -> (parent, generator), in breadth-first order
-        self._tree: dict[int, tuple[int, int] | None] = {0: None}
-
-        def step(x: int):
-            for j, row in enumerate(rows):
-                self._tree.setdefault(row[x], (x, j))
-                yield row[x]
-
-        orbit(0, step)
+    def __init__(self, gen_rows: Iterable[tuple[int, ...]]):
+        self.gen_rows = rows = list(gen_rows)
+        self._rows = {r[0]: r for r in rows}
+        # with no generators the group is trivial: one element, no edges
+        self._tree = spanning_tree(0, (list(zip(*rows)) or [()]).__getitem__)
         conj = [[r[x] for x in self.left_row(r.index(0))] for r in rows]
-        label, reps = orbit_labels(conj, len(els))
+        label, reps = orbit_labels(conj, len(self._tree))
         self.classes: list[list[int]] = [[] for _ in reps]
         for x, c in enumerate(label):
             self.classes[c].append(x)
-        self.orders = [0] * len(els)
+        self.orders = [0] * len(label)
         for cls in self.classes:
-            k = perm_order(els[cls[0]])
+            right_by, x, k = self.row(cls[0]), cls[0], 1
+            while x:
+                x, k = right_by[x], k + 1
             for x in cls:
                 self.orders[x] = k
 
@@ -81,7 +74,7 @@ class ElementIndex:
             while x:
                 x, j = self._tree[x]
                 word.append(j)
-            got = self.gen_rows[word.pop()] if word else tuple(range(len(self.elements)))
+            got = self.gen_rows[word.pop()] if word else tuple(range(len(self._tree)))
             for j in reversed(word):
                 got = itemgetter(*got)(self.gen_rows[j])
             self._rows[i] = got
@@ -89,37 +82,43 @@ class ElementIndex:
 
     def left_row(self, h: int) -> list[int]:
         """Left multiplication by element h, as numbers."""
-        out = [h] * len(self.elements)
-        for y, (x, j) in islice(self._tree.items(), 1, None):
-            out[y] = self.gen_rows[j][out[x]]
-        return out
+        return left_multiplication(self.gen_rows, self._tree, h)
 
     def closure(self, candidates: Iterable[int]) -> tuple[set[int], list[int]]:
         """``generated`` on numbers: the subgroup and the candidates kept."""
         def right_by(c: int):
             return partial(map, self.row(c).__getitem__)
 
-        return generated(0, candidates, right_by, len(self.elements))
+        return generated(0, candidates, right_by, len(self._tree))
+
+    def torsion(self, pred: Callable[[int], bool]) -> tuple[set[int], list[int]]:
+        """``closure`` of every element whose order satisfies pred."""
+        return self.closure(x for c in self.classes if pred(self.orders[c[0]]) for x in c)
 
     def cosets(self, gens: Iterable[int]) -> tuple[list[int], list[int]]:
         """Coset labels and least representatives for the normal subgroup
         N that the numbered elements gens generate: the coset x N is the
         orbit of x under right multiplication by the generators, so
         coset 0 is N itself."""
-        return orbit_labels([self.row(g) for g in gens], len(self.elements))
+        return orbit_labels([self.row(g) for g in gens], len(self._tree))
 
     def subgroup(self, members: Iterable[int], gens: Iterable[int]) -> PermGroup:
         """The subgroup with these numbered elements and generators, listed."""
         els = self.elements
-        H = PermGroup(self._degree, tuple(els[g] for g in gens), self._cap)
+        H = PermGroup(len(els[0]), tuple(els[g] for g in gens))
         H._elements = tuple(els[i] for i in sorted(members))
         return H
 
 
 def element_index(group: PermGroup) -> ElementIndex:
-    """The group's element index, built once."""
+    """The listed group's element index, built once."""
     if group._index is None:
-        group._index = ElementIndex(group)
+        els = group.elements
+        pos = {g: i for i, g in enumerate(els)}
+        # the one place where tuples are composed
+        ix = ElementIndex(tuple(pos[compose(x, g)] for x in els) for g in group.generators)
+        ix.elements, ix.position = els, pos
+        group._index = ix
     return group._index
 
 
@@ -130,7 +129,7 @@ def torsion_subgroup(group: PermGroup, pred: Callable[[int], bool]) -> PermGroup
     conjugation, so the result is normal in the group.
     """
     ix = element_index(group)
-    return ix.subgroup(*ix.closure(x for c in ix.classes if pred(ix.orders[c[0]]) for x in c))
+    return ix.subgroup(*ix.torsion(pred))
 
 
 def is_normal(group: PermGroup, sub: PermGroup) -> bool:

@@ -1,21 +1,23 @@
-"""Breadth-first reach and the regularity certificate on rows.
+"""Breadth-first reach, its spanning tree and the regularity certificate.
 
-``orbit`` is the package's one search from a point: ``permgroup``
-builds stabilizers on it, ``lattice`` and ``sweeps`` element words,
-``graphs`` tests connectivity with it and ``fpgroup.coset`` tests that
-a coset table is transitive.  ``orbit_labels`` partitions all points
-into orbits at once: point orbits in ``permgroup``, conjugacy classes
-and cosets in ``lattice``.  ``is_regular_action`` is the
-one regularity certificate: the quotient search runs it on each coset
-table, and ``lattice`` on the action of a group on the cosets of a
-normal subgroup before any quotient is used.  Both live here so that
-certifying a table loads no permutation-group code and a quotient in
-``verify`` loads no ``fpgroup``.
+``orbit`` is the package's one search from a point: connectivity in
+``graphs``, transitivity of a coset table in ``fpgroup.coset``.
+``spanning_tree`` is that search keeping the edge that first reaches
+each point, the one tree under the stabilizer transversals of
+``permgroup``, the Schreier transversals of ``fpgroup.coset`` and the
+element words of ``lattice``.  ``orbit_labels`` labels all points by
+orbit at once.  ``left_multiplication`` fills left multiplication in
+along a tree for ``lattice`` and ``is_regular_action``, the regularity
+certificate the quotient search runs on each coset table and
+``lattice`` on each quotient.  All live here so that certifying a
+table loads no permutation-group code and ``verify`` no ``fpgroup``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
+from itertools import islice
+from operator import itemgetter
 from typing import TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -33,6 +35,32 @@ def orbit(seed: T, step: Callable[[T], Iterable[T]]) -> list[T]:
                 seen.add(y)
                 out.append(y)
     return out
+
+
+def spanning_tree(seed: T, step: Callable[[T], Iterable[T]]) -> dict[T, tuple[T, int] | None]:
+    """The breadth-first tree of ``orbit``: each point reached maps to
+    (parent, k), k the position in step(parent) of the edge that first
+    reached it, and seed to None; keys in breadth-first order."""
+    tree: dict[T, tuple[T, int] | None] = {seed: None}
+    out = [seed]
+    for x in out:
+        k = 0  # counted by hand: faster than enumerate
+        for y in step(x):
+            if y not in tree:
+                tree[y] = (x, k)
+                out.append(y)
+            k += 1
+    return tree
+
+
+def left_multiplication(columns: Sequence[Sequence[int]], tree: dict, s: int) -> list[int]:
+    """L(0) = s forced along a tree on 0..n-1 from 0 with step(x)[k] =
+    columns[k][x]: L(y) = columns[k][L(x)] for the edge (x, k) to y; in a
+    regular action, left multiplication by the element moving 0 to s."""
+    lam = [s] * len(tree)
+    for y, (x, k) in islice(tree.items(), 1, None):
+        lam[y] = columns[k][lam[x]]
+    return lam
 
 
 def orbit_labels(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int]]:
@@ -62,23 +90,20 @@ def is_regular_action(rows: Sequence[Sequence[int]], starts: Iterable[int]) -> b
     under column c, act transitively and regularly; starts must hold the
     image of 0 under each column of a generating set.
 
-    Left multiplication with L(0) = s is forced for each start s along
-    every edge, L(rows[b][c]) = rows[L(b)][c]; a regular action has one
-    for every s, and the action is regular when each is well defined.
-    Each L then commutes with every column, and the L move 0 along every
-    word in the generators, so the centralizer is transitive and the
-    group regular (Dixon & Mortimer, *Permutation Groups*, Thm 4.2A).
+    For each start s, L with L(0) = s is filled in along the spanning
+    tree from 0; in a regular action it is left multiplication, which
+    commutes with every column, and the action is regular when each L
+    does.  The L then move 0 along every word in the generators, so the
+    centralizer is transitive and the group regular (Dixon & Mortimer,
+    *Permutation Groups*, Thm 4.2A).
     """
-    order = orbit(0, rows.__getitem__)
-    if len(order) != len(rows):
+    tree = spanning_tree(0, rows.__getitem__)
+    if len(tree) != len(rows):
         return False
+    columns = list(zip(*rows))
     for s in starts:
-        lam: list[int | None] = [None] * len(rows)
-        lam[0] = s
-        for b in order:
-            for d, e in zip(rows[b], rows[lam[b]]):
-                if lam[d] is None:
-                    lam[d] = e
-                elif lam[d] != e:
-                    return False
+        lam = left_multiplication(columns, tree, s)
+        # on one point itemgetter returns bare items, which compare alike
+        if any(itemgetter(*col)(lam) != itemgetter(*lam)(col) for col in columns):
+            return False
     return True

@@ -3,18 +3,18 @@
 A group is held as its generators; its element set is closed from them
 only when a question needs it (cap 10^5).  Orbits (``orbit.orbit_labels``)
 and point stabilizers work from generators alone; a point stabilizer is
-always given by its Schreier generators, never by filtering elements.
-``shape`` screens the commutators of the generators before it lists
-anything, so a local action that ``graphs`` leaves unclosed is called
-"other" unlisted.  One sifted closure, ``generated``, lists the
-elements of a group here, the subgroups of ``lattice`` as element
-numbers and the odd part of a quotient table in ``sweeps``: a long
+always given by its Schreier generators along ``orbit.spanning_tree``,
+never by filtering elements.  ``shape`` screens the commutators of the
+generators before it lists anything, so a local action that ``graphs``
+leaves unclosed is called "other" unlisted.  One sifted closure,
+``generated``, lists the elements of a group here and the subgroups of
+an element index in ``lattice``, a quotient's odd part included: a long
 redundant generating list costs little more than a short one.
 Permutations are tuples of 0-based images; composition is "left then
-right", so cosets and coset actions are right-handed throughout.  The
-normal-subgroup lattice and quotients live in ``lattice``, on an
-element index, cycle notation in ``catalog`` and the checks built on
-this kit in ``sweeps``; only ``verify`` loads them.
+right", so cosets and coset actions are right-handed throughout;
+``cycle_decomposition`` walks cycles for ``perm_order`` and ``catalog``.
+The lattice and quotients live in ``lattice``, on an element index, and
+the checks built on this kit in ``sweeps``; only ``verify`` loads them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .budgets import ELEMENT_CAP
 from .errors import GroupTooLargeError, InternalInvariantError
-from .orbit import orbit, orbit_labels
+from .orbit import orbit_labels, spanning_tree
 
 Perm = tuple[int, ...]
 
@@ -55,24 +55,27 @@ def conjugate(g: Perm, b: Perm) -> Perm:
     return compose(compose(inverse(b), g), b)
 
 
-def perm_order(g: Perm) -> int:
-    """The lcm of the cycle lengths."""
+def cycle_decomposition(g: Perm) -> list[tuple[int, ...]]:
+    """Nontrivial cycles, 0-based, each starting at its smallest point."""
     seen = [False] * len(g)
-    out = 1
+    out = []
     for start in range(len(g)):
-        if seen[start]:
+        if seen[start] or g[start] == start:
             continue
-        # start is the least point of its cycle, so the walk never meets
-        # a point that an earlier start marked
+        # start is its cycle's least point, so the walk meets no marked point
+        cyc = [start]
         x = g[start]
-        length = 1
         while x != start:
+            cyc.append(x)
             seen[x] = True
             x = g[x]
-            length += 1
-        if length > 1:
-            out = math.lcm(out, length)
+        out.append(tuple(cyc))
     return out
+
+
+def perm_order(g: Perm) -> int:
+    """The lcm of the cycle lengths."""
+    return math.lcm(*map(len, cycle_decomposition(g)))
 
 
 def generated(start: Hashable, candidates: Iterable, step: Callable, cap: int) -> tuple[set, list]:
@@ -206,25 +209,20 @@ def is_transitive(group: PermGroup) -> bool:
 def stabilizer_generators(generators, degree: int, base: int) -> list[Perm]:
     """Generators of the stabilizer of a point, no element listing needed.
 
-    The orbit of the base comes with a transversal: t_y = t_x g for the
-    first point x and generator g that reach y.  For each orbit point x
-    and generator g, the loop word t_x g t_{x.g}^-1 fixes the base; those
-    loops generate the stabilizer.
+    The orbit of the base comes with a transversal along its spanning
+    tree: t_y = t_x g for the edge (x, g) that first reaches y.  For each
+    orbit point x and generator g, the loop word t_x g t_{x.g}^-1 fixes
+    the base; those loops generate the stabilizer (Schreier's lemma).
     """
     gens = tuple(generators)
-    trans = {base: identity(degree)}
-
-    def step(x: int):
-        for g in gens:
-            if g[x] not in trans:
-                trans[g[x]] = compose(trans[x], g)
-            yield g[x]
-
+    trans: dict[int, Perm] = {}
+    for y, edge in spanning_tree(base, lambda x: (g[x] for g in gens)).items():
+        trans[y] = identity(degree) if edge is None else compose(trans[edge[0]], gens[edge[1]])
     out = []
     seen = set()
-    for x in orbit(base, step):
+    for x, t in trans.items():
         for g in gens:
-            word = compose(compose(trans[x], g), inverse(trans[g[x]]))
+            word = compose(compose(t, g), inverse(trans[g[x]]))
             if word[base] != base:
                 raise InternalInvariantError("loop word moved the base point")
             if word not in seen and word != identity(degree):

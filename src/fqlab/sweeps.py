@@ -20,14 +20,14 @@ The group checks run on each catalog group's element index
 (``lattice``): its lattice, torsion subgroups, Sylow quotients and
 coset labels are numbers.  Each quotient arrives certified regular by
 ``orbit.is_regular_action``, the certificate the quotient search runs
-on its tables, and the quotient side of the odd-part check reads its
-element orders and odd part off that table without closing it.
+on its tables, so its generator tuples are the rows of its own element
+index, and the quotient side of the odd-part check runs the torsion
+closure of ``torsion_subgroup`` on that index without closing it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple
 
 from .errors import GroupTooLargeError, InternalInvariantError
@@ -42,6 +42,7 @@ from .graphs import (
     transitivity_report,
 )
 from .lattice import (
+    ElementIndex,
     element_index,
     is_normal,
     normal_subgroups,
@@ -54,9 +55,6 @@ from .permgroup import (
     GroupShape,
     PermGroup,
     close,
-    compose,
-    generated,
-    identity,
     is_transitive,
     shape,
     stabilizer_generators,
@@ -80,70 +78,21 @@ class OddPartReport(NamedTuple):
         return all(e.matched for e in self.entries)
 
 
-def regular_odd_part(Q: PermGroup) -> set[int]:
-    """The subgroup of a regular group Q generated by its odd-order
-    elements, as the set of points to which it moves 0, read off the
-    table of Q's generators without closing Q.
-
-    Only the identity of a regular group fixes a point, so each point c
-    stands for the one element q_c moving 0 to c: the product of c's
-    word in a breadth-first tree from 0.  Tracing that word from d
-    reaches d q_c.  The order of q_c is the length of its cycle through
-    0, and the odd ones are closed by ``generated`` on points, each kept
-    one composed along its word.
-    """
-    if Q.degree % 2:
-        # every element order divides the odd order |Q|
-        return set(range(Q.degree))
-    words = {0: ()}
-
-    def step(b: int):
-        for g in Q.generators:
-            words.setdefault(g[b], words[b] + (g,))
-            yield g[b]
-
-    orbit(0, step)
-    # tracing the cycle c, c^2, ... back to 0 gives the order of every
-    # power: c^j has order k / gcd(j, k)
-    orders = [0] * Q.degree
-    for c in range(Q.degree):
-        if not orders[c]:
-            cycle = [c]
-            while cycle[-1]:
-                d = cycle[-1]
-                for g in words[c]:
-                    d = g[d]
-                cycle.append(d)
-            k = len(cycle)
-            for j, d in enumerate(cycle, 1):
-                orders[d] = k // math.gcd(j, k)
-
-    def right_by(c: int):
-        perm = identity(Q.degree)
-        for g in words[c]:
-            perm = compose(perm, g)
-        return partial(map, perm.__getitem__)
-
-    odd = [c for c, k in enumerate(orders) if k % 2]
-    return generated(0, odd, right_by, Q.degree)[0]
-
-
 def verify_odd_quotient(group: PermGroup) -> OddPartReport:
     """Check, for every normal subgroup N, N = 1 and N = G included, that
     quotienting commutes with taking the odd-generated part.
 
     ``quotient_with_map`` returns a Q certified regular on the |G:N|
-    cosets, so its odd part is ``regular_odd_part(Q)``, computed apart
-    from G's odd part mapped through the coset labels.
+    cosets, so Q's generator tuples are the rows of its own element
+    index, and Q's odd part is the torsion closure on that index,
+    computed apart from G's odd part mapped through the coset labels.
     """
-    odd_part = torsion_subgroup(group, lambda k: k % 2 == 1)
-    position = element_index(group).position
-    odd = [position[g] for g in odd_part.elements]
+    odd_part, _ = element_index(group).torsion(lambda k: k % 2 == 1)
     entries = []
     for N in normal_subgroups(group):
         Q, label = quotient_with_map(group, N)
-        rhs = {label[i] for i in odd}
-        entries.append(OddPartEntry(N.order, regular_odd_part(Q) == rhs))
+        lhs, _ = ElementIndex(Q.generators).torsion(lambda k: k % 2 == 1)
+        entries.append(OddPartEntry(N.order, lhs == {label[i] for i in odd_part}))
     return OddPartReport(group.order, tuple(entries))
 
 

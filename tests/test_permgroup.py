@@ -26,6 +26,7 @@ from fqlab.catalog import (
 )
 from fqlab.errors import GroupTooLargeError, InputSyntaxError, InternalInvariantError
 from fqlab.lattice import (
+    ElementIndex,
     element_index,
     is_normal,
     normal_subgroups,
@@ -52,7 +53,6 @@ from fqlab.permgroup import (
 from fqlab.sweeps import (
     is_quasiprimitive,
     normal_sylow_quotient,
-    regular_odd_part,
     verify_odd_quotient,
     verify_quasiprimitive_odd,
     verify_restricted_quotient,
@@ -401,14 +401,33 @@ def test_normal_subgroups_match_closure_join_oracle():
         assert set(got) == closure_join_lattice(G), G.generators
 
 
-def test_regular_odd_part_matches_torsion_closure():
-    # on every quotient verify builds, the point-set odd part is the
-    # odd-generated subgroup closed in full, read at point 0
+def test_quotient_index_odd_part_matches_torsion_closure():
+    # on every quotient verify builds, the odd part on the quotient's own
+    # index is the odd-generated subgroup closed in full, read at point 0
     for name, G in CAT.items():
         for N in normal_subgroups(G):
             Q, _ = quotient_with_map(G, N)
             want = {q[0] for q in torsion_subgroup(Q, odd).elements}
-            assert regular_odd_part(Q) == want, (name, N.order)
+            assert ElementIndex(Q.generators).torsion(odd)[0] == want, (name, N.order)
+
+
+def test_quotient_index_matches_the_listed_quotient():
+    # the index on G/N's generator tuples against the index composed
+    # from the listed quotient's elements, with q read as the point q[0]
+    for name, G in CAT.items():
+        for N in normal_subgroups(G):
+            Q, _ = quotient_with_map(G, N)
+            got = ElementIndex(Q.generators)
+            listed = element_index(close(Q.generators, Q.degree))
+            point = [q[0] for q in listed.elements]
+            assert got.orders == [
+                k for _, k in sorted(zip(point, listed.orders))
+            ], (name, N.order)
+            assert {frozenset(c) for c in got.classes} == {
+                frozenset(point[i] for i in c) for c in listed.classes
+            }, (name, N.order)
+            want = {point[i] for i in listed.torsion(odd)[0]}
+            assert got.torsion(odd)[0] == want, (name, N.order)
 
 
 def test_quotient_certificate_refuses_a_non_normal_subgroup(monkeypatch):
@@ -428,7 +447,12 @@ def test_odd_quotient_check_reads_the_quotient_side(monkeypatch):
     import fqlab.sweeps as sweeps
 
     assert verify_odd_quotient(CAT["S3"]).passed
-    monkeypatch.setattr(sweeps, "regular_odd_part", lambda Q: {0})
+
+    class TrivialOddPart(ElementIndex):
+        def torsion(self, pred):
+            return {0}, []
+
+    monkeypatch.setattr(sweeps, "ElementIndex", TrivialOddPart)
     assert not verify_odd_quotient(CAT["S3"]).passed
 
 
