@@ -1,19 +1,13 @@
 """Command line front end.
 
-Subcommands
-    sieve      member count of one sieved set at a single limit
-    density    cumulative counts at ascending checkpoint limits
-    fq         finite quotient orders of a presented group
-    oq         the odd orders among those
-    classify   density class of the quotient-order set, with witnesses
-    smooth     quotients of a free product where every factor survives
-    census     graph orders certified by a quotient search
-    graphs     build a parametric graph, emit its edge list or report
-    verify     run the verification sweeps and print a pass/fail table
+    fqlab SUBCOMMAND [--name VALUE | --name=VALUE | --flag]...
+    fqlab [SUBCOMMAND] -h | --help
+    fqlab --version
 
-``census --presentation`` reads an amalgam in the arc-transitive
-convention: the generators but the last span the vertex stabilizer, the
-last reverses an arc, and s (``--stabilizer-order``) is checked per table.
+One table, ``_COMMANDS``, gives each subcommand's handler, summary and
+options; the parser and ``--help`` both read it.  Option names are
+written in full, a value never starts with ``--``, and an option given
+twice keeps its last value.
 
 The primary output is CSV (for ``graphs`` without ``--report``, the
 edge-list text format), written to ``--csv``/``--out`` or stdout.
@@ -31,31 +25,30 @@ built; 4 a violated internal invariant, or any failed ``verify`` row.  The
 environment variable ``FQLAB_BUDGET`` overrides the default node budget
 of the quotient searches.
 
-Each handler imports the library layers it runs, so a command loads
-only those; ``--version`` loads none.  ``sieve`` and ``density`` load
-``numtheory`` and ``pointwise``.  ``fq``, ``oq``, ``smooth`` and
-``census`` load the ``fpgroup`` search: ``quotients``, ``lowindex``,
-``coset`` and ``presentation``; ``census`` adds ``census``.  ``classify`` loads
-``fpgroup``'s ``classify``, ``coset``, ``presentation`` and ``snf``,
-and ``budgets``.
-None of these loads ``permgroup``: a table is certified from the table
-itself, with ``orbit``.  ``graphs`` loads ``graphs`` and
+Each handler imports the library layers it runs, so a command loads only
+those; ``--version`` and ``--help`` load none, and the front end imports
+no ``argparse``.  ``sieve`` and ``density`` load ``numtheory`` and
+``pointwise``.  ``fq``, ``oq``, ``smooth`` and ``census`` load the
+``fpgroup`` search: ``quotients``, ``lowindex``, ``coset`` and
+``presentation``; ``census`` adds ``census``.  ``classify`` loads
+``fpgroup``'s ``classify``, ``coset``, ``presentation`` and ``snf``, and
+``budgets``.  None of these loads ``permgroup``: a table is certified
+from the table itself, with ``orbit``.  ``graphs`` loads ``graphs`` and
 ``permgroup``; ``verify`` adds ``catalog``, ``lattice``, ``pointwise``
 and ``sweeps``, which holds the verification sweeps and their checks.
 Every command is a fresh process and pays its start-up on each run, so
 the package's records are ``typing.NamedTuple``s or plain classes; a
-record decorator that generates methods at import would add about
-20 ms.
+record decorator that generates methods at import would add about 20 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -119,7 +112,7 @@ def _table_csv(table) -> str:
     return _csv_text(tuple(header), rows)
 
 
-def _table_files(args: argparse.Namespace, tables) -> dict[str, str]:
+def _table_files(args: SimpleNamespace, tables) -> dict[str, str]:
     """``table_<m>.csv`` under ``--emit-tables`` for each (m, coset table) pair."""
     if not args.emit_tables:
         return {}
@@ -151,7 +144,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # --- subcommand handlers ---
 
 
-def _run_sieve(args: argparse.Namespace) -> CommandOutput:
+def _run_sieve(args: SimpleNamespace) -> CommandOutput:
     from .numtheory import density_series, parse_set_name
 
     series = density_series(parse_set_name(args.set), [args.limit])
@@ -159,7 +152,7 @@ def _run_sieve(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(("limit", "count", "density"), [(cp.limit, cp.count, cp.ratio)])
 
 
-def _run_density(args: argparse.Namespace) -> CommandOutput:
+def _run_density(args: SimpleNamespace) -> CommandOutput:
     from .numtheory import density_series, parse_set_name
 
     checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
@@ -168,13 +161,13 @@ def _run_density(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(("limit", "count", "density"), rows)
 
 
-def _quotient_output(args: argparse.Namespace, result) -> CommandOutput:
+def _quotient_output(args: SimpleNamespace, result) -> CommandOutput:
     files = _table_files(args, ((m, result.certificates[m]) for m in result.orders))
     rows = [(order,) for order in result.orders]
     return CommandOutput(("order",), rows, complete=result.complete, files=files)
 
 
-def _run_fq(args: argparse.Namespace) -> CommandOutput:
+def _run_fq(args: SimpleNamespace) -> CommandOutput:
     """``fq``, and ``oq``, which keeps the odd orders."""
     from .fpgroup import fq_up_to, oq_up_to, parse_presentation
 
@@ -186,7 +179,7 @@ def _run_fq(args: argparse.Namespace) -> CommandOutput:
     return out
 
 
-def _run_classify(args: argparse.Namespace) -> CommandOutput:
+def _run_classify(args: SimpleNamespace) -> CommandOutput:
     from .fpgroup import classify_density, parse_presentation
 
     pres = parse_presentation(_read_text(args.presentation))
@@ -207,7 +200,7 @@ def _run_classify(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(("key", "value"), rows, inputs=[args.presentation])
 
 
-def _run_smooth(args: argparse.Namespace) -> CommandOutput:
+def _run_smooth(args: SimpleNamespace) -> CommandOutput:
     from .fpgroup import smooth_quotients
 
     orders = tuple(_parse_int_list(args.orders, "--orders"))
@@ -215,7 +208,7 @@ def _run_smooth(args: argparse.Namespace) -> CommandOutput:
     return _quotient_output(args, result)
 
 
-def _run_census(args: argparse.Namespace) -> CommandOutput:
+def _run_census(args: SimpleNamespace) -> CommandOutput:
     if (args.presentation is None) != (args.stabilizer_order is None):
         raise ValueError("--presentation and --stabilizer-order go together")
     from .census import amalgam_census, cubic_census
@@ -251,7 +244,7 @@ def build_w(k: int, r: int) -> GraphAction:
     return build_w(k, r)
 
 
-def _run_graphs(args: argparse.Namespace) -> CommandOutput:
+def _run_graphs(args: SimpleNamespace) -> CommandOutput:
     from .graphs import build_sw, graph_to_text, transitivity_report
 
     build = build_w if args.family == "w" else build_sw
@@ -272,7 +265,7 @@ def _run_graphs(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(("key", "value"), rows)
 
 
-def _run_verify(args: argparse.Namespace) -> CommandOutput:
+def _run_verify(args: SimpleNamespace) -> CommandOutput:
     from .catalog import load_catalog, parse_catalog
     from .sweeps import verification_rows
 
@@ -284,99 +277,111 @@ def _run_verify(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(header, rows, inputs=inputs, failures=failures)
 
 
-# --- parser and dispatch ---
+# --- command table, parser and dispatch ---
+
+# An option is (name, kind, required, help), kind being str, int, a tuple of the allowed values
+# or bool for a flag.  In the namespace an option not given reads None, a flag not given False.
+_CSV = ("--csv", str, False, "write the primary table here instead of stdout")
+_MANIFEST = ("--manifest", str, False, "write a key,value record of the run")
+_SET = ("--set", str, True, "all, np:<p> or sp:<a>")
+_PRESENTATION = ("--presentation", str, True, "")
+_PARTIAL = ("--allow-partial", bool, False,
+            "keep results found before the budget ran out and exit 3")
+_TABLES = ("--emit-tables", str, False, "write one coset table CSV per certificate")
+_SEARCH = (("--max-index", int, True, ""), _PARTIAL, _TABLES, _CSV, _MANIFEST)
+
+# subcommand: (handler, summary, *options), in the order ``--help`` lists them
+_COMMANDS = {
+    "sieve": (_run_sieve, "count set members up to one limit",
+        _SET, ("--limit", int, True, ""), _CSV, _MANIFEST),
+    "density": (_run_density, "count set members at several limits",
+        _SET, ("--checkpoints", str, True, "comma-separated ascending limits"), _CSV, _MANIFEST),
+    "fq": (_run_fq, "finite quotient orders of a presented group", _PRESENTATION, *_SEARCH),
+    "oq": (_run_fq, "odd finite quotient orders", _PRESENTATION, *_SEARCH),
+    "classify": (_run_classify, "density class of the quotient-order set",
+        _PRESENTATION, _CSV, _MANIFEST),
+    "smooth": (_run_smooth, "free-product quotients where every factor survives",
+        ("--orders", str, True, "comma-separated cyclic factor orders"), *_SEARCH),
+    "census": (_run_census, "graph orders certified by a quotient search",
+        ("--presentation", str, False, "amalgam presentation to search"),
+        ("--stabilizer-order", int, False, "vertex stabilizer order s of the amalgam: the "
+         "generators but the last span the stabilizer, the last reverses an arc, and s is "
+         "checked per table"),
+        *_SEARCH),
+    "graphs": (_run_graphs, "build a parametric graph",
+        ("--family", ("w", "sw"), True, ""), ("--k", int, True, ""), ("--r", int, True, ""),
+        ("--report", bool, False, "emit the transitivity report instead"),
+        ("--out", str, False, "write output here instead of stdout"), _MANIFEST),
+    "verify": (_run_verify, "run the verification sweeps",
+        ("--fixtures", str, False, "group catalog file replacing the built-in"), _CSV, _MANIFEST),
+}
 
 
-def _add_output_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--csv", metavar="PATH", help="write the primary table here instead of stdout")
-    sp.add_argument("--manifest", metavar="PATH", help="write a key,value record of the run")
+def _help(command: str | None) -> str:
+    """The ``--help`` text of fqlab, or of one subcommand."""
+    if command is None:
+        usage = "<subcommand>"
+        about = "Quotient-order enumeration, divisor-class sieves and graph transitivity checks."
+        rows = [(name, summary) for name, (_, summary, *_) in _COMMANDS.items()]
+        rows.append(("--version", "print the version and exit"))
+    else:
+        _, about, *options = _COMMANDS[command]
+        usage, rows = command, []
+        for name, kind, required, text in options:
+            if kind is not bool:
+                metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else name[2:].upper()
+                name += " " + metavar
+            if required:
+                usage += f" {name}"
+            rows.append((name, text))
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    body = "".join(f"  {left:<{width}}  {text}".rstrip() + "\n" for left, text in rows)
+    return f"usage: fqlab {usage} [options]\n\n{about}\n\n{body}"
 
 
-def _add_search_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--allow-partial",
-        action="store_true",
-        help="keep results found before the budget ran out and exit 3",
-    )
-    sp.add_argument(
-        "--emit-tables", metavar="DIR", help="write one coset table CSV per certificate"
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fqlab",
-        description="Quotient-order enumeration, divisor-class sieves and graph transitivity checks.",
-    )
-    parser.add_argument("--version", action="version", version=f"fqlab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-
-    sp = sub.add_parser("sieve", help="count set members up to one limit")
-    sp.add_argument("--set", required=True, help="all, np:<p> or sp:<a>")
-    sp.add_argument("--limit", type=int, required=True)
-    _add_output_options(sp)
-    sp.set_defaults(handler=_run_sieve)
-
-    sp = sub.add_parser("density", help="count set members at several limits")
-    sp.add_argument("--set", required=True, help="all, np:<p> or sp:<a>")
-    sp.add_argument("--checkpoints", required=True, help="comma-separated ascending limits")
-    _add_output_options(sp)
-    sp.set_defaults(handler=_run_density)
-
-    for name, handler, summary in (
-        ("fq", _run_fq, "finite quotient orders of a presented group"),
-        ("oq", _run_fq, "odd finite quotient orders"),
-    ):
-        sp = sub.add_parser(name, help=summary)
-        sp.add_argument("--presentation", required=True, metavar="PATH")
-        sp.add_argument("--max-index", type=int, required=True)
-        _add_search_options(sp)
-        _add_output_options(sp)
-        sp.set_defaults(handler=handler)
-
-    sp = sub.add_parser("classify", help="density class of the quotient-order set")
-    sp.add_argument("--presentation", required=True, metavar="PATH")
-    _add_output_options(sp)
-    sp.set_defaults(handler=_run_classify)
-
-    sp = sub.add_parser("smooth", help="free-product quotients where every factor survives")
-    sp.add_argument("--orders", required=True, help="comma-separated cyclic factor orders")
-    sp.add_argument("--max-index", type=int, required=True)
-    _add_search_options(sp)
-    _add_output_options(sp)
-    sp.set_defaults(handler=_run_smooth)
-
-    sp = sub.add_parser("census", help="graph orders certified by a quotient search")
-    sp.add_argument("--max-index", type=int, required=True)
-    sp.add_argument("--presentation", metavar="PATH", help="amalgam presentation to search")
-    sp.add_argument(
-        "--stabilizer-order",
-        type=int,
-        help="vertex stabilizer order s of the amalgam: the generators but the last span the "
-        "stabilizer, the last reverses an arc, and s is checked per table",
-    )
-    _add_search_options(sp)
-    _add_output_options(sp)
-    sp.set_defaults(handler=_run_census)
-
-    sp = sub.add_parser("graphs", help="build a parametric graph")
-    sp.add_argument("--family", required=True, choices=("w", "sw"))
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--report", action="store_true", help="emit the transitivity report instead")
-    sp.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    sp.add_argument("--manifest", metavar="PATH", help="write a key,value record of the run")
-    sp.set_defaults(handler=_run_graphs)
-
-    sp = sub.add_parser("verify", help="run the verification sweeps")
-    sp.add_argument("--fixtures", metavar="PATH", help="group catalog file replacing the built-in")
-    _add_output_options(sp)
-    sp.set_defaults(handler=_run_verify)
-
-    return parser
-
-
-_INTERNAL_KEYS = ("handler", "subcommand")
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of one command line, or None once help or the version is
+    printed.  A usage error raises ValueError with its one-line message."""
+    command = argv[0] if argv else None
+    if command in ("--version", "-h", "--help"):
+        sys.stdout.write(f"fqlab {__version__}\n" if command == "--version" else _help(None))
+        return None
+    if command not in _COMMANDS:
+        given = f"unknown subcommand {command!r}" if argv else "no subcommand"
+        raise ValueError(f"{given}, choose from {', '.join(_COMMANDS)}")
+    options = {option[0]: option for option in _COMMANDS[command][2:]}
+    values = {name: False if kind is bool else None for name, kind, _, _ in options.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return None
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise ValueError(f"unknown option {token!r} for {command}")
+        kind = options[name][1]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"{name} is a flag and takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{name} wants a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{name} wants an integer, got {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        values[name] = value
+    missing = [n for n, _, required, _ in options.values() if required and values[n] is None]
+    if missing:
+        raise ValueError(f"{command} needs {', '.join(missing)}")
+    fields = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(subcommand=command, **fields)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -388,7 +393,7 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _write_files(out: CommandOutput, args: argparse.Namespace, wall_ms: int) -> None:
+def _write_files(out: CommandOutput, args: SimpleNamespace, wall_ms: int) -> None:
     """Write the primary output, tables and manifest; an OSError names its path."""
     payload = out.text if out.text is not None else _csv_text(out.header, out.rows)
     primary = getattr(args, "csv", None) or getattr(args, "out", None)
@@ -401,11 +406,8 @@ def _write_files(out: CommandOutput, args: argparse.Namespace, wall_ms: int) -> 
         _write_text(path, content)
     if args.manifest:
         rows = [("subcommand", args.subcommand)]
-        rows += [
-            (f"parameter:{key}", _text(value))
-            for key, value in sorted(vars(args).items())
-            if key not in _INTERNAL_KEYS
-        ]
+        params = sorted(vars(args).items())
+        rows += [(f"parameter:{key}", _text(value)) for key, value in params if key != "subcommand"]
         rows += [(f"input:{path}", _digest(path)) for path in out.inputs]
         rows += [("version", __version__), ("wall_ms", str(wall_ms))]
         rows.append(("complete", _text(out.complete and out.failures == 0)))
@@ -414,14 +416,12 @@ def _write_files(out: CommandOutput, args: argparse.Namespace, wall_ms: int) -> 
 
 def dispatch(argv=None) -> int:
     """Parse arguments, run one subcommand and map errors to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    start = time.monotonic()
-    try:
-        out = args.handler(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        start = time.monotonic()
+        out = _COMMANDS[args.subcommand][0](args)
     except (InputSyntaxError, ValueError) as err:
         print(f"fqlab: error: {err}", file=sys.stderr)
         return 2

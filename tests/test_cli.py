@@ -1,6 +1,5 @@
 """End-to-end checks of the command line dispatcher."""
 
-import argparse
 import functools
 import hashlib
 import json
@@ -364,6 +363,41 @@ def test_manifest_key_order(capsys, tmp_path):
         "wall_ms",
         "complete",
     ]
+    # every parameter of the subcommand is written, given or not: an
+    # option not given is empty and a flag not given "false"
+    m = str(manifest)
+    for argv, rows in [
+        (
+            ["census", "--max-index", "12", "--allow-partial", "--manifest", m],
+            [
+                ["subcommand", "census"],
+                ["parameter:allow_partial", "true"],
+                ["parameter:csv", ""],
+                ["parameter:emit_tables", ""],
+                ["parameter:manifest", m],
+                ["parameter:max_index", "12"],
+                ["parameter:presentation", ""],
+                ["parameter:stabilizer_order", ""],
+            ],
+        ),
+        (
+            ["graphs", "--family", "w", "--k", "2", "--r", "3", "--report", "--manifest", m],
+            [
+                ["subcommand", "graphs"],
+                ["parameter:family", "w"],
+                ["parameter:k", "2"],
+                ["parameter:manifest", m],
+                ["parameter:out", ""],
+                ["parameter:r", "3"],
+                ["parameter:report", "true"],
+            ],
+        ),
+    ]:
+        assert run(capsys, argv)[0] == 0, argv
+        written = rows_of(manifest.read_text())[1]
+        assert written[:-3] == rows, argv
+        assert [row[0] for row in written[-3:]] == ["version", "wall_ms", "complete"], argv
+        assert written[-1] == ["complete", "true"], argv
 
 
 def test_unreadable_input_and_unwritable_output_exit_2(capsys, tmp_path):
@@ -389,7 +423,18 @@ def test_unreadable_input_and_unwritable_output_exit_2(capsys, tmp_path):
 def test_usage_errors_exit_2(capsys, tmp_path):
     good = pres_file(tmp_path, DINF_PRES)
     bad = [
+        [],
         ["frobnicate"],
+        ["--set", "np:3", "--limit", "10"],
+        ["sieve", "--set", "np:3", "--limit", "10", "extra"],
+        ["sieve", "--set", "np:3", "--limit"],
+        ["sieve", "--set", "--limit", "10"],
+        ["graphs", "--family", "w", "--k", "1", "--r", "5", "--report=yes"],
+        ["sieve", "--set", "np:3", "--limit", "ten"],
+        ["sieve", "--set", "np:3", "--limit=1e3"],
+        ["graphs", "--family=W", "--k", "1", "--r", "5"],
+        ["graphs", "--family", "w", "--k", "1"],
+        ["sieve", "--set", "np:3", "--lim", "10"],
         ["sieve", "--set", "np:3"],
         ["sieve", "--set", "xyz", "--limit", "10"],
         ["sieve", "--set", "np", "--limit", "10"],
@@ -406,20 +451,75 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     ]
     for argv in bad:
         rc = dispatch(argv)
-        capsys.readouterr()
-        assert rc == 2, argv
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("fqlab: error: "), (argv, err)
+        assert len(err.splitlines()) == 1, (argv, err)
+    # a value never starts with "--", and option names are never abbreviated
+    for argv, message in [
+        (["sieve", "--set", "--limit", "10"], "--set wants a value"),
+        (["sieve", "--set", "np:3", "--lim", "10"], "unknown option '--lim' for sieve"),
+    ]:
+        assert dispatch(argv) == 2, argv
+        assert capsys.readouterr().err == f"fqlab: error: {message}\n", argv
     broken = tmp_path / "broken.pres"
     broken.write_text("rels: a^2\n")
     assert dispatch(["fq", "--presentation", str(broken), "--max-index", "5"]) == 2
     capsys.readouterr()
 
 
+def test_option_grammar(capsys, tmp_path):
+    # --name=value reads as --name value, flags take no value, and of an
+    # option given twice the last one counts
+    path = pres_file(tmp_path, MOD_PRES)
+    sieve = ["sieve", "--set", "np:3", "--limit", "500"]
+    fq = ["fq", "--presentation", path, "--max-index", "12"]
+    report = ["graphs", "--family", "w", "--k", "2", "--r", "3", "--report"]
+    same = [
+        (sieve, ["sieve", "--limit=500", "--set=np:3"]),
+        (sieve, ["sieve", "--set", "sp:6", "--limit", "9", "--set", "np:3", "--limit=500"]),
+        (fq, ["fq", f"--presentation={path}", "--max-index", "7", "--max-index=12"]),
+        (report, ["graphs", "--report", "--r=3", "--family=sw", "--report",
+                  "--family", "w", "--k=2"]),
+    ]
+    for want, argv in same:
+        expected = run(capsys, want)
+        assert expected[0] == 0, want
+        assert run(capsys, argv) == expected, argv
+    rc, edges = run(capsys, report[:-1])
+    assert rc == 0
+    assert edges != run(capsys, report)[1]
+    assert edges.startswith("6 12\n")
+
+
+def test_help_lists_every_subcommand_and_option(capsys):
+    def help_text(argv):
+        rc = dispatch(argv)
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, ""), argv
+        return out.splitlines()
+
+    for flag in ("-h", "--help"):
+        lines = help_text([flag])
+        assert lines[0] == "usage: fqlab <subcommand> [options]"
+        for name, (_, summary, *_) in cli._COMMANDS.items():
+            assert any(line.split(None, 1) == [name, summary] for line in lines), name
+        for name, (_, summary, *options) in cli._COMMANDS.items():
+            lines = help_text([name, flag])
+            assert lines[0].startswith(f"usage: fqlab {name} ")
+            assert summary in lines
+            for option, kind, required, text in options:
+                line = next(line for line in lines if line.split()[:1] == [option])
+                assert line.endswith(text), (name, option)
+                assert (f" {option} " in lines[0]) == required, (name, option)
+    # help is printed before the required options are checked
+    assert help_text(["census", "--max-index", "12", "--help"])[0].startswith("usage: fqlab census")
+
+
 def test_readme_lists_every_subcommand():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     documented = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert documented == list(sub.choices)
+    assert documented == list(cli._COMMANDS)
     assert len(documented) == 9
 
 
@@ -586,8 +686,9 @@ def test_repeated_runs_byte_identical(capsys):
 
 
 # Runs one argv list through fqlab.cli.main in a fresh interpreter and
-# prints its exit code, the fqlab modules loaded and whether dataclasses
-# was imported.  numpy is blocked, so a command that imports it fails.
+# prints its exit code, the fqlab modules loaded and whether dataclasses,
+# argparse and gettext were imported.  numpy is blocked, so a command that
+# imports it fails.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
@@ -599,7 +700,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 modules = sorted(name for name in sys.modules if name.split(".")[0] == "fqlab")
-print(json.dumps([code, modules, "dataclasses" in sys.modules]))
+loaded = [name in sys.modules for name in ("dataclasses", "argparse", "gettext")]
+print(json.dumps([code, modules, *loaded]))
 """
 
 FRONT = {"fqlab", "fqlab.cli", "fqlab.errors"}
@@ -621,6 +723,8 @@ def test_each_command_loads_only_its_layers(tmp_path):
     path = pres_file(tmp_path, MOD_PRES)
     commands = [
         (["--version"], set()),
+        (["--help"], set()),
+        (["census", "--help"], set()),
         (["density", "--set", "sp:6", "--checkpoints", "1000"], NUMTHEORY),
         (["sieve", "--set", "np:3", "--limit", "1000"], NUMTHEORY),
         (["classify", "--presentation", path], CLASSIFY),
@@ -641,5 +745,5 @@ def test_each_command_loads_only_its_layers(tmp_path):
             env=dict(os.environ, PYTHONPATH=str(src)),
             check=True,
         )
-        want = [0, sorted(FRONT | layers), False]
+        want = [0, sorted(FRONT | layers), False, False, False]
         assert json.loads(done.stdout) == want, argv
