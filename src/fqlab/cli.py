@@ -284,16 +284,18 @@ def _run_verify(args: SimpleNamespace) -> CommandOutput:
 _CSV = ("--csv", str, False, "write the primary table here instead of stdout")
 _MANIFEST = ("--manifest", str, False, "write a key,value record of the run")
 _SET = ("--set", str, True, "all, np:<p> or sp:<a>")
-_PRESENTATION = ("--presentation", str, True, "")
+_PRESENTATION = ("--presentation", str, True,
+                 "file with a 'gens:' line of generators and a 'rels:' line of relators")
 _PARTIAL = ("--allow-partial", bool, False,
             "keep results found before the budget ran out and exit 3")
 _TABLES = ("--emit-tables", str, False, "write one coset table CSV per certificate")
-_SEARCH = (("--max-index", int, True, ""), _PARTIAL, _TABLES, _CSV, _MANIFEST)
+_SEARCH = (("--max-index", int, True, "largest quotient order, the index of the normal subgroup"),
+           _PARTIAL, _TABLES, _CSV, _MANIFEST)
 
 # subcommand: (handler, summary, *options), in the order ``--help`` lists them
 _COMMANDS = {
     "sieve": (_run_sieve, "count set members up to one limit",
-        _SET, ("--limit", int, True, ""), _CSV, _MANIFEST),
+        _SET, ("--limit", int, True, "count the members from 1 up to this integer"), _CSV, _MANIFEST),
     "density": (_run_density, "count set members at several limits",
         _SET, ("--checkpoints", str, True, "comma-separated ascending limits"), _CSV, _MANIFEST),
     "fq": (_run_fq, "finite quotient orders of a presented group", _PRESENTATION, *_SEARCH),
@@ -309,7 +311,10 @@ _COMMANDS = {
          "checked per table"),
         *_SEARCH),
     "graphs": (_run_graphs, "build a parametric graph",
-        ("--family", ("w", "sw"), True, ""), ("--k", int, True, ""), ("--r", int, True, ""),
+        ("--family", ("w", "sw"), True, "w: W(k, r), r layers in a cycle, each completely "
+         "joined to the next; sw: SW(k, r), W with each vertex split into a matched pair"),
+        ("--k", int, True, "vertices per layer (w), matched pairs per layer (sw)"),
+        ("--r", int, True, "layers in the cycle: at least 3 for w, 2 for sw"),
         ("--report", bool, False, "emit the transitivity report instead"),
         ("--out", str, False, "write output here instead of stdout"), _MANIFEST),
     "verify": (_run_verify, "run the verification sweeps",

@@ -19,15 +19,26 @@ nothing else, compiles no sieve; this module re-exports it.
 The sieves mark whole ranges at once on bytearrays, one byte of 0 or 1
 per integer, and must agree with the pointwise tests bit for bit.
 
-* **Admissible primes** are one odd-only mask: cell i stands for
-  2i + 1, except cell 0, which stands for 2.  For ``sp:a``,
-  Eratosthenes builds the mask of all primes up to the limit with
-  strided slice stores, one cache-sized run of cells at a time.  The primes q | a are found by dividing a by
-  the mask's primes until the cofactor is 1 or below q*q.  Each such q
-  clears its own cell, and an odd q also clears every cell i > 0 with
-  q | i, because 2i + 1 = 1 (mod q) exactly when q | i.  When 4 | a the
-  even cells go too, because 2i + 1 = 1 (mod 4) exactly when i is
-  even.  For ``np:p`` the mask holds p's cell alone.
+* **Admissible primes** are one odd-only mask: cell i stands for 2i + 1,
+  except cell 0, which stands for 2.  For ``sp:a`` one routine,
+  ``_admissible_cells``, builds the cells of any range: Eratosthenes
+  with strided slice stores, one cache-sized run of cells at a time.
+  The odd primes q | a are found by dividing a by the base primes, those
+  up to the root of the range's top, until the cofactor is 1 or below
+  q*q; a cofactor left above that is a product of larger primes, and
+  each cell left is tested against it with one gcd.  Each such q clears
+  its own cell, and an odd q also clears every cell i > 0 with q | i,
+  because 2i + 1 = 1 (mod q) exactly when q | i.  When 4 | a the even
+  cells go too, because 2i + 1 = 1 (mod 4) exactly when i is even.  For
+  ``np:p`` the mask holds p's cell alone.
+* **A census keeps the ``sp:`` mask below half its limit.**  A prime
+  above limit/2 has no multiple m*x <= limit with m >= 2, so only the
+  cofactor 1 reads it.  ``density_series`` keeps
+  ``admissible_primes(limit // 2)``, and a segment reaching past that
+  mask sieves its own primes for cofactor 1, the cells of [lo, hi)
+  above the cut, with the same routine and base primes up to
+  isqrt(limit) found once.  ``MAX_PRIME_SIEVE`` bounds the kept half,
+  so ``sp:`` sets reach 2**31.  ``np:p`` masks reach p, as before.
 * **Primes above cut = isqrt(hi - 1)** have every multiple below hi in
   their anchored sets.  They go first, into the zeroed segment
   [lo, hi), by cofactor m ascending: one strided store
@@ -39,6 +50,10 @@ per integer, and must agree with the pointwise tests bit for bit.
   write to n therefore comes from the cofactor n/x* and carries x*'s
   own cell, which is n's membership through x*.  A cell with no prime
   factor above the cut is written only from composite cells, zeros.
+  The argument reads only the order of the cofactors and that each
+  store copies true cells, so it holds when the cofactor-1 cells are the
+  segment's own: that store still comes first, and the kept mask's
+  stores follow from m = 2.
   For ``sp:a`` with 3 | a every admissible prime is 2 mod 3, so the
   stores take every third cell, ``mask[c :: 3]`` into
   ``out[... :: 6m]``; ``_store_large_primes`` shows why the writes it
@@ -53,22 +68,24 @@ per integer, and must agree with the pointwise tests bit for bit.
   k'*f, k' >= 2, of a walked f, already cleared.  A small sieve, no
   longer than the walk, finds both as the walk ascends.
 
-Counts are censused in fixed-size segments, so large limits never need
-a full membership array in memory, and the segment boundaries cannot
-change any count.  A piece of a segment is counted with Adler-32: its
-low 16 bits are 1 + the byte sum mod 65,521 (RFC 1950), so on 0/1
-bytes a chunk of at most 65,519 bytes reads its exact count, with no
-branch per byte and no segment-sized integer.
+Counts are censused in segments of one store run, so every buffer a
+segment builds (the segment, its cofactor-1 primes, each small prime's
+cofactor window and the OR-merge temporaries) is at most a run, and the
+segment boundaries cannot change any count.  A piece of a segment is
+counted with Adler-32: its low 16 bits are 1 + the byte sum mod 65,521
+(RFC 1950), so on 0/1 bytes a chunk of at most 65,519 bytes reads its
+exact count, with no branch per byte and no segment-sized integer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from itertools import compress
 from typing import NamedTuple
 
-from .budgets import MAX_PRIME_SIEVE, SEGMENT_SIZE
+from .budgets import MAX_PRIME_SIEVE
 from .errors import ResourceBudgetError
 # is_prime checks np:p parameters; the rest is re-exported, the sieve's
 # oracle under the names that the tests and benchmark/run.py import
@@ -82,8 +99,9 @@ from .pointwise import (  # noqa: F401
 )
 
 # Cells that one pass of strided stores covers, in a segment or in the
-# prime mask.  A 1 MB run fits a 2 MB L2 cache; across a whole 4 MB
-# segment, byte stores 256 apart cost about four times as much.
+# prime mask, and the integers of one density_series segment.  A 1 MB
+# run fits a 2 MB L2 cache; across 4 MB, byte stores 256 apart cost
+# about four times as much.
 _STORE_RUN = 1 << 20
 
 # Bytes per Adler-32 count: 1 + 65,519 is the largest sum below the
@@ -140,6 +158,96 @@ def _odd_cells(limit: int) -> int:
     return (limit + 1) // 2 if limit >= 2 else 0
 
 
+def _odd_prime_divisors(a: int, base: list[int], top: int) -> tuple[list[int], int]:
+    """The odd primes up to top that divide a, and what they leave unknown.
+
+    ``base`` lists the odd primes in order from 3, up to at least
+    isqrt(top).  a's odd part is divided by them until what is left is
+    below the square of the next; it is then 1 or a prime.  Past the end
+    of ``base`` that bound is isqrt(top) + 1.  The second value is 1, or
+    the odd rest above that bound, whose prime factors all exceed
+    isqrt(top): whether any of them is at most top is not known.
+    """
+    rest = a // (a & -a)
+    found = []
+    for q in base:
+        if q * q > rest:
+            break
+        if rest % q == 0:
+            found.append(q)
+            while rest % q == 0:
+                rest //= q
+    else:
+        q = math.isqrt(top) + 1
+    if rest < q * q:
+        if 1 < rest <= top:
+            found.append(rest)
+        rest = 1
+    return found, rest
+
+
+def _admissible_cells(a: int, c0: int, c1: int, base: list[int], zeros: memoryview) -> bytearray:
+    """Cells c0 <= i < c1 of the odd-only mask of the primes admissible for a.
+
+    This is the one prime sieve.  Eratosthenes runs run by run, so each
+    run is cleared while in cache: the primes of ``base`` clear it first,
+    each from its square on, then its own odd primes up to
+    root = isqrt(2*c1 - 1) are appended to ``base``, each clearing the
+    run from its square.  So either c0 is 0 and ``base`` empty, or c0
+    lies past the cell of root and ``base`` lists the odd primes in order
+    from 3 up to at least root.  ``zeros`` is an all-zero buffer as long
+    as half a run, or as half the cells plus one.
+    """
+    mask = bytearray(b"\x01") * max(c1 - c0, 0)
+    if not mask:
+        return mask
+    root = (math.isqrt(2 * c1 - 1) + 1) // 2
+    for run in range(c0, c1, _STORE_RUN):
+        end = min(run + _STORE_RUN, c1)
+        for p in base:
+            start = max(p * p // 2, run + (p * p // 2 - run) % p)
+            mask[start - c0 : end - c0 : p] = zeros[: len(range(start, end, p))]
+        for i in range(max(run, 1), min(end, root)):
+            if mask[i - c0]:
+                p = 2 * i + 1
+                base.append(p)
+                mask[p * p // 2 - c0 : end - c0 : p] = zeros[: len(range(p * p // 2, end, p))]
+    # For a prime p, gcd(a, p) = 1 means p does not divide a, and
+    # gcd(a, p - 1) > 2 means an odd prime q | a has q | p - 1, or 4 | a
+    # and 4 | p - 1.  Each listed q clears its own cell and the cells
+    # i >= q with q | i, and 4 | a the even cells from 2, run by run: a
+    # store copies its zeros first, so no copy is larger than a run.
+    found, rest = _odd_prime_divisors(a, base, 2 * c1 - 1)
+    if c0 == 0 and a % 2 == 0:
+        mask[0] = 0
+    for q in found:
+        if c0 <= q // 2 < c1:
+            mask[q // 2 - c0] = 0
+    steps = found + [2] * (a % 4 == 0)
+    for run in range(c0, c1, _STORE_RUN):
+        end = min(run + _STORE_RUN, c1)
+        for q in steps:
+            start = max(q, run + (-run) % q)
+            mask[start - c0 : end - c0 : q] = zeros[: len(range(start, end, q))]
+    # the primes of a left in rest are tested cell by cell: p = 2i + 1
+    # fails when p | rest or a prime of rest divides p - 1 = 2i, and rest
+    # is odd, so one gcd with (2i + 1) * i tells
+    if rest > 1:
+        cells = range(max(c0, 1), c1)
+        for i in compress(cells, memoryview(mask)[cells.start - c0 :]):
+            if math.gcd(rest, (2 * i + 1) * i) > 1:
+                mask[i - c0] = 0
+    return mask
+
+
+@functools.lru_cache(maxsize=1)
+def _odd_primes(limit: int) -> tuple[int, ...]:
+    """The odd primes up to limit, in order; the last list is kept, since
+    every segment of one census asks for the same base primes."""
+    mask = _admissible_cells(1, 0, _odd_cells(limit), [], memoryview(bytes(_STORE_RUN // 2)))
+    return tuple(compress(range(3, 2 * len(mask), 2), memoryview(mask)[1:]))
+
+
 def _clear(buf: bytearray, start: int, step: int, zeros: memoryview) -> None:
     """Zero buf[start::step]; zeros is an all-zero buffer at least that long."""
     if start < len(buf):
@@ -189,14 +297,17 @@ def _mark_np_window(good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryvi
         _clear(good, k * dmin - mlo, k * p, zeros)
 
 
-def _store_large_primes(out: bytearray, mask: bytearray, big: int, lo: int, hi: int, step: int) -> None:
-    """Write, for n in [lo, hi), the membership through mask's primes x >= 2*big + 1.
+def _store_large_primes(
+    out: bytearray, mask: bytearray, c0: int, lo: int, hi: int, step: int, cofactors: range
+) -> None:
+    """Write, for n in [lo, hi), the membership through the primes x of mask
+    above isqrt(hi - 1), for each cofactor m in ``cofactors``.
 
-    Every such x lies above isqrt(hi - 1), so each of its multiples m*x
-    below hi is a member of x's anchored set.  For each cofactor m,
-    ascending, one store copies the mask cells of the odd x with m*x in
-    a run of out to every 2m-th cell of the run; the module docstring
-    shows why the last store to a cell is the right one.
+    ``mask[j]`` is cell c0 + j.  Every such x has each of its multiples
+    m*x below hi in its anchored set.  For each cofactor m, ascending, one
+    store copies the mask cells of the odd x with m*x in [lo, hi) to every
+    2m-th cell of out; the module docstring shows why the last store to a
+    cell is the right one.
 
     ``step`` is 3 when every prime the mask may list is 2 mod 3.  Their
     cells (x - 1)/2 are then 2 mod 3 too, and each store copies every
@@ -211,21 +322,23 @@ def _store_large_primes(out: bytearray, mask: bytearray, big: int, lo: int, hi: 
     is composite, and again every write is a 0.  ``step`` 1 copies every
     cell.
     """
-    top = min(len(mask), hi // 2)
-    first = mask.find(1, big, top)
+    start = max((math.isqrt(hi - 1) + 1) // 2, c0)
+    top = min(c0 + len(mask), hi // 2)
+    first = mask.find(1, start - c0, top - c0) if start < top else -1
     if first < 0:
         return
-    last = mask.rfind(1, first, top)
-    for run in range(lo, hi, _STORE_RUN):
-        end = min(run + _STORE_RUN, hi)
-        for m in range(-(-run // (2 * last + 1)), (end - 1) // (2 * first + 1) + 1):
-            i0 = max(first, -(-run // m) // 2)
-            i0 += (first - i0) % step
-            i1 = min(last + 1, -(-end // m) // 2)
-            if i0 < i1:
-                start = m * (2 * i0 + 1) - lo
-                stride = 2 * m * step
-                out[start : start + stride * ((i1 - i0 - 1) // step) + 1 : stride] = mask[i0:i1:step]
+    last = mask.rfind(1, first, top - c0) + c0
+    first += c0
+    m0 = max(cofactors.start, -(-lo // (2 * last + 1)))
+    for m in range(m0, min(cofactors.stop, (hi - 1) // (2 * first + 1) + 1)):
+        i0 = max(first, -(-lo // m) // 2)
+        i0 += (first - i0) % step
+        i1 = min(last + 1, -(-hi // m) // 2)
+        if i0 < i1:
+            begin = m * (2 * i0 + 1) - lo
+            stride = 2 * m * step
+            cells = mask[i0 - c0 : i1 - c0 : step]
+            out[begin : begin + stride * (len(cells) - 1) + 1 : stride] = cells
 
 
 class SieveSet:
@@ -267,80 +380,53 @@ class SieveSet:
             if mask:
                 mask[(p - 1) // 2] = 1
             return mask
-        n = _odd_cells(limit)
-        mask = bytearray(b"\x01") * n
         zeros = memoryview(bytes(_STORE_RUN // 2))
-        # Eratosthenes run by run, so each run is cleared while in cache:
-        # the primes up to isqrt(limit) kept from earlier runs clear it
-        # first, then its own such primes are kept, each clearing the run
-        # from p*p on.
-        root = (math.isqrt(limit) + 1) // 2
-        base: list[int] = []
-        for run in range(0, n, _STORE_RUN):
-            end = min(run + _STORE_RUN, n)
-            for p in base:
-                start = max(p * p // 2, run + (p * p // 2 - run) % p)
-                mask[start:end:p] = zeros[: len(range(start, end, p))]
-            for i in range(max(run, 1), min(end, root)):
-                if mask[i]:
-                    p = 2 * i + 1
-                    base.append(p)
-                    mask[p * p // 2 : end : p] = zeros[: len(range(p * p // 2, end, p))]
-        # For a prime p, gcd(a, p) = 1 means p does not divide a, and
-        # gcd(a, p - 1) > 2 means an odd prime q | a has q | p - 1, or 4 | a
-        # and 4 | p - 1.  Such a q is below p, so it is a prime of the mask.
-        # The odd q | a are all listed, by dividing them out of the odd
-        # part of a, before any cell is cleared.
-        a = self.param
-        rest = a // (a & -a)
-        odd_divisors = []
-        for q in compress(range(3, 2 * n, 2), memoryview(mask)[1:]):
-            if q * q > rest:
-                break
-            if rest % q == 0:
-                odd_divisors.append(q)
-                while rest % q == 0:
-                    rest //= q
-        if 1 < rest < 2 * n:
-            odd_divisors.append(rest)
-        if n and a % 2 == 0:
-            mask[0] = 0
-        for q in odd_divisors:
-            mask[q // 2] = 0
-        # each q clears the cells i >= q with q | i, and 4 | a the even
-        # cells from 2, run by run: a store copies its zeros first, so no
-        # copy is larger than a run
-        steps = odd_divisors + [2] * (a % 4 == 0)
-        for run in range(0, n, _STORE_RUN):
-            end = min(run + _STORE_RUN, n)
-            for q in steps:
-                start = max(q, run + (-run) % q)
-                mask[start:end:q] = zeros[: len(range(start, end, q))]
-        return mask
+        return _admissible_cells(self.param, 0, _odd_cells(limit), [], zeros)
+
+    def _mask_limit(self, limit: int) -> int:
+        """How far the prime mask of a census to limit reaches: an ``sp:``
+        set keeps the primes up to limit // 2, the only ones read with a
+        cofactor m >= 2, and 2, which the small primes always read; each
+        segment sieves the rest for cofactor 1."""
+        return max(limit // 2, min(limit, 2)) if self.kind == "sp" else limit
 
     def segment_bits(self, lo: int, hi: int, primes: bytearray | None = None) -> bytearray:
         """Membership bytes, 0 or 1, for n in [lo, hi); lo >= 1.
 
-        ``primes`` is a mask from ``admissible_primes`` of any limit at
-        least hi - 1, by default ``admissible_primes(hi - 1)``.  The primes
-        above isqrt(hi - 1) are stored first, by cofactor; each prime at
-        or below it then sieves its own anchored set over the cofactor
-        window and ORs it in.
+        ``primes`` is a mask from ``admissible_primes`` reaching at least
+        as far as that of the census to hi - 1, the default: hi - 1 for an
+        ``np:`` set, about (hi - 1) // 2 for an ``sp:`` set, whose primes
+        in [lo, hi) past the mask are then sieved here.  The primes above
+        isqrt(hi - 1) are stored first, by cofactor; each prime at or below
+        it then sieves its own anchored set over the cofactor window and
+        ORs it in.
         """
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
         if self.kind == "all":
             return bytearray(b"\x01") * (hi - lo)
         if primes is None:
-            primes = self.admissible_primes(hi - 1)
+            primes = self.admissible_primes(self._mask_limit(hi - 1))
         out = bytearray(hi - lo)
         big = (math.isqrt(hi - 1) + 1) // 2
         # for 3 | a, every admissible prime is 2 mod 3: 3 itself is not,
         # and a prime p = 1 mod 3 has 3 | gcd(a, p - 1)
         step = 3 if self.kind == "sp" and self.param % 3 == 0 else 1
-        _store_large_primes(out, primes, big, lo, hi, step)
-        plain = 1 not in out
         zeros = memoryview(bytes(max(hi - lo, math.isqrt(hi)) // 2 + 1))
+        cofactors = range(1, hi)
+        if self.kind == "sp" and len(primes) < hi // 2:
+            need = self._mask_limit(hi - 1)
+            if len(primes) < _odd_cells(need):
+                raise ValueError(f"the prime mask must reach {need}")
+            # A mask of C cells serves segments with hi - 1 <= 4C + 3, so
+            # every segment of a census asks for the same base primes.
+            base = list(_odd_primes(math.isqrt(4 * len(primes) + 3)))
+            c0 = max(big, lo // 2)
+            own = _admissible_cells(self.param, c0, hi // 2, base, zeros)
+            _store_large_primes(out, own, c0, lo, hi, step, range(1, 2))
+            cofactors = range(2, hi)
+        _store_large_primes(out, primes, 0, lo, hi, step, cofactors)
+        plain = 1 not in out
         for i in compress(range(big), primes):
             p = 2 * i + 1 if i else 2
             mlo = max(1, (lo + p - 1) // p)
@@ -385,7 +471,7 @@ def parse_set_name(name: str) -> SieveSet:
 def density_series(
     sieve_set: SieveSet | str,
     checkpoints: list[int],
-    segment_size: int = SEGMENT_SIZE,
+    segment_size: int = _STORE_RUN,
 ) -> DensitySeries:
     """Count set members at each checkpoint limit.
 
@@ -402,7 +488,7 @@ def density_series(
     if segment_size < 2:
         raise ValueError("segment_size must be >= 2")
     limit = cps[-1]
-    primes = None if ss.kind == "all" else ss.admissible_primes(limit)
+    primes = None if ss.kind == "all" else ss.admissible_primes(ss._mask_limit(limit))
 
     running = 0
     at: dict[int, int] = {}

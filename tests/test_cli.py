@@ -509,6 +509,7 @@ def test_help_lists_every_subcommand_and_option(capsys):
             assert lines[0].startswith(f"usage: fqlab {name} ")
             assert summary in lines
             for option, kind, required, text in options:
+                assert text, (name, option)
                 line = next(line for line in lines if line.split()[:1] == [option])
                 assert line.endswith(text), (name, option)
                 assert (f" {option} " in lines[0]) == required, (name, option)

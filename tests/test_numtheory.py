@@ -8,9 +8,12 @@ small enough to brute-force.
 import functools
 import math
 import random
+import tracemalloc
+from itertools import compress
 
 import pytest
 
+from fqlab import numtheory
 from fqlab.errors import ResourceBudgetError
 from fqlab.numtheory import (
     _STORE_RUN,
@@ -533,11 +536,104 @@ def test_admissible_primes_of_np_set_is_its_prime():
 
 
 def test_sieve_memory_budget():
-    # the admissible primes of an sp: set are listed up to the segment end
+    # the admissible primes of an sp: set are listed up to half the segment end
     with pytest.raises(ResourceBudgetError):
         SieveSet("sp", 6).segment_bits(2**40, 2**40 + 10)
     with pytest.raises(ResourceBudgetError):
         density_series("sp:6", [2**40])
+
+
+def test_sp_reach_is_twice_the_prime_budget(monkeypatch):
+    # the kept mask reaches limit // 2, so the budget on it bounds the
+    # limit at twice the budget, less one
+    budget = 1 << 13
+    monkeypatch.setattr(numtheory, "MAX_PRIME_SIEVE", budget)
+    limit = 2 * budget - 1
+    want = sum(sp_contains(n, 6) for n in range(1, limit + 1))
+    for segment_size in (_STORE_RUN, 1000):
+        got = density_series("sp:6", [limit], segment_size=segment_size).checkpoints[0]
+        assert got.count == want, segment_size
+    with pytest.raises(ResourceBudgetError):
+        density_series("sp:6", [limit + 1])
+    with pytest.raises(ResourceBudgetError):
+        SieveSet("sp", 6).segment_bits(limit - 9, limit + 2)
+
+
+def test_segment_bits_needs_an_sp_mask_reaching_half_the_segment():
+    ss = SieveSet("sp", 6)
+    want = {n for n in range(900, 1001) if sp_contains(n, 6)}
+    assert members(ss.segment_bits(900, 1001, ss.admissible_primes(500)), 900) == want
+    with pytest.raises(ValueError):
+        ss.segment_bits(900, 1001, ss.admissible_primes(498))
+
+
+def test_sieve_working_set_is_bounded(monkeypatch):
+    # the kept sp: mask is a byte per odd number up to limit / 2, L/4 bytes
+    # in all; every other buffer lives one segment, of one store run
+    limit = 4 * 10**6
+    masks, segments = [], []
+
+    def record(method, sizes):
+        def wrapped(*args, **kwargs):
+            result = method(*args, **kwargs)
+            sizes.append(len(result))
+            return result
+
+        return wrapped
+
+    monkeypatch.setattr(SieveSet, "admissible_primes", record(SieveSet.admissible_primes, masks))
+    monkeypatch.setattr(SieveSet, "segment_bits", record(SieveSet.segment_bits, segments))
+    tracemalloc.start()
+    try:
+        density_series("sp:6", [limit])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit // 4 + 5 * 2**20, peak
+    assert masks == [limit // 4]
+    assert len(segments) == -(-limit // _STORE_RUN) and max(segments) == _STORE_RUN
+
+
+def windows_sieved_for_cofactor_one(monkeypatch, name, limit, segments):
+    """The (c0, cells) of every window that segment_bits sieves for itself."""
+    windows = []
+    sieve = numtheory._admissible_cells
+
+    def record(a, c0, c1, base, zeros):
+        cells = sieve(a, c0, c1, base, zeros)
+        if c0:  # from cell 0 the base primes are sieved
+            windows.append((c0, bytes(cells)))
+        return cells
+
+    ss = parse_set_name(name)
+    primes = ss.admissible_primes(limit // 2)
+    monkeypatch.setattr(numtheory, "_admissible_cells", record)
+    for lo, hi in segments:
+        ss.segment_bits(lo, hi, primes)
+    return windows
+
+
+@pytest.mark.parametrize("a", [1, 4, 6, 12, 2 * 999983, 999983 * 1000003])
+def test_primes_sieved_per_segment_match_the_full_mask(monkeypatch, a):
+    # The third density segment of one run is the first past the kept
+    # mask, and its window starts at the cell _STORE_RUN; a segment of two
+    # runs and more sieves a window whose own run loop crosses a boundary.
+    # 2 * 999983 and 999983 * 1000003 clear the cells i with 999983 | i or
+    # 1000003 | i: 1999966 and 2000006 lie in the fourth segment's window.
+    # The base primes find 999983 in the first, but leave the second's
+    # product to the test of each cell.
+    limit = 4 * _STORE_RUN + 5000
+    full = unblocked_prime_mask(limit)
+    segments = [(lo, min(lo + _STORE_RUN, limit + 1)) for lo in range(1, limit + 1, _STORE_RUN)]
+    segments.append((limit - 2 * _STORE_RUN - 4000, limit + 1))
+    windows = windows_sieved_for_cofactor_one(monkeypatch, f"sp:{a}", limit, segments)
+    assert len(windows) == len(segments) - 2 and windows[0][0] == _STORE_RUN
+    assert max(len(cells) for _, cells in windows) > _STORE_RUN
+    for c0, cells in windows:
+        want = bytearray(full[c0 : c0 + len(cells)])
+        for i in compress(range(c0, c0 + len(cells)), want[:]):
+            want[i - c0] = pp_contains(2 * i + 1, a)
+        assert cells == want, (a, c0)
 
 
 def test_np_mask_shares_the_memory_budget():
