@@ -7,7 +7,7 @@ prime sieve mask, relator length, graph family size) are fixed instead.
 
 import os
 
-MAX_PRIME_SIEVE = 1 << 30       # prime masks cover numbers below this: 512 MiB of odd cells;
+MAX_PRIME_SIEVE = 1 << 30       # the sp: prime mask covers numbers below this: 512 MiB of odd cells;
                                 # an sp: census keeps the half below its limit, so reaches 2**31
 ELEMENT_CAP = 100_000           # exhaustive closure cap
 NORMAL_SUBGROUP_CAP = 2_000     # group order cap for normal-subgroup listing

@@ -34,9 +34,8 @@ class CensusEntry(NamedTuple):
 
 
 class CensusResult(NamedTuple):
-    """Sorted census entries and the stabilizer order they were checked against."""
+    """Sorted census entries and whether the search finished."""
 
-    stabilizer_order: int
     entries: tuple[CensusEntry, ...]
     complete: bool
 
@@ -67,7 +66,7 @@ def amalgam_census(
     entries = tuple(
         CensusEntry(m // s, m, m // s < 4, found.certificates[m]) for m in found.orders
     )
-    return CensusResult(s, entries, found.complete)
+    return CensusResult(entries, found.complete)
 
 
 def cubic_census(max_index: int, allow_partial: bool = False) -> CensusResult:

@@ -144,19 +144,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # --- subcommand handlers ---
 
 
-def _run_sieve(args: SimpleNamespace) -> CommandOutput:
-    from .numtheory import density_series, parse_set_name
-
-    series = density_series(parse_set_name(args.set), [args.limit])
-    cp = series.checkpoints[0]
-    return CommandOutput(("limit", "count", "density"), [(cp.limit, cp.count, cp.ratio)])
-
-
 def _run_density(args: SimpleNamespace) -> CommandOutput:
-    from .numtheory import density_series, parse_set_name
+    """``density``, and ``sieve``, its one checkpoint ``--limit``."""
+    from .numtheory import density_series
 
-    checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
-    series = density_series(parse_set_name(args.set), checkpoints)
+    if args.subcommand == "sieve":
+        checkpoints = [args.limit]
+    else:
+        checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
+    series = density_series(args.set, checkpoints)
     rows = [(cp.limit, cp.count, cp.ratio) for cp in series.checkpoints]
     return CommandOutput(("limit", "count", "density"), rows)
 
@@ -190,10 +186,11 @@ def _run_classify(args: SimpleNamespace) -> CommandOutput:
         ("density", density),
         ("abelian_invariants", " ".join(str(d) for d in dc.abelian_invariants)),
     ]
-    if dc.cyclic_witness is not None:
-        rows.append(("cyclic_witness", " ".join(str(c) for c in dc.cyclic_witness)))
-    if dc.dihedral_generator is not None:
-        rows.append(("dihedral_generator", pres.generator_names[dc.dihedral_generator]))
+    if dc.tag == "infinite_cyclic":
+        rows.append(("cyclic_witness", " ".join(str(t) for t, _ in dc.images)))
+    if dc.tag == "infinite_dihedral":
+        reflection = [s for _, s in dc.images].index(-1)
+        rows.append(("dihedral_generator", pres.generator_names[reflection]))
         rows.append(("dihedral_functional", " ".join(str(c) for c in dc.dihedral_functional)))
     if dc.index_two_checked is not None:
         rows.append(("index_two_checked", str(dc.index_two_checked)))
@@ -294,7 +291,7 @@ _SEARCH = (("--max-index", int, True, "largest quotient order, the index of the 
 
 # subcommand: (handler, summary, *options), in the order ``--help`` lists them
 _COMMANDS = {
-    "sieve": (_run_sieve, "count set members up to one limit",
+    "sieve": (_run_density, "count set members up to one limit",
         _SET, ("--limit", int, True, "count the members from 1 up to this integer"), _CSV, _MANIFEST),
     "density": (_run_density, "count set members at several limits",
         _SET, ("--checkpoints", str, True, "comma-separated ascending limits"), _CSV, _MANIFEST),

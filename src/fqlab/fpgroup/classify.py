@@ -104,13 +104,6 @@ def verify_images(pres: Presentation, images) -> bool:
     return math.gcd(*(t for t, s in imgs if s == 1), *(t - flips[0] for t in flips)) == 1
 
 
-def _reflection_generator(table: CosetTable) -> int:
-    for i in range(table.pres.n_gens):
-        if table.rows[0][2 * i] == 1:
-            return i
-    raise ValueError("no generator moves the base coset")
-
-
 def _dihedral_matrix(pres: Presentation, table: CosetTable, gen: int):
     """Relation matrix whose integer nullspace holds dihedral functionals,
     with the Schreier data of the subgroup it is written over.
@@ -150,13 +143,13 @@ def _dihedral_images(sd: SchreierData, gen: int, functional) -> tuple[tuple[int,
 
 
 class DensityClass(NamedTuple):
-    """Outcome of the classification, with its certificate."""
+    """Outcome of the classification, with its certificate.  The first
+    generator that ``images`` sends to a reflection is the one outside H
+    that ``dihedral_functional`` was solved against."""
 
     tag: str  # infinite_cyclic | infinite_dihedral | density_zero
     abelian_invariants: tuple[int, ...]
-    cyclic_witness: tuple[int, ...] | None = None
     images: tuple[tuple[int, int], ...] | None = None  # (t, s): x -> s x + t, either positive case
-    dihedral_generator: int | None = None
     dihedral_functional: tuple[int, ...] | None = None
     index_two_checked: int | None = None
 
@@ -180,15 +173,15 @@ def classify_density(pres: Presentation) -> DensityClass:
         images = tuple((e, 1) for e in witness)
         if not verify_images(pres, images):
             raise InternalInvariantError("cyclic images failed verification")
-        return DensityClass("infinite_cyclic", invariants, witness, images)
+        return DensityClass("infinite_cyclic", invariants, images)
     tables = index_two_subgroups(pres, form)
     for table in tables:
-        gen = _reflection_generator(table)
+        gen = table.rows[0][::2].index(1)  # the first generator outside H
         rows, sd = _dihedral_matrix(pres, table, gen)
         w = null_column_witness(smith_normal_form(rows, n_cols=sd.presentation.n_gens))
         if w is not None:
             images = _dihedral_images(sd, gen, w)
             if not verify_images(pres, images):
                 raise InternalInvariantError("dihedral images failed verification")
-            return DensityClass("infinite_dihedral", invariants, None, images, gen, w)
+            return DensityClass("infinite_dihedral", invariants, images, w)
     return DensityClass("density_zero", invariants, index_two_checked=len(tables))

@@ -7,9 +7,9 @@ Two families of integer sets drive everything here:
 * the union of those sets over all *admissible* primes for a modulus a,
   where p is admissible when gcd(a, p) = 1 and gcd(a, p - 1) <= 2.
 
-Every sieved set but ``all`` is the union of the anchored sets of the
-primes that ``SieveSet.admissible_primes`` lists.  The module needs the
-standard library alone.
+``np:p`` is the anchored set of p, and ``sp:a`` the union of the
+anchored sets of the primes that ``SieveSet.admissible_primes`` lists.
+The module needs the standard library alone.
 
 The pointwise half (``is_prime``, ``factor``, ``divisors``,
 ``np_contains``, ``pp_contains``, ``sp_contains``) tests one integer at
@@ -29,8 +29,7 @@ per integer, and must agree with the pointwise tests bit for bit.
   each cell left is tested against it with one gcd.  Each such q clears
   its own cell, and an odd q also clears every cell i > 0 with q | i,
   because 2i + 1 = 1 (mod q) exactly when q | i.  When 4 | a the even
-  cells go too, because 2i + 1 = 1 (mod 4) exactly when i is even.  For
-  ``np:p`` the mask holds p's cell alone.
+  cells go too, because 2i + 1 = 1 (mod 4) exactly when i is even.
 * **A census keeps the ``sp:`` mask below half its limit.**  A prime
   above limit/2 has no multiple m*x <= limit with m >= 2, so only the
   cofactor 1 reads it.  ``density_series`` keeps
@@ -38,7 +37,7 @@ per integer, and must agree with the pointwise tests bit for bit.
   mask sieves its own primes for cofactor 1, the cells of [lo, hi)
   above the cut, with the same routine and base primes up to
   isqrt(limit) found once.  ``MAX_PRIME_SIEVE`` bounds the kept half,
-  so ``sp:`` sets reach 2**31.  ``np:p`` masks reach p, as before.
+  so ``sp:`` sets reach 2**31.
 * **Primes above cut = isqrt(hi - 1)** have every multiple below hi in
   their anchored sets.  They go first, into the zeroed segment
   [lo, hi), by cofactor m ascending: one strided store
@@ -60,7 +59,9 @@ per integer, and must agree with the pointwise tests bit for bit.
   skips cannot change a cell.
 * **Primes at or below the cut** each sieve their anchored set over the
   cofactor window (``_mark_np_window``) and OR it into the segment, or
-  store it plainly when nothing has been written there yet.  A window
+  store it plainly when nothing has been written there yet.  So does the
+  one prime of ``np:p``, above the cut too: there every cofactor is below
+  p, and the window clears none.  A window
   clears every multiple k*d, k >= 2, of each d = 1 (mod p), d > 1.  It
   walks only the primitive d, those with no divisor f = 1 (mod p) with
   1 < f < d, and only the cofactors k that have no divisor f = 1
@@ -345,9 +346,8 @@ class SieveSet:
     """A named integer set the segmented sieve knows how to enumerate.
 
     ``kind`` is one of ``all`` (every positive integer), ``np`` (anchored
-    set of the prime ``param``) or ``sp`` (union over admissible primes
-    for modulus ``param``).  Every set but ``all`` is the union of the
-    anchored sets of its ``admissible_primes``.
+    set of the prime ``param``) or ``sp`` (union of the anchored sets of
+    the ``admissible_primes`` for modulus ``param``).
     """
 
     def __init__(self, kind: str, param: int = 0) -> None:
@@ -369,66 +369,66 @@ class SieveSet:
         return "all" if self.kind == "all" else f"{self.kind}:{self.param}"
 
     def admissible_primes(self, limit: int) -> bytearray:
-        """The primes up to limit whose anchored sets make up the set, as an
-        odd-only mask: cell i is 1 when 2i + 1 is one of them, cell 0 when 2
-        is.  ``sp:a`` has the admissible primes for a.  ``np:p`` has p's cell
-        alone, in a mask reaching p and under the same memory budget (no
-        cells when p > limit)."""
-        if self.kind == "np":
-            p = self.param
-            mask = bytearray(_odd_cells(p) if p <= limit else 0)
-            if mask:
-                mask[(p - 1) // 2] = 1
-            return mask
+        """The primes up to limit that are admissible for an ``sp:`` set's
+        modulus, as an odd-only mask: cell i is 1 when 2i + 1 is one of
+        them, cell 0 when 2 is.  Other sets keep no mask."""
+        if self.kind != "sp":
+            raise ValueError(f"{self.name} keeps no prime mask")
         zeros = memoryview(bytes(_STORE_RUN // 2))
         return _admissible_cells(self.param, 0, _odd_cells(limit), [], zeros)
 
     def _mask_limit(self, limit: int) -> int:
-        """How far the prime mask of a census to limit reaches: an ``sp:``
-        set keeps the primes up to limit // 2, the only ones read with a
-        cofactor m >= 2, and 2, which the small primes always read; each
-        segment sieves the rest for cofactor 1."""
-        return max(limit // 2, min(limit, 2)) if self.kind == "sp" else limit
+        """How far the prime mask of an ``sp:`` census to limit reaches: the
+        primes up to limit // 2, the only ones read with a cofactor m >= 2,
+        and 2, which the small primes always read; each segment sieves the
+        rest for cofactor 1."""
+        if self.kind != "sp":
+            raise ValueError(f"{self.name} keeps no prime mask")
+        return max(limit // 2, min(limit, 2))
 
     def segment_bits(self, lo: int, hi: int, primes: bytearray | None = None) -> bytearray:
         """Membership bytes, 0 or 1, for n in [lo, hi); lo >= 1.
 
-        ``primes`` is a mask from ``admissible_primes`` reaching at least
-        as far as that of the census to hi - 1, the default: hi - 1 for an
-        ``np:`` set, about (hi - 1) // 2 for an ``sp:`` set, whose primes
-        in [lo, hi) past the mask are then sieved here.  The primes above
-        isqrt(hi - 1) are stored first, by cofactor; each prime at or below
-        it then sieves its own anchored set over the cofactor window and
-        ORs it in.
+        Only ``sp:a`` takes ``primes``, a mask from ``admissible_primes``
+        reaching at least as far as that of the census to hi - 1, the
+        default, about (hi - 1) // 2; its primes in [lo, hi) past the mask
+        are sieved here.  Its primes above isqrt(hi - 1) are stored first,
+        by cofactor; each prime at or below it, and the one of ``np:p``,
+        then sieves its anchored set over the cofactor window.
         """
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
+        if primes is not None and self.kind != "sp":
+            raise ValueError(f"{self.name} takes no prime mask")
         if self.kind == "all":
             return bytearray(b"\x01") * (hi - lo)
-        if primes is None:
-            primes = self.admissible_primes(self._mask_limit(hi - 1))
         out = bytearray(hi - lo)
-        big = (math.isqrt(hi - 1) + 1) // 2
-        # for 3 | a, every admissible prime is 2 mod 3: 3 itself is not,
-        # and a prime p = 1 mod 3 has 3 | gcd(a, p - 1)
-        step = 3 if self.kind == "sp" and self.param % 3 == 0 else 1
         zeros = memoryview(bytes(max(hi - lo, math.isqrt(hi)) // 2 + 1))
-        cofactors = range(1, hi)
-        if self.kind == "sp" and len(primes) < hi // 2:
-            need = self._mask_limit(hi - 1)
-            if len(primes) < _odd_cells(need):
-                raise ValueError(f"the prime mask must reach {need}")
-            # A mask of C cells serves segments with hi - 1 <= 4C + 3, so
-            # every segment of a census asks for the same base primes.
-            base = list(_odd_primes(math.isqrt(4 * len(primes) + 3)))
-            c0 = max(big, lo // 2)
-            own = _admissible_cells(self.param, c0, hi // 2, base, zeros)
-            _store_large_primes(out, own, c0, lo, hi, step, range(1, 2))
-            cofactors = range(2, hi)
-        _store_large_primes(out, primes, 0, lo, hi, step, cofactors)
+        if self.kind == "np":
+            small = [self.param]
+        else:
+            if primes is None:
+                primes = self.admissible_primes(self._mask_limit(hi - 1))
+            big = (math.isqrt(hi - 1) + 1) // 2
+            # for 3 | a, every admissible prime is 2 mod 3: 3 itself is not,
+            # and a prime p = 1 mod 3 has 3 | gcd(a, p - 1)
+            step = 3 if self.param % 3 == 0 else 1
+            cofactors = range(1, hi)
+            if len(primes) < hi // 2:
+                need = self._mask_limit(hi - 1)
+                if len(primes) < _odd_cells(need):
+                    raise ValueError(f"the prime mask must reach {need}")
+                # A mask of C cells serves segments with hi - 1 <= 4C + 3, so
+                # every segment of a census asks for the same base primes.
+                base = list(_odd_primes(math.isqrt(4 * len(primes) + 3)))
+                c0 = max(big, lo // 2)
+                own = _admissible_cells(self.param, c0, hi // 2, base, zeros)
+                _store_large_primes(out, own, c0, lo, hi, step, range(1, 2))
+                cofactors = range(2, hi)
+            _store_large_primes(out, primes, 0, lo, hi, step, cofactors)
+            small = (2 * i + 1 if i else 2 for i in compress(range(big), primes))
         plain = 1 not in out
-        for i in compress(range(big), primes):
-            p = 2 * i + 1 if i else 2
+        for p in small:
             mlo = max(1, (lo + p - 1) // p)
             mhi = (hi + p - 1) // p
             if mlo >= mhi:
@@ -469,17 +469,17 @@ def parse_set_name(name: str) -> SieveSet:
 
 
 def density_series(
-    sieve_set: SieveSet | str,
+    set_name: str,
     checkpoints: list[int],
     segment_size: int = _STORE_RUN,
 ) -> DensitySeries:
-    """Count set members at each checkpoint limit.
+    """Count the members of the named set at each checkpoint limit.
 
     Segments are censused independently and merged in ascending order, so
     the result is identical for any segment size.  Each segment is
     counted once, in pieces split at the checkpoints inside it.
     """
-    ss = parse_set_name(sieve_set) if isinstance(sieve_set, str) else sieve_set
+    ss = parse_set_name(set_name)
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
     cps = list(checkpoints)
@@ -488,7 +488,7 @@ def density_series(
     if segment_size < 2:
         raise ValueError("segment_size must be >= 2")
     limit = cps[-1]
-    primes = None if ss.kind == "all" else ss.admissible_primes(ss._mask_limit(limit))
+    primes = ss.admissible_primes(ss._mask_limit(limit)) if ss.kind == "sp" else None
 
     running = 0
     at: dict[int, int] = {}

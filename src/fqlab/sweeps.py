@@ -190,7 +190,6 @@ class RestrictedQuotientReport(NamedTuple):
     """Outcome of the non-cyclic-quotient check at a modulus."""
 
     group_order: int
-    modulus: int
     status: str  # "verified", "violated", or "hypotheses fail"
     quotient_shape: GroupShape | None = None
 
@@ -205,13 +204,13 @@ def verify_restricted_quotient(group: PermGroup, a: int) -> RestrictedQuotientRe
     odd-order-dividing-a part must not be cyclic."""
     n = group.order
     if not sp_contains(n, a):
-        return RestrictedQuotientReport(n, a, "hypotheses fail")
+        return RestrictedQuotientReport(n, "hypotheses fail")
     if torsion_subgroup(group, lambda k: a % k == 0).order != n:
-        return RestrictedQuotientReport(n, a, "hypotheses fail")
+        return RestrictedQuotientReport(n, "hypotheses fail")
     core = torsion_subgroup(group, lambda k: k % 2 == 1 and a % k == 0)
     sh = shape(quotient(group, core))
     status = "violated" if sh.tag == "cyclic" else "verified"
-    return RestrictedQuotientReport(n, a, status, sh)
+    return RestrictedQuotientReport(n, status, sh)
 
 
 class OddCoreReport(NamedTuple):

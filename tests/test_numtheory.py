@@ -127,9 +127,9 @@ def test_admissible_prime_mask_across_runs():
         assert SieveSet("sp", a).admissible_primes(limit) == want, a
 
 
-def test_primes_up_to_dtype():
+def test_sieve_buffers_are_bytearrays():
     assert type(SieveSet("sp", 1).admissible_primes(10**5)) is bytearray
-    assert type(SieveSet("np", 3).admissible_primes(10**5)) is bytearray
+    assert type(SieveSet("np", 3).segment_bits(1, 1000)) is bytearray
     assert type(SieveSet("sp", 6).segment_bits(1, 1000)) is bytearray
 
 
@@ -347,7 +347,7 @@ def sieved_members(name, limit):
 def segmented_bits(name, limit, segment_size):
     """Membership bits of 1..limit, sieved segment by segment and joined."""
     ss = parse_set_name(name)
-    primes = None if ss.kind == "all" else ss.admissible_primes(limit)
+    primes = ss.admissible_primes(limit) if ss.kind == "sp" else None
     return b"".join(
         ss.segment_bits(lo, min(lo + segment_size, limit + 1), primes)
         for lo in range(1, limit + 1, segment_size)
@@ -412,9 +412,9 @@ def oracle_windows():
     # sp:6 stops short of 3e9, which is over the prime-sieve budget
     for hi in (10**6, 10**7, 10**8):
         yield "sp:6", hi - width, hi
-    # windows ending just below and just above p*p for admissible p: the
-    # first marks p by cofactor, the second sieves its anchored set; 4 | a
-    # clears the even cells of the prime mask
+    # windows ending just below and just above p*p for admissible p: in an
+    # sp: set the first marks p by cofactor, the second sieves its anchored
+    # set, and np:p sieves both; 4 | a clears the even cells of the prime mask
     for p in (11, 2003):
         for hi in (p * p, p * p + 1):
             for name in ("sp:6", f"np:{p}", "sp:4", "sp:12"):
@@ -528,11 +528,17 @@ def test_segment_bits_matches_pointwise_on_tiny_segments(name):
                 assert got == {n for n in range(lo, hi) if sp_contains(n, ss.param)}, (lo, hi)
 
 
-def test_admissible_primes_of_np_set_is_its_prime():
+def test_only_sp_sets_keep_a_prime_mask():
+    for ss in (SieveSet("np", 3), SieveSet("np", 2003), SieveSet("all")):
+        with pytest.raises(ValueError):
+            ss.admissible_primes(10)
+        with pytest.raises(ValueError):
+            ss._mask_limit(10)
+        with pytest.raises(ValueError):
+            ss.segment_bits(1, 11, SieveSet("sp", 1).admissible_primes(10))
+    # the one prime of np:p is its least member
     for p in (2, 3, 11, 2003):
-        assert mask_primes(SieveSet("np", p).admissible_primes(p)) == [p]
-        assert mask_primes(SieveSet("np", p).admissible_primes(p - 1)) == []
-        assert mask_primes(SieveSet("np", p).admissible_primes(10**9)) == [p]
+        assert members(SieveSet("np", p).segment_bits(max(1, p - 1), p + 1), max(1, p - 1)) == {p}
 
 
 def test_sieve_memory_budget():
@@ -636,12 +642,44 @@ def test_primes_sieved_per_segment_match_the_full_mask(monkeypatch, a):
         assert cells == want, (a, c0)
 
 
-def test_np_mask_shares_the_memory_budget():
-    # an np:p mask reaches p, so a prime past the budget cannot be sieved
-    p = 2**30 + 3
-    assert SieveSet("np", p).admissible_primes(p - 1) == bytearray()
-    with pytest.raises(ResourceBudgetError):
-        SieveSet("np", p).admissible_primes(p)
+def test_np_windows_past_the_prime_budget():
+    # np:p keeps no prime mask, so a prime above MAX_PRIME_SIEVE is sieved
+    # like any other; a non-multiple of p is no member, so only the
+    # multiples are tested pointwise
+    p = 2**31 - 1
+    ss = SieveSet("np", p)
+    for k in (1, 2, 3, 1000):
+        lo, hi = k * p - 500, k * p + 500
+        want = {n for n in range(lo, hi) if n % p == 0 and np_contains(n, p)}
+        assert members(ss.segment_bits(lo, hi), lo) == want == {k * p}, k
+
+
+def test_np_count_keeps_no_prime_mask(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an np: count reached the sp: mask route")
+
+    monkeypatch.setattr(SieveSet, "admissible_primes", refuse)
+    monkeypatch.setattr(numtheory, "_store_large_primes", refuse)
+    monkeypatch.setattr(numtheory, "MAX_PRIME_SIEVE", 0)
+    for p in (2, 3, 97, 2003):
+        want = sum(np_contains(n, p) for n in range(p, 5001, p))
+        assert density_series(f"np:{p}", [5000], segment_size=999).checkpoints[0].count == want
+    p = 2**31 - 1
+    assert members(SieveSet("np", p).segment_bits(p - 500, p + 500), p - 500) == {p}
+
+
+def test_np_count_working_set_is_a_few_store_runs():
+    # at a prime just below the limit, a mask reaching p would be L/2 bytes
+    limit = 8 * 10**6
+    p = next(q for q in range(limit - 1, 0, -2) if is_prime(q))
+    tracemalloc.start()
+    try:
+        got = density_series(f"np:{p}", [limit]).checkpoints[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.count == 1
+    assert peak <= 3 * _STORE_RUN, peak
 
 
 def test_ratio_string():
