@@ -2,13 +2,17 @@
 
 FQLAB_BUDGET, when set to a positive integer, replaces the node budget
 of the normal low-index search.  Caps that guard memory (element cap,
-prime sieve mask, relator length, graph family size) are fixed instead.
+prime sieve mask, sieve scratch, relator length, graph family size) are
+fixed instead.
 """
 
 import os
 
 MAX_PRIME_SIEVE = 1 << 30       # the sp: prime mask covers numbers below this: 512 MiB of odd cells;
                                 # an sp: census keeps the half below its limit, so reaches 2**31
+MAX_SIEVE_SCRATCH = 1 << 22     # bytes a sieve window [lo, hi) takes beyond its width:
+                                # isqrt(hi) / 2 of zeros, up to isqrt(hi) for a small prime's
+                                # divisor walk; so narrow windows reach about 10**13
 ELEMENT_CAP = 100_000           # exhaustive closure cap
 NORMAL_SUBGROUP_CAP = 2_000     # group order cap for normal-subgroup listing
 SEARCH_NODES = 5_000_000        # low-index backtracking budget

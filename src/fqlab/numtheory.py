@@ -39,29 +39,43 @@ per integer, and must agree with the pointwise tests bit for bit.
   isqrt(limit) found once.  ``MAX_PRIME_SIEVE`` bounds the kept half,
   so ``sp:`` sets reach 2**31.
 * **Primes above cut = isqrt(hi - 1)** have every multiple below hi in
-  their anchored sets.  They go first, into the zeroed segment
-  [lo, hi), by cofactor m ascending: one strided store
-  ``out[m*x - lo :: 2m] = mask[cells of x]`` covers every odd x > cut
-  in range, prime or not.  A plain store, not an OR, is safe.  Let a
-  prime x* > cut divide n.  If a writer m of cell n had the factor x*,
-  both m and n/m would exceed cut and n >= (cut + 1)**2 > hi - 1; so
-  every writer has n/m = k*x* with k >= 1, hence m <= n/x*.  The last
-  write to n therefore comes from the cofactor n/x* and carries x*'s
-  own cell, which is n's membership through x*.  A cell with no prime
-  factor above the cut is written only from composite cells, zeros.
-  The argument reads only the order of the cofactors and that each
-  store copies true cells, so it holds when the cofactor-1 cells are the
-  segment's own: that store still comes first, and the kept mask's
-  stores follow from m = 2.
+  their anchored sets, and n < hi has at most one prime factor above the
+  cut.  They go first, into the zeroed segment [lo, hi), in two orders
+  (``_store_large_primes``), split at X0 = 4*cut.  Above X0 they go by
+  cofactor m ascending: one strided store
+  ``out[m*x - lo :: 2m] = mask[cells of x]`` covers every odd x > X0 in
+  range, prime or not.  Then each admissible prime x in (cut, X0] stores
+  ones into all its multiples, ``out[first :: x]``.  Plain stores, not
+  ORs, are safe.  Let a prime x* > cut divide n.  If a writer m of cell n
+  had the factor x*, both m and n/m would exceed cut and
+  n >= (cut + 1)**2 > hi - 1; so every cofactor writer has n/m = k*x*
+  with k >= 1, hence m <= n/x*.  When x* > X0, the last cofactor write
+  to n comes from n/x* and carries x*'s own cell, which is n's
+  membership through x*; and no store by prime reaches n, since such a
+  store of x writes only multiples of x, and x | n with cut < x <= X0
+  would make x = x*.  When x* <= X0, every cofactor write to n carries
+  the cell of some k*x* > X0 with k >= 2, composite, so a 0; the store
+  of x* by prime comes after them all and writes the 1, if x* is
+  admissible.  A cell with no prime factor above the cut is written only
+  from composite cells, zeros.  The argument reads only the order of the
+  stores and that each store copies true cells, so it holds when the
+  cofactor-1 cells are the segment's own: that store still comes first,
+  and the kept mask's stores follow from m = 2.
   For ``sp:a`` with 3 | a every admissible prime is 2 mod 3, so the
-  stores take every third cell, ``mask[c :: 3]`` into
-  ``out[... :: 6m]``; ``_store_large_primes`` shows why the writes it
-  skips cannot change a cell.
+  cofactor stores take every third cell, ``mask[c :: 3]`` into
+  ``out[... :: 6m]``; ``_store_large_primes`` shows why the writes they
+  skip cannot change a cell.
 * **Primes at or below the cut** each sieve their anchored set over the
-  cofactor window (``_mark_np_window``) and OR it into the segment, or
-  store it plainly when nothing has been written there yet.  So does the
-  one prime of ``np:p``, above the cut too: there every cofactor is below
-  p, and the window clears none.  A window
+  cofactor window m in [mlo, mhi) (``_mark_np_window``), on a buffer of
+  ones with one cell per multiple p*m of the segment.  The first prime
+  to write a zeroed segment clears its window to 0 and stores it.  Each
+  later one first reads the segment's cells at its multiples,
+  ``s = out[start :: p]``, and clears its window from ``s``: a cleared
+  cell takes s's value at that cell.  The window then holds the OR of s
+  and the prime's anchored set, since an uncleared cell is 1 = 1 | s and
+  a cleared one is s = 0 | s, and one plain store puts it back.  The one
+  prime of ``np:p`` sieves the same way, above the cut too: there every
+  cofactor is below p, and the window clears none.  A window
   clears every multiple k*d, k >= 2, of each d = 1 (mod p), d > 1.  It
   walks only the primitive d, those with no divisor f = 1 (mod p) with
   1 < f < d, and only the cofactors k that have no divisor f = 1
@@ -70,9 +84,12 @@ per integer, and must agree with the pointwise tests bit for bit.
   longer than the walk, finds both as the walk ascends.
 
 Counts are censused in segments of one store run, so every buffer a
-segment builds (the segment, its cofactor-1 primes, each small prime's
-cofactor window and the OR-merge temporaries) is at most a run, and the
-segment boundaries cannot change any count.  A piece of a segment is
+segment builds (the segment, its cofactor-1 primes, and each small
+prime's cofactor window and copy of its cells) is at most a run, and
+the segment boundaries cannot change any count.  What a window needs
+beyond its width, the shared zeros and a prime's divisor sieve, grows
+with isqrt(hi); ``MAX_SIEVE_SCRATCH`` bounds it, so a narrow window high
+up is refused before anything is allocated.  A piece of a segment is
 counted with Adler-32: its low 16 bits are 1 + the byte sum mod 65,521
 (RFC 1950), so on 0/1 bytes a chunk of at most 65,519 bytes reads its
 exact count, with no branch per byte and no segment-sized integer.
@@ -86,7 +103,7 @@ import zlib
 from itertools import compress
 from typing import NamedTuple
 
-from .budgets import MAX_PRIME_SIEVE
+from .budgets import MAX_PRIME_SIEVE, MAX_SIEVE_SCRATCH
 from .errors import ResourceBudgetError
 # is_prime checks np:p parameters; the rest is re-exported, the sieve's
 # oracle under the names that the tests and benchmark/run.py import
@@ -249,13 +266,33 @@ def _odd_primes(limit: int) -> tuple[int, ...]:
     return tuple(compress(range(3, 2 * len(mask), 2), memoryview(mask)[1:]))
 
 
-def _clear(buf: bytearray, start: int, step: int, zeros: memoryview) -> None:
-    """Zero buf[start::step]; zeros is an all-zero buffer at least that long."""
+def _clear(
+    buf: bytearray, start: int, step: int, zeros: memoryview, source: bytearray | None = None
+) -> None:
+    """Set buf[start::step] to the same cells of ``source``, a buffer as long
+    as buf, or without one to 0 from ``zeros``, an all-zero buffer at least
+    that long."""
     if start < len(buf):
-        buf[start::step] = zeros[: (len(buf) - 1 - start) // step + 1]
+        if source is None:
+            buf[start::step] = zeros[: (len(buf) - 1 - start) // step + 1]
+        else:
+            buf[start::step] = source[start::step]
 
 
-def _mark_np_window(good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryview) -> None:
+def _scratch(size: int, lo: int, hi: int) -> int:
+    """size, the bytes a sieve of [lo, hi) allocates beyond the window's own,
+    checked against the budget before anything is allocated."""
+    if size > MAX_SIEVE_SCRATCH:
+        raise ResourceBudgetError(
+            f"sieving [{lo}, {hi}) needs {size} bytes of scratch,"
+            f" over the budget of {MAX_SIEVE_SCRATCH}"
+        )
+    return size
+
+
+def _mark_np_window(
+    good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryview, source: bytearray | None = None
+) -> None:
     """Clear, in the cofactor window m in [mlo, mhi), every m that fails.
 
     A surviving m means p*m belongs to the anchored set of p.  Cleared are
@@ -272,12 +309,20 @@ def _mark_np_window(good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryvi
     each cell a skipped d or k would clear is a multiple k'*f, k' >= 2,
     of a walked f.  ``zeros`` is an all-zero buffer at least
     (mhi - mlo) // 2 + 1 and isqrt(p*mhi) // 3 + 1 long.
+
+    A cleared cell takes 0, or with ``source``, a buffer as long as
+    ``good``, that same cell of ``source``.  On a ``good`` of all ones
+    that leaves good | source: a cell the walk passes by stays 1, and a
+    cleared one is 0 | source.  Clearing one cell twice changes nothing,
+    so the pruning above holds for either.  The small sieve of primitive
+    divisors, ``plain``, costs min(isqrt(p*mhi), mhi/2) bytes, checked
+    against ``MAX_SIEVE_SCRATCH`` first.
     """
-    _clear(good, ((mlo + p - 1) // p) * p - mlo, p, zeros)
+    _clear(good, ((mlo + p - 1) // p) * p - mlo, p, zeros, source)
     first = mlo + ((1 - mlo) % p)
     if first == 1:
         first += p
-    _clear(good, first - mlo, p, zeros)
+    _clear(good, first - mlo, p, zeros, source)
     split = max(math.isqrt(p * mhi), p)
     top = min(split, (mhi - 1) // 2)
     kmax = (mhi - 1) // (split + 1)
@@ -286,60 +331,82 @@ def _mark_np_window(good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryvi
     # cofactor k <= kmax, or for a later d = f*c with c = 1 mod p, so
     # d >= f*(p + 1).  kmax is at most split and at most (mhi - 1) // 2.
     marks = max(kmax, top // (p + 1))
-    plain = bytearray(b"\x01") * (top + 1)
+    plain = bytearray(b"\x01") * _scratch(top + 1, p * mlo, p * mhi)
     for d in range(p + 1, top + 1, p):
         if plain[d]:
             if d <= marks:
                 _clear(plain, d, d, zeros)
-            _clear(good, max(2 * d, ((mlo + d - 1) // d) * d) - mlo, d, zeros)
+            _clear(good, max(2 * d, ((mlo + d - 1) // d) * d) - mlo, d, zeros, source)
     for k in compress(range(2, kmax + 1), plain[2:]):
         dmin = max(split + 1, (mlo + k - 1) // k)
         dmin += (1 - dmin) % p
-        _clear(good, k * dmin - mlo, k * p, zeros)
+        _clear(good, k * dmin - mlo, k * p, zeros, source)
 
 
 def _store_large_primes(
-    out: bytearray, mask: bytearray, c0: int, lo: int, hi: int, step: int, cofactors: range
+    out: bytearray, lo: int, hi: int, step: int, primes: bytearray, own: bytearray, c0: int
 ) -> None:
-    """Write, for n in [lo, hi), the membership through the primes x of mask
-    above isqrt(hi - 1), for each cofactor m in ``cofactors``.
+    """Write, for n in [lo, hi), the membership through the admissible primes
+    above cut = isqrt(hi - 1), in two orders.
 
-    ``mask[j]`` is cell c0 + j.  Every such x has each of its multiples
-    m*x below hi in its anchored set.  For each cofactor m, ascending, one
-    store copies the mask cells of the odd x with m*x in [lo, hi) to every
-    2m-th cell of out; the module docstring shows why the last store to a
-    cell is the right one.
+    ``primes`` is the kept mask from cell 0.  ``own`` is empty, or the
+    segment's own cells from c0 on, which then stand in for the mask with
+    the cofactor 1.  Every prime x above the cut has each of its multiples
+    below hi in its anchored set.
+
+    First, by cofactor m ascending, the cells of x above X0 = 4*cut: one
+    store copies the mask cells of the odd x > X0 with m*x in [lo, hi),
+    prime or not, to every 2m-th cell of out.  Then, prime by prime, each
+    admissible x in (cut, X0] stores ones into all its multiples in
+    [lo, hi).  The module docstring shows why the last store to a cell is
+    the right one.  Above X0 a store per cofactor copies fewer cells than a
+    store per prime would; below it the primes are fewer than the
+    cofactors, of which they spare those above hi/X0.  X0 stops short at
+    the end of ``primes``, which in a census happens only for hi <= 54.
 
     ``step`` is 3 when every prime the mask may list is 2 mod 3.  Their
-    cells (x - 1)/2 are then 2 mod 3 too, and each store copies every
-    third cell, from the class of the first, to every 6m-th cell of out.
-    Skipping the other cells is safe: each holds a 0, so a skipped write
-    stores a 0 into some n.  Let x* be the prime above isqrt(hi - 1) that
-    divides n.  If x*'s cell is stored, the store from the cofactor n/x*
-    comes after every skipped write to n, whose cofactors are smaller,
-    and writes n's membership, as at step 1.  Otherwise x*'s cell is 0,
-    as is every cell of a multiple of x*, so every write to n is a 0 and
-    n stays 0.  With no such x*, every x above isqrt(hi - 1) dividing n
-    is composite, and again every write is a 0.  ``step`` 1 copies every
-    cell.
+    cells (x - 1)/2 are then 2 mod 3 too, and each cofactor store copies
+    every third cell, from the class of the first, to every 6m-th cell of
+    out.  Skipping the other cells is safe: each holds a 0, so a skipped
+    write stores a 0 into some n.  Let x* be the prime above the cut that
+    divides n.  If x* > X0 and x*'s cell is stored, the store from the
+    cofactor n/x* comes after every skipped write to n, whose cofactors
+    are smaller, and writes n's membership, as at step 1.  Otherwise
+    x*'s cell is 0 or below X0, as is every cell above X0 of a multiple of
+    x*, so every cofactor write to n is a 0, and n's membership is left
+    to the store of x* by prime.  With no such x*, every x above the cut
+    dividing n is composite, and again every write is a 0.  ``step`` 1
+    copies every cell.
     """
-    start = max((math.isqrt(hi - 1) + 1) // 2, c0)
-    top = min(c0 + len(mask), hi // 2)
-    first = mask.find(1, start - c0, top - c0) if start < top else -1
-    if first < 0:
-        return
-    last = mask.rfind(1, first, top - c0) + c0
-    first += c0
-    m0 = max(cofactors.start, -(-lo // (2 * last + 1)))
-    for m in range(m0, min(cofactors.stop, (hi - 1) // (2 * first + 1) + 1)):
-        i0 = max(first, -(-lo // m) // 2)
-        i0 += (first - i0) % step
-        i1 = min(last + 1, -(-hi // m) // 2)
-        if i0 < i1:
-            begin = m * (2 * i0 + 1) - lo
-            stride = 2 * m * step
-            cells = mask[i0 - c0 : i1 - c0 : step]
-            out[begin : begin + stride * (len(cells) - 1) + 1 : stride] = cells
+    cut = math.isqrt(hi - 1)
+    big = (cut + 1) // 2
+    split = max(big, min(2 * cut, len(primes)))
+    sources = [(primes, 0, range(1, hi))]
+    if own:
+        sources = [(own, c0, range(1, 2)), (primes, 0, range(2, hi))]
+    for mask, c0, cofactors in sources:
+        start = max(split, c0)
+        top = min(c0 + len(mask), hi // 2)
+        first = mask.find(1, start - c0, top - c0) if start < top else -1
+        if first < 0:
+            continue
+        last = mask.rfind(1, first, top - c0) + c0
+        first += c0
+        m0 = max(cofactors.start, -(-lo // (2 * last + 1)))
+        for m in range(m0, min(cofactors.stop, (hi - 1) // (2 * first + 1) + 1)):
+            i0 = max(first, -(-lo // m) // 2)
+            i0 += (first - i0) % step
+            i1 = min(last + 1, -(-hi // m) // 2)
+            if i0 < i1:
+                begin = m * (2 * i0 + 1) - lo
+                stride = 2 * m * step
+                cells = mask[i0 - c0 : i1 - c0 : step]
+                out[begin : begin + stride * (len(cells) - 1) + 1 : stride] = cells
+    ones = memoryview(b"\x01" * ((hi - lo - 1) // (2 * big + 1) + 1))
+    for i in compress(range(big, split), memoryview(primes)[big:split]):
+        x = 2 * i + 1
+        begin = (-lo) % x
+        out[begin::x] = ones[: len(range(begin, hi - lo, x))]
 
 
 class SieveSet:
@@ -393,8 +460,10 @@ class SieveSet:
         reaching at least as far as that of the census to hi - 1, the
         default, about (hi - 1) // 2; its primes in [lo, hi) past the mask
         are sieved here.  Its primes above isqrt(hi - 1) are stored first,
-        by cofactor; each prime at or below it, and the one of ``np:p``,
-        then sieves its anchored set over the cofactor window.
+        by cofactor and then by prime; each prime at or below it, and the
+        one of ``np:p``, then sieves its anchored set over the cofactor
+        window, cleared from the segment's own cells.  The scratch beyond
+        the window's width is checked against ``MAX_SIEVE_SCRATCH`` first.
         """
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
@@ -402,8 +471,9 @@ class SieveSet:
             raise ValueError(f"{self.name} takes no prime mask")
         if self.kind == "all":
             return bytearray(b"\x01") * (hi - lo)
+        scratch = _scratch(math.isqrt(hi) // 2 + 1, lo, hi)
+        zeros = memoryview(bytes(max((hi - lo) // 2 + 1, scratch)))
         out = bytearray(hi - lo)
-        zeros = memoryview(bytes(max(hi - lo, math.isqrt(hi)) // 2 + 1))
         if self.kind == "np":
             small = [self.param]
         else:
@@ -413,7 +483,7 @@ class SieveSet:
             # for 3 | a, every admissible prime is 2 mod 3: 3 itself is not,
             # and a prime p = 1 mod 3 has 3 | gcd(a, p - 1)
             step = 3 if self.param % 3 == 0 else 1
-            cofactors = range(1, hi)
+            own, c0 = bytearray(), 0
             if len(primes) < hi // 2:
                 need = self._mask_limit(hi - 1)
                 if len(primes) < _odd_cells(need):
@@ -423,25 +493,21 @@ class SieveSet:
                 base = list(_odd_primes(math.isqrt(4 * len(primes) + 3)))
                 c0 = max(big, lo // 2)
                 own = _admissible_cells(self.param, c0, hi // 2, base, zeros)
-                _store_large_primes(out, own, c0, lo, hi, step, range(1, 2))
-                cofactors = range(2, hi)
-            _store_large_primes(out, primes, 0, lo, hi, step, cofactors)
+            _store_large_primes(out, lo, hi, step, primes, own, c0)
             small = (2 * i + 1 if i else 2 for i in compress(range(big), primes))
+        # the first prime to write fills a zeroed segment; each later one
+        # clears its window from the cells already there, an OR
         plain = 1 not in out
         for p in small:
             mlo = max(1, (lo + p - 1) // p)
             mhi = (hi + p - 1) // p
             if mlo >= mhi:
                 continue
-            good = bytearray(b"\x01") * (mhi - mlo)
-            _mark_np_window(good, p, mlo, mhi, zeros)
             start = mlo * p - lo
-            if plain:
-                out[start::p] = good
-                plain = False
-            else:
-                merged = int.from_bytes(out[start::p], "little") | int.from_bytes(good, "little")
-                out[start::p] = merged.to_bytes(len(good), "little")
+            good = bytearray(b"\x01") * (mhi - mlo)
+            _mark_np_window(good, p, mlo, mhi, zeros, None if plain else out[start::p])
+            out[start::p] = good
+            plain = False
         return out
 
 

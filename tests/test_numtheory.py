@@ -8,6 +8,8 @@ small enough to brute-force.
 import functools
 import math
 import random
+import re
+import time
 import tracemalloc
 from itertools import compress
 
@@ -528,6 +530,78 @@ def test_segment_bits_matches_pointwise_on_tiny_segments(name):
                 assert got == {n for n in range(lo, hi) if sp_contains(n, ss.param)}, (lo, hi)
 
 
+# The primes above the cut are stored by cofactor above X0 = 4 * cut and by
+# prime in (cut, X0]; sp:6 and sp:15 copy every third cell (step 3).
+SPLIT_SETS = ("sp:6", "sp:15", "sp:4", "sp:1")
+
+
+def split_primes(a, x0):
+    """The last prime at or below x0 and the first above it, and the same for
+    the primes admissible for a."""
+    below = (q for q in range(x0, 1, -1) if is_prime(q))
+    above = (q for q in range(x0 + 1, 2 * x0 + 2) if is_prime(q))
+    return {
+        next(below),
+        next(above),
+        next(q for q in range(x0, 1, -1) if is_prime(q) and pp_contains(q, a)),
+        next(q for q in range(x0 + 1, 2 * x0 + 2) if is_prime(q) and pp_contains(q, a)),
+    }
+
+
+@pytest.mark.parametrize("name", SPLIT_SETS)
+def test_segment_bits_at_the_split_between_cofactor_and_prime_stores(name):
+    # each window is wider than the primes on either side of its X0, so it
+    # holds multiples of each, whose largest prime factor is that prime
+    ss = parse_set_name(name)
+    for hi in (10**4 + 1, 2 * 10**6):
+        x0 = 4 * math.isqrt(hi - 1)
+        qs = split_primes(ss.param, x0)
+        lo = hi - max(qs) - 50
+        assert all(any(n % q == 0 for n in range(lo, hi)) for q in qs)
+        want = {n for n in range(lo, hi) if sp_contains(n, ss.param)}
+        assert members(ss.segment_bits(lo, hi), lo) == want, (name, hi)
+
+
+@pytest.mark.parametrize("name", SPLIT_SETS)
+def test_density_series_at_the_split_between_cofactor_and_prime_stores(name):
+    # segments of 999 move X0 with every segment end; the default segment
+    # is one window with X0 = 4 * isqrt(limit)
+    limit = 20_000
+    cps = [4 * math.isqrt(limit) + 1, 999, limit]
+    ss = parse_set_name(name)
+    counts = [0] * len(cps)
+    for n in range(1, limit + 1):
+        if sp_contains(n, ss.param):
+            for j, c in enumerate(cps):
+                counts[j] += n <= c
+    for segment_size in (999, _STORE_RUN):
+        got = density_series(name, cps, segment_size=segment_size)
+        assert [cp.count for cp in got.checkpoints] == counts, segment_size
+
+
+@pytest.mark.parametrize("a,qs", [(6, (5, 11, 17)), (1, (3, 5, 7)), (4, (3, 7, 11))])
+def test_small_prime_windows_merge_with_the_segment(a, qs):
+    # Each small prime clears its window from the segment's cells, so a
+    # member through an earlier prime, or through a prime above the cut,
+    # stays a member where a later prime's window clears it.  The cells
+    # checked have two or three of qs as factors dividing them once; a
+    # window cleared to 0 would lose every witness counted here.
+    ss = SieveSet("sp", a)
+    witnesses = 0
+    for lo in (1001, 10**5, 10**6 - 3000):
+        hi = lo + 3000
+        bits = ss.segment_bits(lo, hi)
+        cut = math.isqrt(hi - 1)
+        for n in range(lo, hi):
+            once = [q for q in qs if n % q == 0 and n % (q * q)]
+            if len(once) < 2:
+                continue
+            assert bits[n - lo] == sp_contains(n, a), n
+            small = [q for q in range(2, cut + 1) if n % q == 0 and is_prime(q) and pp_contains(q, a)]
+            witnesses += sp_contains(n, a) and not np_contains(n, small[-1])
+    assert witnesses >= 10, witnesses
+
+
 def test_only_sp_sets_keep_a_prime_mask():
     for ss in (SieveSet("np", 3), SieveSet("np", 2003), SieveSet("all")):
         with pytest.raises(ValueError):
@@ -547,6 +621,29 @@ def test_sieve_memory_budget():
         SieveSet("sp", 6).segment_bits(2**40, 2**40 + 10)
     with pytest.raises(ResourceBudgetError):
         density_series("sp:6", [2**40])
+
+
+def test_narrow_windows_high_up_are_refused_before_allocating():
+    # A window needs about isqrt(hi) / 2 bytes of zeros whatever its width,
+    # and a prime's divisor walk up to isqrt(p * mhi): at P * P both are
+    # about a GB, so the window is refused with no allocation first.
+    P = 2**31 - 1
+    lo, hi = P * P - 500, P * P + 500
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceBudgetError, match=re.escape(f"[{lo}, {hi})")):
+            SieveSet("np", P).segment_bits(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+        elapsed = time.perf_counter() - start
+        # the walk of 3 at 3e14 alone: isqrt(3e14) bytes of primitive divisors
+        with pytest.raises(ResourceBudgetError, match=re.escape("[300000000000000, 300000000000030)")):
+            _mark_np_window(bytearray(b"\x01") * 10, 3, 10**14, 10**14 + 10, memoryview(bytes(10)))
+        walk_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5, elapsed
+    assert max(peak, walk_peak) < 64 * 1024, (peak, walk_peak)
 
 
 def test_sp_reach_is_twice_the_prime_budget(monkeypatch):
