@@ -276,8 +276,9 @@ def _run_verify(args: SimpleNamespace) -> CommandOutput:
 
 # --- command table, parser and dispatch ---
 
-# An option is (name, kind, required, help), kind being str, int, a tuple of the allowed values
-# or bool for a flag.  In the namespace an option not given reads None, a flag not given False.
+# An option is (name, kind, required, help), kind being str, int (every integer option is a
+# positive count), a tuple of the allowed values or bool for a flag.  In the namespace an
+# option not given reads None, a flag not given False.
 _CSV = ("--csv", str, False, "write the primary table here instead of stdout")
 _MANIFEST = ("--manifest", str, False, "write a key,value record of the run")
 _SET = ("--set", str, True, "all, np:<p> or sp:<a>")
@@ -376,6 +377,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
                 value = int(value)
             except ValueError:
                 raise ValueError(f"{name} wants an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value}")
         elif isinstance(kind, tuple) and value not in kind:
             raise ValueError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
         values[name] = value

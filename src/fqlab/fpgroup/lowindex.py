@@ -250,14 +250,21 @@ def low_index_normal_subgroups(
         would die in ``propagate`` before becoming a node, so dropping it
         here leaves the tree, and every count but popped branches, as it
         was.  A new coset has no L entries: the grow branch always stays.
+
+        The scan starts at row a: (a, c) is the first hole, so every row
+        b < a is complete and its set T[b][c^1] drops it anyway.  When
+        T[x a][c] is set, every b with x b known clashes, so that letter
+        keeps the b with x b unknown without reading T.
         """
         c1 = c ^ 1
-        live = [b for b in range(n) if table[b][c1] is None]
+        live = [b for b in range(a, n) if table[b][c1] is None]
         for row in lrows:
             g = row[a]
             if g is not None:
-                gc = table[g][c]
-                live = [b for b in live if row[b] is None or gc is None and table[row[b]][c1] is None]
+                if table[g][c] is None:
+                    live = [b for b in live if row[b] is None or table[row[b]][c1] is None]
+                else:
+                    live = [b for b in live if row[b] is None]
         return live
 
     def first_hole(start: int) -> tuple[int, int] | None:

@@ -73,23 +73,30 @@ per integer, and must agree with the pointwise tests bit for bit.
   ``s = out[start :: p]``, and clears its window from ``s``: a cleared
   cell takes s's value at that cell.  The window then holds the OR of s
   and the prime's anchored set, since an uncleared cell is 1 = 1 | s and
-  a cleared one is s = 0 | s, and one plain store puts it back.  The one
-  prime of ``np:p`` sieves the same way, above the cut too: there every
-  cofactor is below p, and the window clears none.  A window
+  a cleared one is s = 0 | s, and one plain store puts it back.  A window
   clears every multiple k*d, k >= 2, of each d = 1 (mod p), d > 1.  It
   walks only the primitive d, those with no divisor f = 1 (mod p) with
   1 < f < d, and only the cofactors k that have no divisor f = 1
   (mod p), f > 1: every cell the others would clear is a multiple
   k'*f, k' >= 2, of a walked f, already cleared.  A small sieve, no
   longer than the walk, finds both as the walk ascends.
+* **``np:p`` is counted over its cofactors.**  Every member is p*m, so
+  ``_np_window`` sieves the one prime's cofactor window alone, on a
+  buffer of ones, above the cut too: there every cofactor is below p,
+  and the window clears none.  ``density_series`` counts that buffer
+  directly, a run of cofactors per segment, so it walks, builds and
+  counts 1/p of the integers; ``segment_bits`` stores the same window
+  into every p-th cell of a zeroed integer segment.
 
-Counts are censused in segments of one store run, so every buffer a
-segment builds (the segment, its cofactor-1 primes, and each small
-prime's cofactor window and copy of its cells) is at most a run, and
-the segment boundaries cannot change any count.  What a window needs
-beyond its width, the shared zeros and a prime's divisor sieve, grows
-with isqrt(hi); ``MAX_SIEVE_SCRATCH`` bounds it, so a narrow window high
-up is refused before anything is allocated.  A piece of a segment is
+Counts are censused in segments of one store run, of integers or, for
+``np:p``, of cofactors, so every buffer a segment builds (the segment,
+its cofactor-1 primes, and each small prime's cofactor window and copy
+of its cells) is at most a run, and the segment boundaries cannot
+change any count.  What a window needs beyond its width, the shared
+zeros and a prime's divisor sieve, grows with isqrt(hi), for the
+integer window [lo, hi) that it covers, [p*mlo, p*mhi) for the
+cofactors [mlo, mhi); ``MAX_SIEVE_SCRATCH`` bounds it, so a narrow window
+high up is refused before anything is allocated.  A piece of a segment is
 counted with Adler-32: its low 16 bits are 1 + the byte sum mod 65,521
 (RFC 1950), so on 0/1 bytes a chunk of at most 65,519 bytes reads its
 exact count, with no branch per byte and no segment-sized integer.
@@ -117,9 +124,9 @@ from .pointwise import (  # noqa: F401
 )
 
 # Cells that one pass of strided stores covers, in a segment or in the
-# prime mask, and the integers of one density_series segment.  A 1 MB
-# run fits a 2 MB L2 cache; across 4 MB, byte stores 256 apart cost
-# about four times as much.
+# prime mask, and the integers, or np: cofactors, of one density_series
+# segment.  A 1 MB run fits a 2 MB L2 cache; across 4 MB, byte stores
+# 256 apart cost about four times as much.
 _STORE_RUN = 1 << 20
 
 # Bytes per Adler-32 count: 1 + 65,519 is the largest sum below the
@@ -343,6 +350,25 @@ def _mark_np_window(
         _clear(good, k * dmin - mlo, k * p, zeros, source)
 
 
+def _np_window(p: int, lo: int, hi: int) -> bytearray:
+    """The cofactor cells of ``np:p`` in the integer window [lo, hi), lo >= 1.
+
+    Cell m - mlo, for m in [mlo, mhi) = [ceil(lo/p), ceil(hi/p)), is 1
+    when p*m is a member.  This is the one ``np:`` sieve: a buffer of ones
+    that ``_mark_np_window`` clears.  Its zeros, checked against
+    ``MAX_SIEVE_SCRATCH`` under the name of [lo, hi) before anything is
+    allocated, are the larger of half the window's cofactors and
+    isqrt(hi) / 2.
+    """
+    mlo, mhi = -(-lo // p), -(-hi // p)
+    scratch = _scratch(math.isqrt(hi) // 2 + 1, lo, hi)
+    zeros = memoryview(bytes(max((mhi - mlo) // 2 + 1, scratch)))
+    good = bytearray(b"\x01") * (mhi - mlo)
+    if good:
+        _mark_np_window(good, p, mlo, mhi, zeros)
+    return good
+
+
 def _store_large_primes(
     out: bytearray, lo: int, hi: int, step: int, primes: bytearray, own: bytearray, c0: int
 ) -> None:
@@ -460,10 +486,12 @@ class SieveSet:
         reaching at least as far as that of the census to hi - 1, the
         default, about (hi - 1) // 2; its primes in [lo, hi) past the mask
         are sieved here.  Its primes above isqrt(hi - 1) are stored first,
-        by cofactor and then by prime; each prime at or below it, and the
-        one of ``np:p``, then sieves its anchored set over the cofactor
-        window, cleared from the segment's own cells.  The scratch beyond
-        the window's width is checked against ``MAX_SIEVE_SCRATCH`` first.
+        by cofactor and then by prime; each prime at or below it then
+        sieves its anchored set over the cofactor window, cleared from the
+        segment's own cells.  ``np:p`` stores its one cofactor window,
+        ``_np_window``, into the multiples of p of a zeroed segment.  The
+        scratch beyond the window's width is checked against
+        ``MAX_SIEVE_SCRATCH`` first.
         """
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
@@ -471,34 +499,35 @@ class SieveSet:
             raise ValueError(f"{self.name} takes no prime mask")
         if self.kind == "all":
             return bytearray(b"\x01") * (hi - lo)
-        scratch = _scratch(math.isqrt(hi) // 2 + 1, lo, hi)
-        zeros = memoryview(bytes(max((hi - lo) // 2 + 1, scratch)))
         out = bytearray(hi - lo)
         if self.kind == "np":
-            small = [self.param]
-        else:
-            if primes is None:
-                primes = self.admissible_primes(self._mask_limit(hi - 1))
-            big = (math.isqrt(hi - 1) + 1) // 2
-            # for 3 | a, every admissible prime is 2 mod 3: 3 itself is not,
-            # and a prime p = 1 mod 3 has 3 | gcd(a, p - 1)
-            step = 3 if self.param % 3 == 0 else 1
-            own, c0 = bytearray(), 0
-            if len(primes) < hi // 2:
-                need = self._mask_limit(hi - 1)
-                if len(primes) < _odd_cells(need):
-                    raise ValueError(f"the prime mask must reach {need}")
-                # A mask of C cells serves segments with hi - 1 <= 4C + 3, so
-                # every segment of a census asks for the same base primes.
-                base = list(_odd_primes(math.isqrt(4 * len(primes) + 3)))
-                c0 = max(big, lo // 2)
-                own = _admissible_cells(self.param, c0, hi // 2, base, zeros)
-            _store_large_primes(out, lo, hi, step, primes, own, c0)
-            small = (2 * i + 1 if i else 2 for i in compress(range(big), primes))
+            p = self.param
+            start = (-lo) % p
+            out[start::p] = _np_window(p, lo, hi)
+            return out
+        scratch = _scratch(math.isqrt(hi) // 2 + 1, lo, hi)
+        zeros = memoryview(bytes(max((hi - lo) // 2 + 1, scratch)))
+        if primes is None:
+            primes = self.admissible_primes(self._mask_limit(hi - 1))
+        big = (math.isqrt(hi - 1) + 1) // 2
+        # for 3 | a, every admissible prime is 2 mod 3: 3 itself is not,
+        # and a prime p = 1 mod 3 has 3 | gcd(a, p - 1)
+        step = 3 if self.param % 3 == 0 else 1
+        own, c0 = bytearray(), 0
+        if len(primes) < hi // 2:
+            need = self._mask_limit(hi - 1)
+            if len(primes) < _odd_cells(need):
+                raise ValueError(f"the prime mask must reach {need}")
+            # A mask of C cells serves segments with hi - 1 <= 4C + 3, so
+            # every segment of a census asks for the same base primes.
+            base = list(_odd_primes(math.isqrt(4 * len(primes) + 3)))
+            c0 = max(big, lo // 2)
+            own = _admissible_cells(self.param, c0, hi // 2, base, zeros)
+        _store_large_primes(out, lo, hi, step, primes, own, c0)
         # the first prime to write fills a zeroed segment; each later one
         # clears its window from the cells already there, an OR
         plain = 1 not in out
-        for p in small:
+        for p in (2 * i + 1 if i else 2 for i in compress(range(big), primes)):
             mlo = max(1, (lo + p - 1) // p)
             mhi = (hi + p - 1) // p
             if mlo >= mhi:
@@ -544,6 +573,11 @@ def density_series(
     Segments are censused independently and merged in ascending order, so
     the result is identical for any segment size.  Each segment is
     counted once, in pieces split at the checkpoints inside it.
+
+    An ``np:p`` set is counted over its cofactors: every member is p*m,
+    so a segment is a run of cofactors m, ``segment_size`` of them, each
+    cell 1 when p*m is a member, and checkpoint c is read at cofactor
+    c // p, 0 below p.  The other sets' segments are runs of integers.
     """
     ss = parse_set_name(set_name)
     if not checkpoints:
@@ -553,19 +587,23 @@ def density_series(
         raise ValueError("checkpoints must be ascending positive integers")
     if segment_size < 2:
         raise ValueError("segment_size must be >= 2")
-    limit = cps[-1]
-    primes = ss.admissible_primes(ss._mask_limit(limit)) if ss.kind == "sp" else None
+    primes = ss.admissible_primes(ss._mask_limit(cps[-1])) if ss.kind == "sp" else None
+    p = ss.param if ss.kind == "np" else 1
+    ends = [c // p for c in cps]
 
     running = 0
-    at: dict[int, int] = {}
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        bits = memoryview(ss.segment_bits(lo, hi, primes))
+    at = {0: 0}
+    for lo in range(1, ends[-1] + 1, segment_size):
+        hi = min(lo + segment_size, ends[-1] + 1)
+        if ss.kind == "np":
+            bits = memoryview(_np_window(p, p * lo, p * hi))
+        else:
+            bits = memoryview(ss.segment_bits(lo, hi, primes))
         start = 0
-        for stop in [c - lo + 1 for c in cps if lo <= c < hi] + [hi - lo]:
+        for stop in [e - lo + 1 for e in ends if lo <= e < hi] + [hi - lo]:
             running += _count_ones(bits[start:stop])
             at[lo + stop - 1] = running
             start = stop
 
-    out = tuple(Checkpoint(c, at[c], ratio_string(at[c], c)) for c in cps)
+    out = tuple(Checkpoint(c, at[e], ratio_string(at[e], c)) for c, e in zip(cps, ends))
     return DensitySeries(ss.name, out)

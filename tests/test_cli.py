@@ -468,6 +468,25 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_nonpositive_integer_options_are_named(capsys, tmp_path):
+    # the message names the option given, not a library parameter such as
+    # the checkpoints that sieve passes on or the search's limit
+    path = pres_file(tmp_path, MOD_PRES)
+    cases = [
+        (["sieve", "--set", "np:3", "--limit", "0"], "--limit", "0"),
+        (["sieve", "--set", "sp:6", "--limit=-5"], "--limit", "-5"),
+        (["fq", "--presentation", path, "--max-index", "0"], "--max-index", "0"),
+        (["oq", "--presentation", path, "--max-index", "0"], "--max-index", "0"),
+        (["smooth", "--orders", "3,2", "--max-index", "0"], "--max-index", "0"),
+        (["census", "--max-index", "0"], "--max-index", "0"),
+    ]
+    for argv, name, value in cases:
+        rc = dispatch(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, ""), argv
+        assert err == f"fqlab: error: {name} must be a positive integer, got {value}\n", argv
+
+
 def test_option_grammar(capsys, tmp_path):
     # --name=value reads as --name value, flags take no value, and of an
     # option given twice the last one counts

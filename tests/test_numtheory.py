@@ -779,6 +779,71 @@ def test_np_count_working_set_is_a_few_store_runs():
     assert peak <= 3 * _STORE_RUN, peak
 
 
+def cofactor_checkpoints(p, cofactors):
+    """Limits around p*m for each m: every residue mod p when p is small."""
+    offsets = range(-p, p + 1) if p < 100 else (-p, 1 - p, -1, 0, 1, p - 1)
+    return sorted({m * p + d for m in cofactors for d in offsets if m * p + d >= 1})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 1000003])
+def test_np_count_over_cofactors_matches_pointwise(p):
+    # a count reads checkpoint c at cofactor c // p, so the checkpoints
+    # step through every residue around multiples of p, at segment edges
+    # of 999 cofactors and at the end
+    top = 2100
+    cps = cofactor_checkpoints(p, (1, 2, 3, 998, 999, 1000, 1001, 1998, 1999, top))
+    assert any(a // p == b // p for a, b in zip(cps, cps[1:]))
+    member = [m % p != 0 and np_contains(p * m, p) for m in range(top + 2)]
+    want = [sum(member[1 : c // p + 1]) for c in cps]
+    for segment_size in (2, 3, 999, _STORE_RUN):
+        got = density_series(f"np:{p}", cps, segment_size=segment_size)
+        assert [cp.count for cp in got.checkpoints] == want, segment_size
+        assert [cp.ratio for cp in got.checkpoints] == [ratio_string(w, c) for w, c in zip(want, cps)]
+
+
+def test_np_count_below_its_prime_is_zero():
+    for p, cps in ((7, [1, 5, 6]), (1000003, [1, 2, 999_999, 1_000_002])):
+        for segment_size in (2, _STORE_RUN):
+            got = density_series(f"np:{p}", cps, segment_size=segment_size)
+            assert [cp.count for cp in got.checkpoints] == [0] * len(cps), (p, segment_size)
+
+
+@pytest.mark.parametrize(
+    "p,limit,segment_size,calls",
+    [(3, 6 * 10**6, _STORE_RUN, 2), (5, 10**6, 999, 201), (1000003, 5 * 10**6, 2, 2), (7, 6, 2, 0)],
+)
+def test_np_count_sieves_one_cofactor_window_per_segment(monkeypatch, p, limit, segment_size, calls):
+    # one walk per run of segment_size cofactors, and no integer segment
+    assert -(-(limit // p) // segment_size) == calls
+    windows = []
+    mark = numtheory._mark_np_window
+
+    def record(good, *args):
+        windows.append(len(good))
+        return mark(good, *args)
+
+    def refuse(*args):
+        raise AssertionError("an np: count built an integer segment")
+
+    monkeypatch.setattr(numtheory, "_mark_np_window", record)
+    monkeypatch.setattr(SieveSet, "segment_bits", refuse)
+    density_series(f"np:{p}", [limit], segment_size=segment_size)
+    assert len(windows) == calls and sum(windows) == limit // p
+
+
+def test_np_count_working_set_is_a_few_cofactor_runs():
+    # one run of cofactors, half a run of zeros and the small divisor sieve
+    tracemalloc.start()
+    try:
+        got = density_series("np:3", [8 * 10**6]).checkpoints[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _STORE_RUN, peak
+    # the integer segment that segment_bits stores the same cells into
+    assert got.count == sum(SieveSet("np", 3).segment_bits(1, 8 * 10**6 + 1))
+
+
 def test_ratio_string():
     assert ratio_string(1, 2) == "0.500000"
     assert ratio_string(1, 3) == "0.333333"
