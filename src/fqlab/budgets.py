@@ -10,9 +10,9 @@ import os
 
 MAX_PRIME_SIEVE = 1 << 30       # the sp: prime mask covers numbers below this: 512 MiB of odd cells;
                                 # an sp: census keeps the half below its limit, so reaches 2**31
-MAX_SIEVE_SCRATCH = 1 << 22     # bytes a sieve window [lo, hi) takes beyond its width:
-                                # isqrt(hi) / 2 of zeros, up to isqrt(hi) for a small prime's
-                                # divisor walk; so narrow windows reach about 10**13
+MAX_SIEVE_SCRATCH = 1 << 22     # bytes of a prime's divisor sieve, the one buffer a sieve window
+                                # ending at hi takes beyond its width: up to isqrt(hi) for a
+                                # small prime, so its narrow windows reach about 1.7 * 10**13
 ELEMENT_CAP = 100_000           # exhaustive closure cap
 NORMAL_SUBGROUP_CAP = 2_000     # group order cap for normal-subgroup listing
 SEARCH_NODES = 5_000_000        # low-index backtracking budget

@@ -101,10 +101,11 @@ def low_index_normal_subgroups(
     found: list[CosetTable] = []
 
     def set_entry(a: int, c: int, b: int) -> bool:
-        """Record coset a going to b under column c; False on clash."""
-        cur = table[a][c]
-        if cur is not None:
-            return cur == b
+        """Record coset a going to b under column c; False on clash.
+
+        The entry must be open: every caller has just read table[a][c]
+        as None.  Only the inverse entry, table[b][c ^ 1], can clash.
+        """
         back = table[b][c ^ 1]
         if back is not None and back != a:
             return False

@@ -67,19 +67,18 @@ per integer, and must agree with the pointwise tests bit for bit.
   skip cannot change a cell.
 * **Primes at or below the cut** each sieve their anchored set over the
   cofactor window m in [mlo, mhi) (``_mark_np_window``), on a buffer of
-  ones with one cell per multiple p*m of the segment.  The first prime
-  to write a zeroed segment clears its window to 0 and stores it.  Each
-  later one first reads the segment's cells at its multiples,
-  ``s = out[start :: p]``, and clears its window from ``s``: a cleared
-  cell takes s's value at that cell.  The window then holds the OR of s
-  and the prime's anchored set, since an uncleared cell is 1 = 1 | s and
-  a cleared one is s = 0 | s, and one plain store puts it back.  A window
-  clears every multiple k*d, k >= 2, of each d = 1 (mod p), d > 1.  It
-  walks only the primitive d, those with no divisor f = 1 (mod p) with
-  1 < f < d, and only the cofactors k that have no divisor f = 1
-  (mod p), f > 1: every cell the others would clear is a multiple
-  k'*f, k' >= 2, of a walked f, already cleared.  A small sieve, no
-  longer than the walk, finds both as the walk ascends.
+  ones with one cell per multiple p*m of the segment.  Each prime first
+  reads the segment's cells at its multiples, ``s = out[start :: p]``,
+  and clears its window from ``s``: a cleared cell takes s's value at
+  that cell.  The window then holds the OR of s and the prime's anchored
+  set, since an uncleared cell is 1 = 1 | s and a cleared one is
+  s = 0 | s, and one plain store puts it back.  A window clears every
+  multiple k*d, k >= 2, of each d = 1 (mod p), d > 1.  It walks only the
+  primitive d, those with no divisor f = 1 (mod p) with 1 < f < d, and
+  only the cofactors k that have no divisor f = 1 (mod p), f > 1: every
+  cell the others would clear is a multiple k'*f, k' >= 2, of a walked
+  f, already cleared.  A small sieve, no longer than the walk, finds
+  both as the walk ascends.
 * **``np:p`` is counted over its cofactors.**  Every member is p*m, so
   ``_np_window`` sieves the one prime's cofactor window alone, on a
   buffer of ones, above the cut too: there every cofactor is below p,
@@ -90,13 +89,15 @@ per integer, and must agree with the pointwise tests bit for bit.
 
 Counts are censused in segments of one store run, of integers or, for
 ``np:p``, of cofactors, so every buffer a segment builds (the segment,
-its cofactor-1 primes, and each small prime's cofactor window and copy
-of its cells) is at most a run, and the segment boundaries cannot
-change any count.  What a window needs beyond its width, the shared
-zeros and a prime's divisor sieve, grows with isqrt(hi), for the
-integer window [lo, hi) that it covers, [p*mlo, p*mhi) for the
-cofactors [mlo, mhi); ``MAX_SIEVE_SCRATCH`` bounds it, so a narrow window
-high up is refused before anything is allocated.  A piece of a segment is
+its cofactor-1 primes, each small prime's cofactor window and copy of
+its cells, and the zeros that each clear makes for its one store) is at
+most a run, and the segment boundaries cannot change any count.  The one
+buffer that does not follow a window's width is a prime's small sieve of
+primitive divisors, min(isqrt(p*mhi), mhi/2) bytes for the cofactors
+[mlo, mhi), so about isqrt(hi) for a small prime's window ending at hi;
+``_mark_np_window`` checks it against ``MAX_SIEVE_SCRATCH`` before
+allocating it, so a narrow window high up is refused under the name of
+its integer span [p*mlo, p*mhi).  A piece of a segment is
 counted with Adler-32: its low 16 bits are 1 + the byte sum mod 65,521
 (RFC 1950), so on 0/1 bytes a chunk of at most 65,519 bytes reads its
 exact count, with no branch per byte and no segment-sized integer.
@@ -211,7 +212,7 @@ def _odd_prime_divisors(a: int, base: list[int], top: int) -> tuple[list[int], i
     return found, rest
 
 
-def _admissible_cells(a: int, c0: int, c1: int, base: list[int], zeros: memoryview) -> bytearray:
+def _admissible_cells(a: int, c0: int, c1: int, base: list[int]) -> bytearray:
     """Cells c0 <= i < c1 of the odd-only mask of the primes admissible for a.
 
     This is the one prime sieve.  Eratosthenes runs run by run, so each
@@ -220,8 +221,8 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int], zeros: memoryvi
     root = isqrt(2*c1 - 1) are appended to ``base``, each clearing the
     run from its square.  So either c0 is 0 and ``base`` empty, or c0
     lies past the cell of root and ``base`` lists the odd primes in order
-    from 3 up to at least root.  ``zeros`` is an all-zero buffer as long
-    as half a run, or as half the cells plus one.
+    from 3 up to at least root.  Each store makes its own zeros, at most
+    half a run.
     """
     mask = bytearray(b"\x01") * max(c1 - c0, 0)
     if not mask:
@@ -231,17 +232,17 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int], zeros: memoryvi
         end = min(run + _STORE_RUN, c1)
         for p in base:
             start = max(p * p // 2, run + (p * p // 2 - run) % p)
-            mask[start - c0 : end - c0 : p] = zeros[: len(range(start, end, p))]
+            mask[start - c0 : end - c0 : p] = bytes(len(range(start, end, p)))
         for i in range(max(run, 1), min(end, root)):
             if mask[i - c0]:
                 p = 2 * i + 1
                 base.append(p)
-                mask[p * p // 2 - c0 : end - c0 : p] = zeros[: len(range(p * p // 2, end, p))]
+                mask[p * p // 2 - c0 : end - c0 : p] = bytes(len(range(p * p // 2, end, p)))
     # For a prime p, gcd(a, p) = 1 means p does not divide a, and
     # gcd(a, p - 1) > 2 means an odd prime q | a has q | p - 1, or 4 | a
     # and 4 | p - 1.  Each listed q clears its own cell and the cells
-    # i >= q with q | i, and 4 | a the even cells from 2, run by run: a
-    # store copies its zeros first, so no copy is larger than a run.
+    # i >= q with q | i, and 4 | a the even cells from 2, run by run, so
+    # that no store's zeros are longer than half a run.
     found, rest = _odd_prime_divisors(a, base, 2 * c1 - 1)
     if c0 == 0 and a % 2 == 0:
         mask[0] = 0
@@ -253,7 +254,7 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int], zeros: memoryvi
         end = min(run + _STORE_RUN, c1)
         for q in steps:
             start = max(q, run + (-run) % q)
-            mask[start - c0 : end - c0 : q] = zeros[: len(range(start, end, q))]
+            mask[start - c0 : end - c0 : q] = bytes(len(range(start, end, q)))
     # the primes of a left in rest are tested cell by cell: p = 2i + 1
     # fails when p | rest or a prime of rest divides p - 1 = 2i, and rest
     # is odd, so one gcd with (2i + 1) * i tells
@@ -269,36 +270,22 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int], zeros: memoryvi
 def _odd_primes(limit: int) -> tuple[int, ...]:
     """The odd primes up to limit, in order; the last list is kept, since
     every segment of one census asks for the same base primes."""
-    mask = _admissible_cells(1, 0, _odd_cells(limit), [], memoryview(bytes(_STORE_RUN // 2)))
+    mask = _admissible_cells(1, 0, _odd_cells(limit), [])
     return tuple(compress(range(3, 2 * len(mask), 2), memoryview(mask)[1:]))
 
 
-def _clear(
-    buf: bytearray, start: int, step: int, zeros: memoryview, source: bytearray | None = None
-) -> None:
+def _clear(buf: bytearray, start: int, step: int, source: bytearray | None = None) -> None:
     """Set buf[start::step] to the same cells of ``source``, a buffer as long
-    as buf, or without one to 0 from ``zeros``, an all-zero buffer at least
-    that long."""
+    as buf, or without one to 0."""
     if start < len(buf):
         if source is None:
-            buf[start::step] = zeros[: (len(buf) - 1 - start) // step + 1]
+            buf[start::step] = bytes((len(buf) - 1 - start) // step + 1)
         else:
             buf[start::step] = source[start::step]
 
 
-def _scratch(size: int, lo: int, hi: int) -> int:
-    """size, the bytes a sieve of [lo, hi) allocates beyond the window's own,
-    checked against the budget before anything is allocated."""
-    if size > MAX_SIEVE_SCRATCH:
-        raise ResourceBudgetError(
-            f"sieving [{lo}, {hi}) needs {size} bytes of scratch,"
-            f" over the budget of {MAX_SIEVE_SCRATCH}"
-        )
-    return size
-
-
 def _mark_np_window(
-    good: bytearray, p: int, mlo: int, mhi: int, zeros: memoryview, source: bytearray | None = None
+    good: bytearray, p: int, mlo: int, mhi: int, source: bytearray | None = None
 ) -> None:
     """Clear, in the cofactor window m in [mlo, mhi), every m that fails.
 
@@ -314,40 +301,47 @@ def _mark_np_window(
     Only primitive d are walked, those with no divisor f = 1 mod p and
     1 < f < d, and only cofactors k with no divisor f = 1 mod p, f > 1:
     each cell a skipped d or k would clear is a multiple k'*f, k' >= 2,
-    of a walked f.  ``zeros`` is an all-zero buffer at least
-    (mhi - mlo) // 2 + 1 and isqrt(p*mhi) // 3 + 1 long.
+    of a walked f.
 
     A cleared cell takes 0, or with ``source``, a buffer as long as
     ``good``, that same cell of ``source``.  On a ``good`` of all ones
     that leaves good | source: a cell the walk passes by stays 1, and a
     cleared one is 0 | source.  Clearing one cell twice changes nothing,
     so the pruning above holds for either.  The small sieve of primitive
-    divisors, ``plain``, costs min(isqrt(p*mhi), mhi/2) bytes, checked
-    against ``MAX_SIEVE_SCRATCH`` first.
+    divisors, ``plain``, costs min(isqrt(p*mhi), mhi/2) bytes, whatever
+    the window's width: it is the only scratch that grows with the input,
+    and it is checked against ``MAX_SIEVE_SCRATCH`` before anything is
+    cleared, under the name of the integer span [p*mlo, p*mhi).  Each clear
+    makes its own zeros, at most half the buffer it clears, rounded up.
     """
-    _clear(good, ((mlo + p - 1) // p) * p - mlo, p, zeros, source)
+    split = max(math.isqrt(p * mhi), p)
+    top = min(split, (mhi - 1) // 2)
+    if top + 1 > MAX_SIEVE_SCRATCH:
+        raise ResourceBudgetError(
+            f"sieving [{p * mlo}, {p * mhi}) needs {top + 1} bytes of scratch,"
+            f" over the budget of {MAX_SIEVE_SCRATCH}"
+        )
+    _clear(good, ((mlo + p - 1) // p) * p - mlo, p, source)
     first = mlo + ((1 - mlo) % p)
     if first == 1:
         first += p
-    _clear(good, first - mlo, p, zeros, source)
-    split = max(math.isqrt(p * mhi), p)
-    top = min(split, (mhi - 1) // 2)
+    _clear(good, first - mlo, p, source)
     kmax = (mhi - 1) // (split + 1)
     # plain[x] drops to 0 once the walk reaches a divisor f > 1 of x with
     # f = 1 mod p.  A walked f marks only while that can matter: for a
     # cofactor k <= kmax, or for a later d = f*c with c = 1 mod p, so
     # d >= f*(p + 1).  kmax is at most split and at most (mhi - 1) // 2.
     marks = max(kmax, top // (p + 1))
-    plain = bytearray(b"\x01") * _scratch(top + 1, p * mlo, p * mhi)
+    plain = bytearray(b"\x01") * (top + 1)
     for d in range(p + 1, top + 1, p):
         if plain[d]:
             if d <= marks:
-                _clear(plain, d, d, zeros)
-            _clear(good, max(2 * d, ((mlo + d - 1) // d) * d) - mlo, d, zeros, source)
+                _clear(plain, d, d)
+            _clear(good, max(2 * d, ((mlo + d - 1) // d) * d) - mlo, d, source)
     for k in compress(range(2, kmax + 1), plain[2:]):
         dmin = max(split + 1, (mlo + k - 1) // k)
         dmin += (1 - dmin) % p
-        _clear(good, k * dmin - mlo, k * p, zeros, source)
+        _clear(good, k * dmin - mlo, k * p, source)
 
 
 def _np_window(p: int, lo: int, hi: int) -> bytearray:
@@ -355,17 +349,14 @@ def _np_window(p: int, lo: int, hi: int) -> bytearray:
 
     Cell m - mlo, for m in [mlo, mhi) = [ceil(lo/p), ceil(hi/p)), is 1
     when p*m is a member.  This is the one ``np:`` sieve: a buffer of ones
-    that ``_mark_np_window`` clears.  Its zeros, checked against
-    ``MAX_SIEVE_SCRATCH`` under the name of [lo, hi) before anything is
-    allocated, are the larger of half the window's cofactors and
-    isqrt(hi) / 2.
+    that ``_mark_np_window`` clears.  Its one buffer beyond the window's
+    width, the divisor sieve, is checked there against
+    ``MAX_SIEVE_SCRATCH``, under the name of [p*mlo, p*mhi), not [lo, hi).
     """
     mlo, mhi = -(-lo // p), -(-hi // p)
-    scratch = _scratch(math.isqrt(hi) // 2 + 1, lo, hi)
-    zeros = memoryview(bytes(max((mhi - mlo) // 2 + 1, scratch)))
     good = bytearray(b"\x01") * (mhi - mlo)
     if good:
-        _mark_np_window(good, p, mlo, mhi, zeros)
+        _mark_np_window(good, p, mlo, mhi)
     return good
 
 
@@ -467,8 +458,7 @@ class SieveSet:
         them, cell 0 when 2 is.  Other sets keep no mask."""
         if self.kind != "sp":
             raise ValueError(f"{self.name} keeps no prime mask")
-        zeros = memoryview(bytes(_STORE_RUN // 2))
-        return _admissible_cells(self.param, 0, _odd_cells(limit), [], zeros)
+        return _admissible_cells(self.param, 0, _odd_cells(limit), [])
 
     def _mask_limit(self, limit: int) -> int:
         """How far the prime mask of an ``sp:`` census to limit reaches: the
@@ -489,9 +479,9 @@ class SieveSet:
         by cofactor and then by prime; each prime at or below it then
         sieves its anchored set over the cofactor window, cleared from the
         segment's own cells.  ``np:p`` stores its one cofactor window,
-        ``_np_window``, into the multiples of p of a zeroed segment.  The
-        scratch beyond the window's width is checked against
-        ``MAX_SIEVE_SCRATCH`` first.
+        ``_np_window``, into the multiples of p of a zeroed segment.  Each
+        prime's divisor sieve is checked against ``MAX_SIEVE_SCRATCH``
+        before it is allocated (``_mark_np_window``).
         """
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
@@ -505,8 +495,6 @@ class SieveSet:
             start = (-lo) % p
             out[start::p] = _np_window(p, lo, hi)
             return out
-        scratch = _scratch(math.isqrt(hi) // 2 + 1, lo, hi)
-        zeros = memoryview(bytes(max((hi - lo) // 2 + 1, scratch)))
         if primes is None:
             primes = self.admissible_primes(self._mask_limit(hi - 1))
         big = (math.isqrt(hi - 1) + 1) // 2
@@ -522,11 +510,9 @@ class SieveSet:
             # every segment of a census asks for the same base primes.
             base = list(_odd_primes(math.isqrt(4 * len(primes) + 3)))
             c0 = max(big, lo // 2)
-            own = _admissible_cells(self.param, c0, hi // 2, base, zeros)
+            own = _admissible_cells(self.param, c0, hi // 2, base)
         _store_large_primes(out, lo, hi, step, primes, own, c0)
-        # the first prime to write fills a zeroed segment; each later one
-        # clears its window from the cells already there, an OR
-        plain = 1 not in out
+        # each prime clears its window from the cells already there, an OR
         for p in (2 * i + 1 if i else 2 for i in compress(range(big), primes)):
             mlo = max(1, (lo + p - 1) // p)
             mhi = (hi + p - 1) // p
@@ -534,9 +520,8 @@ class SieveSet:
                 continue
             start = mlo * p - lo
             good = bytearray(b"\x01") * (mhi - mlo)
-            _mark_np_window(good, p, mlo, mhi, zeros, None if plain else out[start::p])
+            _mark_np_window(good, p, mlo, mhi, out[start::p])
             out[start::p] = good
-            plain = False
         return out
 
 

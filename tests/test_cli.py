@@ -543,6 +543,13 @@ def test_readme_lists_every_subcommand():
     assert len(documented) == 9
 
 
+def test_density_of_a_large_prime_high_up(capsys):
+    # every cofactor below p = 100000007 is a member, and the divisor sieve
+    # of the last run of cofactors stays under the scratch budget
+    rc, out = run(capsys, ["density", "--set", "np:100000007", "--checkpoints", "200000000000000"])
+    assert (rc, out) == (0, "limit,count,density\n200000000000000,1999999,0.000000\n")
+
+
 def test_composite_past_the_trial_budget_is_not_prime(capsys):
     # p = 2**60: 2 settles it before the trial-division budget applies
     rc = dispatch(["density", "--set", "np:1152921504606846976", "--checkpoints", "10"])
@@ -556,6 +563,18 @@ def test_budget_exhaustion_exits_3(capsys, monkeypatch):
     rc, out = run(capsys, ["census", "--max-index", "48"])
     assert rc == 3
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "value,why",
+    [("abc", "an integer, got 'abc'"), ("0", "positive, got 0"), ("-3", "positive, got -3")],
+)
+def test_malformed_budget_variable_exits_2(capsys, monkeypatch, tmp_path, value, why):
+    monkeypatch.setenv("FQLAB_BUDGET", value)
+    path = pres_file(tmp_path, MOD_PRES)
+    assert dispatch(["fq", "--presentation", path, "--max-index", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"fqlab: error: FQLAB_BUDGET must be {why}\n")
 
 
 def test_budget_message_says_how_far_the_search_got(capsys, monkeypatch, tmp_path):

@@ -466,8 +466,7 @@ def unpruned_window(p, mlo, mhi):
 
 def pruned_window(p, mlo, mhi):
     good = bytearray(b"\x01") * (mhi - mlo)
-    zeros = memoryview(bytes((mhi - mlo) // 2 + math.isqrt(p * mhi) // 3 + 2))
-    _mark_np_window(good, p, mlo, mhi, zeros)
+    _mark_np_window(good, p, mlo, mhi)
     return good
 
 
@@ -624,26 +623,41 @@ def test_sieve_memory_budget():
 
 
 def test_narrow_windows_high_up_are_refused_before_allocating():
-    # A window needs about isqrt(hi) / 2 bytes of zeros whatever its width,
-    # and a prime's divisor walk up to isqrt(p * mhi): at P * P both are
-    # about a GB, so the window is refused with no allocation first.
+    # A prime's divisor walk needs min(isqrt(p * mhi), mhi / 2) bytes
+    # whatever the window's width: for P's cofactors [P, P + 1) that is
+    # about a GB, so the window is refused with no allocation first, under
+    # the name of their integer span [P * P, P * P + P).
     P = 2**31 - 1
     lo, hi = P * P - 500, P * P + 500
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(ResourceBudgetError, match=re.escape(f"[{lo}, {hi})")):
+        with pytest.raises(ResourceBudgetError, match=re.escape(f"[{P * P}, {P * P + P})")):
             SieveSet("np", P).segment_bits(lo, hi)
         peak = tracemalloc.get_traced_memory()[1]
         elapsed = time.perf_counter() - start
         # the walk of 3 at 3e14 alone: isqrt(3e14) bytes of primitive divisors
         with pytest.raises(ResourceBudgetError, match=re.escape("[300000000000000, 300000000000030)")):
-            _mark_np_window(bytearray(b"\x01") * 10, 3, 10**14, 10**14 + 10, memoryview(bytes(10)))
+            _mark_np_window(bytearray(b"\x01") * 10, 3, 10**14, 10**14 + 10)
         walk_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert elapsed < 0.5, elapsed
     assert max(peak, walk_peak) < 64 * 1024, (peak, walk_peak)
+
+
+def test_large_prime_windows_high_up_need_no_scratch_beyond_the_budget():
+    # a prime above isqrt(hi) walks no divisor past half its cofactors, so
+    # its windows near 10**14 sieve under the budget however narrow
+    p = 100000007
+    lo = p * 10**6 - 1000
+    start = time.perf_counter()
+    bits = SieveSet("np", p).segment_bits(lo, lo + 2000)
+    elapsed = time.perf_counter() - start
+    assert members(bits, lo) == {p * 10**6} and np_contains(p * 10**6, p)
+    assert elapsed < 0.5, elapsed
+    # below p every cofactor is a member
+    assert density_series(f"np:{p}", [2 * 10**14]).checkpoints[0].count == 2 * 10**14 // p == 1999999
 
 
 def test_sp_reach_is_twice_the_prime_budget(monkeypatch):
@@ -702,8 +716,8 @@ def windows_sieved_for_cofactor_one(monkeypatch, name, limit, segments):
     windows = []
     sieve = numtheory._admissible_cells
 
-    def record(a, c0, c1, base, zeros):
-        cells = sieve(a, c0, c1, base, zeros)
+    def record(a, c0, c1, base):
+        cells = sieve(a, c0, c1, base)
         if c0:  # from cell 0 the base primes are sieved
             windows.append((c0, bytes(cells)))
         return cells
@@ -832,7 +846,8 @@ def test_np_count_sieves_one_cofactor_window_per_segment(monkeypatch, p, limit, 
 
 
 def test_np_count_working_set_is_a_few_cofactor_runs():
-    # one run of cofactors, half a run of zeros and the small divisor sieve
+    # one run of cofactors, the zeros of one clear, at most half a run,
+    # and the small divisor sieve
     tracemalloc.start()
     try:
         got = density_series("np:3", [8 * 10**6]).checkpoints[0]

@@ -58,6 +58,9 @@ def test_free_product_presentation():
     p = free_product_of_cyclics([3, 2])
     assert p.generator_names == ("a", "b")
     assert p.relators == ((1, 1, 1), (2, 2))
+    # past the alphabet the names are numbered
+    assert free_product_of_cyclics((2,) * 26).generator_names[-1] == "z"
+    assert free_product_of_cyclics((2,) * 27).generator_names == tuple(f"x{i}" for i in range(1, 28))
     with pytest.raises(ValueError):
         free_product_of_cyclics([3, 1])
     with pytest.raises(ValueError):
