@@ -8,8 +8,9 @@ fixed instead.
 
 import os
 
-MAX_PRIME_SIEVE = 1 << 30       # the sp: prime mask covers numbers below this: 512 MiB of odd cells;
-                                # an sp: census keeps the half below its limit, so reaches 2**31
+MAX_PRIME_SIEVE = 1 << 30       # the sp: prime mask covers numbers below this, one cell per number of
+                                # its class: 512 MiB of odd cells, a third of that for 3 | a; an
+                                # sp: census keeps the half below its limit, so reaches 2**31
 MAX_SIEVE_SCRATCH = 1 << 22     # bytes of a prime's divisor sieve, the one buffer a sieve window
                                 # ending at hi takes beyond its width: up to isqrt(hi) for a
                                 # small prime, so its narrow windows reach about 1.7 * 10**13

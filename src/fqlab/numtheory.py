@@ -19,52 +19,53 @@ nothing else, compiles no sieve; this module re-exports it.
 The sieves mark whole ranges at once on bytearrays, one byte of 0 or 1
 per integer, and must agree with the pointwise tests bit for bit.
 
-* **Admissible primes** are one odd-only mask: cell i stands for 2i + 1,
-  except cell 0, which stands for 2.  For ``sp:a`` one routine,
-  ``_admissible_cells``, builds the cells of any range: Eratosthenes
-  with strided slice stores, one cache-sized run of cells at a time.
-  The odd primes q | a are found by dividing a by the base primes, those
-  up to the root of the range's top, until the cofactor is 1 or below
-  q*q; a cofactor left above that is a product of larger primes, and
-  each cell left is tested against it with one gcd.  Each such q clears
-  its own cell, and an odd q also clears every cell i > 0 with q | i,
-  because 2i + 1 = 1 (mod q) exactly when q | i.  When 4 | a the even
-  cells go too, because 2i + 1 = 1 (mod 4) exactly when i is even.
+* **Admissible primes** are one mask over one residue class: cell j
+  stands for w*j + w - 1, where w = 2 * (3 if 3 | a) * (2 if 4 | a), so
+  w is 2, 4, 6 or 12; with w = 2, cell 0 stands for 2, as 1 is not
+  prime.  The class holds every odd admissible prime: 3 | a forces
+  p = 2 (mod 3), since 3 | p - 1 would put 3 in gcd(a, p - 1), and 4 | a
+  forces p = 3 (mod 4) in the same way.  2 is admissible exactly when a
+  is odd, and the small primes take it beside the mask.  For ``sp:a``
+  one routine, ``_admissible_cells``, builds the cells of any range:
+  Eratosthenes with strided slice stores, one cache-sized run of cells
+  at a time, in which each prime q not dividing w clears one progression
+  of step q.  The odd primes q | a are found by dividing a by the base
+  primes, those up to the root of the range's top, until the cofactor is
+  1 or below q*q; a cofactor left above that is a product of larger
+  primes, and each cell left is tested against it with one gcd.  Each
+  such q not dividing w clears its own cell and the cells of the numbers
+  x = 1 (mod q), x > 1, again one progression of step q.
 * **A census keeps the ``sp:`` mask below half its limit.**  A prime
   above limit/2 has no multiple m*x <= limit with m >= 2, so only the
   cofactor 1 reads it.  ``density_series`` keeps
   ``admissible_primes(limit // 2)``, and a segment reaching past that
   mask sieves its own primes for cofactor 1, the cells of [lo, hi)
   above the cut, with the same routine and base primes up to
-  isqrt(limit) found once.  ``MAX_PRIME_SIEVE`` bounds the kept half,
-  so ``sp:`` sets reach 2**31.
+  isqrt(limit) found once.  ``MAX_PRIME_SIEVE`` bounds the numbers the
+  kept half covers, so ``sp:`` sets reach 2**31.
 * **Primes above cut = isqrt(hi - 1)** have every multiple below hi in
   their anchored sets, and n < hi has at most one prime factor above the
   cut.  They go first, into the zeroed segment [lo, hi), in two orders
   (``_store_large_primes``), split at X0 = 4*cut.  Above X0 they go by
-  cofactor m ascending: one strided store
-  ``out[m*x - lo :: 2m] = mask[cells of x]`` covers every odd x > X0 in
-  range, prime or not.  Then each admissible prime x in (cut, X0] stores
-  ones into all its multiples, ``out[first :: x]``.  Plain stores, not
-  ORs, are safe.  Let a prime x* > cut divide n.  If a writer m of cell n
-  had the factor x*, both m and n/m would exceed cut and
-  n >= (cut + 1)**2 > hi - 1; so every cofactor writer has n/m = k*x*
-  with k >= 1, hence m <= n/x*.  When x* > X0, the last cofactor write
-  to n comes from n/x* and carries x*'s own cell, which is n's
-  membership through x*; and no store by prime reaches n, since such a
-  store of x writes only multiples of x, and x | n with cut < x <= X0
-  would make x = x*.  When x* <= X0, every cofactor write to n carries
-  the cell of some k*x* > X0 with k >= 2, composite, so a 0; the store
-  of x* by prime comes after them all and writes the 1, if x* is
-  admissible.  A cell with no prime factor above the cut is written only
-  from composite cells, zeros.  The argument reads only the order of the
-  stores and that each store copies true cells, so it holds when the
-  cofactor-1 cells are the segment's own: that store still comes first,
-  and the kept mask's stores follow from m = 2.
-  For ``sp:a`` with 3 | a every admissible prime is 2 mod 3, so the
-  cofactor stores take every third cell, ``mask[c :: 3]`` into
-  ``out[... :: 6m]``; ``_store_large_primes`` shows why the writes they
-  skip cannot change a cell.
+  cofactor m ascending: one store ``out[m*x - lo :: w*m] = mask[cells of
+  x]`` covers every x > X0 of the class in range, prime or not.  Then
+  each admissible prime x in (cut, X0] stores ones into all its
+  multiples, ``out[first :: x]``.  Plain stores, not ORs, are safe.  Let
+  a prime x* > cut divide n.  If a writer m of cell n had the factor x*,
+  both m and n/m would exceed cut and n >= (cut + 1)**2 > hi - 1; so
+  every cofactor writer has n/m = k*x* with k >= 1, hence m <= n/x*.
+  When x* > X0 lies in the class, the last cofactor write to n comes
+  from n/x* and carries x*'s own cell, which is n's membership through
+  x*; and no store by prime reaches n, since such a store of x writes
+  only multiples of x, and x | n with cut < x <= X0 would make x = x*.
+  Otherwise every cofactor write to n carries the cell of a composite
+  k*x* or of a number outside the class, never admissible, so a 0; if
+  x* <= X0, its store by prime comes after them all and writes the 1,
+  if x* is admissible.  A cell with no prime factor above the cut is
+  written only from composite cells, zeros.  The argument reads only the
+  order of the stores and that each store copies true cells, so it holds
+  when the cofactor-1 cells are the segment's own: that store still
+  comes first, and the kept mask's stores follow from m = 2.
 * **Primes at or below the cut** each sieve their anchored set over the
   cofactor window m in [mlo, mhi) (``_mark_np_window``), on a buffer of
   ones with one cell per multiple p*m of the segment.  Each prime first
@@ -176,12 +177,18 @@ def ratio_string(count: int, limit: int) -> str:
     return f"{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
-def _odd_cells(limit: int) -> int:
-    """Cells of an odd-only mask of the numbers up to limit, under the
-    prime-sieve memory budget: cell i stands for 2i + 1, cell 0 for 2."""
+def _wheel(a: int) -> int:
+    """The modulus w of the class that the mask of ``sp:a`` keeps."""
+    return 2 * (3 if a % 3 == 0 else 1) * (2 if a % 4 == 0 else 1)
+
+
+def _cells(limit: int, w: int) -> int:
+    """Cells of a class-w mask of the numbers up to limit, under the
+    prime-sieve memory budget: cell j stands for w*j + w - 1, cell 0 of
+    w = 2 for 2."""
     if limit + 1 > MAX_PRIME_SIEVE:
         raise ResourceBudgetError(f"prime sieve to {limit} exceeds the memory budget")
-    return (limit + 1) // 2 if limit >= 2 else 0
+    return (limit + 1) // w if limit >= 2 else 0
 
 
 def _odd_prime_divisors(a: int, base: list[int], top: int) -> tuple[list[int], int]:
@@ -213,26 +220,29 @@ def _odd_prime_divisors(a: int, base: list[int], top: int) -> tuple[list[int], i
 
 
 def _admissible_cells(a: int, c0: int, c1: int, base: list[int]) -> bytearray:
-    """Cells c0 <= i < c1 of the odd-only mask of the primes admissible for a.
+    """Cells c0 <= j < c1 of the class-w mask of the primes admissible for a.
 
     This is the one prime sieve.  Eratosthenes runs run by run, so each
-    run is cleared while in cache: the primes of ``base`` clear it first,
-    each from its square on, then its own odd primes up to
-    root = isqrt(2*c1 - 1) are appended to ``base``, each clearing the
-    run from its square.  So either c0 is 0 and ``base`` empty, or c0
-    lies past the cell of root and ``base`` lists the odd primes in order
-    from 3 up to at least root.  Each store makes its own zeros, at most
-    half a run.
+    run is cleared while in cache.  Each prime q of ``base`` not dividing
+    w clears the class multiples q*k, k >= q: q*q = 1 (mod w), so k = -q
+    (mod w), one progression of step q in j.  Either ``base`` lists the
+    odd primes in order from 3 up to at least isqrt(w*c1 - 1), or w is 2,
+    c0 is 0 and ``base`` empty: then its own odd primes up to that root
+    are appended to ``base``, each clearing the run from its square.  Each
+    store makes its own zeros, at most half a run.
     """
+    w = _wheel(a)
     mask = bytearray(b"\x01") * max(c1 - c0, 0)
     if not mask:
         return mask
-    root = (math.isqrt(2 * c1 - 1) + 1) // 2
+    root = (math.isqrt(w * c1 - 1) + 1) // 2 if w == 2 else 0
     for run in range(c0, c1, _STORE_RUN):
         end = min(run + _STORE_RUN, c1)
-        for p in base:
-            start = max(p * p // 2, run + (p * p // 2 - run) % p)
-            mask[start - c0 : end - c0 : p] = bytes(len(range(start, end, p)))
+        for q in base:
+            if w % q:
+                s = q * (q + (-2 * q) % w) // w
+                start = max(s, run + (s - run) % q)
+                mask[start - c0 : end - c0 : q] = bytes(len(range(start, end, q)))
         for i in range(max(run, 1), min(end, root)):
             if mask[i - c0]:
                 p = 2 * i + 1
@@ -240,29 +250,32 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int]) -> bytearray:
                 mask[p * p // 2 - c0 : end - c0 : p] = bytes(len(range(p * p // 2, end, p)))
     # For a prime p, gcd(a, p) = 1 means p does not divide a, and
     # gcd(a, p - 1) > 2 means an odd prime q | a has q | p - 1, or 4 | a
-    # and 4 | p - 1.  Each listed q clears its own cell and the cells
-    # i >= q with q | i, and 4 | a the even cells from 2, run by run, so
+    # and 4 | p - 1; the class already leaves out the primes that 3 | a
+    # and 4 | a rule out.  Each other q clears its own cell and, run by
+    # run, the cells of x = 1 + q*t with t >= 1 and t = -2q (mod w), so
     # that no store's zeros are longer than half a run.
-    found, rest = _odd_prime_divisors(a, base, 2 * c1 - 1)
-    if c0 == 0 and a % 2 == 0:
+    found, rest = _odd_prime_divisors(a, base, w * c1 - 1)
+    if w == 2 and c0 == 0 and a % 2 == 0:
         mask[0] = 0
+    steps = []
     for q in found:
-        if c0 <= q // 2 < c1:
-            mask[q // 2 - c0] = 0
-    steps = found + [2] * (a % 4 == 0)
+        if w % q:
+            if (q + 1) % w == 0 and c0 <= q // w < c1:
+                mask[q // w - c0] = 0
+            steps.append(((1 + q * ((-2 * q) % w or w)) // w, q))
     for run in range(c0, c1, _STORE_RUN):
         end = min(run + _STORE_RUN, c1)
-        for q in steps:
-            start = max(q, run + (-run) % q)
+        for s, q in steps:
+            start = max(s, run + (s - run) % q)
             mask[start - c0 : end - c0 : q] = bytes(len(range(start, end, q)))
-    # the primes of a left in rest are tested cell by cell: p = 2i + 1
-    # fails when p | rest or a prime of rest divides p - 1 = 2i, and rest
-    # is odd, so one gcd with (2i + 1) * i tells
+    # the primes of a left in rest are tested cell by cell: p fails when
+    # p | rest or a prime of rest divides p - 1, so one gcd tells
     if rest > 1:
-        cells = range(max(c0, 1), c1)
-        for i in compress(cells, memoryview(mask)[cells.start - c0 :]):
-            if math.gcd(rest, (2 * i + 1) * i) > 1:
-                mask[i - c0] = 0
+        cells = range(max(c0, 1 if w == 2 else 0), c1)
+        for j in compress(cells, memoryview(mask)[cells.start - c0 :]):
+            p = w * j + w - 1
+            if math.gcd(rest, p * (p - 1)) > 1:
+                mask[j - c0] = 0
     return mask
 
 
@@ -270,8 +283,15 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int]) -> bytearray:
 def _odd_primes(limit: int) -> tuple[int, ...]:
     """The odd primes up to limit, in order; the last list is kept, since
     every segment of one census asks for the same base primes."""
-    mask = _admissible_cells(1, 0, _odd_cells(limit), [])
+    mask = _admissible_cells(1, 0, _cells(limit, 2), [])
     return tuple(compress(range(3, 2 * len(mask), 2), memoryview(mask)[1:]))
+
+
+def _base_primes(w: int, cells: int) -> list[int]:
+    """The base primes of a class-w mask of that many cells: it ends below
+    2w(cells + 1), and serves segments that end there too, so every
+    segment of a census asks for the same list."""
+    return list(_odd_primes(math.isqrt(2 * w * (cells + 1))))
 
 
 def _clear(buf: bytearray, start: int, step: int, source: bytearray | None = None) -> None:
@@ -361,67 +381,53 @@ def _np_window(p: int, lo: int, hi: int) -> bytearray:
 
 
 def _store_large_primes(
-    out: bytearray, lo: int, hi: int, step: int, primes: bytearray, own: bytearray, c0: int
+    out: bytearray, lo: int, hi: int, w: int, primes: bytearray, own: bytearray, c0: int
 ) -> None:
     """Write, for n in [lo, hi), the membership through the admissible primes
     above cut = isqrt(hi - 1), in two orders.
 
-    ``primes`` is the kept mask from cell 0.  ``own`` is empty, or the
-    segment's own cells from c0 on, which then stand in for the mask with
-    the cofactor 1.  Every prime x above the cut has each of its multiples
-    below hi in its anchored set.
+    ``primes`` is the kept class-w mask from cell 0.  ``own`` is empty, or
+    the segment's own cells from c0 on, which then stand in for the mask
+    with the cofactor 1.  Every prime x above the cut has each of its
+    multiples below hi in its anchored set.
 
     First, by cofactor m ascending, the cells of x above X0 = 4*cut: one
-    store copies the mask cells of the odd x > X0 with m*x in [lo, hi),
-    prime or not, to every 2m-th cell of out.  Then, prime by prime, each
+    store copies the mask cells of the x > X0 with m*x in [lo, hi), prime
+    or not, to every w*m-th cell of out.  Then, prime by prime, each
     admissible x in (cut, X0] stores ones into all its multiples in
     [lo, hi).  The module docstring shows why the last store to a cell is
-    the right one.  Above X0 a store per cofactor copies fewer cells than a
-    store per prime would; below it the primes are fewer than the
-    cofactors, of which they spare those above hi/X0.  X0 stops short at
-    the end of ``primes``, which in a census happens only for hi <= 54.
-
-    ``step`` is 3 when every prime the mask may list is 2 mod 3.  Their
-    cells (x - 1)/2 are then 2 mod 3 too, and each cofactor store copies
-    every third cell, from the class of the first, to every 6m-th cell of
-    out.  Skipping the other cells is safe: each holds a 0, so a skipped
-    write stores a 0 into some n.  Let x* be the prime above the cut that
-    divides n.  If x* > X0 and x*'s cell is stored, the store from the
-    cofactor n/x* comes after every skipped write to n, whose cofactors
-    are smaller, and writes n's membership, as at step 1.  Otherwise
-    x*'s cell is 0 or below X0, as is every cell above X0 of a multiple of
-    x*, so every cofactor write to n is a 0, and n's membership is left
-    to the store of x* by prime.  With no such x*, every x above the cut
-    dividing n is composite, and again every write is a 0.  ``step`` 1
-    copies every cell.
+    the right one, and why the numbers outside the class, whose writes
+    would all be zeros, need none.  Above X0 a store per cofactor copies
+    fewer cells than a store per prime would; below it the primes are
+    fewer than the cofactors, of which they spare those above hi/X0.  X0
+    stops short at the end of ``primes``, which in a census happens only
+    for hi <= 54.
     """
     cut = math.isqrt(hi - 1)
-    big = (cut + 1) // 2
-    split = max(big, min(2 * cut, len(primes)))
+    big = (cut + 1) // w
+    split = max(big, min((4 * cut + 1) // w, len(primes)))
     sources = [(primes, 0, range(1, hi))]
     if own:
         sources = [(own, c0, range(1, 2)), (primes, 0, range(2, hi))]
     for mask, c0, cofactors in sources:
         start = max(split, c0)
-        top = min(c0 + len(mask), hi // 2)
+        top = min(c0 + len(mask), hi // w)
         first = mask.find(1, start - c0, top - c0) if start < top else -1
         if first < 0:
             continue
         last = mask.rfind(1, first, top - c0) + c0
         first += c0
-        m0 = max(cofactors.start, -(-lo // (2 * last + 1)))
-        for m in range(m0, min(cofactors.stop, (hi - 1) // (2 * first + 1) + 1)):
-            i0 = max(first, -(-lo // m) // 2)
-            i0 += (first - i0) % step
-            i1 = min(last + 1, -(-hi // m) // 2)
+        m0 = max(cofactors.start, -(-lo // (w * last + w - 1)))
+        for m in range(m0, min(cofactors.stop, (hi - 1) // (w * first + w - 1) + 1)):
+            i0 = max(first, -(-lo // m) // w)
+            i1 = min(last + 1, -(-hi // m) // w)
             if i0 < i1:
-                begin = m * (2 * i0 + 1) - lo
-                stride = 2 * m * step
-                cells = mask[i0 - c0 : i1 - c0 : step]
-                out[begin : begin + stride * (len(cells) - 1) + 1 : stride] = cells
-    ones = memoryview(b"\x01" * ((hi - lo - 1) // (2 * big + 1) + 1))
+                begin = m * (w * i0 + w - 1) - lo
+                stride = w * m
+                out[begin : begin + stride * (i1 - i0 - 1) + 1 : stride] = mask[i0 - c0 : i1 - c0]
+    ones = memoryview(b"\x01" * ((hi - lo - 1) // (w * big + w - 1) + 1))
     for i in compress(range(big, split), memoryview(primes)[big:split]):
-        x = 2 * i + 1
+        x = w * i + w - 1
         begin = (-lo) % x
         out[begin::x] = ones[: len(range(begin, hi - lo, x))]
 
@@ -454,34 +460,38 @@ class SieveSet:
 
     def admissible_primes(self, limit: int) -> bytearray:
         """The primes up to limit that are admissible for an ``sp:`` set's
-        modulus, as an odd-only mask: cell i is 1 when 2i + 1 is one of
-        them, cell 0 when 2 is.  Other sets keep no mask."""
+        modulus a, as a mask of one class: cell j is 1 when w*j + w - 1 is
+        one of them, with w = 2, 4, 6 or 12 (module docstring).  With
+        w = 2, cell 0 is 1 when 2 is; otherwise 2 has no cell, and is
+        admissible exactly when a is odd.  Other sets keep no mask."""
         if self.kind != "sp":
             raise ValueError(f"{self.name} keeps no prime mask")
-        return _admissible_cells(self.param, 0, _odd_cells(limit), [])
+        w = _wheel(self.param)
+        cells = _cells(limit, w)
+        return _admissible_cells(self.param, 0, cells, [] if w == 2 else _base_primes(w, cells))
 
     def _mask_limit(self, limit: int) -> int:
         """How far the prime mask of an ``sp:`` census to limit reaches: the
-        primes up to limit // 2, the only ones read with a cofactor m >= 2,
-        and 2, which the small primes always read; each segment sieves the
-        rest for cofactor 1."""
+        primes up to limit // 2, the only ones read with a cofactor m >= 2;
+        each segment sieves the rest for cofactor 1."""
         if self.kind != "sp":
             raise ValueError(f"{self.name} keeps no prime mask")
-        return max(limit // 2, min(limit, 2))
+        return limit // 2
 
     def segment_bits(self, lo: int, hi: int, primes: bytearray | None = None) -> bytearray:
         """Membership bytes, 0 or 1, for n in [lo, hi); lo >= 1.
 
         Only ``sp:a`` takes ``primes``, a mask from ``admissible_primes``
         reaching at least as far as that of the census to hi - 1, the
-        default, about (hi - 1) // 2; its primes in [lo, hi) past the mask
-        are sieved here.  Its primes above isqrt(hi - 1) are stored first,
-        by cofactor and then by prime; each prime at or below it then
-        sieves its anchored set over the cofactor window, cleared from the
-        segment's own cells.  ``np:p`` stores its one cofactor window,
-        ``_np_window``, into the multiples of p of a zeroed segment.  Each
-        prime's divisor sieve is checked against ``MAX_SIEVE_SCRATCH``
-        before it is allocated (``_mark_np_window``).
+        default, (hi - 1) // 2; its cells in [lo, hi) past the mask are
+        sieved here, in the same class.  Its primes above isqrt(hi - 1) are
+        stored first, by cofactor and then by prime; each prime at or below
+        it, 2 among them for odd a, then sieves its anchored set over the
+        cofactor window, cleared from the segment's own cells.  ``np:p``
+        stores its one cofactor window, ``_np_window``, into the multiples
+        of p of a zeroed segment.  Each prime's divisor sieve is checked
+        against ``MAX_SIEVE_SCRATCH`` before it is allocated
+        (``_mark_np_window``).
         """
         if lo < 1 or hi <= lo:
             raise ValueError("need 1 <= lo < hi")
@@ -497,23 +507,22 @@ class SieveSet:
             return out
         if primes is None:
             primes = self.admissible_primes(self._mask_limit(hi - 1))
-        big = (math.isqrt(hi - 1) + 1) // 2
-        # for 3 | a, every admissible prime is 2 mod 3: 3 itself is not,
-        # and a prime p = 1 mod 3 has 3 | gcd(a, p - 1)
-        step = 3 if self.param % 3 == 0 else 1
+        w = _wheel(self.param)
+        big = (math.isqrt(hi - 1) + 1) // w
         own, c0 = bytearray(), 0
-        if len(primes) < hi // 2:
+        if len(primes) < hi // w:
             need = self._mask_limit(hi - 1)
-            if len(primes) < _odd_cells(need):
+            if len(primes) < _cells(need, w):
                 raise ValueError(f"the prime mask must reach {need}")
-            # A mask of C cells serves segments with hi - 1 <= 4C + 3, so
-            # every segment of a census asks for the same base primes.
-            base = list(_odd_primes(math.isqrt(4 * len(primes) + 3)))
-            c0 = max(big, lo // 2)
-            own = _admissible_cells(self.param, c0, hi // 2, base)
-        _store_large_primes(out, lo, hi, step, primes, own, c0)
-        # each prime clears its window from the cells already there, an OR
-        for p in (2 * i + 1 if i else 2 for i in compress(range(big), primes)):
+            c0 = max(big, lo // w)
+            own = _admissible_cells(self.param, c0, hi // w, _base_primes(w, len(primes)))
+        _store_large_primes(out, lo, hi, w, primes, own, c0)
+        # each prime clears its window from the cells already there, an OR;
+        # 2 is admissible exactly when a is odd, so cell 0 of w = 2, which
+        # stands for 2, is skipped
+        skip = 1 if w == 2 else 0
+        small = [w * i + w - 1 for i in compress(range(skip, big), memoryview(primes)[skip:])]
+        for p in [2] * (self.param % 2) + small:
             mlo = max(1, (lo + p - 1) // p)
             mhi = (hi + p - 1) // p
             if mlo >= mhi:

@@ -64,9 +64,27 @@ def oracle_primes(limit):
     return [n for n in range(limit + 1) if oracle_is_prime(n)]
 
 
-def mask_primes(mask):
-    """The primes an odd-only mask lists: cell i stands for 2i + 1, cell 0 for 2."""
-    return [2 * i + 1 if i else 2 for i, bit in enumerate(mask) if bit]
+def wheel(a):
+    """The modulus w of the class that the mask of sp:a keeps."""
+    return 2 * (3 if a % 3 == 0 else 1) * (2 if a % 4 == 0 else 1)
+
+
+def cell_number(w, j):
+    """The number that cell j of a class-w mask stands for: w*j + w - 1, or
+    2 for cell 0 of w = 2."""
+    return w * j + w - 1 if j or w > 2 else 2
+
+
+def mask_primes(mask, a=1):
+    """The primes that the mask of sp:a lists."""
+    w = wheel(a)
+    return [cell_number(w, j) for j, bit in enumerate(mask) if bit]
+
+
+def class_cells(mask, w):
+    """The cells of an odd-only mask, cell i for 2i + 1 and cell 0 for 2, at
+    the numbers of a class-w mask, in its layout."""
+    return mask[w // 2 - 1 :: w // 2]
 
 
 def members(bits, lo):
@@ -117,15 +135,14 @@ def test_prime_mask_matches_unblocked_sieve_across_runs():
 
 
 def test_admissible_prime_mask_across_runs():
-    # the cells of primes q | a and of the primes that 4 | a rules out are
-    # cleared run by run too
-    limit = 4 * _STORE_RUN + 5
-    primes = unblocked_prime_mask(limit)
+    # the cells of primes q | a are cleared run by run too; each mask holds
+    # two runs of cells and a few more, whatever its class
     for a in (6, 12, 35):
-        want = bytearray(primes)
-        for i in range(len(want)):
-            if want[i] and not pp_contains(2 * i + 1 if i else 2, a):
-                want[i] = 0
+        w = wheel(a)
+        limit = w * 2 * _STORE_RUN + 5
+        want = class_cells(unblocked_prime_mask(limit), w)
+        for j in compress(range(len(want)), want[:]):
+            want[j] = pp_contains(cell_number(w, j), a)
         assert SieveSet("sp", a).admissible_primes(limit) == want, a
 
 
@@ -155,7 +172,11 @@ def test_admissible_primes_match_pointwise_filter():
         for a in (*range(1, 401), *LARGE_MODULI):
             got = SieveSet("sp", a).admissible_primes(limit)
             assert type(got) is bytearray, (a, limit)
-            assert mask_primes(got) == [p for p in primes if pp_contains(p, a)], (a, limit)
+            # every odd admissible prime lies in the class; 2 has a cell
+            # only when w = 2, and is admissible exactly when a is odd
+            want = [p for p in primes if pp_contains(p, a) and (p > 2 or wheel(a) == 2)]
+            assert mask_primes(got, a) == want, (a, limit)
+            assert pp_contains(2, a) == (a % 2 == 1), a
 
 
 def test_is_prime_matches_oracle():
@@ -498,14 +519,16 @@ def test_count_ones_is_exact_at_the_adler_chunk_edges(length):
     assert _count_ones(memoryview(buf)) == buf.count(1)
 
 
-SP_THREE_STEP = ("sp:3", "sp:6", "sp:12", "sp:15")
+# One or two sets of each mask layout: w = 2 (sp:1, sp:10), w = 4 (sp:4,
+# sp:20), w = 6 with even a (sp:6) and with odd a, where 2 sits beside the
+# mask (sp:3, sp:15), and w = 12 (sp:12, sp:24).
+SP_LAYOUTS = ("sp:1", "sp:10", "sp:4", "sp:20", "sp:6", "sp:3", "sp:15", "sp:12", "sp:24")
 
 
-@pytest.mark.parametrize("name", SP_THREE_STEP)
+@pytest.mark.parametrize("name", SP_LAYOUTS)
 def test_segment_bits_matches_pointwise_across_store_runs_and_segments(name):
-    # for 3 | a the large primes are stored every third mask cell; a 1 MB
-    # store run starts at lo + _STORE_RUN, inside the checked window, and
-    # the joined segments meet at the same point
+    # one segment wider than a store run, from lo past the checked window,
+    # and two segments that meet inside the window at lo + _STORE_RUN
     ss = parse_set_name(name)
     lo = 2_000_001
     mid = lo + _STORE_RUN
@@ -518,7 +541,7 @@ def test_segment_bits_matches_pointwise_across_store_runs_and_segments(name):
     assert members(joined, window.start) == want
 
 
-@pytest.mark.parametrize("name", SP_THREE_STEP)
+@pytest.mark.parametrize("name", SP_LAYOUTS)
 def test_segment_bits_matches_pointwise_on_tiny_segments(name):
     # with hi <= 9 the cut is at most 2, so 3 and its cell lie above it
     ss = parse_set_name(name)
@@ -530,8 +553,7 @@ def test_segment_bits_matches_pointwise_on_tiny_segments(name):
 
 
 # The primes above the cut are stored by cofactor above X0 = 4 * cut and by
-# prime in (cut, X0]; sp:6 and sp:15 copy every third cell (step 3).
-SPLIT_SETS = ("sp:6", "sp:15", "sp:4", "sp:1")
+# prime in (cut, X0], from a mask of each layout.
 
 
 def split_primes(a, x0):
@@ -547,7 +569,7 @@ def split_primes(a, x0):
     }
 
 
-@pytest.mark.parametrize("name", SPLIT_SETS)
+@pytest.mark.parametrize("name", SP_LAYOUTS)
 def test_segment_bits_at_the_split_between_cofactor_and_prime_stores(name):
     # each window is wider than the primes on either side of its X0, so it
     # holds multiples of each, whose largest prime factor is that prime
@@ -561,7 +583,7 @@ def test_segment_bits_at_the_split_between_cofactor_and_prime_stores(name):
         assert members(ss.segment_bits(lo, hi), lo) == want, (name, hi)
 
 
-@pytest.mark.parametrize("name", SPLIT_SETS)
+@pytest.mark.parametrize("name", SP_LAYOUTS)
 def test_density_series_at_the_split_between_cofactor_and_prime_stores(name):
     # segments of 999 move X0 with every segment end; the default segment
     # is one window with X0 = 4 * isqrt(limit)
@@ -680,13 +702,17 @@ def test_segment_bits_needs_an_sp_mask_reaching_half_the_segment():
     ss = SieveSet("sp", 6)
     want = {n for n in range(900, 1001) if sp_contains(n, 6)}
     assert members(ss.segment_bits(900, 1001, ss.admissible_primes(500)), 900) == want
+    # the mask keeps the numbers 5 mod 6: the one to 498 holds the same
+    # cells, up to 497, and the one to 496 ends a cell short, at 491
+    assert ss.admissible_primes(498) == ss.admissible_primes(500)
     with pytest.raises(ValueError):
-        ss.segment_bits(900, 1001, ss.admissible_primes(498))
+        ss.segment_bits(900, 1001, ss.admissible_primes(496))
 
 
 def test_sieve_working_set_is_bounded(monkeypatch):
-    # the kept sp: mask is a byte per odd number up to limit / 2, L/4 bytes
-    # in all; every other buffer lives one segment, of one store run
+    # the kept sp:6 mask is a byte per number 5 mod 6 up to limit / 2,
+    # L/12 bytes in all; every other buffer lives one segment, of one store
+    # run
     limit = 4 * 10**6
     masks, segments = [], []
 
@@ -706,8 +732,8 @@ def test_sieve_working_set_is_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= limit // 4 + 5 * 2**20, peak
-    assert masks == [limit // 4]
+    assert peak <= limit // 12 + 5 * 2**20, peak
+    assert masks == [(limit // 2 + 1) // 6]
     assert len(segments) == -(-limit // _STORE_RUN) and max(segments) == _STORE_RUN
 
 
@@ -732,24 +758,26 @@ def windows_sieved_for_cofactor_one(monkeypatch, name, limit, segments):
 
 @pytest.mark.parametrize("a", [1, 4, 6, 12, 2 * 999983, 999983 * 1000003])
 def test_primes_sieved_per_segment_match_the_full_mask(monkeypatch, a):
-    # The third density segment of one run is the first past the kept
-    # mask, and its window starts at the cell _STORE_RUN; a segment of two
-    # runs and more sieves a window whose own run loop crosses a boundary.
+    # A census to limit = 2w runs keeps the mask of the class-w cells below
+    # w runs, so the (w + 1)-th density segment of one run is the first past
+    # it, and its window starts at the cell _STORE_RUN; a segment of w runs
+    # and more sieves a window whose own run loop crosses a boundary.
     # 2 * 999983 and 999983 * 1000003 clear the cells i with 999983 | i or
     # 1000003 | i: 1999966 and 2000006 lie in the fourth segment's window.
     # The base primes find 999983 in the first, but leave the second's
     # product to the test of each cell.
-    limit = 4 * _STORE_RUN + 5000
-    full = unblocked_prime_mask(limit)
+    w = wheel(a)
+    limit = w * 2 * _STORE_RUN + 5000
+    full = class_cells(unblocked_prime_mask(limit), w)
     segments = [(lo, min(lo + _STORE_RUN, limit + 1)) for lo in range(1, limit + 1, _STORE_RUN)]
-    segments.append((limit - 2 * _STORE_RUN - 4000, limit + 1))
+    segments.append((limit - w * _STORE_RUN - 4000, limit + 1))
     windows = windows_sieved_for_cofactor_one(monkeypatch, f"sp:{a}", limit, segments)
-    assert len(windows) == len(segments) - 2 and windows[0][0] == _STORE_RUN
+    assert len(windows) == len(segments) - w and windows[0][0] == _STORE_RUN
     assert max(len(cells) for _, cells in windows) > _STORE_RUN
     for c0, cells in windows:
         want = bytearray(full[c0 : c0 + len(cells)])
-        for i in compress(range(c0, c0 + len(cells)), want[:]):
-            want[i - c0] = pp_contains(2 * i + 1, a)
+        for j in compress(range(c0, c0 + len(cells)), want[:]):
+            want[j - c0] = pp_contains(w * j + w - 1, a)
         assert cells == want, (a, c0)
 
 
