@@ -21,20 +21,22 @@ per integer, and must agree with the pointwise tests bit for bit.
 
 * **Admissible primes** are one mask over one residue class: cell j
   stands for w*j + w - 1, where w = 2 * (3 if 3 | a) * (2 if 4 | a), so
-  w is 2, 4, 6 or 12; with w = 2, cell 0 stands for 2, as 1 is not
-  prime.  The class holds every odd admissible prime: 3 | a forces
-  p = 2 (mod 3), since 3 | p - 1 would put 3 in gcd(a, p - 1), and 4 | a
-  forces p = 3 (mod 4) in the same way.  2 is admissible exactly when a
-  is odd, and the small primes take it beside the mask.  For ``sp:a``
-  one routine, ``_admissible_cells``, builds the cells of any range:
+  w is 2, 4, 6 or 12, and a mask to L has (L + 1) // w cells.  The class
+  holds every odd admissible prime: 3 | a forces p = 2 (mod 3), since
+  3 | p - 1 would put 3 in gcd(a, p - 1), and 4 | a forces p = 3 (mod 4)
+  in the same way.  2 has no cell; it is admissible exactly when a is
+  odd, and then sits beside the mask as a small prime.  For ``sp:a`` one
+  routine, ``_admissible_cells``, builds the cells of any range, reading
+  the base primes, the odd primes up to the root of the range's top,
+  which ``_odd_primes`` sieves with it from their own base primes:
   Eratosthenes with strided slice stores, one cache-sized run of cells
   at a time, in which each prime q not dividing w clears one progression
   of step q.  The odd primes q | a are found by dividing a by the base
-  primes, those up to the root of the range's top, until the cofactor is
-  1 or below q*q; a cofactor left above that is a product of larger
-  primes, and each cell left is tested against it with one gcd.  Each
-  such q not dividing w clears its own cell and the cells of the numbers
-  x = 1 (mod q), x > 1, again one progression of step q.
+  primes until the cofactor is 1 or below q*q; a cofactor left above that
+  is a product of larger primes, and each cell left is tested against it
+  with one gcd.  Each such q not dividing w clears its own cell and the
+  cells of the numbers x = 1 (mod q), x > 1, again one progression of
+  step q; 1, not prime, clears its own, cell 0 of w = 2.
 * **A census keeps the ``sp:`` mask below half its limit.**  A prime
   above limit/2 has no multiple m*x <= limit with m >= 2, so only the
   cofactor 1 reads it.  ``density_series`` keeps
@@ -67,13 +69,14 @@ per integer, and must agree with the pointwise tests bit for bit.
   when the cofactor-1 cells are the segment's own: that store still
   comes first, and the kept mask's stores follow from m = 2.
 * **Primes at or below the cut** each sieve their anchored set over the
-  cofactor window m in [mlo, mhi) (``_mark_np_window``), on a buffer of
-  ones with one cell per multiple p*m of the segment.  Each prime first
-  reads the segment's cells at its multiples, ``s = out[start :: p]``,
-  and clears its window from ``s``: a cleared cell takes s's value at
-  that cell.  The window then holds the OR of s and the prime's anchored
-  set, since an uncleared cell is 1 = 1 | s and a cleared one is
-  s = 0 | s, and one plain store puts it back.  A window clears every
+  cofactor window m in [mlo, mhi) with ``_np_window``, the one
+  anchored-window sieve, on a buffer of ones with one cell per multiple
+  p*m of the segment.  Each prime first reads the segment's cells at its
+  multiples, ``s = out[start :: p]``, and clears its window from ``s``: a
+  cleared cell takes s's value at that cell.  The window then holds the
+  OR of s and the prime's anchored set, since an uncleared cell is
+  1 = 1 | s and a cleared one is s = 0 | s, and one plain store puts it
+  back.  A window clears every
   multiple k*d, k >= 2, of each d = 1 (mod p), d > 1.  It walks only the
   primitive d, those with no divisor f = 1 (mod p) with 1 < f < d, and
   only the cofactors k that have no divisor f = 1 (mod p), f > 1: every
@@ -109,6 +112,7 @@ from __future__ import annotations
 import functools
 import math
 import zlib
+from collections.abc import Sequence
 from itertools import compress
 from typing import NamedTuple
 
@@ -184,14 +188,13 @@ def _wheel(a: int) -> int:
 
 def _cells(limit: int, w: int) -> int:
     """Cells of a class-w mask of the numbers up to limit, under the
-    prime-sieve memory budget: cell j stands for w*j + w - 1, cell 0 of
-    w = 2 for 2."""
+    prime-sieve memory budget: cell j stands for w*j + w - 1."""
     if limit + 1 > MAX_PRIME_SIEVE:
         raise ResourceBudgetError(f"prime sieve to {limit} exceeds the memory budget")
-    return (limit + 1) // w if limit >= 2 else 0
+    return max((limit + 1) // w, 0)
 
 
-def _odd_prime_divisors(a: int, base: list[int], top: int) -> tuple[list[int], int]:
+def _odd_prime_divisors(a: int, base: Sequence[int], top: int) -> tuple[list[int], int]:
     """The odd primes up to top that divide a, and what they leave unknown.
 
     ``base`` lists the odd primes in order from 3, up to at least
@@ -219,23 +222,20 @@ def _odd_prime_divisors(a: int, base: list[int], top: int) -> tuple[list[int], i
     return found, rest
 
 
-def _admissible_cells(a: int, c0: int, c1: int, base: list[int]) -> bytearray:
+def _admissible_cells(a: int, c0: int, c1: int, base: Sequence[int]) -> bytearray:
     """Cells c0 <= j < c1 of the class-w mask of the primes admissible for a.
 
-    This is the one prime sieve.  Eratosthenes runs run by run, so each
-    run is cleared while in cache.  Each prime q of ``base`` not dividing
-    w clears the class multiples q*k, k >= q: q*q = 1 (mod w), so k = -q
-    (mod w), one progression of step q in j.  Either ``base`` lists the
-    odd primes in order from 3 up to at least isqrt(w*c1 - 1), or w is 2,
-    c0 is 0 and ``base`` empty: then its own odd primes up to that root
-    are appended to ``base``, each clearing the run from its square.  Each
-    store makes its own zeros, at most half a run.
+    This is the one prime sieve.  ``base`` lists the odd primes in order
+    from 3 up to at least isqrt(w*c1 - 1); it is read, never changed.
+    Eratosthenes runs run by run, so each run is cleared while in cache.
+    Each prime q of ``base`` not dividing w clears the class multiples
+    q*k, k >= q: q*q = 1 (mod w), so k = -q (mod w), one progression of
+    step q in j.  Each store makes its own zeros, at most half a run.
     """
     w = _wheel(a)
     mask = bytearray(b"\x01") * max(c1 - c0, 0)
     if not mask:
         return mask
-    root = (math.isqrt(w * c1 - 1) + 1) // 2 if w == 2 else 0
     for run in range(c0, c1, _STORE_RUN):
         end = min(run + _STORE_RUN, c1)
         for q in base:
@@ -243,26 +243,18 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int]) -> bytearray:
                 s = q * (q + (-2 * q) % w) // w
                 start = max(s, run + (s - run) % q)
                 mask[start - c0 : end - c0 : q] = bytes(len(range(start, end, q)))
-        for i in range(max(run, 1), min(end, root)):
-            if mask[i - c0]:
-                p = 2 * i + 1
-                base.append(p)
-                mask[p * p // 2 - c0 : end - c0 : p] = bytes(len(range(p * p // 2, end, p)))
     # For a prime p, gcd(a, p) = 1 means p does not divide a, and
     # gcd(a, p - 1) > 2 means an odd prime q | a has q | p - 1, or 4 | a
     # and 4 | p - 1; the class already leaves out the primes that 3 | a
-    # and 4 | a rule out.  Each other q clears its own cell and, run by
-    # run, the cells of x = 1 + q*t with t >= 1 and t = -2q (mod w), so
+    # and 4 | a rule out.  1, which is not prime, and each other q clear
+    # their own cell, if the class has one; each such q also clears, run
+    # by run, the cells of x = 1 + q*t with t >= 1 and t = -2q (mod w), so
     # that no store's zeros are longer than half a run.
     found, rest = _odd_prime_divisors(a, base, w * c1 - 1)
-    if w == 2 and c0 == 0 and a % 2 == 0:
-        mask[0] = 0
-    steps = []
-    for q in found:
-        if w % q:
-            if (q + 1) % w == 0 and c0 <= q // w < c1:
-                mask[q // w - c0] = 0
-            steps.append(((1 + q * ((-2 * q) % w or w)) // w, q))
+    for x in [1, *found]:
+        if (x + 1) % w == 0 and c0 <= x // w < c1:
+            mask[x // w - c0] = 0
+    steps = [((1 + q * ((-2 * q) % w or w)) // w, q) for q in found if w % q]
     for run in range(c0, c1, _STORE_RUN):
         end = min(run + _STORE_RUN, c1)
         for s, q in steps:
@@ -271,8 +263,7 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int]) -> bytearray:
     # the primes of a left in rest are tested cell by cell: p fails when
     # p | rest or a prime of rest divides p - 1, so one gcd tells
     if rest > 1:
-        cells = range(max(c0, 1 if w == 2 else 0), c1)
-        for j in compress(cells, memoryview(mask)[cells.start - c0 :]):
+        for j in compress(range(c0, c1), mask):
             p = w * j + w - 1
             if math.gcd(rest, p * (p - 1)) > 1:
                 mask[j - c0] = 0
@@ -281,17 +272,19 @@ def _admissible_cells(a: int, c0: int, c1: int, base: list[int]) -> bytearray:
 
 @functools.lru_cache(maxsize=1)
 def _odd_primes(limit: int) -> tuple[int, ...]:
-    """The odd primes up to limit, in order; the last list is kept, since
+    """The odd primes up to limit, in order, sieved with those up to its
+    root, of which there are none below 9; the last tuple is kept, since
     every segment of one census asks for the same base primes."""
-    mask = _admissible_cells(1, 0, _cells(limit, 2), [])
-    return tuple(compress(range(3, 2 * len(mask), 2), memoryview(mask)[1:]))
+    base = _odd_primes(math.isqrt(limit)) if limit >= 9 else ()
+    mask = _admissible_cells(1, 0, _cells(limit, 2), base)
+    return tuple(compress(range(1, 2 * len(mask), 2), mask))
 
 
-def _base_primes(w: int, cells: int) -> list[int]:
+def _base_primes(w: int, cells: int) -> tuple[int, ...]:
     """The base primes of a class-w mask of that many cells: it ends below
     2w(cells + 1), and serves segments that end there too, so every
-    segment of a census asks for the same list."""
-    return list(_odd_primes(math.isqrt(2 * w * (cells + 1))))
+    segment of a census reads the one tuple that ``_odd_primes`` keeps."""
+    return _odd_primes(math.isqrt(2 * w * (cells + 1)))
 
 
 def _clear(buf: bytearray, start: int, step: int, source: bytearray | None = None) -> None:
@@ -364,19 +357,21 @@ def _mark_np_window(
         _clear(good, k * dmin - mlo, k * p, source)
 
 
-def _np_window(p: int, lo: int, hi: int) -> bytearray:
+def _np_window(p: int, lo: int, hi: int, source: bytearray | None = None) -> bytearray:
     """The cofactor cells of ``np:p`` in the integer window [lo, hi), lo >= 1.
 
     Cell m - mlo, for m in [mlo, mhi) = [ceil(lo/p), ceil(hi/p)), is 1
-    when p*m is a member.  This is the one ``np:`` sieve: a buffer of ones
-    that ``_mark_np_window`` clears.  Its one buffer beyond the window's
-    width, the divisor sieve, is checked there against
+    when p*m is a member, or, given ``source``, a buffer as long, when that
+    cell of ``source`` is.  This is the one anchored-window sieve, of
+    ``np:p`` and of each small prime of an ``sp:`` segment: a buffer of
+    ones that ``_mark_np_window`` clears.  Its one buffer beyond the
+    window's width, the divisor sieve, is checked there against
     ``MAX_SIEVE_SCRATCH``, under the name of [p*mlo, p*mhi), not [lo, hi).
     """
     mlo, mhi = -(-lo // p), -(-hi // p)
     good = bytearray(b"\x01") * (mhi - mlo)
     if good:
-        _mark_np_window(good, p, mlo, mhi)
+        _mark_np_window(good, p, mlo, mhi, source)
     return good
 
 
@@ -461,14 +456,14 @@ class SieveSet:
     def admissible_primes(self, limit: int) -> bytearray:
         """The primes up to limit that are admissible for an ``sp:`` set's
         modulus a, as a mask of one class: cell j is 1 when w*j + w - 1 is
-        one of them, with w = 2, 4, 6 or 12 (module docstring).  With
-        w = 2, cell 0 is 1 when 2 is; otherwise 2 has no cell, and is
-        admissible exactly when a is odd.  Other sets keep no mask."""
+        one of them, with w = 2, 4, 6 or 12 (module docstring).  2 has no
+        cell, and is admissible exactly when a is odd.  Other sets keep no
+        mask."""
         if self.kind != "sp":
             raise ValueError(f"{self.name} keeps no prime mask")
         w = _wheel(self.param)
         cells = _cells(limit, w)
-        return _admissible_cells(self.param, 0, cells, [] if w == 2 else _base_primes(w, cells))
+        return _admissible_cells(self.param, 0, cells, _base_primes(w, cells))
 
     def _mask_limit(self, limit: int) -> int:
         """How far the prime mask of an ``sp:`` census to limit reaches: the
@@ -487,10 +482,10 @@ class SieveSet:
         sieved here, in the same class.  Its primes above isqrt(hi - 1) are
         stored first, by cofactor and then by prime; each prime at or below
         it, 2 among them for odd a, then sieves its anchored set over the
-        cofactor window, cleared from the segment's own cells.  ``np:p``
-        stores its one cofactor window, ``_np_window``, into the multiples
-        of p of a zeroed segment.  Each prime's divisor sieve is checked
-        against ``MAX_SIEVE_SCRATCH`` before it is allocated
+        cofactor window with ``_np_window``, cleared from the segment's own
+        cells.  ``np:p`` stores its one window from the same routine into
+        the multiples of p of a zeroed segment.  Each prime's divisor sieve
+        is checked against ``MAX_SIEVE_SCRATCH`` before it is allocated
         (``_mark_np_window``).
         """
         if lo < 1 or hi <= lo:
@@ -518,19 +513,10 @@ class SieveSet:
             own = _admissible_cells(self.param, c0, hi // w, _base_primes(w, len(primes)))
         _store_large_primes(out, lo, hi, w, primes, own, c0)
         # each prime clears its window from the cells already there, an OR;
-        # 2 is admissible exactly when a is odd, so cell 0 of w = 2, which
-        # stands for 2, is skipped
-        skip = 1 if w == 2 else 0
-        small = [w * i + w - 1 for i in compress(range(skip, big), memoryview(primes)[skip:])]
-        for p in [2] * (self.param % 2) + small:
-            mlo = max(1, (lo + p - 1) // p)
-            mhi = (hi + p - 1) // p
-            if mlo >= mhi:
-                continue
-            start = mlo * p - lo
-            good = bytearray(b"\x01") * (mhi - mlo)
-            _mark_np_window(good, p, mlo, mhi, out[start::p])
-            out[start::p] = good
+        # 2, which has no cell, is admissible exactly when a is odd
+        for p in [2] * (self.param % 2) + list(compress(range(w - 1, w * big, w), primes)):
+            start = (-lo) % p
+            out[start::p] = _np_window(p, lo, hi, out[start::p])
         return out
 
 

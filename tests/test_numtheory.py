@@ -11,7 +11,7 @@ import random
 import re
 import time
 import tracemalloc
-from itertools import compress
+from itertools import accumulate, compress
 
 import pytest
 
@@ -70,9 +70,8 @@ def wheel(a):
 
 
 def cell_number(w, j):
-    """The number that cell j of a class-w mask stands for: w*j + w - 1, or
-    2 for cell 0 of w = 2."""
-    return w * j + w - 1 if j or w > 2 else 2
+    """The number that cell j of a class-w mask stands for."""
+    return w * j + w - 1
 
 
 def mask_primes(mask, a=1):
@@ -82,8 +81,8 @@ def mask_primes(mask, a=1):
 
 
 def class_cells(mask, w):
-    """The cells of an odd-only mask, cell i for 2i + 1 and cell 0 for 2, at
-    the numbers of a class-w mask, in its layout."""
+    """The cells of an odd-only mask, cell i for 2i + 1, at the numbers of a
+    class-w mask, in its layout."""
     return mask[w // 2 - 1 :: w // 2]
 
 
@@ -93,9 +92,9 @@ def members(bits, lo):
 
 
 # Every prime is admissible for a = 1, so the mask of sp:1 is the sieve
-# of all primes.
+# of the odd primes, and 2 sits beside it.
 def primes_up_to(limit):
-    return mask_primes(SieveSet("sp", 1).admissible_primes(limit))
+    return [2] * (limit >= 2) + mask_primes(SieveSet("sp", 1).admissible_primes(limit))
 
 
 def test_primes_up_to_small():
@@ -108,17 +107,20 @@ def test_primes_up_to_against_oracle():
     for limit in (*range(401), 500):
         got = SieveSet("sp", 1).admissible_primes(limit)
         assert type(got) is bytearray and set(got) <= {0, 1}, limit
-        assert mask_primes(got) == oracle_primes(limit), limit
+        assert mask_primes(got) == [p for p in oracle_primes(limit) if p > 2], limit
 
 
 def test_primes_up_to_million_count():
-    assert sum(SieveSet("sp", 1).admissible_primes(10**6)) == 78498
+    # 2 and the odd primes of the mask
+    assert 1 + sum(SieveSet("sp", 1).admissible_primes(10**6)) == 78498
 
 
 def unblocked_prime_mask(limit):
-    """The odd-only prime mask by Eratosthenes over the whole mask at once."""
+    """The odd-only prime mask by Eratosthenes over the whole mask at once;
+    cell 0 stands for 1, which is not prime."""
     n = (limit + 1) // 2
     mask = bytearray(b"\x01") * n
+    mask[0] = 0
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if mask[i]:
             p = 2 * i + 1
@@ -131,7 +133,7 @@ def test_prime_mask_matches_unblocked_sieve_across_runs():
     for cells in (2 * _STORE_RUN - 1, 2 * _STORE_RUN, 2 * _STORE_RUN + 1, 4 * _STORE_RUN + 7):
         limit = 2 * cells - 1
         assert SieveSet("sp", 1).admissible_primes(limit) == unblocked_prime_mask(limit), cells
-    assert SieveSet("sp", 1).admissible_primes(10**7).count(1) == 664_579
+    assert 1 + SieveSet("sp", 1).admissible_primes(10**7).count(1) == 664_579
 
 
 def test_admissible_prime_mask_across_runs():
@@ -167,16 +169,37 @@ LARGE_MODULI = (
 
 
 def test_admissible_primes_match_pointwise_filter():
-    for limit in (0, 1, 2, 3, 1000, 5000):
+    for limit in (-5, 0, 1, 2, 3, 1000, 5000):
         primes = oracle_primes(limit)
         for a in (*range(1, 401), *LARGE_MODULI):
             got = SieveSet("sp", a).admissible_primes(limit)
             assert type(got) is bytearray, (a, limit)
-            # every odd admissible prime lies in the class; 2 has a cell
-            # only when w = 2, and is admissible exactly when a is odd
-            want = [p for p in primes if pp_contains(p, a) and (p > 2 or wheel(a) == 2)]
+            # every odd admissible prime lies in the class; 2 has no cell,
+            # and is admissible exactly when a is odd
+            want = [p for p in primes if p > 2 and pp_contains(p, a)]
             assert mask_primes(got, a) == want, (a, limit)
             assert pp_contains(2, a) == (a % 2 == 1), a
+
+
+def test_prime_sieve_only_reads_its_base_primes():
+    # a tuple, as the cached base primes are, serves as well as a list, for
+    # a whole mask from cell 0 too, and neither is changed
+    base = tuple(p for p in oracle_primes(31) if p > 2)
+    listed = list(base)
+    for a in (1, 2, 35):
+        # the cells of the numbers up to 999, whose root is 31
+        got = numtheory._admissible_cells(a, 0, 500, base)
+        assert got == numtheory._admissible_cells(a, 0, 500, listed), a
+        assert listed == list(base), a
+        assert mask_primes(got, a) == [p for p in oracle_primes(999) if p > 2 and pp_contains(p, a)]
+
+
+def test_odd_primes_match_trial_division():
+    # below 9 no base prime is needed; 9, 25 and 49 are the first squares
+    # that the base primes up to the root must clear
+    odd = [p for p in oracle_primes(3000) if p > 2]
+    for limit in range(3001):
+        assert numtheory._odd_primes(limit) == tuple(p for p in odd if p <= limit), limit
 
 
 def test_is_prime_matches_oracle():
@@ -526,6 +549,32 @@ SP_LAYOUTS = ("sp:1", "sp:10", "sp:4", "sp:20", "sp:6", "sp:3", "sp:15", "sp:12"
 
 
 @pytest.mark.parametrize("name", SP_LAYOUTS)
+def test_every_mask_has_one_cell_per_number_of_its_class(name):
+    # cell j stands for w*j + w - 1 at every limit: 1 has cell 0 when
+    # w = 2, cleared as not prime, and 2 has no cell
+    a = parse_set_name(name).param
+    w = wheel(a)
+    primes = oracle_primes(400)
+    for limit in range(401):
+        got = SieveSet("sp", a).admissible_primes(limit)
+        assert len(got) == (limit + 1) // w, limit
+        want = [p for p in primes if 2 < p <= limit and pp_contains(p, a)]
+        assert mask_primes(got, a) == want, limit
+
+
+@pytest.mark.parametrize("name", ["sp:1", "sp:2", "sp:3", "sp:4", "sp:5", "sp:6", "sp:12", "sp:15"])
+def test_density_series_at_the_smallest_limits(name):
+    # the kept mask reaches limit // 2, at most 6 here, and 2 sits beside
+    # it for odd a; every last checkpoint from 1 to 13 ends a census
+    a = parse_set_name(name).param
+    counts = list(accumulate(sp_contains(n, a) for n in range(1, 14)))
+    for top in range(1, 14):
+        for segment_size in (2, 3, _STORE_RUN):
+            got = density_series(name, list(range(1, top + 1)), segment_size=segment_size)
+            assert [cp.count for cp in got.checkpoints] == counts[:top], (top, segment_size)
+
+
+@pytest.mark.parametrize("name", SP_LAYOUTS)
 def test_segment_bits_matches_pointwise_across_store_runs_and_segments(name):
     # one segment wider than a store run, from lo past the checked window,
     # and two segments that meet inside the window at lo + _STORE_RUN
@@ -744,7 +793,7 @@ def windows_sieved_for_cofactor_one(monkeypatch, name, limit, segments):
 
     def record(a, c0, c1, base):
         cells = sieve(a, c0, c1, base)
-        if c0:  # from cell 0 the base primes are sieved
+        if c0:  # cell 0 starts a whole mask, the kept one or the base primes
             windows.append((c0, bytes(cells)))
         return cells
 

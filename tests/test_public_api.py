@@ -1,5 +1,6 @@
 """Every public top-level function and class of ``fqlab``, and every public
-method and property of those classes, has a caller inside the package.
+method and property of those classes, has a caller inside the package,
+and so has every private one, whatever the tests call or monkeypatch.
 A method or property counts as called only through an attribute
 (``.name``), so a field or variable of the same name does not hide it."""
 
@@ -49,7 +50,10 @@ def referenced_names(tree):
     return names, attrs
 
 
-def test_public_definitions_are_used_in_the_package():
+def uncalled_definitions(wanted):
+    """The top-level functions and classes, and the methods of top-level
+    classes, that ``wanted(name, owner)`` accepts and nothing in the package
+    uses, as ``file:qualname``; owner is the class of a method, else None."""
     defined = {}
     used_names, used_attrs = set(), set()
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -59,19 +63,34 @@ def test_public_definitions_are_used_in_the_package():
         used_attrs |= attrs
         where = path.relative_to(PACKAGE).as_posix()
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and wanted(node.name, None):
                 defined[node.name] = (where, node.name, False)
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.ClassDef):
                 for member in node.body:
-                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    if isinstance(member, ast.FunctionDef) and wanted(member.name, node.name):
                         defined[f"{node.name}.{member.name}"] = (where, member.name, True)
-    unused = sorted(
+    return sorted(
         f"{where}:{qualname}"
         for qualname, (where, name, member) in defined.items()
         if name not in used_attrs and (member or name not in used_names)
-        and qualname not in ALLOWED_UNCALLED
     )
+
+
+def test_public_definitions_are_used_in_the_package():
+    def public(name, owner):
+        return not name.startswith("_") and not (owner or "").startswith("_")
+
+    unused = [d for d in uncalled_definitions(public) if d.split(":")[1] not in ALLOWED_UNCALLED]
     assert not unused, f"defined but called only from the tests: {unused}"
+
+
+def test_private_definitions_are_used_in_the_package():
+    # a private helper that the tests alone call or monkeypatch is dead
+    def private(name, owner):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    unused = uncalled_definitions(private)
+    assert not unused, f"private, and referenced nowhere in the package: {unused}"
 
 
 def test_every_fpgroup_export_resolves_to_its_submodule():
