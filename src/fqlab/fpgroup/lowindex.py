@@ -27,9 +27,23 @@ the marks.  Rows grow by doubling up to ``max_index`` and never shrink:
 undoing the trail empties every entry past the live count.  Node budgets
 cap the work; exceeding one raises with the tables found so far and how
 far the search got, never truncates.
+
+A generator x whose relators include x² (spelled ``x^2``, ``x^-2`` or
+``x = x^-1``) is an involution in every quotient, so one search column
+serves both x and x⁻¹, as in coset enumerators such as Havas and
+Ramsay's ACE.  ``inv`` maps each search column to its inverse column,
+and an involution's column to itself.  The x² relator is not scanned:
+the shared column already implies it.  The search tree is unchanged.
+With two columns, the x² scan at a fixpoint fills T[a][x⁻¹] as soon as
+T[a][x] is known.  And (a, x) comes before (a, x⁻¹) in row-major
+order, so no node ever branched on an involution's inverse column.
+Completed tables are expanded back to two columns per generator before
+the certificate, which traces every relator, x² included.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from ..budgets import search_budget
 from ..errors import InternalInvariantError, SearchBudgetError
@@ -46,10 +60,12 @@ def low_index_normal_subgroups(
     x, a generator or its inverse, is a well-defined permutation of the
     cosets that commutes with the right action.  So beside the coset
     table T, with T[b][c] the right action of column c, the search keeps
-    one row per letter, L[k][b] = x b for the letter x of column k.
-    Rows k and k ^ 1 are inverse bijections, paired as T pairs c and
-    c ^ 1, and are written together.  Row 0 of T seeds them: T[0][c] = d
-    gives L[c][0] = d.  Since x (b c) = (x b) c, in every quotient:
+    one row per letter, L[k][b] = x b for the letter x of search column
+    k.  Rows k and inv[k] are inverse bijections, paired as T pairs c
+    and inv[c], and are written together.  An involution's column has
+    one row, itself an involution, since x b = g gives x g = x² b = b.
+    Row 0 of T seeds them: T[0][c] = d gives L[c][0] = d.  Since
+    x (b c) = (x b) c, in every quotient:
 
       L[x][b] = g, T[b][c] = d, T[g][c] = e   forces  L[x][d] = e
       L[x][b] = g, T[b][c] = d, L[x][d] = e   forces  T[g][c] = e
@@ -87,8 +103,21 @@ def low_index_normal_subgroups(
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     budget = search_budget()
-    n_cols = 2 * pres.n_gens
-    rel_cols = [tuple(letter_to_col(x) for x in r) for r in pres.relators]
+    # scol maps table columns to search columns; inv pairs search columns
+    squares = {r for r in pres.relators if len(r) == 2 and r[0] == r[1]}
+    scol: list[int] = []
+    inv: list[int] = []
+    for x in range(1, pres.n_gens + 1):
+        c = len(inv)
+        if (x, x) in squares or (-x, -x) in squares:
+            scol += [c, c]
+            inv.append(c)
+        else:
+            scol += [c, c + 1]
+            inv += [c + 1, c]
+    n_cols = len(inv)
+    expand = itemgetter(*scol)
+    rel_cols = [tuple(scol[letter_to_col(x)] for x in r) for r in pres.relators if r not in squares]
     rotations: list[list[tuple[int, ...]]] = [[] for _ in range(n_cols)]
     for rot in dict.fromkeys(cols[k:] + cols[:k] for cols in rel_cols for k in range(len(cols))):
         rotations[rot[0]].append(rot)
@@ -104,16 +133,19 @@ def low_index_normal_subgroups(
         """Record coset a going to b under column c; False on clash.
 
         The entry must be open: every caller has just read table[a][c]
-        as None.  Only the inverse entry, table[b][c ^ 1], can clash.
+        as None.  Only the inverse entry, table[b][inv[c]], can clash.
+        It is read again after the write: for an involution's column
+        and b == a it is the entry just written.
         """
-        back = table[b][c ^ 1]
-        if back is not None and back != a:
+        row = table[b]
+        c1 = inv[c]
+        if row[c1] is not None and row[c1] != a:
             return False
         table[a][c] = b
         trail.append((a, c))
-        if back is None:
-            table[b][c ^ 1] = a
-            trail.append((b, c ^ 1))
+        if row[c1] is None:
+            row[c1] = a
+            trail.append((b, c1))
         return True
 
     def scan_relator(alpha: int, cols) -> bool:
@@ -131,7 +163,7 @@ def low_index_normal_subgroups(
             return f == alpha
         b = alpha
         while j >= i:
-            prv = table[b][cols[j] ^ 1]
+            prv = table[b][inv[cols[j]]]
             if prv is None:
                 break
             b = prv
@@ -146,14 +178,14 @@ def low_index_normal_subgroups(
 
     def set_lam(k: int, b: int, g: int) -> bool:
         """Record x b = g and x⁻¹ g = b for the letter x of column k; False on clash."""
-        row, inv = lrows[k], lrows[k ^ 1]
+        row, back = lrows[k], lrows[inv[k]]
         cur = row[b]
         if cur is not None:
             return cur == g
-        if inv[g] is not None:
+        if back[g] is not None:
             return False
         row[b] = g
-        inv[g] = b
+        back[g] = b
         ltrail.append((k, b))
         return True
 
@@ -189,7 +221,7 @@ def low_index_normal_subgroups(
     def fire_l(k: int, b: int) -> bool:
         # new product entry L[k][b] = g: both rules for x anchored at b,
         # and the second for x⁻¹ anchored at g
-        row, inv = lrows[k], lrows[k ^ 1]
+        row, back = lrows[k], lrows[inv[k]]
         g = row[b]
         tb, tg = table[b], table[g]
         for c in range(n_cols):
@@ -204,7 +236,7 @@ def low_index_normal_subgroups(
                     if e is not None and not set_entry(g, c, e):
                         return False
             elif e is not None:
-                d = inv[e]
+                d = back[e]
                 if d is not None and not set_entry(b, c, d):
                     return False
         return True
@@ -233,7 +265,7 @@ def low_index_normal_subgroups(
             table[a][c] = None
         del trail[mark:]
         for k, b in ltrail[lmark:]:
-            lrows[k ^ 1][lrows[k][b]] = None
+            lrows[inv[k]][lrows[k][b]] = None
             lrows[k][b] = None
         del ltrail[lmark:]
         n = n_keep
@@ -245,19 +277,21 @@ def low_index_normal_subgroups(
         T[x a][c] = x b where x a and x b are both known: the second rule
         for x.  At a node propagation is at a fixpoint with T[a][c] open,
         so that entry is not already set, or the second rule for x⁻¹,
-        anchored at x a, would have set T[a][c] = b.  So a set T[x a][c] or T[x b][c^1] is a clash:
-        the first one that ``fire_t(a, c, b)`` or ``fire_t(b, c^1, a)``
-        would hit, in the first rule or in ``set_entry``.  The branch
+        anchored at x a, would have set T[a][c] = b.  With c1 = inv[c],
+        the inverse column, or c itself for an involution, a set
+        T[x a][c] or T[x b][c1] is a clash: the first one that
+        ``fire_t(a, c, b)`` or ``fire_t(b, c1, a)`` would hit, in the
+        first rule or in ``set_entry``.  The branch
         would die in ``propagate`` before becoming a node, so dropping it
         here leaves the tree, and every count but popped branches, as it
         was.  A new coset has no L entries: the grow branch always stays.
 
         The scan starts at row a: (a, c) is the first hole, so every row
-        b < a is complete and its set T[b][c^1] drops it anyway.  When
+        b < a is complete and its set T[b][c1] drops it anyway.  When
         T[x a][c] is set, every b with x b known clashes, so that letter
         keeps the b with x b unknown without reading T.
         """
-        c1 = c ^ 1
+        c1 = inv[c]
         live = [b for b in range(a, n) if table[b][c1] is None]
         for row in lrows:
             g = row[a]
@@ -272,7 +306,7 @@ def low_index_normal_subgroups(
         return next(((a, table[a].index(None)) for a in range(start, n) if None in table[a]), None)
 
     def complete() -> None:
-        t = CosetTable(pres, [list(row) for row in table[:n]])
+        t = CosetTable(pres, [list(expand(row)) for row in table[:n]])
         if not verify_regular_table(t):
             raise InternalInvariantError("search completed a table that is not a regular quotient")
         found.append(t)

@@ -346,6 +346,26 @@ def test_census_and_smooth_write_the_same_certificates(capsys, tmp_path):
         assert (census / name).read_bytes() == (smooth / name).read_bytes(), name
 
 
+def test_emitted_certificates_are_frozen(capsys, tmp_path):
+    # every table file byte for byte, not only the primary output: a
+    # faster search must still write the same certificates
+    path = pres_file(tmp_path, "gens: a b\nrels: a^2, b^3, (a b)^7\n")
+    runs = {
+        "fq": ["fq", "--presentation", path, "--max-index", "200"],
+        "census": ["census", "--max-index", "120"],
+    }
+    digest = hashlib.sha256()
+    for name, argv in runs.items():
+        tabs = tmp_path / name
+        assert run(capsys, [*argv, "--emit-tables", str(tabs)])[0] == 0
+        for p in sorted(tabs.iterdir()):
+            digest.update(f"{name}/{p.name}\n".encode() + p.read_bytes())
+    assert digest.hexdigest() == EMITTED_TABLES_SHA256
+
+
+EMITTED_TABLES_SHA256 = "a7aba43f9bf22c55e7ca6d89ae67eee1a20efc2aac4d83b2211401e00624645a"
+
+
 def test_manifest_key_order(capsys, tmp_path):
     path = pres_file(tmp_path, DINF_PRES)
     manifest = tmp_path / "run.manifest"

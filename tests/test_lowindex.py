@@ -223,13 +223,15 @@ FULL_SEARCH_CASES = [
 ]
 
 
+def assert_matches_filtered_full_search(p, max_index):
+    allsubs = low_index_subgroups(p, max_index)
+    filtered = {t.flat() for t in allsubs if t.image_group().order == t.n_cosets}
+    assert {t.flat() for t in low_index_normal_subgroups(p, max_index)} == filtered, p.relators
+
+
 def test_normal_search_matches_filtered_full_search():
     for text, max_index in FULL_SEARCH_CASES:
-        p = parse_presentation(text)
-        allsubs = low_index_subgroups(p, max_index)
-        filtered = {t.flat() for t in allsubs if t.image_group().order == t.n_cosets}
-        normal = {t.flat() for t in low_index_normal_subgroups(p, max_index)}
-        assert normal == filtered, text
+        assert_matches_filtered_full_search(parse_presentation(text), max_index)
 
 
 def test_is_regular_matches_closure_order():
@@ -486,8 +488,9 @@ def test_search_memory_follows_live_cosets_not_max_index():
 
 
 def test_search_memory_follows_generators_not_cosets():
-    # left multiplication is kept for the generators and inverses only;
-    # a row per live coset would be 400 x 400 entries here, about 8 MB
+    # left multiplication is kept for the search columns only: one for
+    # the involution a, two for b; a row per live coset would be
+    # 400 x 400 entries here, about 8 MB
     p = parse_presentation("gens: a b\nrels: a^2, b^3, (a b)^7\n")
     tracemalloc.start()
     try:
@@ -521,22 +524,70 @@ def test_search_depth_needs_no_raised_recursion_limit(monkeypatch):
 
 
 def test_normal_search_matches_filtered_oracle_on_random_presentations():
+    # the second pass puts x² for one generator x, spelled x^2 or x^-2,
+    # at a random place among the relators, so x has one shared column
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     for names, max_index, examples in [(("a", "b"), 6, 40), (("a", "b", "c"), 4, 20)]:
         letters = [s * (i + 1) for i in range(len(names)) for s in (1, -1)]
         words = st.lists(st.sampled_from(letters), min_size=1, max_size=6)
         relators = st.lists(words.map(free_reduce).filter(bool).map(tuple), max_size=3)
+        with_square = st.builds(
+            lambda x, rels, at: [*rels[:at], (x, x), *rels[at:]],
+            st.sampled_from(letters), relators, st.integers(0, 3),
+        )
+        for strategy in (relators, with_square):
 
-        @hypothesis.settings(derandomize=True, deadline=None, max_examples=examples, database=None)
-        @hypothesis.given(relators)
-        def check(rels):
-            p = Presentation(names, tuple(rels))
-            allsubs = low_index_subgroups(p, max_index)
-            regular = {t.flat() for t in allsubs if t.image_group().order == t.n_cosets}
-            assert {t.flat() for t in low_index_normal_subgroups(p, max_index)} == regular
+            @hypothesis.settings(derandomize=True, deadline=None, max_examples=examples, database=None)
+            @hypothesis.given(strategy)
+            def check(rels):
+                assert_matches_filtered_full_search(Presentation(names, tuple(rels)), max_index)
 
-        check()
+            check()
+
+
+def test_conjugated_square_gives_the_same_tables():
+    # y x² y⁻¹ defines the same group as x², but the search does not
+    # read it as an involution, so x keeps two columns there and the
+    # relator is scanned; the tables must agree, while node counts may
+    # differ, since that scan deduces at other nodes than the shared
+    # column does
+    for text, max_index in [
+        ("gens: a b\nrels: a^3, b^2\n", 120),
+        ("gens: a b\nrels: a^2, b^3, (a b)^7\n", 200),
+        ("gens: a b\nrels: a^2, b^4, (a b)^4\n", 64),
+        ("gens: a b\nrels: a^2, b^2\n", 12),
+    ]:
+        p = parse_presentation(text)
+        want = [t.flat() for t in low_index_normal_subgroups(p, max_index)]
+        for i, r in enumerate(p.relators):
+            if len(r) == 2 and r[0] == r[1]:
+                y = 2 if abs(r[0]) == 1 else 1
+                rels = (*p.relators[:i], (y, *r, -y), *p.relators[i + 1 :])
+                got = low_index_normal_subgroups(Presentation(p.generator_names, rels), max_index)
+                assert [t.flat() for t in got] == want, (text, i)
+
+
+def test_every_spelling_of_an_involution_searches_alike(monkeypatch):
+    # x^2, x^-2 and x = x^-1 all give x one shared column
+    for text, max_index, nodes, branches in [SEARCH_TREES[1], SEARCH_TREES[3]]:
+        square = "a^2" if "a^2" in text else "b^2"
+        x = square[0]
+        for spelling in (f"{x}^-2", f"{x} = {x}^-1"):
+            p = parse_presentation(text.replace(square, spelling))
+            assert_tree_size(monkeypatch, p, max_index, nodes, branches)
+
+
+def test_involution_edge_cases():
+    def search(text, max_index, stats=None):
+        return low_index_normal_subgroups(parse_presentation(text), max_index, stats)
+
+    assert [t.n_cosets for t in search("gens: a\nrels: a^2\n", 10)] == [1, 2]
+    assert [t.n_cosets for t in search("gens: a\nrels: a^2, a^3\n", 10)] == [1]
+    once, twice = {}, {}
+    single = [t.flat() for t in search("gens: a b\nrels: a^2, b^3\n", 72, once)]
+    assert [t.flat() for t in search("gens: a b\nrels: a^2, a^2, b^3\n", 72, twice)] == single
+    assert once == twice == {"nodes": 256, "branches": 510}
 
 
 def test_rejects_bad_max_index():
