@@ -18,7 +18,7 @@ transversal on ``orbit.spanning_tree``.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 from ..orbit import is_regular_action, orbit, spanning_tree
@@ -84,17 +84,23 @@ class CosetTable:
 
 
 def _well_formed(t: CosetTable) -> bool:
-    """Complete with one entry per column, inverse-paired and transitive."""
+    """Complete with one entry per column, inverse-paired and transitive.
+
+    Checked a column at a time: every entry an int in range(n), so the
+    reads that follow neither raise nor wrap; then column c read at
+    every entry of column c ^ 1 gives each coset back, which for both
+    columns of a generator pairs them as inverse permutations; then
+    coset 0 reaches every coset.
+    """
     n = t.n_cosets
-    if n == 0 or not t.complete or any(len(row) != t.n_cols for row in t.rows):
+    if n == 0 or set(map(len, t.rows)) != {t.n_cols}:
         return False
-    for a in range(n):
-        for c in range(t.n_cols):
-            b = t.rows[a][c]
-            if not isinstance(b, int) or not 0 <= b < n:
-                return False
-            if t.rows[b][c ^ 1] != a:
-                return False
+    cols = list(zip(*t.rows))
+    if not all(all(map(isinstance, col, repeat(int))) and min(col) >= 0 and max(col) < n for col in cols):
+        return False
+    cosets = list(range(n))
+    if any(list(map(col.__getitem__, cols[c ^ 1])) != cosets for c, col in enumerate(cols)):
+        return False
     return len(orbit(0, t.rows.__getitem__)) == n
 
 

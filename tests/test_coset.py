@@ -11,7 +11,7 @@ from fqlab.fpgroup import (
     schreier_data,
     verify_table,
 )
-from fqlab.fpgroup.coset import CosetTable
+from fqlab.fpgroup.coset import CosetTable, verify_regular_table
 from fqlab.permgroup import close
 
 
@@ -102,6 +102,21 @@ def test_verify_rejects_broken_tables():
     assert not verify_table(hole)
     # an entry past the last column is not part of any action
     assert not verify_table(CosetTable(t.pres, [list(r) + [0] for r in t.rows]))
+    # -1 would wrap to the last coset and 1.0 compares equal to 1; n,
+    # None and a short row must not raise either
+    n = t.n_cosets
+    last = next((a, c) for a, row in enumerate(t.rows) for c, b in enumerate(row) if b == n - 1)
+    one = next((a, c) for a, row in enumerate(t.rows) for c, b in enumerate(row) if b == 1)
+    broken = []
+    for (a, c), value in ((last, -1), ((0, 0), n), (one, 1.0), ((n - 1, 1), None)):
+        rows = [list(r) for r in t.rows]
+        rows[a][c] = value
+        broken.append(rows)
+    broken.append([list(r) for r in t.rows[:-1]] + [list(t.rows[-1][:-1])])
+    assert verify_regular_table(t)
+    for rows in broken:
+        assert not verify_table(CosetTable(t.pres, rows)), rows
+        assert not verify_regular_table(CosetTable(t.pres, rows)), rows
 
 
 def test_index_two_counts():
