@@ -13,7 +13,7 @@ Cycle notation is read and written here only, so this module holds
 from __future__ import annotations
 
 from .errors import InputSyntaxError
-from .permgroup import Perm, PermGroup, close, cycle_decomposition
+from .permgroup import Perm, PermGroup, cycle_decomposition
 
 
 def format_perm(g: Perm) -> str:
@@ -120,7 +120,10 @@ PSL27: (1 2 3 4 5 6 7), (1 8)(2 7)(3 4)(5 6)
 
 
 def parse_catalog(text: str) -> dict[str, PermGroup]:
-    """Parse catalog text into named groups, preserving order."""
+    """Parse catalog text into named groups, preserving order.
+
+    Groups are left unclosed, so a closure past the element cap is met
+    in the first sweep that lists the group, whose message names it."""
     out: dict[str, PermGroup] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -137,7 +140,7 @@ def parse_catalog(text: str) -> dict[str, PermGroup]:
             raise InputSyntaxError(f"no generators for {name!r}", line=lineno)
         perms = [parse_perm(t, line=lineno) for t in gen_texts]
         degree = max(len(p) for p in perms)
-        out[name] = close(tuple(extend_perm(p, degree) for p in perms), degree)
+        out[name] = PermGroup(degree, tuple(extend_perm(p, degree) for p in perms))
     return out
 
 

@@ -19,10 +19,8 @@ _SUBMODULE = {
     "verify_images": "classify",
     "CosetTable": "coset",
     "SchreierData": "coset",
-    "is_regular": "coset",
     "schreier_data": "coset",
     "verify_regular_table": "coset",
-    "verify_table": "coset",
     "low_index_normal_subgroups": "lowindex",
     "Presentation": "presentation",
     "Word": "presentation",

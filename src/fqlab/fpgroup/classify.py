@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple
 
 from ..errors import InternalInvariantError
-from .coset import CosetTable, SchreierData, schreier_data, verify_table
+from .coset import CosetTable, SchreierData, schreier_data, verify_regular_table
 from .presentation import Presentation, Word, concat_words, invert_word, word_exponents
 from .snf import SmithForm, null_column_witness, smith_normal_form
 
@@ -48,7 +48,9 @@ def index_two_subgroups(pres: Presentation, form: SmithForm | None = None) -> li
     With U A V = D the Smith form of A, V is invertible mod 2, so that
     nullspace is spanned by the columns of V, reduced mod 2, whose
     invariant is even (zero included).  Tables are built directly,
-    verified, and sorted by the bitmask of generators outside H.
+    certified by ``verify_regular_table`` (an index-2 subgroup is
+    normal, so its table is regular), and sorted by the bitmask of
+    generators outside H.
     """
     form = abelianization(pres) if form is None else form
     n = pres.n_gens
@@ -66,7 +68,7 @@ def index_two_subgroups(pres: Presentation, form: SmithForm | None = None) -> li
     for vec in sorted(span[1:]):
         # coset a goes to a XOR bit_j under generator j and its inverse
         t = CosetTable(pres, [[a ^ (vec >> (c // 2) & 1) for c in range(2 * n)] for a in range(2)])
-        if not verify_table(t):
+        if not verify_regular_table(t):
             raise InternalInvariantError("index-2 table failed verification")
         out.append(t)
     return out

@@ -3,17 +3,14 @@
 A table row holds one coset's images under every generator and inverse:
 generator i acts through column 2i, its inverse through column 2i+1.
 Tables are built elsewhere (the normal low-index search, or directly
-for the index-2 subgroups in ``classify``); ``verify_table`` certifies
-any of them without trusting how it was built, and ``is_regular``
-certifies that a well-formed table (complete, inverse-paired and
-transitive) is a regular action, from the table alone, with the
-certificate that ``lattice`` also runs on the coset action of a
-quotient.
-``verify_regular_table`` certifies a table that should be regular, as
-the search's are, with both checks but relators traced from coset 0
-only, which regularity makes enough.  ``schreier_data`` rewrites the
-subgroup of a verified table onto Schreier generators, with its
-transversal on ``orbit.spanning_tree``.
+for the index-2 subgroups in ``classify``), and every one of them is of
+a normal subgroup.  ``verify_regular_table`` is their one certificate,
+run once on each table without trusting how it was built: complete,
+inverse-paired, transitive and regular, by the certificate that
+``lattice`` also runs on the coset action of a quotient, with relators
+traced from coset 0 only, which regularity makes enough.
+``schreier_data`` rewrites the subgroup of a certified table onto
+Schreier generators, with its transversal on ``orbit.spanning_tree``.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
-from ..orbit import is_regular_action, orbit, spanning_tree
+from ..orbit import is_regular_action, spanning_tree
 from .presentation import Presentation, Word, free_reduce, invert_word
 
 if TYPE_CHECKING:
@@ -83,14 +80,22 @@ class CosetTable:
         return tuple(e for row in self.rows for e in row)
 
 
-def _well_formed(t: CosetTable) -> bool:
-    """Complete with one entry per column, inverse-paired and transitive.
+def verify_regular_table(t: CosetTable) -> bool:
+    """Whether a table is a coset table of a normal subgroup, checked
+    from the table alone, whoever built it.
 
-    Checked a column at a time: every entry an int in range(n), so the
+    Checked a column at a time on one transpose: a row for every coset
+    and one entry per column, every entry an int in range(n), so the
     reads that follow neither raise nor wrap; then column c read at
     every entry of column c ^ 1 gives each coset back, which for both
-    columns of a generator pairs them as inverse permutations; then
-    coset 0 reaches every coset.
+    columns of a generator pairs them as inverse permutations.  Then
+    ``orbit.is_regular_action``, seeded with the image of coset 0 under
+    each generator column: its spanning tree from 0 reaches every
+    coset, and its left multiplications generate a group that commutes
+    with every column and moves 0 to every coset.  A permutation λ
+    commuting with the columns carries the trace of a word from 0 to
+    its trace from λ(0), so a relator that closes at 0 closes at every
+    coset, and relators are traced from coset 0 only.
     """
     n = t.n_cosets
     if n == 0 or set(map(len, t.rows)) != {t.n_cols}:
@@ -101,36 +106,7 @@ def _well_formed(t: CosetTable) -> bool:
     cosets = list(range(n))
     if any(list(map(col.__getitem__, cols[c ^ 1])) != cosets for c, col in enumerate(cols)):
         return False
-    return len(orbit(0, t.rows.__getitem__)) == n
-
-
-def verify_table(t: CosetTable) -> bool:
-    """Full certificate check, independent of how the table was built.
-
-    Well-formed (complete with one entry per column, inverse-paired,
-    transitive), and every relator closes from every coset.
-    """
-    n = t.n_cosets
-    return _well_formed(t) and all(t.trace(a, r) == a for r in t.pres.relators for a in range(n))
-
-
-def is_regular(t: CosetTable) -> bool:
-    """Whether a well-formed table is a regular action: the shared
-    certificate ``orbit.is_regular_action``, seeded with the image of
-    coset 0 under each generator column."""
-    return is_regular_action(t.rows, t.rows[0][::2])
-
-
-def verify_regular_table(t: CosetTable) -> bool:
-    """``verify_table(t) and is_regular(t)``, tracing relators from coset 0 only.
-
-    Once a well-formed table passes ``is_regular``, its left
-    multiplications generate a group that commutes with every column and
-    moves 0 to every coset.  A permutation λ commuting with the columns
-    carries the trace of a word from 0 to its trace from λ(0), so a
-    relator that closes at 0 closes at every coset.
-    """
-    return _well_formed(t) and is_regular(t) and all(t.trace(0, r) == 0 for r in t.pres.relators)
+    return is_regular_action(t.rows, cols, t.rows[0][::2]) and all(t.trace(0, r) == 0 for r in t.pres.relators)
 
 
 def _rewrite(rows: list[Row], gen_of_pair: dict[tuple[int, int], int], word: Word) -> Word:
@@ -177,15 +153,18 @@ class SchreierData:
 
 
 def schreier_data(pres: Presentation, t: CosetTable) -> SchreierData:
-    """Rewrite the subgroup of a complete table onto Schreier generators.
+    """Rewrite the subgroup of a table onto Schreier generators.
+
+    The table must be complete, well-formed and closed under the
+    relators, as a certified one is; it is not checked again here.  The
+    package's one caller, ``classify``, passes the index-2 tables that
+    ``index_two_subgroups`` has just certified.
 
     Transversal: along ``orbit.spanning_tree`` from coset 0, in column
     order.  One generator per non-tree (coset, original generator) pair;
     relators are the rewrites of every original relator traced from
     every coset.
     """
-    if not verify_table(t):
-        raise ValueError("need a complete, verified table")
     rows = t.rows
     n = t.n_cosets
     g = pres.n_gens

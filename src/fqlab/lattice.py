@@ -225,7 +225,7 @@ def quotient_with_map(group: PermGroup, sub: PermGroup) -> tuple[PermGroup, list
     Q = PermGroup(len(reps), gens, group._cap)
     # a group with no generators has one coset and a row of no entries
     rows = list(zip(*gens)) or [()]
-    if len(reps) * sub.order != group.order or not is_regular_action(rows, rows[0]):
+    if len(reps) * sub.order != group.order or not is_regular_action(rows, gens, rows[0]):
         raise InternalInvariantError("coset action is not a regular quotient")
     return Q, label
 

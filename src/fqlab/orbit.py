@@ -1,16 +1,17 @@
 """Breadth-first reach, its spanning tree and the regularity certificate.
 
 ``orbit`` is the package's one search from a point: connectivity in
-``graphs``, transitivity of a coset table in ``fpgroup.coset``.
-``spanning_tree`` is that search keeping the edge that first reaches
-each point, the one tree under the stabilizer transversals of
-``permgroup``, the Schreier transversals of ``fpgroup.coset`` and the
-element words of ``lattice``.  ``orbit_labels`` labels all points by
-orbit at once.  ``left_multiplication`` fills left multiplication in
-along a tree for ``lattice`` and ``is_regular_action``, the regularity
-certificate the quotient search runs on each coset table and
-``lattice`` on each quotient.  All live here so that certifying a
-table loads no permutation-group code and ``verify`` no ``fpgroup``.
+``graphs``, subgroup images in ``fpgroup.quotients``.  ``spanning_tree``
+is that search keeping the edge that first reaches each point, the one
+tree under the stabilizer transversals of ``permgroup``, the Schreier
+transversals of ``fpgroup.coset`` and the element words of ``lattice``.
+``orbit_labels`` labels all points by orbit at once.
+``left_multiplication`` fills left multiplication in along a tree for
+``lattice`` and ``is_regular_action``, the regularity certificate that
+``fpgroup.coset`` runs on each coset table and ``lattice`` on each
+quotient; its spanning tree is also the check that a table is
+transitive.  All live here so that certifying a table loads no
+permutation-group code and ``verify`` no ``fpgroup``.
 """
 
 from __future__ import annotations
@@ -85,22 +86,24 @@ def orbit_labels(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], list
     return label, reps
 
 
-def is_regular_action(rows: Sequence[Sequence[int]], starts: Iterable[int]) -> bool:
-    """Whether columns of permutations, rows[b][c] the image of point b
-    under column c, act transitively and regularly; starts must hold the
-    image of 0 under each column of a generating set.
+def is_regular_action(
+    rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]], starts: Iterable[int]
+) -> bool:
+    """Whether columns of permutations act transitively and regularly;
+    rows is the same action transposed, rows[b][c] = columns[c][b] the
+    image of point b under column c, and starts must hold the image of 0
+    under each column of a generating set.
 
-    For each start s, L with L(0) = s is filled in along the spanning
-    tree from 0; in a regular action it is left multiplication, which
-    commutes with every column, and the action is regular when each L
-    does.  The L then move 0 along every word in the generators, so the
-    centralizer is transitive and the group regular (Dixon & Mortimer,
-    *Permutation Groups*, Thm 4.2A).
+    The spanning tree from 0 must reach every point.  For each start s,
+    L with L(0) = s is filled in along it; in a regular action it is
+    left multiplication, which commutes with every column, and the
+    action is regular when each L does.  The L then move 0 along every
+    word in the generators, so the centralizer is transitive and the
+    group regular (Dixon & Mortimer, *Permutation Groups*, Thm 4.2A).
     """
     tree = spanning_tree(0, rows.__getitem__)
     if len(tree) != len(rows):
         return False
-    columns = list(zip(*rows))
     for s in starts:
         lam = left_multiplication(columns, tree, s)
         # on one point itemgetter returns bare items, which compare alike

@@ -1,4 +1,5 @@
-"""HLT Todd-Coxeter coset enumeration, kept as a test oracle.
+"""HLT Todd-Coxeter coset enumeration and the general table check, kept
+as test oracles.
 
 The normal low-index search in ``fqlab.fpgroup.lowindex`` is the only
 coset engine the package ships.  This enumerator shares none of its
@@ -13,16 +14,54 @@ hitting either raises ``EnumerationUndecided``, never returns a wrong
 table.  Returned tables are compressed (no dead cosets) and
 standardized (cosets numbered in breadth-first discovery order
 scanning columns in order), so equal subgroups give equal tables.
+
+Every table the package builds is of a normal subgroup and certified by
+``coset.verify_regular_table``.  ``verify_table`` is the general check
+for any subgroup, as Todd-Coxeter, the all-subgroup search and random
+actions build them: it traces every relator from every coset and walks
+the orbit of coset 0 itself.  ``is_regular`` asks the package's
+regularity certificate about a well-formed table.
 """
 
 from collections import deque
+from itertools import repeat
 
 from fqlab.fpgroup import free_reduce
-from fqlab.fpgroup.coset import CosetTable, letter_to_col, verify_table
+from fqlab.fpgroup.coset import CosetTable, letter_to_col
+from fqlab.orbit import is_regular_action, orbit
 
 
 class EnumerationUndecided(Exception):
     """The enumeration hit its coset ceiling or definition budget."""
+
+
+def verify_table(t):
+    """Full check of any coset table, independent of how it was built.
+
+    Complete with one entry per column, every entry an int in range(n);
+    column c read at every entry of column c ^ 1 gives each coset back,
+    so the columns of a generator are inverse permutations; coset 0
+    reaches every coset; and every relator closes from every coset.
+    """
+    n = t.n_cosets
+    if n == 0 or set(map(len, t.rows)) != {t.n_cols}:
+        return False
+    cols = list(zip(*t.rows))
+    if not all(all(map(isinstance, col, repeat(int))) and min(col) >= 0 and max(col) < n for col in cols):
+        return False
+    cosets = list(range(n))
+    if any(list(map(col.__getitem__, cols[c ^ 1])) != cosets for c, col in enumerate(cols)):
+        return False
+    if len(orbit(0, t.rows.__getitem__)) != n:
+        return False
+    return all(t.trace(a, r) == a for r in t.pres.relators for a in range(n))
+
+
+def is_regular(t):
+    """Whether a well-formed table is a regular action, by
+    ``orbit.is_regular_action`` seeded with the image of coset 0 under
+    each generator column."""
+    return is_regular_action(t.rows, list(zip(*t.rows)), t.rows[0][::2])
 
 
 def standardize_rows(rows, base):

@@ -9,6 +9,8 @@ import functools
 import math
 import time
 
+from coset_oracle import verify_table
+
 import fqlab.numtheory as numtheory
 from fqlab.catalog import load_catalog
 from fqlab.cli import dispatch
@@ -18,7 +20,6 @@ from fqlab.fpgroup import (
     parse_presentation,
     smith_normal_form,
     smooth_quotients,
-    verify_table,
 )
 from fqlab.census import cubic_census
 from fqlab.graphs import build_sw, build_w, transitivity_report

@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from coset_oracle import verify_table
 
 import fqlab.fpgroup.classify as classify
+import fqlab.fpgroup.coset as coset
 from fqlab.errors import InternalInvariantError
 from fqlab.fpgroup import (
     abelianization,
@@ -17,7 +19,7 @@ from fqlab.fpgroup import (
     schreier_data,
     smith_normal_form,
     verify_images,
-    verify_table,
+    verify_regular_table,
     word_exponents,
 )
 
@@ -109,6 +111,26 @@ def test_density_zero_reports_checked_count():
     assert cls.index_two_checked == 3
     cls = classify_density(parse_presentation(MODULAR))
     assert cls.index_two_checked == 1
+
+
+def test_classify_certifies_each_index_two_table_once(monkeypatch):
+    # the elementary abelian 2^6 has 63 index-2 subgroups, all failing
+    # the dihedral test; schreier_data does not certify them again
+    names = [f"x{i}" for i in range(1, 7)]
+    rels = [f"{x}^2" for x in names] + [f"[{x},{y}]" for i, x in enumerate(names) for y in names[i + 1 :]]
+    pres = parse_presentation(f"gens: {' '.join(names)}\nrels: {', '.join(rels)}\n")
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return verify_regular_table(t)
+
+    monkeypatch.setattr(classify, "verify_regular_table", counted)
+    monkeypatch.setattr(coset, "verify_regular_table", counted)
+    cls = classify_density(pres)
+    assert cls.tag == "density_zero"
+    assert cls.index_two_checked == 63
+    assert len(calls) == 63
 
 
 def test_density_numerator():

@@ -1,7 +1,7 @@
 """The Todd-Coxeter test oracle, table verification, and subgroup rewriting."""
 
 import pytest
-from coset_oracle import EnumerationUndecided, standardize_rows, todd_coxeter
+from coset_oracle import EnumerationUndecided, standardize_rows, todd_coxeter, verify_table
 
 from fqlab.catalog import parse_perm
 from fqlab.fpgroup import (
@@ -9,7 +9,6 @@ from fqlab.fpgroup import (
     index_two_subgroups,
     parse_presentation,
     schreier_data,
-    verify_table,
 )
 from fqlab.fpgroup.coset import CosetTable, verify_regular_table
 from fqlab.permgroup import close
@@ -117,6 +116,11 @@ def test_verify_rejects_broken_tables():
     for rows in broken:
         assert not verify_table(CosetTable(t.pres, rows)), rows
         assert not verify_regular_table(CosetTable(t.pres, rows)), rows
+    # a^2 closes at both cosets, but coset 0 does not reach coset 1
+    apart = CosetTable(parse_presentation("gens: a\nrels: a^2\n"), [[0, 0], [1, 1]])
+    assert all(apart.trace(a, (1, 1)) == a for a in range(2))
+    assert not verify_table(apart)
+    assert not verify_regular_table(apart)
 
 
 def test_index_two_counts():

@@ -18,7 +18,7 @@ import sys
 import tracemalloc
 
 import pytest
-from coset_oracle import standardize_rows, todd_coxeter
+from coset_oracle import is_regular, standardize_rows, todd_coxeter, verify_table
 
 import fqlab.fpgroup.lowindex as lowindex
 from fqlab.errors import InternalInvariantError, SearchBudgetError
@@ -26,12 +26,10 @@ from fqlab.fpgroup import (
     CosetTable,
     Presentation,
     free_reduce,
-    is_regular,
     low_index_normal_subgroups,
     parse_presentation,
     schreier_data,
     verify_regular_table,
-    verify_table,
 )
 from fqlab.fpgroup.coset import letter_to_col
 from fqlab.orbit import orbit

@@ -21,7 +21,7 @@ PACKAGE = pathlib.Path(fqlab.__file__).resolve().parent
 # test_quotients.py reads ``SylowQuotientReport.quotient_order``.
 # ``CosetTable.image_group`` is wrapped by name by the benchmark's tracer
 # and is the tests' closure oracle for regularity; it goes when ROADMAP
-# item 7 rewrites the tracer.
+# item 21 rewrites the tracer.
 ALLOWED_UNCALLED = {
     "main",
     "format_presentation",

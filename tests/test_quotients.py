@@ -1,6 +1,7 @@
 """Finite quotient order sets and their certificates."""
 
 import pytest
+from coset_oracle import verify_table
 
 from fqlab.budgets import MAX_RELATOR_LETTERS
 from fqlab.errors import ResourceBudgetError, SearchBudgetError
@@ -11,7 +12,6 @@ from fqlab.fpgroup import (
     oq_up_to,
     parse_presentation,
     smooth_quotients,
-    verify_table,
 )
 from fqlab.numtheory import factor, np_contains
 from fqlab.permgroup import perm_order
