@@ -13,13 +13,13 @@ import importlib
 
 _SUBMODULE = {
     "DensityClass": "classify",
+    "SchreierData": "classify",
     "abelianization": "classify",
     "classify_density": "classify",
     "index_two_subgroups": "classify",
+    "schreier_data": "classify",
     "verify_images": "classify",
     "CosetTable": "coset",
-    "SchreierData": "coset",
-    "schreier_data": "coset",
     "verify_regular_table": "coset",
     "low_index_normal_subgroups": "lowindex",
     "Presentation": "presentation",

@@ -12,7 +12,8 @@ the integers, with no reflection in the image of Z.  They are found as
 * infinite dihedral: an index-2 subgroup H, a generator outside it, and
   a primitive functional on H's abelianization that the outside element
   negates and that kills its square, carried back to the generators
-  through H's Schreier rewriting.
+  through H's Schreier rewriting (``schreier_data``, kept here beside
+  its one use; ``coset`` keeps only the table and its certificate).
 
 One Smith form of the relator exponent matrix serves both searches: a
 zero invariant gives the surjection onto the integers, and the column
@@ -28,11 +29,13 @@ matrices nor the Schreier rewriting that proposed them.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 from ..errors import InternalInvariantError
-from .coset import CosetTable, SchreierData, schreier_data, verify_regular_table
-from .presentation import Presentation, Word, concat_words, invert_word, word_exponents
+from ..orbit import spanning_tree
+from .coset import CosetTable, Row, verify_regular_table
+from .presentation import Presentation, Word, concat_words, free_reduce, invert_word, word_exponents
 from .snf import SmithForm, null_column_witness, smith_normal_form
 
 
@@ -106,7 +109,100 @@ def verify_images(pres: Presentation, images) -> bool:
     return math.gcd(*(t for t, s in imgs if s == 1), *(t - flips[0] for t in flips)) == 1
 
 
-def _dihedral_matrix(pres: Presentation, table: CosetTable, gen: int):
+def col_to_letter(c: int) -> int:
+    return c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1)
+
+
+def _rewrite(rows: list[Row], gen_of_pair: dict[tuple[int, int], int], word: Word) -> Word:
+    """Schreier generators met by the word traced from coset 0, which it must return to."""
+    beta = 0
+    out = []
+    for x in word:
+        i = abs(x) - 1
+        if x > 0:
+            sg, beta = gen_of_pair.get((beta, i)), rows[beta][2 * i]
+        else:
+            beta = rows[beta][2 * i + 1]
+            sg = gen_of_pair.get((beta, i))
+        if sg is not None:
+            out.append(sg if x > 0 else -sg)
+    if beta != 0:
+        raise ValueError("word does not lie in the subgroup")
+    return free_reduce(out)
+
+
+class SchreierData:
+    """Subgroup presentation on Schreier generators, with rewriting data.
+
+    ``schreier_words`` spell each subgroup generator as a word in the
+    original generators; ``rewrite`` carries subgroup elements (words in
+    the original generators tracing back to coset 0) to words in the
+    Schreier generators.
+    """
+
+    def __init__(
+        self,
+        table: CosetTable,
+        presentation: Presentation,
+        schreier_words: tuple[Word, ...],
+        gen_of_pair: dict[tuple[int, int], int],
+    ) -> None:
+        self.table = table
+        self.presentation = presentation
+        self.schreier_words = schreier_words
+        self._gen_of_pair = gen_of_pair
+
+    def rewrite(self, word: Word) -> Word:
+        return _rewrite(self.table.rows, self._gen_of_pair, word)
+
+
+def schreier_data(t: CosetTable) -> SchreierData:
+    """Rewrite the subgroup of a table onto Schreier generators.
+
+    The table must be complete, well-formed and closed under the
+    relators, as a certified one is; it is not checked again here.  Its
+    one caller, ``_dihedral_matrix``, passes the index-2 tables that
+    ``index_two_subgroups`` has just certified.
+
+    Transversal: along ``orbit.spanning_tree`` from coset 0, in column
+    order.  One generator per non-tree (coset, original generator) pair;
+    relators are the rewrites of every original relator traced from
+    every coset.
+    """
+    rows = t.rows
+    n = t.n_cosets
+    g = t.pres.n_gens
+    transversal: list[Word] = [()] * n
+    tree_pairs = set()
+    for b, (a, c) in islice(spanning_tree(0, rows.__getitem__).items(), 1, None):
+        transversal[b] = transversal[a] + (col_to_letter(c),)
+        tree_pairs.add((a if c % 2 == 0 else b, c // 2))
+    gen_of_pair: dict[tuple[int, int], int] = {}
+    schreier_words: list[Word] = []
+    for a in range(n):
+        for i in range(g):
+            if (a, i) in tree_pairs:
+                continue
+            b = rows[a][2 * i]
+            word = free_reduce(transversal[a] + (i + 1,) + invert_word(transversal[b]))
+            gen_of_pair[(a, i)] = len(schreier_words) + 1
+            schreier_words.append(word)
+    # rewriting starts at coset 0; tracing a relator from coset a is the
+    # rewrite of t_a r t_a^-1
+    relators = []
+    seen = set()
+    for a in range(n):
+        ta = transversal[a]
+        for r in t.pres.relators:
+            w = _rewrite(rows, gen_of_pair, free_reduce(ta + r + invert_word(ta)))
+            if w and w not in seen:
+                seen.add(w)
+                relators.append(w)
+    names = tuple(f"s{k}" for k in range(1, len(schreier_words) + 1))
+    return SchreierData(t, Presentation(names, tuple(relators)), tuple(schreier_words), gen_of_pair)
+
+
+def _dihedral_matrix(table: CosetTable, gen: int):
     """Relation matrix whose integer nullspace holds dihedral functionals,
     with the Schreier data of the subgroup it is written over.
 
@@ -117,7 +213,7 @@ def _dihedral_matrix(pres: Presentation, table: CosetTable, gen: int):
     generator m, and f(b^2) = 0.  Those are the matrix rows, over the
     Schreier generators of H.
     """
-    sd = schreier_data(pres, table)
+    sd = schreier_data(table)
     k = sd.presentation.n_gens
     b_word: Word = (gen + 1,)
     rows = [word_exponents(r, k) for r in sd.presentation.relators]
@@ -179,7 +275,7 @@ def classify_density(pres: Presentation) -> DensityClass:
     tables = index_two_subgroups(pres, form)
     for table in tables:
         gen = table.rows[0][::2].index(1)  # the first generator outside H
-        rows, sd = _dihedral_matrix(pres, table, gen)
+        rows, sd = _dihedral_matrix(table, gen)
         w = null_column_witness(smith_normal_form(rows, n_cols=sd.presentation.n_gens))
         if w is not None:
             images = _dihedral_images(sd, gen, w)

@@ -1,4 +1,4 @@
-"""Coset tables: verification and Schreier rewriting.
+"""Coset tables and their one certificate.
 
 A table row holds one coset's images under every generator and inverse:
 generator i acts through column 2i, its inverse through column 2i+1.
@@ -8,18 +8,18 @@ a normal subgroup.  ``verify_regular_table`` is their one certificate,
 run once on each table without trusting how it was built: complete,
 inverse-paired, transitive and regular, by the certificate that
 ``lattice`` also runs on the coset action of a quotient, with relators
-traced from coset 0 only, which regularity makes enough.
-``schreier_data`` rewrites the subgroup of a certified table onto
-Schreier generators, with its transversal on ``orbit.spanning_tree``.
+traced from coset 0 only, which regularity makes enough.  Nothing else
+lives here: the Schreier rewriting of a table's subgroup serves only
+the dihedral test and lives in ``classify``.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING
 
-from ..orbit import is_regular_action, spanning_tree
-from .presentation import Presentation, Word, free_reduce, invert_word
+from ..orbit import is_regular_action
+from .presentation import Presentation, Word
 
 if TYPE_CHECKING:
     from ..permgroup import Perm, PermGroup
@@ -29,10 +29,6 @@ Row = list
 
 def letter_to_col(x: int) -> int:
     return 2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
-
-
-def col_to_letter(c: int) -> int:
-    return c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1)
 
 
 class CosetTable:
@@ -107,92 +103,3 @@ def verify_regular_table(t: CosetTable) -> bool:
     if any(list(map(col.__getitem__, cols[c ^ 1])) != cosets for c, col in enumerate(cols)):
         return False
     return is_regular_action(t.rows, cols, t.rows[0][::2]) and all(t.trace(0, r) == 0 for r in t.pres.relators)
-
-
-def _rewrite(rows: list[Row], gen_of_pair: dict[tuple[int, int], int], word: Word) -> Word:
-    """Schreier generators met by the word traced from coset 0, which it must return to."""
-    beta = 0
-    out = []
-    for x in word:
-        i = abs(x) - 1
-        if x > 0:
-            sg, beta = gen_of_pair.get((beta, i)), rows[beta][2 * i]
-        else:
-            beta = rows[beta][2 * i + 1]
-            sg = gen_of_pair.get((beta, i))
-        if sg is not None:
-            out.append(sg if x > 0 else -sg)
-    if beta != 0:
-        raise ValueError("word does not lie in the subgroup")
-    return free_reduce(out)
-
-
-class SchreierData:
-    """Subgroup presentation on Schreier generators, with rewriting data.
-
-    ``schreier_words`` spell each subgroup generator as a word in the
-    original generators; ``rewrite`` carries subgroup elements (words in
-    the original generators tracing back to coset 0) to words in the
-    Schreier generators.
-    """
-
-    def __init__(
-        self,
-        table: CosetTable,
-        presentation: Presentation,
-        schreier_words: tuple[Word, ...],
-        gen_of_pair: dict[tuple[int, int], int],
-    ) -> None:
-        self.table = table
-        self.presentation = presentation
-        self.schreier_words = schreier_words
-        self._gen_of_pair = gen_of_pair
-
-    def rewrite(self, word: Word) -> Word:
-        return _rewrite(self.table.rows, self._gen_of_pair, word)
-
-
-def schreier_data(pres: Presentation, t: CosetTable) -> SchreierData:
-    """Rewrite the subgroup of a table onto Schreier generators.
-
-    The table must be complete, well-formed and closed under the
-    relators, as a certified one is; it is not checked again here.  The
-    package's one caller, ``classify``, passes the index-2 tables that
-    ``index_two_subgroups`` has just certified.
-
-    Transversal: along ``orbit.spanning_tree`` from coset 0, in column
-    order.  One generator per non-tree (coset, original generator) pair;
-    relators are the rewrites of every original relator traced from
-    every coset.
-    """
-    rows = t.rows
-    n = t.n_cosets
-    g = pres.n_gens
-    transversal: list[Word] = [()] * n
-    tree_pairs = set()
-    for b, (a, c) in islice(spanning_tree(0, rows.__getitem__).items(), 1, None):
-        transversal[b] = transversal[a] + (col_to_letter(c),)
-        tree_pairs.add((a if c % 2 == 0 else b, c // 2))
-    gen_of_pair: dict[tuple[int, int], int] = {}
-    schreier_words: list[Word] = []
-    for a in range(n):
-        for i in range(g):
-            if (a, i) in tree_pairs:
-                continue
-            b = rows[a][2 * i]
-            word = free_reduce(transversal[a] + (i + 1,) + invert_word(transversal[b]))
-            gen_of_pair[(a, i)] = len(schreier_words) + 1
-            schreier_words.append(word)
-    # rewriting starts at coset 0; tracing a relator from coset a is the
-    # rewrite of t_a r t_a^-1
-    relators = []
-    seen = set()
-    for a in range(n):
-        ta = transversal[a]
-        for r in pres.relators:
-            w = _rewrite(rows, gen_of_pair, free_reduce(ta + r + invert_word(ta)))
-            if w and w not in seen:
-                seen.add(w)
-                relators.append(w)
-    names = tuple(f"s{k}" for k in range(1, len(schreier_words) + 1))
-    return SchreierData(t, Presentation(names, tuple(relators)), tuple(schreier_words), gen_of_pair)

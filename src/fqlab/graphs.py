@@ -82,7 +82,7 @@ class Graph:
         )
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return 0 <= u < self.vertex_count and v in self.adjacency[u]
 
     @property
     def valencies(self) -> tuple[int, ...]:

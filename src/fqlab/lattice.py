@@ -9,10 +9,10 @@ filled in along the same tree.  Conjugacy classes, their closures and
 joins are sets of numbers, and coset labels one int list.  Normal
 subgroups are the joins of the subgroups that classes generate,
 computed once per group; each join is the union of the cosets of one
-side that meet the other.  Normality is tested by conjugating
-generators by generators.  A quotient is the generators' action on the
-cosets, certified regular by ``orbit.is_regular_action`` and left
-unclosed; its generator tuples are the rows of its own element index.
+side that meet the other.  Normality is tested on the index's
+conjugation rows.  A quotient is the generators' action on the cosets,
+certified regular by ``orbit.is_regular_action`` and left unclosed;
+its generator tuples are the rows of its own element index.
 Only ``verify`` loads this module.
 """
 
@@ -26,7 +26,7 @@ from operator import itemgetter
 from .budgets import NORMAL_SUBGROUP_CAP
 from .errors import GroupTooLargeError, InternalInvariantError
 from .orbit import is_regular_action, left_multiplication, orbit_labels, spanning_tree
-from .permgroup import PermGroup, compose, generated, inverse
+from .permgroup import PermGroup, compose, generated
 
 
 class ElementIndex:
@@ -39,22 +39,23 @@ class ElementIndex:
     quotient's generator tuples are its rows.  ``row`` grows right
     multiplication by any element from those along its word in a
     breadth-first tree from 0; ``left_row`` fills left multiplication in
-    along the tree.  ``classes`` are the conjugacy classes, ascending and
-    ordered by least element: orbits under x -> b^-1 x b for each
-    generator b (left multiplication by b^-1, the x with x b = 1, then
-    right multiplication by b).  ``orders`` holds the length of the cycle
-    of 0 under right multiplication by each class's least element.
+    along the tree.  ``conj`` holds x -> b^-1 x b for each generator b
+    (left multiplication by b^-1, the x with x b = 1, then right
+    multiplication by b); its orbits, ascending and ordered by least
+    element, are the conjugacy ``classes``.  ``orders`` holds the length
+    of the cycle of 0 under right multiplication by each class's least
+    element.
     """
 
-    __slots__ = ("gen_rows", "classes", "orders", "elements", "position", "_tree", "_rows")
+    __slots__ = ("gen_rows", "conj", "classes", "orders", "elements", "position", "_tree", "_rows")
 
     def __init__(self, gen_rows: Iterable[tuple[int, ...]]):
         self.gen_rows = rows = list(gen_rows)
         self._rows = {r[0]: r for r in rows}
         # with no generators the group is trivial: one element, no edges
         self._tree = spanning_tree(0, (list(zip(*rows)) or [()]).__getitem__)
-        conj = [[r[x] for x in self.left_row(r.index(0))] for r in rows]
-        label, reps = orbit_labels(conj, len(self._tree))
+        self.conj = [[r[x] for x in self.left_row(r.index(0))] for r in rows]
+        label, reps = orbit_labels(self.conj, len(self._tree))
         self.classes: list[list[int]] = [[] for _ in reps]
         for x, c in enumerate(label):
             self.classes[c].append(x)
@@ -141,14 +142,12 @@ def is_normal(group: PermGroup, sub: PermGroup) -> bool:
     generators propagates to all products.  Raises if sub is not in fact
     a subgroup of group.
     """
-    if sub.degree != group.degree or not sub.element_set <= group.element_set:
-        raise ValueError("not a subgroup of the given group")
-    members = sub.element_set
-    return all(
-        compose(compose(b_inv, n), b) in members
-        for b, b_inv in ((b, inverse(b)) for b in group.generators)
-        for n in sub.generators
-    )
+    ix = element_index(group)
+    try:
+        members = set(map(ix.position.__getitem__, sub.elements))
+    except KeyError:
+        raise ValueError("not a subgroup of the given group") from None
+    return all(row[ix.position[n]] in members for row in ix.conj for n in sub.generators)
 
 
 def normal_subgroups(group: PermGroup) -> list[PermGroup]:

@@ -50,11 +50,6 @@ def inverse(g: Perm) -> Perm:
     return tuple(out)
 
 
-def conjugate(g: Perm, b: Perm) -> Perm:
-    """b^-1 g b under left-then-right composition."""
-    return compose(compose(inverse(b), g), b)
-
-
 def cycle_decomposition(g: Perm) -> list[tuple[int, ...]]:
     """Nontrivial cycles, 0-based, each starting at its smallest point."""
     seen = [False] * len(g)
@@ -214,6 +209,8 @@ def stabilizer_generators(generators, degree: int, base: int) -> list[Perm]:
     orbit point x and generator g, the loop word t_x g t_{x.g}^-1 fixes
     the base; those loops generate the stabilizer (Schreier's lemma).
     """
+    if not 0 <= base < degree:
+        raise ValueError(f"no point {base} in degree {degree}")
     gens = tuple(generators)
     trans: dict[int, Perm] = {}
     for y, edge in spanning_tree(base, lambda x: (g[x] for g in gens)).items():
@@ -269,9 +266,10 @@ def shape(group: PermGroup) -> GroupShape:
     order-2 group is cyclic, never dihedral.  The Klein four-group
     counts as dihedral with rotation order 2.
 
-    Dihedral of order 2h means an involution b outside <r> inverts some r
-    of order h.  An involution in <r> inverts r only if r*r = 1, and then
-    the group is the Klein four-group either way, so <r> is never listed.
+    Dihedral of order 2h means an involution b with b*r of order 2 (b
+    inverts r) for some r of order h.  None in <r> passes: for h > 2 the
+    only one is r^(h/2), and r^(h/2)*r has order above 2; for h = 2 it
+    is r, and r*r = 1.
     """
     if not _commutators_commute(group.generators):
         return GroupShape("other", 0)
@@ -283,6 +281,6 @@ def shape(group: PermGroup) -> GroupShape:
         half = n // 2
         involutions = [b for b, k in orders.items() if k == 2]
         for r, k in orders.items():
-            if k == half and any(conjugate(r, b) == inverse(r) for b in involutions):
+            if k == half and any(orders[compose(b, r)] == 2 for b in involutions):
                 return GroupShape("dihedral", half)
     return GroupShape("other", 0)

@@ -7,9 +7,16 @@ of both sides.  Its atoms are the subgroups generated by conjugacy
 classes, each class computed by conjugating with every element of the
 group rather than by an orbit under the generators.  The fixpoint of
 joins is the set of all normal subgroups, returned as element sets.
+``conjugate`` composes tuples, apart from the element index's
+conjugation rows that the package conjugates by.
 """
 
-from fqlab.permgroup import close, conjugate
+from fqlab.permgroup import close, compose, inverse
+
+
+def conjugate(g, b):
+    """b^-1 g b under left-then-right composition."""
+    return compose(compose(inverse(b), g), b)
 
 
 def closure_join_lattice(group):

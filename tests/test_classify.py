@@ -74,7 +74,7 @@ def test_infinite_dihedral_detection():
     # generator cannot negate, so neither primitive functional passes
     z = parse_presentation(Z)
     (table,) = index_two_subgroups(z)
-    sd = schreier_data(z, table)
+    sd = schreier_data(table)
     assert not any(verify_images(z, classify._dihedral_images(sd, 0, (e,))) for e in (1, -1))
 
 
@@ -201,9 +201,9 @@ def test_dihedral_check_catches_a_corrupted_relation_matrix(monkeypatch):
     # must reject it
     real = classify._dihedral_matrix
 
-    def no_relator_rows(pres, table, gen):
-        rows, k = real(pres, table, gen)
-        return rows[len(schreier_data(pres, table).presentation.relators) :], k
+    def no_relator_rows(table, gen):
+        rows, k = real(table, gen)
+        return rows[len(schreier_data(table).presentation.relators) :], k
 
     monkeypatch.setattr(classify, "_dihedral_matrix", no_relator_rows)
     for text in (
@@ -222,7 +222,7 @@ def schreier_route_verdict(pres, table, gen, witness):
     translations with gcd 1."""
     if table.n_cosets != 2 or not verify_table(table) or table.rows[0][2 * gen] != 1:
         return False
-    sd = schreier_data(pres, table)
+    sd = schreier_data(table)
     w = tuple(witness)
     if len(w) != len(sd.schreier_words):
         return False
@@ -262,7 +262,7 @@ def test_image_check_agrees_with_the_schreier_route():
         accepted = 0
         for table in index_two_subgroups(p):
             gen = table.rows[0][::2].index(1)
-            rows, sd = classify._dihedral_matrix(p, table, gen)
+            rows, sd = classify._dihedral_matrix(table, gen)
             k = sd.presentation.n_gens
             found = null_column_witness(smith_normal_form(rows, n_cols=k))
             functionals = [(0,) * k]

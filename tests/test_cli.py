@@ -656,9 +656,9 @@ def test_corrupted_classify_witness_exits_4(capsys, monkeypatch, tmp_path):
 def test_corrupted_dihedral_matrix_exits_4(capsys, monkeypatch, tmp_path):
     real = classify._dihedral_matrix
 
-    def no_relator_rows(pres, table, gen):
-        rows, k = real(pres, table, gen)
-        return rows[len(schreier_data(pres, table).presentation.relators) :], k
+    def no_relator_rows(table, gen):
+        rows, k = real(table, gen)
+        return rows[len(schreier_data(table).presentation.relators) :], k
 
     monkeypatch.setattr(classify, "_dihedral_matrix", no_relator_rows)
     path = pres_file(tmp_path, MOD_PRES)

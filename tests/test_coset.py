@@ -1,5 +1,11 @@
 """The Todd-Coxeter test oracle, table verification, and subgroup rewriting."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from coset_oracle import EnumerationUndecided, standardize_rows, todd_coxeter, verify_table
 
@@ -10,6 +16,7 @@ from fqlab.fpgroup import (
     parse_presentation,
     schreier_data,
 )
+import fqlab.fpgroup.coset as coset
 from fqlab.fpgroup.coset import CosetTable, verify_regular_table
 from fqlab.permgroup import close
 
@@ -146,7 +153,7 @@ def test_schreier_rank_for_free_group():
     # Nielsen-Schreier: index n in free rank r gives rank n(r-1)+1
     p = parse_presentation("gens: x y\nrels:\n")
     for t in index_two_subgroups(p):
-        sub = schreier_data(p, t).presentation
+        sub = schreier_data(t).presentation
         assert sub.n_gens == 3
         assert sub.relators == ()
 
@@ -154,7 +161,7 @@ def test_schreier_rank_for_free_group():
 def test_schreier_words_trace_home():
     p = parse_presentation("gens: a b\nrels: a^2, b^4, (a b)^3\n")
     t = todd_coxeter(p, ((2,),), max_cosets=100)
-    sd = schreier_data(p, t)
+    sd = schreier_data(t)
     for w in sd.schreier_words:
         assert t.trace(0, w) == 0
     # rewriting a schreier word gives the corresponding single letter
@@ -170,7 +177,7 @@ def test_reidemeister_schreier_infinite_dihedral_translation():
     p = parse_presentation("gens: a b\nrels: a^2, b^2\n")
     t = todd_coxeter(p, ((1, 2),), max_cosets=100)
     assert t.n_cosets == 2
-    sub = schreier_data(p, t).presentation
+    sub = schreier_data(t).presentation
     f = abelianization(sub)
     assert f.invariants.count(0) == 1
 
@@ -179,7 +186,7 @@ def test_reidemeister_schreier_whole_group():
     p = parse_presentation("gens: a b\nrels: a^2, b^3\n")
     t = todd_coxeter(p, ((1,), (2,)), max_cosets=10)
     assert t.n_cosets == 1
-    sub = schreier_data(p, t).presentation
+    sub = schreier_data(t).presentation
     assert sub.n_gens == 2
     assert abelianization(sub).invariants == abelianization(p).invariants
 
@@ -189,7 +196,7 @@ def test_modular_group_index_two_subgroup_structure():
     p = parse_presentation("gens: a b\nrels: a^2, b^3\n")
     tables = index_two_subgroups(p)
     assert len(tables) == 1
-    sub = schreier_data(p, tables[0]).presentation
+    sub = schreier_data(tables[0]).presentation
     f = abelianization(sub)
     assert [d for d in f.invariants if d != 1] == [3, 3]
     assert f.invariants.count(0) == 0
@@ -205,7 +212,7 @@ def test_normality_matches_conjugation_oracle():
         (((1, 2), (2, 1)), True),         # A4, index 2
     ]:
         t = todd_coxeter(p, words, max_cosets=200)
-        sd = schreier_data(p, t)
+        sd = schreier_data(t)
         oracle = all(
             t.trace(0, (-g,) + m + (g,)) == 0
             for m in sd.schreier_words
@@ -214,3 +221,31 @@ def test_normality_matches_conjugation_oracle():
         regular = t.image_group().order == t.n_cosets
         assert regular == oracle
         assert regular == want
+
+
+# Imports the table certificate in a fresh interpreter and prints the
+# fqlab modules loaded and the names the coset module defines.
+TRUSTED_PROBE = """
+import json, sys
+import fqlab.fpgroup.coset as coset
+modules = sorted(name for name in sys.modules if name.split(".")[0] == "fqlab")
+print(json.dumps([modules, sorted(vars(coset))]))
+"""
+
+
+def test_coset_loads_only_the_trusted_base():
+    # the certificate of every table needs the presentation, the
+    # regularity check and nothing else; Schreier rewriting lives in
+    # classify, its one user
+    src = pathlib.Path(coset.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", TRUSTED_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    modules, names = json.loads(done.stdout)
+    base = ("errors", "budgets", "orbit", "fpgroup", "fpgroup.presentation", "fpgroup.coset")
+    assert modules == sorted(["fqlab", *(f"fqlab.{m}" for m in base)])
+    assert not {"schreier_data", "SchreierData", "_rewrite", "col_to_letter"} & set(names)

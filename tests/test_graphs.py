@@ -16,7 +16,7 @@ from fqlab.fpgroup import (
     parse_presentation,
     subgroup_image,
 )
-from fqlab.fpgroup.coset import col_to_letter
+from fqlab.fpgroup.classify import col_to_letter
 from fqlab.graphs import (
     Graph,
     GraphAction,
@@ -512,8 +512,10 @@ def test_odd_core_of_action_over_the_element_cap():
 
 
 def test_odd_core_errors():
-    with pytest.raises(ValueError):
-        odd_edge_core(k4_alternating(), (0, 9))
+    # a negative vertex must not wrap round to the last one
+    for edge in ((0, 9), (-1, 0), (9, 0)):
+        with pytest.raises(ValueError, match="is not an edge"):
+            odd_edge_core(k4_alternating(), edge)
     ga = GraphAction(graph_from_edges(3, [(0, 1), (1, 2)]), close([(2, 1, 0)], 3))
     with pytest.raises(ValueError):
         odd_edge_core(ga, (0, 2))

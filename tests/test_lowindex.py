@@ -343,7 +343,7 @@ def test_normal_search_tables_rebuilt_by_todd_coxeter():
         tables = low_index_normal_subgroups(p, max_index)
         assert len(tables) == count, text
         for t in tables:
-            rebuilt = todd_coxeter(p, schreier_data(p, t).schreier_words)
+            rebuilt = todd_coxeter(p, schreier_data(t).schreier_words)
             assert rebuilt.rows == t.rows, (text, t.n_cosets)
 
 

@@ -12,7 +12,7 @@ import math
 import random
 
 import pytest
-from lattice_oracle import closure_join_lattice
+from lattice_oracle import closure_join_lattice, conjugate
 
 from fqlab.catalog import (
     DEFAULT_CATALOG,
@@ -40,7 +40,6 @@ from fqlab.permgroup import (
     PermGroup,
     close,
     compose,
-    conjugate,
     identity,
     inverse,
     is_transitive,
@@ -226,6 +225,9 @@ def test_stabilizer_element_filter():
     assert S.order == 6
     assert all(g[3] == 3 for g in S.elements)
     assert S.element_set == element_filter_stabilizer(G, 3)
+    for base in (-1, 4):
+        with pytest.raises(ValueError):
+            stabilizer_generators(G.generators, G.degree, base)
 
 
 def test_stabilizer_generators_match_filter():

@@ -13,7 +13,7 @@ from fqlab.fpgroup import (
     parse_presentation,
     schreier_data,
 )
-from fqlab.fpgroup.coset import _rewrite, col_to_letter
+from fqlab.fpgroup.classify import _rewrite, col_to_letter
 from fqlab.fpgroup.presentation import free_reduce, invert_word
 from fqlab.graphs import build_sw, build_w
 from fqlab.orbit import orbit, spanning_tree
@@ -98,7 +98,7 @@ def test_schreier_data_matches_the_hand_rolled_transversal():
         cases += [(p, t) for t in low_index_normal_subgroups(p, 168)]
     assert max(t.n_cosets for _, t in cases) == 168
     for p, t in cases:
-        sd = schreier_data(p, t)
+        sd = schreier_data(t)
         assert (sd.schreier_words, sd.presentation.relators) == schreier_oracle(p, t), (p, t.n_cosets)
 
 
