@@ -2,8 +2,9 @@
 
 FQLAB_BUDGET, when set to a positive integer, replaces the node budget
 of the normal low-index search.  Caps that guard memory (element cap,
-prime sieve mask, sieve scratch, relator length, graph family size) are
-fixed instead.
+prime sieve mask, sieve scratch, relator length, graph family size) and
+the count of index-2 subgroups that ``classify`` checks are fixed
+instead.
 """
 
 import os
@@ -19,6 +20,8 @@ NORMAL_SUBGROUP_CAP = 2_000     # group order cap for normal-subgroup listing
 SEARCH_NODES = 5_000_000        # low-index backtracking budget
 MAX_RELATOR_LETTERS = 2_048     # letters per relator; search rotations grow with its square
 MAX_GRAPH_EDGES = 100_000       # edges of a built graph family
+MAX_INDEX_TWO_SUBGROUPS = 2_047 # index-2 subgroups classify checks, 2**k - 1 for k even invariants:
+                                # the elementary abelian 2**11 takes about 4 s on one Xeon core, 2**12 16 s
 
 _ENV = "FQLAB_BUDGET"
 

@@ -4,27 +4,27 @@ Every name below loads its submodule on first use (PEP 562), so a
 command imports only the submodules it runs: ``classify`` loads
 ``classify``, ``coset``, ``presentation`` and ``snf``; ``fq``, ``oq``,
 ``smooth`` and ``census`` load ``quotients``, ``lowindex``, ``coset``
-and ``presentation``; none loads ``permgroup``.  Each command is a
-fresh process, so the records here are ``typing.NamedTuple``s or
-plain classes, cheap to build at import.
+and ``presentation``; none loads ``permgroup``.  The density
+classification reads its relation matrices off walks across coset
+tables (``classify.fox_walk``), with no subgroup presentation or
+Schreier rewriting.  Each command is a fresh process, so the records
+here are ``typing.NamedTuple``s or plain classes, cheap to build at
+import.
 """
 
 import importlib
 
 _SUBMODULE = {
     "DensityClass": "classify",
-    "SchreierData": "classify",
     "abelianization": "classify",
     "classify_density": "classify",
     "index_two_subgroups": "classify",
-    "schreier_data": "classify",
     "verify_images": "classify",
     "CosetTable": "coset",
     "verify_regular_table": "coset",
     "low_index_normal_subgroups": "lowindex",
     "Presentation": "presentation",
     "Word": "presentation",
-    "concat_words": "presentation",
     "format_presentation": "presentation",
     "free_reduce": "presentation",
     "invert_word": "presentation",

@@ -9,33 +9,41 @@ the integers, with no reflection in the image of Z.  They are found as
 
 * infinite cyclic: a primitive integer vector orthogonal to every
   relator's exponent vector, sent to the translations;
-* infinite dihedral: an index-2 subgroup H, a generator outside it, and
-  a primitive functional on H's abelianization that the outside element
-  negates and that kills its square, carried back to the generators
-  through H's Schreier rewriting (``schreier_data``, kept here beside
-  its one use; ``coset`` keeps only the table and its certificate).
+* infinite dihedral: an index-2 subgroup H whose sign character chi
+  leaves the Fox rows dr/dx_j, evaluated at chi, of rank below n - 1
+  (Fox, Ann. of Math. 57 (1953)).  Their kernel holds the crossed
+  homomorphisms into Z twisted by chi, the coboundaries one dimension
+  of it; by Shapiro's lemma the rest is the part of Hom(H, Z) that a
+  generator b outside H negates.  The certificate is a primitive such
+  functional that also kills b^2, over the non-tree (coset, generator)
+  pairs of H's table, carried back to the generators.
 
-One Smith form of the relator exponent matrix serves both searches: a
-zero invariant gives the surjection onto the integers, and the column
-transform spans the mod-2 nullspace that lists the index-2 subgroups.
-The negative case is certified by exhaustion: the abelianization has no
-free part, and every index-2 subgroup fails the dihedral test.  Each
+``fox_walk`` is the one relation-matrix route: it reads a word across a
+coset table as its Fox derivative per (coset, generator) pair.  The rows
+at each character are relator walks, and so is the relation matrix that
+only the winning subgroup builds; nothing is rewritten into Schreier
+generators.  One Smith form of the relator exponent matrix serves both
+searches: a zero invariant gives the surjection onto the integers, and
+the column transform spans the mod-2 nullspace that lists the index-2
+subgroups, at most ``budgets.MAX_INDEX_TWO_SUBGROUPS`` of them.  The
+negative case is certified by exhaustion: the abelianization has no
+free part, and every index-2 subgroup fails the rank test.  Each
 positive case's images pass ``verify_images`` before they are returned.
 It evaluates the original relators in D-infinity and reads the image's
-translations off the images alone, so it trusts neither the relation
-matrices nor the Schreier rewriting that proposed them.
+translations off the images alone, so it trusts neither the Fox rows
+nor the relation matrix that proposed them.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+import operator
 from typing import NamedTuple
 
-from ..errors import InternalInvariantError
-from ..orbit import spanning_tree
+from ..budgets import MAX_INDEX_TWO_SUBGROUPS
+from ..errors import InternalInvariantError, ResourceBudgetError
 from .coset import CosetTable, Row, verify_regular_table
-from .presentation import Presentation, Word, concat_words, free_reduce, invert_word, word_exponents
+from .presentation import Presentation, Word, invert_word, word_exponents
 from .snf import SmithForm, null_column_witness, smith_normal_form
 
 
@@ -62,6 +70,11 @@ def index_two_subgroups(pres: Presentation, form: SmithForm | None = None) -> li
         for j in range(n)
         if form.invariants[j] % 2 == 0
     ]
+    count = (1 << len(basis)) - 1
+    if count > MAX_INDEX_TWO_SUBGROUPS:
+        raise ResourceBudgetError(
+            f"{count} index-2 subgroups to check, over the {MAX_INDEX_TWO_SUBGROUPS}-subgroup budget"
+        )
     span = [0]
     for column in basis:
         span += [vec ^ column for vec in span]
@@ -109,141 +122,103 @@ def verify_images(pres: Presentation, images) -> bool:
     return math.gcd(*(t for t, s in imgs if s == 1), *(t - flips[0] for t in flips)) == 1
 
 
-def col_to_letter(c: int) -> int:
-    return c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1)
+def fox_walk(rows: list[Row], word: Word, coset: int) -> list[int]:
+    """Fox derivative of a word across a coset table, read from a coset.
 
-
-def _rewrite(rows: list[Row], gen_of_pair: dict[tuple[int, int], int], word: Word) -> Word:
-    """Schreier generators met by the word traced from coset 0, which it must return to."""
-    beta = 0
-    out = []
+    Entry a*n + i, for n generators, is the (coset a, generator i) pair:
+    a letter x_i read at coset a adds +1 there, and a letter x_i^-1 read
+    at coset a adds -1 at the coset it leads to, T[a][x_i^-1].  So the
+    entries are the Fox derivatives dw/dx_i in the permutation
+    representation on the cosets.  On the pairs off a spanning tree, the
+    walk of a word in H from coset 0 counts the Schreier generators that
+    its Reidemeister-Schreier rewriting meets.
+    """
+    n = len(rows[0]) // 2
+    out = [0] * (len(rows) * n)
     for x in word:
         i = abs(x) - 1
         if x > 0:
-            sg, beta = gen_of_pair.get((beta, i)), rows[beta][2 * i]
+            out[coset * n + i] += 1
+            coset = rows[coset][2 * i]
         else:
-            beta = rows[beta][2 * i + 1]
-            sg = gen_of_pair.get((beta, i))
-        if sg is not None:
-            out.append(sg if x > 0 else -sg)
-    if beta != 0:
-        raise ValueError("word does not lie in the subgroup")
-    return free_reduce(out)
+            coset = rows[coset][2 * i + 1]
+            out[coset * n + i] -= 1
+    return out
 
 
-class SchreierData:
-    """Subgroup presentation on Schreier generators, with rewriting data.
-
-    ``schreier_words`` spell each subgroup generator as a word in the
-    original generators; ``rewrite`` carries subgroup elements (words in
-    the original generators tracing back to coset 0) to words in the
-    Schreier generators.
-    """
-
-    def __init__(
-        self,
-        table: CosetTable,
-        presentation: Presentation,
-        schreier_words: tuple[Word, ...],
-        gen_of_pair: dict[tuple[int, int], int],
-    ) -> None:
-        self.table = table
-        self.presentation = presentation
-        self.schreier_words = schreier_words
-        self._gen_of_pair = gen_of_pair
-
-    def rewrite(self, word: Word) -> Word:
-        return _rewrite(self.table.rows, self._gen_of_pair, word)
+def _relator_walks(table: CosetTable, coset: int) -> list[list[int]]:
+    return [fox_walk(table.rows, r, coset) for r in table.pres.relators]
 
 
-def schreier_data(t: CosetTable) -> SchreierData:
-    """Rewrite the subgroup of a table onto Schreier generators.
-
-    The table must be complete, well-formed and closed under the
-    relators, as a certified one is; it is not checked again here.  Its
-    one caller, ``_dihedral_matrix``, passes the index-2 tables that
-    ``index_two_subgroups`` has just certified.
-
-    Transversal: along ``orbit.spanning_tree`` from coset 0, in column
-    order.  One generator per non-tree (coset, original generator) pair;
-    relators are the rewrites of every original relator traced from
-    every coset.
-    """
-    rows = t.rows
-    n = t.n_cosets
-    g = t.pres.n_gens
-    transversal: list[Word] = [()] * n
-    tree_pairs = set()
-    for b, (a, c) in islice(spanning_tree(0, rows.__getitem__).items(), 1, None):
-        transversal[b] = transversal[a] + (col_to_letter(c),)
-        tree_pairs.add((a if c % 2 == 0 else b, c // 2))
-    gen_of_pair: dict[tuple[int, int], int] = {}
-    schreier_words: list[Word] = []
-    for a in range(n):
-        for i in range(g):
-            if (a, i) in tree_pairs:
-                continue
-            b = rows[a][2 * i]
-            word = free_reduce(transversal[a] + (i + 1,) + invert_word(transversal[b]))
-            gen_of_pair[(a, i)] = len(schreier_words) + 1
-            schreier_words.append(word)
-    # rewriting starts at coset 0; tracing a relator from coset a is the
-    # rewrite of t_a r t_a^-1
-    relators = []
-    seen = set()
-    for a in range(n):
-        ta = transversal[a]
-        for r in t.pres.relators:
-            w = _rewrite(rows, gen_of_pair, free_reduce(ta + r + invert_word(ta)))
-            if w and w not in seen:
-                seen.add(w)
-                relators.append(w)
-    names = tuple(f"s{k}" for k in range(1, len(schreier_words) + 1))
-    return SchreierData(t, Presentation(names, tuple(relators)), tuple(schreier_words), gen_of_pair)
+def _character_rows(table: CosetTable) -> list[list[int]]:
+    """Fox rows at the sign character of an index-2 table: each relator's
+    walk from coset 0, coset 0's entry less coset 1's for each generator."""
+    n = table.pres.n_gens
+    return [[w[i] - w[n + i] for i in range(n)] for w in _relator_walks(table, 0)]
 
 
-def _dihedral_matrix(table: CosetTable, gen: int):
+def _off_tree(walk: list[int], gen: int) -> list[int]:
+    """A walk on an index-2 table without its one tree pair, (0, gen):
+    ``orbit.spanning_tree`` from coset 0 reaches coset 1 first through
+    the column of gen, the first generator outside H."""
+    return walk[:gen] + walk[gen + 1 :]
+
+
+def _dihedral_matrix(table: CosetTable, gen: int) -> list[list[int]]:
     """Relation matrix whose integer nullspace holds dihedral functionals,
-    with the Schreier data of the subgroup it is written over.
+    over the 2n - 1 non-tree pairs of an index-2 table.
 
-    For the index-2 subgroup H of the table and b the given generator
-    outside it, a surjection onto the infinite dihedral group sending H
-    onto the translations is exactly a primitive functional f on H with
-    f(relator rewrites) = 0, f(m) + f(b^-1 m b) = 0 for each Schreier
-    generator m, and f(b^2) = 0.  Those are the matrix rows, over the
-    Schreier generators of H.
+    For the index-2 subgroup H of the table and b = x_gen outside it, a
+    surjection onto the infinite dihedral group sending H onto the
+    translations is a primitive functional f on H's abelianization, which
+    the non-tree pairs generate.  f must kill each relator walked from
+    each coset (zero and repeated rows dropped, first seen kept), satisfy
+    f(m) + f(b^-1 m b) = 0 for the Schreier generator m = t_a x_i t_c^-1
+    of each pair (a, i), whose transversal is t_0 = 1 and t_1 = b, and
+    kill b^2.  The walk of b^-1 m b from coset 0 is the walk of m from
+    coset 1.
     """
-    sd = schreier_data(table)
-    k = sd.presentation.n_gens
-    b_word: Word = (gen + 1,)
-    rows = [word_exponents(r, k) for r in sd.presentation.relators]
-    for j, m in enumerate(sd.schreier_words):
-        row = word_exponents(sd.rewrite(concat_words(invert_word(b_word), m, b_word)), k)
+    rows = table.rows
+    n = table.pres.n_gens
+    transversal: tuple[Word, Word] = ((), (gen + 1,))
+    matrix = []
+    seen = set()
+    for walk in _relator_walks(table, 0) + _relator_walks(table, 1):
+        row = _off_tree(walk, gen)
+        if any(row) and tuple(row) not in seen:
+            seen.add(tuple(row))
+            matrix.append(row)
+    pairs = [divmod(k, n) for k in range(2 * n) if k != gen]  # (a, i) off the tree, in column order
+    for j, (a, i) in enumerate(pairs):
+        m = transversal[a] + (i + 1,) + invert_word(transversal[rows[a][2 * i]])
+        row = _off_tree(fox_walk(rows, m, 1), gen)
         row[j] += 1
-        rows.append(row)
-    rows.append(word_exponents(sd.rewrite(b_word + b_word), k))
-    return rows, sd
+        matrix.append(row)
+    matrix.append(_off_tree(fox_walk(rows, transversal[1] * 2, 0), gen))
+    return matrix
 
 
-def _dihedral_images(sd: SchreierData, gen: int, functional) -> tuple[tuple[int, int], ...]:
+def _dihedral_images(table: CosetTable, gen: int, functional) -> tuple[tuple[int, int], ...]:
     """Generator images of a dihedral functional f: a generator x goes to
-    (f(x), +1) if it lies in H, else to (f(x b^-1), -1), for b the given
-    generator outside H."""
+    (f(x), +1) if it lies in H, else to (f(x b^-1), -1), for b = x_gen;
+    f of a word in H is f dotted with the word's walk from coset 0."""
 
     def f(word: Word) -> int:
-        return sum(functional[x - 1] if x > 0 else -functional[-x - 1] for x in sd.rewrite(word))
+        return sum(map(operator.mul, functional, _off_tree(fox_walk(table.rows, word, 0), gen)))
 
-    row = sd.table.rows[0]
+    row = table.rows[0]
     return tuple(
         (f((i + 1,)), 1) if row[2 * i] == 0 else (f((i + 1, -(gen + 1))), -1)
-        for i in range(sd.table.pres.n_gens)
+        for i in range(table.pres.n_gens)
     )
 
 
 class DensityClass(NamedTuple):
     """Outcome of the classification, with its certificate.  The first
     generator that ``images`` sends to a reflection is the one outside H
-    that ``dihedral_functional`` was solved against."""
+    that ``dihedral_functional`` was solved against; the functional has
+    one entry per non-tree (coset, generator) pair of H's table, coset
+    by coset, each coset's generators in order."""
 
     tag: str  # infinite_cyclic | infinite_dihedral | density_zero
     abelian_invariants: tuple[int, ...]
@@ -262,7 +237,9 @@ def classify_density(pres: Presentation) -> DensityClass:
     A surjection onto the integers gives every order (density 1); else
     one onto the infinite dihedral group gives every even order, and odd
     orders of density 0 (density 1/2); else the order set has density 0.
-    Images that fail ``verify_images`` raise InternalInvariantError.
+    Images that fail ``verify_images`` raise InternalInvariantError; more
+    index-2 subgroups than the budget raise ResourceBudgetError before
+    any is built.
     """
     form = abelianization(pres)
     invariants = form.invariants
@@ -273,13 +250,17 @@ def classify_density(pres: Presentation) -> DensityClass:
             raise InternalInvariantError("cyclic images failed verification")
         return DensityClass("infinite_cyclic", invariants, images)
     tables = index_two_subgroups(pres, form)
+    n = pres.n_gens
     for table in tables:
+        rank = n - smith_normal_form(_character_rows(table), n_cols=n).invariants.count(0)
+        if rank >= n - 1:
+            continue
         gen = table.rows[0][::2].index(1)  # the first generator outside H
-        rows, sd = _dihedral_matrix(table, gen)
-        w = null_column_witness(smith_normal_form(rows, n_cols=sd.presentation.n_gens))
-        if w is not None:
-            images = _dihedral_images(sd, gen, w)
-            if not verify_images(pres, images):
-                raise InternalInvariantError("dihedral images failed verification")
-            return DensityClass("infinite_dihedral", invariants, images, w)
+        w = null_column_witness(smith_normal_form(_dihedral_matrix(table, gen), n_cols=2 * n - 1))
+        if w is None:
+            raise InternalInvariantError("Fox rows and dihedral matrix disagree")
+        images = _dihedral_images(table, gen, w)
+        if not verify_images(pres, images):
+            raise InternalInvariantError("dihedral images failed verification")
+        return DensityClass("infinite_dihedral", invariants, images, w)
     return DensityClass("density_zero", invariants, index_two_checked=len(tables))

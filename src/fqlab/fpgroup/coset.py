@@ -9,8 +9,8 @@ run once on each table without trusting how it was built: complete,
 inverse-paired, transitive and regular, by the certificate that
 ``lattice`` also runs on the coset action of a quotient, with relators
 traced from coset 0 only, which regularity makes enough.  Nothing else
-lives here: the Schreier rewriting of a table's subgroup serves only
-the dihedral test and lives in ``classify``.
+lives here: the walks that read a word's Fox derivative across a table
+serve only the dihedral test and live in ``classify``.
 """
 
 from __future__ import annotations

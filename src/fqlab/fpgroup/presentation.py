@@ -47,13 +47,6 @@ def invert_word(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
-def concat_words(*ws: Word) -> Word:
-    out: list[int] = []
-    for w in ws:
-        out.extend(w)
-    return free_reduce(out)
-
-
 def word_exponents(w: Word, n_gens: int) -> list[int]:
     """Exponent sum of each generator; the word's image in the free
     abelian group."""

@@ -3,8 +3,8 @@
 ``orbit`` is the package's one search from a point: connectivity in
 ``graphs``, subgroup images in ``fpgroup.quotients``.  ``spanning_tree``
 is that search keeping the edge that first reaches each point, the one
-tree under the stabilizer transversals of ``permgroup``, the Schreier
-transversals of ``fpgroup.classify`` and the element words of ``lattice``.
+tree under the stabilizer transversals of ``permgroup`` and the element
+words of ``lattice``.
 ``orbit_labels`` labels all points by orbit at once.
 ``left_multiplication`` fills left multiplication in along a tree for
 ``lattice`` and ``is_regular_action``, the regularity certificate that

@@ -5,10 +5,11 @@ import random
 
 import pytest
 from coset_oracle import verify_table
+from schreier_oracle import dihedral_route, schreier_data
 
 import fqlab.fpgroup.classify as classify
 import fqlab.fpgroup.coset as coset
-from fqlab.errors import InternalInvariantError
+from fqlab.errors import InternalInvariantError, ResourceBudgetError
 from fqlab.fpgroup import (
     abelianization,
     classify_density,
@@ -16,12 +17,12 @@ from fqlab.fpgroup import (
     index_two_subgroups,
     null_column_witness,
     parse_presentation,
-    schreier_data,
     smith_normal_form,
     verify_images,
     verify_regular_table,
     word_exponents,
 )
+from fqlab.pointwise import factor
 
 Z = "gens: x\nrels:\n"
 DINF = "gens: a b\nrels: a^2, b^2\n"
@@ -74,8 +75,7 @@ def test_infinite_dihedral_detection():
     # generator cannot negate, so neither primitive functional passes
     z = parse_presentation(Z)
     (table,) = index_two_subgroups(z)
-    sd = schreier_data(table)
-    assert not any(verify_images(z, classify._dihedral_images(sd, 0, (e,))) for e in (1, -1))
+    assert not any(verify_images(z, classify._dihedral_images(table, 0, (e,))) for e in (1, -1))
 
 
 def test_d_infinity_times_finite_still_dihedral():
@@ -178,6 +178,21 @@ INDEX_TWO_CASES = (
 )
 
 
+def biased_sample(seed, draws):
+    """Random 2- and 3-generator presentations leaning toward D-infinity:
+    each generator gets x^2 with probability 0.8, then come 0-2 relators
+    of length 2-8 in the generators and their inverses."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        names = "abc"[: rng.randint(2, 3)]
+        rels = [f"{x}^2" for x in names if rng.random() < 0.8]
+        for _ in range(rng.randint(0, 2)):
+            rels.append(" ".join(rng.choice(names) + rng.choice(("", "^-1")) for _ in range(rng.randint(2, 8))))
+        out.append(f"gens: {' '.join(names)}\nrels: {', '.join(rels)}\n")
+    return out
+
+
 def test_index_two_subgroups_match_character_oracle():
     # every nonzero character onto C2 killing all relators, by brute force
     for text in INDEX_TWO_CASES:
@@ -196,16 +211,13 @@ def test_index_two_subgroups_match_character_oracle():
 
 
 def test_dihedral_check_catches_a_corrupted_relation_matrix(monkeypatch):
-    # without the relator rows the matrix proposes a functional on groups
-    # with no dihedral quotient; evaluating the relators in D-infinity
-    # must reject it
-    real = classify._dihedral_matrix
+    # without the relator walks the Fox rows vanish and the matrix
+    # proposes a functional on groups with no dihedral quotient;
+    # evaluating the relators in D-infinity must reject it
+    def no_relator_rows(table, coset):
+        return []
 
-    def no_relator_rows(table, gen):
-        rows, k = real(table, gen)
-        return rows[len(schreier_data(table).presentation.relators) :], k
-
-    monkeypatch.setattr(classify, "_dihedral_matrix", no_relator_rows)
+    monkeypatch.setattr(classify, "_relator_walks", no_relator_rows)
     for text in (
         MODULAR,
         "gens: a b\nrels: a^2, b^2, (a b)^5\n",
@@ -262,8 +274,8 @@ def test_image_check_agrees_with_the_schreier_route():
         accepted = 0
         for table in index_two_subgroups(p):
             gen = table.rows[0][::2].index(1)
-            rows, sd = classify._dihedral_matrix(table, gen)
-            k = sd.presentation.n_gens
+            rows = classify._dihedral_matrix(table, gen)
+            k = 2 * p.n_gens - 1
             found = null_column_witness(smith_normal_form(rows, n_cols=k))
             functionals = [(0,) * k]
             units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
@@ -272,7 +284,88 @@ def test_image_check_agrees_with_the_schreier_route():
             if found is not None:
                 functionals += [found, tuple(2 * e for e in found)]
             for w in functionals:
-                verdict = verify_images(p, classify._dihedral_images(sd, gen, w))
+                verdict = verify_images(p, classify._dihedral_images(table, gen, w))
                 assert verdict == schreier_route_verdict(p, table, gen, w), (text, w)
                 accepted += verdict
         assert accepted or tag == "infinite_cyclic", text
+
+
+def elementary_abelian(k):
+    """The elementary abelian group of order 2^k: x_i^2 and (x_i x_j)^2."""
+    names = [f"x{i}" for i in range(1, k + 1)]
+    rels = [f"{x}^2" for x in names] + [f"({x} {y})^2" for i, x in enumerate(names) for y in names[i + 1 :]]
+    return f"gens: {' '.join(names)}\nrels: {', '.join(rels)}\n"
+
+
+def test_index_two_subgroups_within_budget_classify():
+    # 2^9 has 511 index-2 subgroups, all checked; over the budget,
+    # index_two_subgroups refuses from the count alone, which a group
+    # mapping onto Z never reaches
+    cls = classify_density(parse_presentation(elementary_abelian(9)))
+    assert (cls.tag, cls.index_two_checked) == ("density_zero", 511)
+    with pytest.raises(ResourceBudgetError, match="4095 index-2 subgroups"):
+        index_two_subgroups(parse_presentation(elementary_abelian(12)))
+    free_z = parse_presentation(elementary_abelian(12).replace("gens:", "gens: z", 1))
+    assert classify_density(free_z).tag == "infinite_cyclic"
+
+
+def odd_primes(invariants):
+    return {q for d in invariants if d for q, _ in factor(d) if q > 2}
+
+
+def fox_primes(pres):
+    """E: the odd primes dividing a nonzero invariant factor of the Fox
+    rows at some index-2 character."""
+    n = pres.n_gens
+    return {
+        q
+        for table in index_two_subgroups(pres)
+        for q in odd_primes(smith_normal_form(classify._character_rows(table), n_cols=n).invariants)
+    }
+
+
+def test_fox_rows_agree_with_the_schreier_route():
+    # the Schreier route that classify ran before it read Fox rows: the
+    # same tag, the same odd primes in the relation matrices of a
+    # density-zero group, and the same functional and images for D-infinity
+    dihedral = 0
+    for text in biased_sample(41, 1400):
+        p = parse_presentation(text)
+        cls = classify_density(p)
+        if cls.tag == "infinite_cyclic":
+            continue
+        invariants, found = dihedral_route(p)
+        if cls.tag == "infinite_dihedral":
+            dihedral += 1
+            assert found == (cls.images, cls.dihedral_functional), text
+        else:
+            assert found is None, text
+            assert fox_primes(p) == {q for row in invariants for q in odd_primes(row)}, text
+    assert dihedral >= 500
+
+
+E_CASES = (
+    ("gens: a b\nrels: a^2, b^2, (a b)^5\n", {5}),
+    ("gens: a b\nrels: a^2, b^3, (a b)^8\n", {3}),
+    ("gens: a b\nrels: a^2, b^2, (a b)^15\n", {3, 5}),
+    ("gens: x y z\nrels: x^3, y^2, z^3, (x y)^2, (z y)^2\n", {3}),
+)
+
+
+def test_exceptional_primes_are_the_orders_twice_an_odd_prime():
+    # for a density-zero group and an odd prime q with 2q <= L, a group
+    # of order 2q is cyclic or dihedral, and a dihedral quotient through
+    # a character exists exactly when q divides a nonzero invariant
+    # factor of the Fox rows there: so 2q is a quotient order exactly
+    # when q is in E or the abelianization maps onto C_2q
+    limit = 26
+    named = [parse_presentation(text) for text, _ in E_CASES]
+    assert [fox_primes(p) for p in named] == [e for _, e in E_CASES]
+    sample = [p for p in map(parse_presentation, biased_sample(3, 300)) if classify_density(p).tag == "density_zero"]
+    for p in named + sample:
+        e = fox_primes(p)
+        exponent = abelianization(p).invariants[-1]
+        orders = fq_up_to(p, limit).orders
+        for q in (3, 5, 7, 11, 13):
+            assert (2 * q in orders) == (q in e or exponent % (2 * q) == 0), (p, q)
+    assert len(sample) > 100 and any(fox_primes(p) & {3, 5, 7, 11, 13} for p in sample)

